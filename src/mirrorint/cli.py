@@ -12,26 +12,14 @@ first).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
 
-from .congruences import (
-    WHICH_OMEGA,
-    WHICH_XI,
-    iter_decomposition,
-    iter_dwork_S,
-    iter_j_congruence,
-    iter_lemma11,
-    iter_lemma12,
-    iter_optimality_witnesses,
-    iter_theorem_congruence,
-    iter_wolstenholme,
-    iter_Y,
-    vp3_probe,
-)
+from .congruences import SWEEPS, sweep
 from .constants import (
     DegenerateCase,
     omega,
@@ -66,19 +54,6 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERRUPT = 130
-
-_SWEEP_CHECKS = (
-    "theorem-congruence",
-    "dworkS",
-    "yms",
-    "decomposition",
-    "lemma11",
-    "lemma12",
-    "j-mod-p",
-    "witness",
-    "wolstenholme",
-    "vp3-probe",
-)
 
 
 def _default_order() -> int:
@@ -185,22 +160,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sieve.add_argument("--progress", action="store_true")
     p_sieve.set_defaults(func=_cmd_sieve)
 
-    p_sweep = sub.add_parser("sweep", help="grid-run a congruence check, JSONL out")
-    p_sweep.add_argument("--check", required=True, choices=_SWEEP_CHECKS)
-    p_sweep.add_argument("--p", type=_csv_ints, default=None, help="primes, csv")
-    p_sweep.add_argument("--pmax", type=int, default=None)
-    p_sweep.add_argument("--pmin", type=int, default=5)
-    p_sweep.add_argument("--N", type=int, default=None, help="single N (vp3-probe)")
-    p_sweep.add_argument("--Nmax", type=int, default=None)
-    p_sweep.add_argument("--kmax", type=int, default=2)
-    p_sweep.add_argument("--Kmax", type=int, default=8)
-    p_sweep.add_argument("--K", type=int, default=None, help="single K (decomposition)")
-    p_sweep.add_argument("--smax", type=int, default=2)
-    p_sweep.add_argument("--mmax", type=int, default=9)
-    p_sweep.add_argument("--jmax", type=int, default=6)
-    p_sweep.add_argument("--Jmax", type=int, default=500)
-    p_sweep.add_argument("--summax", type=int, default=25, help="bound on a + K*p")
-    p_sweep.add_argument("--which", default=None)
+    # Grid flags absent from the command line stay unset, so the check's
+    # defaults in congruences.SWEEPS apply (and an explicit 0 is kept).
+    p_sweep = sub.add_parser(
+        "sweep",
+        help="grid-run a congruence check, JSONL out",
+        argument_default=argparse.SUPPRESS,
+    )
+    p_sweep.add_argument("--check", required=True, choices=tuple(SWEEPS))
+    p_sweep.add_argument("--p", type=_csv_ints, help="primes, csv")
+    p_sweep.add_argument("--pmax", type=int)
+    p_sweep.add_argument("--pmin", type=int)
+    p_sweep.add_argument("--N", type=int, help="single N (vp3-probe)")
+    p_sweep.add_argument("--Nmax", type=int)
+    p_sweep.add_argument("--kmax", type=int)
+    p_sweep.add_argument("--Kmax", type=int)
+    p_sweep.add_argument("--K", type=int, help="single K (decomposition)")
+    p_sweep.add_argument("--smax", type=int)
+    p_sweep.add_argument("--mmax", type=int)
+    p_sweep.add_argument("--jmax", type=int)
+    p_sweep.add_argument("--Jmax", type=int)
+    p_sweep.add_argument("--summax", type=int, help="bound on a + K*p")
+    p_sweep.add_argument("--which")
     p_sweep.add_argument("--out", default="-")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -354,67 +335,21 @@ def _cmd_sieve(args) -> int:
     return EXIT_VIOLATION if conjecture_hits else EXIT_PASS
 
 
-def _sweep_rows(args):
-    check = args.check
-    if check == "theorem-congruence":
-        which = args.which or WHICH_XI
-        if which not in (WHICH_XI, WHICH_OMEGA):
-            raise ValueError("--which must be Xi or Omega")
-        return iter_theorem_congruence(
-            args.p or [2, 3, 5, 7], args.Nmax or 8, args.kmax, args.summax, which
-        )
-    if check == "dworkS":
-        return iter_dwork_S(
-            args.p or [2, 3, 5], args.Nmax or 5, args.kmax, args.Kmax, args.smax
-        )
-    if check == "yms":
-        return iter_Y(
-            args.p or [2, 3, 5], args.Nmax or 5, args.kmax, args.Kmax, args.smax
-        )
-    if check == "decomposition":
-        K_values = [args.K] if args.K is not None else list(range(args.Kmax + 1))
-        return iter_decomposition(
-            args.p or [2, 3, 5], args.Nmax or 5, args.kmax, K_values
-        )
-    if check == "lemma11":
-        which = args.which or WHICH_XI
-        return iter_lemma11(
-            args.p or [2, 3, 5], args.Nmax or 5, args.kmax, args.mmax, args.smax, which
-        )
-    if check == "lemma12":
-        return iter_lemma12(
-            args.p or [2, 3, 5], args.Nmax or 5, args.kmax, args.jmax, args.Kmax
-        )
-    if check == "j-mod-p":
-        return iter_j_congruence(args.pmax or 13, args.Jmax)
-    if check == "witness":
-        shifted = (args.which or "t") == "u"
-        return iter_optimality_witnesses(args.Nmax or 7, args.pmax or 31, shifted)
-    if check == "wolstenholme":
-        if args.pmax is None:
-            raise ValueError("wolstenholme sweep requires --pmax")
-        return iter_wolstenholme(args.pmin, args.pmax)
-    if check == "vp3-probe":
-        if not args.p or args.N is None:
-            raise ValueError("vp3-probe requires --p and --N")
-        probe = vp3_probe(args.p[0], args.N)
-        row = {
-            "check": "vp3-probe",
-            "params": {"p": probe.p, "N": probe.N},
-            "holds": probe.outside,
-            "margin": probe.margin,
-        }
-        return iter([row])
-    raise ValueError(f"unknown check {check!r}")
-
-
 def _cmd_sweep(args) -> int:
-    rows = _sweep_rows(args)
+    params = {
+        name: value
+        for name, value in vars(args).items()
+        if name not in ("command", "func", "check", "out")
+    }
+    rows = sweep(args.check, **params)
+    # Run the first grid point before --out is opened, so that a failed
+    # precondition (vp3-probe's, say) leaves an existing file untouched.
+    first = list(itertools.islice(rows, 1))
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     failures = 0
     total = 0
     try:
-        for row in rows:
+        for row in itertools.chain(first, rows):
             out.write(_dump(row) + "\n")
             total += 1
             if not row["holds"]:

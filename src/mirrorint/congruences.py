@@ -10,16 +10,24 @@ margin (e.g. failure at exactly one extra power of p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable, Iterator
 
 from .constants import omega, xi
-from .harmonic import ModularHarmonicSum, harmonic, is_wolstenholme
+from .harmonic import (
+    ModularHarmonicSum,
+    check_harmonic_congruence,
+    harmonic,
+    is_wolstenholme,
+    wolstenholme_valuation,
+)
 from .padic import (
     INFINITE,
     big_B,
     big_B_sequence,
     factorial_unit_mod,
+    primes_upto,
     require_prime,
     vp_big_B,
     vp_factorial,
@@ -349,176 +357,218 @@ def vp3_probe(p: int, N: int) -> RootSharpnessProbe:
 
 
 # ---------------------------------------------------------------------------
-# Sweep iterators: one dict per parameter tuple, for JSONL reporting. All
-# grids are table-driven and bounded by their arguments.
+# Sweeps: a check run over a bounded parameter grid, one JSONL row dict per
+# grid point. SWEEPS is the one table behind `sweep` and the CLI.
+
+# An axis is (name, values): values(grid, point) gives the values `name`
+# takes, from the grid parameters and the axes bound before it.
+Axis = tuple[str, Callable[[dict, dict], Iterable]]
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One check as a grid: its optional parameters with their defaults,
+    the axes in nesting order (outermost first), and `run`, which evaluates
+    the check at one grid point and returns (params, holds, margin). A check
+    with `variants` also takes `which`, defaulting to the first variant;
+    `required` parameters have no default."""
+
+    defaults: dict
+    axes: tuple[Axis, ...]
+    run: Callable[[dict], tuple[dict, bool, int | str | None]]
+    variants: tuple[str, ...] = ()
+    required: tuple[str, ...] = ()
+    validate: Callable[[dict], None] | None = None
+
+
+def _upto(bound: str, lo: int = 0) -> Callable[[dict, dict], range]:
+    return lambda g, v: range(lo, g[bound] + 1)
+
+
+def _primes(g: dict, lo: int) -> list[int]:
+    return [p for p in primes_upto(g["pmax"]) if p >= lo]
 
 
 def _margin_json(m: int | float) -> int | str:
     return "inf" if m == INFINITE else int(m)
 
 
-def _row(check: str, params: dict, holds: bool, margin) -> dict:
-    return {"check": check, "params": params, "holds": holds, "margin": margin}
+def _member(point: dict, rep: Membership) -> tuple[dict, bool, int | str]:
+    return dict(point), rep.holds, _margin_json(rep.margin)
 
 
-def iter_theorem_congruence(
-    primes: list[int], n_max: int, k_max: int, sum_max: int, which: str = WHICH_XI
-):
-    n_lo = 2 if which == WHICH_OMEGA else 1
-    for p in primes:
-        for N in range(n_lo, n_max + 1):
-            for k in range(1, k_max + 1):
-                for a in range(p):
-                    for K in range((sum_max - a) // p + 1):
-                        rep = check_theorem_congruence(N, k, p, a, K, which)
-                        yield _row(
-                            "theorem-congruence",
-                            {"which": which, "p": p, "N": N, "k": k, "a": a, "K": K},
-                            rep.holds,
-                            _margin_json(rep.margin),
-                        )
+def _decomposition_row(point: dict):
+    rep = check_decomposition(**point)
+    return {**point, "r": rep.r}, rep.equal, None
 
 
-def _dwork_grid(primes, n_max, k_max, K_max, s_max):
-    for p in primes:
-        for N in range(1, n_max + 1):
-            for k in range(1, k_max + 1):
-                for a in range(p):
-                    for K in range(K_max + 1):
-                        for s in range(s_max + 1):
-                            for m in range(K // p**s + 2):
-                                yield p, N, k, a, K, s, m
+# Lemma 12's a = 1, j = 0 variant is checked at each K >= 1, in rows that
+# come before the j >= 1 rows; every other row has K = None, not in params.
+def _lemma12_K(g: dict, v: dict) -> tuple:
+    return (*range(1, g["Kmax"] + 1), None) if v["a"] == 1 else (None,)
 
 
-def iter_dwork_S(primes: list[int], n_max: int, k_max: int, K_max: int, s_max: int):
-    for p, N, k, a, K, s, m in _dwork_grid(primes, n_max, k_max, K_max, s_max):
-        rep = check_dwork_S(N, k, p, a, K, s, m)
-        yield _row(
-            "dworkS",
-            {"p": p, "N": N, "k": k, "a": a, "K": K, "s": s, "m": m},
-            rep.holds,
-            _margin_json(rep.margin),
-        )
+def _lemma12_j(g: dict, v: dict) -> Iterable[int]:
+    if v["K"] is not None:
+        return (0,)
+    return range(1 if v["a"] == 1 else 0, g["jmax"] + 1)
 
 
-def iter_Y(primes: list[int], n_max: int, k_max: int, K_max: int, s_max: int):
-    for p, N, k, a, K, s, m in _dwork_grid(primes, n_max, k_max, K_max, s_max):
-        rep = check_Y(N, k, p, a, K, s, m)
-        yield _row(
-            "yms",
-            {"p": p, "N": N, "k": k, "a": a, "K": K, "s": s, "m": m},
-            rep.holds,
-            _margin_json(rep.margin),
-        )
+def _lemma12_row(point: dict):
+    rep = check_lemma12(**point)
+    params = dict(point)
+    if params["K"] is None:
+        del params["K"]
+    return params, rep.holds, _margin_json(rep.margin)
 
 
-def iter_decomposition(primes: list[int], n_max: int, k_max: int, K_values: list[int]):
-    for p in primes:
-        for N in range(1, n_max + 1):
-            for k in range(1, k_max + 1):
-                for a in range(p):
-                    for K in K_values:
-                        rep = check_decomposition(N, k, p, a, K)
-                        yield _row(
-                            "decomposition",
-                            {"p": p, "N": N, "k": k, "a": a, "K": K, "r": rep.r},
-                            rep.equal,
-                            None,
-                        )
+def _j_mod_p_row(point: dict):
+    rep = check_harmonic_congruence("J_mod_p", point["p"], J=point["J"])
+    return dict(point), rep.holds, _margin_json(rep.achieved - rep.required)
 
 
-def iter_lemma11(
-    primes: list[int], n_max: int, k_max: int, m_max: int, s_max: int, which: str
-):
-    n_lo = 2 if which == WHICH_OMEGA else 1
-    for p in primes:
-        for N in range(n_lo, n_max + 1):
-            for k in range(1, k_max + 1):
-                for m in range(m_max + 1):
-                    for s in range(s_max + 1):
-                        rep = check_lemma11(N, k, p, m, s, which)
-                        yield _row(
-                            "lemma11",
-                            {
-                                "which": which,
-                                "p": p,
-                                "N": N,
-                                "k": k,
-                                "m": m,
-                                "s": s,
-                            },
-                            rep.holds,
-                            _margin_json(rep.margin),
-                        )
+def _witness_row(point: dict):
+    a, v = optimality_witness(point["N"], point["p"], shifted=point["which"] == "u")
+    return {**point, "a": a}, v == 0, v
 
 
-def iter_lemma12(
-    primes: list[int], n_max: int, k_max: int, j_max: int, K_max: int
-):
-    for p in primes:
-        for N in range(1, n_max + 1):
-            for k in range(1, k_max + 1):
-                for a in range(p):
-                    if a == 1:
-                        for K in range(1, K_max + 1):
-                            rep = check_lemma12(N, k, p, a, 0, K)
-                            yield _row(
-                                "lemma12",
-                                {"p": p, "N": N, "k": k, "a": a, "j": 0, "K": K},
-                                rep.holds,
-                                _margin_json(rep.margin),
-                            )
-                        j_range = range(1, j_max + 1)
-                    else:
-                        j_range = range(j_max + 1)
-                    for j in j_range:
-                        rep = check_lemma12(N, k, p, a, j)
-                        yield _row(
-                            "lemma12",
-                            {"p": p, "N": N, "k": k, "a": a, "j": j},
-                            rep.holds,
-                            _margin_json(rep.margin),
-                        )
+def _wolstenholme_row(point: dict):
+    v = wolstenholme_valuation(point["p"], cap=3)
+    return {"p": point["p"], "v_capped": v}, v >= 2, v - 2
 
 
-def iter_j_congruence(p_max: int, J_max: int):
-    from .harmonic import check_harmonic_congruence
-    from .padic import primes_upto
-
-    for p in primes_upto(p_max):
-        for J in range(1, J_max + 1):
-            rep = check_harmonic_congruence("J_mod_p", p, J=J)
-            yield _row(
-                "j-mod-p",
-                {"p": p, "J": J},
-                rep.holds,
-                _margin_json(rep.achieved - rep.required),
-            )
+def _vp3_row(point: dict):
+    probe = vp3_probe(**point)
+    return dict(point), probe.outside, probe.margin
 
 
-def iter_optimality_witnesses(n_max: int, p_max: int, shifted: bool):
-    from .padic import primes_upto
-
-    n_lo = 2 if shifted else 1
-    for N in range(n_lo, n_max + 1):
-        for p in primes_upto(p_max):
-            if p <= N:
-                continue
-            a, v = optimality_witness(N, p, shifted)
-            yield _row(
-                "witness",
-                {"which": "u" if shifted else "t", "N": N, "p": p, "a": a},
-                v == 0,
-                v,
-            )
+def _one_prime(grid: dict) -> None:
+    if len(grid["p"]) != 1:
+        raise ValueError("vp3-probe takes exactly one prime")
 
 
-def iter_wolstenholme(p_min: int, p_max: int):
-    from .harmonic import wolstenholme_valuation
-    from .padic import primes_upto
+_WHICH: Axis = ("which", lambda g, v: (g["which"],))
+_P: Axis = ("p", lambda g, v: g["p"])
+# The shifted variants (Omega, and u for the witness) start at N = 2.
+_N: Axis = (
+    "N",
+    lambda g, v: range(2 if v.get("which") in (WHICH_OMEGA, "u") else 1, g["Nmax"] + 1),
+)
+_PNk = (_P, _N, ("k", _upto("kmax", 1)))
+_PNka = (*_PNk, ("a", lambda g, v: range(v["p"])))
+_DWORK = {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "Kmax": 8, "smax": 2}
+_DWORK_AXES = (
+    *_PNka,
+    ("K", _upto("Kmax")),
+    ("s", _upto("smax")),
+    ("m", lambda g, v: range(v["K"] // v["p"] ** v["s"] + 2)),
+)
 
-    for p in primes_upto(p_max):
-        if p < max(5, p_min):
+SWEEPS: dict[str, Sweep] = {
+    "theorem-congruence": Sweep(
+        {"p": (2, 3, 5, 7), "Nmax": 8, "kmax": 2, "summax": 25},
+        (
+            _WHICH,
+            *_PNka,
+            ("K", lambda g, v: range((g["summax"] - v["a"]) // v["p"] + 1)),
+        ),
+        lambda v: _member(v, check_theorem_congruence(**v)),
+        variants=(WHICH_XI, WHICH_OMEGA),
+    ),
+    "dworkS": Sweep(_DWORK, _DWORK_AXES, lambda v: _member(v, check_dwork_S(**v))),
+    "yms": Sweep(_DWORK, _DWORK_AXES, lambda v: _member(v, check_Y(**v))),
+    "decomposition": Sweep(
+        {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "Kmax": 8, "K": None},  # None: K <= Kmax
+        (
+            *_PNka,
+            ("K", lambda g, v: range(g["Kmax"] + 1) if g["K"] is None else (g["K"],)),
+        ),
+        _decomposition_row,
+    ),
+    "lemma11": Sweep(
+        {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "mmax": 9, "smax": 2},
+        (_WHICH, *_PNk, ("m", _upto("mmax")), ("s", _upto("smax"))),
+        lambda v: _member(v, check_lemma11(**v)),
+        variants=(WHICH_XI, WHICH_OMEGA),
+    ),
+    "lemma12": Sweep(
+        {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "jmax": 6, "Kmax": 8},
+        (*_PNka, ("K", _lemma12_K), ("j", _lemma12_j)),
+        _lemma12_row,
+    ),
+    "j-mod-p": Sweep(
+        {"pmax": 13, "Jmax": 500},
+        (("p", lambda g, v: _primes(g, 2)), ("J", _upto("Jmax", 1))),
+        _j_mod_p_row,
+    ),
+    "witness": Sweep(
+        {"Nmax": 7, "pmax": 31},
+        (_WHICH, _N, ("p", lambda g, v: _primes(g, v["N"] + 1))),
+        _witness_row,
+        variants=("t", "u"),
+    ),
+    "wolstenholme": Sweep(
+        {"pmin": 5},
+        (("p", lambda g, v: _primes(g, max(5, g["pmin"]))),),
+        _wolstenholme_row,
+        required=("pmax",),
+    ),
+    "vp3-probe": Sweep(
+        {},
+        (_P, ("N", lambda g, v: (g["N"],))),
+        _vp3_row,
+        required=("p", "N"),
+        validate=_one_prime,
+    ),
+}
+
+
+def sweep(check: str, **params) -> Iterator[dict]:
+    """Rows {"check", "params", "holds", "margin"} of `check` at every point
+    of its grid, the first axis outermost. Parameters not given take the
+    table's defaults. Every parameter is validated here, before any row."""
+    spec = SWEEPS.get(check)
+    if spec is None:
+        raise ValueError(f"unknown check {check!r}")
+    grid = dict(spec.defaults)
+    if spec.variants:
+        grid["which"] = spec.variants[0]
+    unknown = sorted(params.keys() - grid.keys() - set(spec.required))
+    if unknown:
+        raise ValueError(f"{check} does not take {', '.join(unknown)}")
+    missing = [name for name in spec.required if name not in params]
+    if missing:
+        raise ValueError(f"{check} requires {' and '.join(missing)}")
+    grid.update(params)
+    if spec.variants and grid["which"] not in spec.variants:
+        raise ValueError(f"{check}: which must be one of {', '.join(spec.variants)}")
+    for p in grid.get("p", ()):
+        require_prime(p)
+    if spec.validate is not None:
+        spec.validate(grid)
+    return _rows(check, spec, grid)
+
+
+def _rows(check: str, spec: Sweep, grid: dict) -> Iterator[dict]:
+    # An odometer: one live iterator per bound axis, the innermost last. The
+    # innermost axis runs as a plain loop, so a row costs one loop step and
+    # one call of `run`, however deep the grid is.
+    names = [name for name, _ in spec.axes]
+    values = [fn for _, fn in spec.axes]
+    last = len(names) - 1
+    run = spec.run
+    point: dict = {}
+    stack = [iter(values[0](grid, point))]
+    while stack:
+        depth = len(stack) - 1
+        name = names[depth]
+        if depth == last:
+            for point[name] in stack.pop():
+                params, holds, margin = run(point)
+                yield {"check": check, "params": params, "holds": holds, "margin": margin}
             continue
-        v = wolstenholme_valuation(p, cap=3)
-        yield _row("wolstenholme", {"p": p, "v_capped": v}, v >= 2, v - 2)
+        for point[name] in stack[depth]:
+            stack.append(iter(values[depth + 1](grid, point)))
+            break
+        else:
+            stack.pop()

@@ -10,11 +10,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .harmonic import harmonic, is_wolstenholme
+from .harmonic import TARGET_H, TARGET_H1, harmonic, is_wolstenholme
 from .padic import is_prime, primes_upto, require_prime, vp_rational
-
-TARGET_H = "H"
-TARGET_H1 = "H1"
 
 BRANCH_CAP = "cap"
 BRANCH_VALUATION = "valuation"

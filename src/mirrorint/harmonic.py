@@ -16,6 +16,10 @@ from .padic import INFINITE, is_prime, require_prime, vp_int, vp_rational
 
 _HARMONIC: list[Fraction] = [Fraction(0)]
 
+# The two targets of the valuation studies: H_N and H_N - 1.
+TARGET_H = "H"
+TARGET_H1 = "H1"
+
 CONGRUENCE_KINDS = ("J_mod_p", "W1", "W2", "W3", "congH", "congH2")
 
 

@@ -20,11 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .harmonic import ModularHarmonicSum
+from .harmonic import TARGET_H, TARGET_H1, ModularHarmonicSum
 from .padic import is_prime, vp_int
 
-TARGET_H = "H"
-TARGET_H1 = "H1"
 TARGETS = (TARGET_H, TARGET_H1)
 
 BACKEND_EXACT = "exact"

@@ -1,8 +1,11 @@
+import argparse
+import hashlib
 import json
 
 import pytest
 
-from mirrorint.cli import main
+from mirrorint.cli import _build_parser, main
+from mirrorint.congruences import SWEEPS
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +251,88 @@ class TestSweepCommand:
         assert code == 0
         rows = parse_jsonl(out)
         assert any(row["margin"] == "inf" for row in rows)
+
+
+# One small command per check (and per --which variant), with the exit code
+# and the SHA-256 of stdout recorded before sweeps were driven by a table.
+SWEEP_GOLDEN = [
+    ("--check theorem-congruence --which Xi --p 2,3 --Nmax 3 --kmax 1 --summax 10", 0, "693bfa5b2e77d1b9f9fd7144413beed2e12b8058559bf6e43da68ecd34f48bc0"),
+    ("--check theorem-congruence --which Omega --p 2,3 --Nmax 3 --kmax 1 --summax 10", 0, "317885501eb52448f389e56ba4a7070924b22dd06b8b6ae1d0098276c8e8ef8a"),
+    ("--check dworkS --p 2,3 --Nmax 3 --kmax 1 --Kmax 4 --smax 1", 0, "5a40349b89260ef3532bac84c119f25e342251d42a3f4ee063f256cb30c4184d"),
+    ("--check yms --p 3 --Nmax 2 --kmax 2 --Kmax 3 --smax 1", 0, "e8c8300bff3d1e213bc292805307fce5fcc0f5490a9f8d3b0a4d26eabd09362f"),
+    ("--check decomposition --p 2,3 --Nmax 2 --kmax 1 --Kmax 3", 0, "b06703a74bdbb5fc02045c11ede51524a28b29634f8ad978e39ab04e66a7c931"),
+    ("--check decomposition --p 3 --K 2 --Nmax 3", 0, "b5a554ca34f209918efd120e00e6c4dc9b3fa56014895b3c5469172c14ccf6bc"),
+    ("--check lemma11 --which Xi --p 2,3 --Nmax 3 --kmax 1 --mmax 4 --smax 1", 0, "4eb87e949aaf6b4e01c8024dbbf74a3d1bbe0840c2abdc58bcc9062613fed04e"),
+    ("--check lemma11 --which Omega --p 2,3 --Nmax 3 --kmax 1 --mmax 4 --smax 1", 0, "0edcab93cf10c45ae569acb72d934a9477bc139d7d4ddbfef91ca08248226261"),
+    ("--check lemma12 --p 2,3 --Nmax 3 --kmax 1 --jmax 3 --Kmax 2", 0, "3f03acec928fbbed3263ad7b77859c8e62523160d465113f2cd6eb824fe2fe36"),
+    ("--check j-mod-p --pmax 7 --Jmax 30", 0, "309689453cc31afc4e9c75433efdd7059942fae69667bd39694f5f1d8c743476"),
+    ("--check witness --which t --Nmax 4 --pmax 13", 0, "655b0426d88c0e955915ca3b4ca1338c6dc336352051a42ec4777bd6ae0ec4e0"),
+    ("--check witness --which u --Nmax 4 --pmax 13", 0, "0822ee3025c291df71d39bdfbd82671a3d9c516cf92eb313bf3023dffca077a5"),
+    ("--check wolstenholme --pmin 3 --pmax 60", 0, "1d5a852616d84baa7d97278d5b4cb00819eefc48bc6d23e1be6b6d46fd0a5a96"),
+    ("--check vp3-probe --p 11 --N 848", 0, "8c713f6192d84cde0de88b5ee22d3059455fa6e38ac54167927bac9c341c1b23"),
+    ("--check witness", 0, "6f4adc3455917e6ac19b89887df8aecf581cab214c7625f50a03f29f282a0879"),
+    ("--check j-mod-p --Jmax 20", 0, "466f43b2d9aa0f2fe006096e9b014f22fc45901947cc6a9eed7194e218b99659"),
+    ("--check lemma12 --kmax 1 --jmax 2 --Kmax 2", 0, "cd571bb0a81e1356adcb84d4523ca2eb3fae1657abcaf96c0e7842d986c16590"),
+    ("--check theorem-congruence --p 3 --Nmax 2 --summax 8", 0, "ea579c130985857fd2c9b5007a519ed55414009f3005671ecf4eeaf8037eb394"),
+    ("--check lemma11 --p 3 --Nmax 2 --kmax 1 --mmax 3 --smax 1", 0, "a9cb383ec56ed66342dcb8a87b74a62d0743d4661afb3351a61da351a1f9e634"),
+    ("--check wolstenholme", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("--check vp3-probe --p 11", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("--check theorem-congruence --which foo", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+class TestSweepGolden:
+    @pytest.mark.parametrize("argv,code,sha256", SWEEP_GOLDEN)
+    def test_byte_identical(self, capsys, argv, code, sha256):
+        got, out, _ = run_cli(capsys, "sweep", *argv.split())
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha256)
+
+
+class TestSweepArguments:
+    def test_check_choices_are_the_table(self):
+        sub = next(
+            a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        (check,) = [a for a in sub.choices["sweep"]._actions if a.dest == "check"]
+        assert tuple(check.choices) == tuple(SWEEPS)
+
+    def test_explicit_zero_bound_is_an_empty_grid(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--check", "dworkS", "--p", "3", "--Nmax", "0",
+            "--Kmax", "0", "--smax", "0",
+        )
+        assert code == 0 and out == ""
+        assert "0 tuples" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--check", "witness", "--which", "Omega"],
+            ["--check", "dworkS", "--which", "Xi"],
+            ["--check", "witness", "--kmax", "1"],
+            ["--check", "vp3-probe", "--p", "11,13", "--N", "848"],
+            ["--check", "lemma12", "--p", "2,4"],
+        ],
+    )
+    def test_bad_argument_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == 2 and out == "" and "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--check", "lemma11", "--which", "foo"],
+            ["--check", "vp3-probe", "--p", "11", "--N", "849"],
+        ],
+    )
+    def test_usage_error_leaves_out_file_unchanged(self, capsys, tmp_path, argv):
+        dest = tmp_path / "rows.jsonl"
+        dest.write_text("keep\n")
+        code, _, _ = run_cli(capsys, "sweep", *argv, "--out", str(dest))
+        assert code == 2
+        assert dest.read_text() == "keep\n"
 
 
 class TestExitCodes:

@@ -14,8 +14,8 @@ from mirrorint.congruences import (
     check_Y,
     coeff_C,
     coeff_C_tilde,
-    iter_optimality_witnesses,
     optimality_witness,
+    sweep,
     vp3_probe,
 )
 from mirrorint.harmonic import harmonic
@@ -240,7 +240,7 @@ class TestOptimalityWitnesses:
             optimality_witness(5, 5)
 
     def test_iterator_rows(self):
-        rows = list(iter_optimality_witnesses(3, 13, shifted=False))
+        rows = list(sweep("witness", Nmax=3, pmax=13, which="t"))
         assert all(row["holds"] for row in rows)
         assert {row["params"]["N"] for row in rows} == {1, 2, 3}
 
