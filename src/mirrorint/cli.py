@@ -32,9 +32,9 @@ from .series import (
     KIND_QLN,
     KIND_QN,
     KIND_QTILDE,
-    canonical_q,
+    canonical_log,
     integrality_check,
-    ps_pow,
+    ps_exp,
 )
 from .sieve import (
     BACKEND_MODULAR,
@@ -245,8 +245,8 @@ def _cmd_certify(args) -> int:
         "root": args.root,
         "root_scale": args.root_scale,
     }
-    series = canonical_q(args.map, args.N, args.k, L=args.L, order=order)
-    if series.is_constant_one():
+    log_q = canonical_log(args.map, args.N, args.k, L=args.L, order=order)
+    if not any(log_q.coefficients):
         payload = {"reason": "the map reduces to z: every root is trivially integral"}
         _print_outcome(_outcome("certify", params, "degenerate", payload), args.table)
         return EXIT_PASS
@@ -272,7 +272,7 @@ def _cmd_certify(args) -> int:
             raise ValueError("--root must be positive")
     root *= args.root_scale
 
-    powered = ps_pow(series, Fraction(1, root))
+    powered = ps_exp(log_q / root)
     witness = integrality_check(powered)
     if witness is None:
         payload = {"root": str(root), "certified_to_order": order}

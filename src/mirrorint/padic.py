@@ -53,6 +53,24 @@ def primes_upto(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    if n == 0:
+        raise ValueError("every prime divides 0")
+    n = abs(n)
+    primes = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")

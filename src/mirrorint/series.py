@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .harmonic import harmonic
-from .padic import big_B_sequence, require_prime, vp_int, vp_rational
+from .padic import big_B_sequence, prime_divisors, require_prime, vp_int, vp_rational
 
 Coeff = Union[int, Fraction]
 
@@ -76,9 +76,6 @@ class PSeries:
         if n > self.order:
             raise ValueError("shift exceeds the truncation order")
         return PSeries(self._c[n:])
-
-    def is_constant_one(self) -> bool:
-        return self._c[0] == 1 and not any(self._c[1:])
 
     def _coerce(self, other) -> "PSeries | None":
         if isinstance(other, PSeries):
@@ -295,14 +292,14 @@ def build_Gtilde(N: int, k: int, order: int) -> PSeries:
     return PSeries(out, order=order)
 
 
-def canonical_q(
+def canonical_log(
     kind: str, N: int, k: int = 1, L: int | None = None, order: int = 25
 ) -> PSeries:
-    """Canonical coordinates as series with constant term 1.
+    """Logarithms of the canonical coordinates, series with constant term 0.
 
-    qLN     exp(G_L / F), requires L
-    qN      z^{-1} q(z) = exp(G / F)
-    qtilde  (z^{-1} q(z))^{1/kN} = exp(G-tilde / F)
+    qLN     G_L / F = log q_L, requires L
+    qN      G / F = log(z^{-1} q(z))
+    qtilde  G-tilde / F = log((z^{-1} q(z))^{1/kN})
     """
     if kind == KIND_QLN:
         if L is None:
@@ -314,7 +311,14 @@ def canonical_q(
         g = build_Gtilde(N, k, order)
     else:
         raise ValueError(f"kind must be one of {CANONICAL_KINDS}")
-    return ps_exp(g / build_F(N, k, order))
+    return g / build_F(N, k, order)
+
+
+def canonical_q(
+    kind: str, N: int, k: int = 1, L: int | None = None, order: int = 25
+) -> PSeries:
+    """Canonical coordinates exp(canonical_log(...)), constant term 1."""
+    return ps_exp(canonical_log(kind, N, k, L, order))
 
 
 @dataclass(frozen=True)
@@ -353,31 +357,13 @@ class RootCertificate:
         }
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorisation by trial division; adequate at desk scale."""
-    factors: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
-        d += 6
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
 def max_root(s: PSeries) -> RootCertificate:
     """Largest V (to the truncation order) with s^(1/V) integral.
 
-    Only primes dividing the first nonzero non-constant coefficient c can
-    divide V, with exponent at most v_p(c): the root series starts
-    1 + (c/V) z^i + ..., so anything beyond fails already at index i.
+    Roots are exp(log(s) / V) from one logarithm. Only primes dividing the
+    first nonzero non-constant coefficient c can divide V, with exponent at
+    most v_p(c): the root series starts 1 + (c/V) z^i + ..., so the next
+    power of p fails at index i at latest.
     """
     if s[0] != 1:
         raise ValueError("max_root requires constant term 1")
@@ -389,21 +375,13 @@ def max_root(s: PSeries) -> RootCertificate:
         return RootCertificate(
             order=s.order, primes=(), V=1, status=STATUS_CERTIFIED, degenerate=True
         )
-    c = abs(int(s[first]))
+    log_s = ps_log(s)
     primes = []
     V = 1
-    for p, vmax in sorted(_factorize(c).items()):
+    for p in prime_divisors(int(s[first])):
         e = 0
-        witness = None
-        while e < vmax:
-            candidate = ps_pow(s, Fraction(1, p ** (e + 1)))
-            witness = p_integral_violation(candidate, p)
-            if witness is not None:
-                break
+        while (witness := p_integral_violation(ps_exp(log_s / p**(e + 1)), p)) is None:
             e += 1
-        if witness is None:
-            # Bound reached cleanly; one extra power must fail at `first`.
-            witness = p_integral_violation(ps_pow(s, Fraction(1, p ** (e + 1))), p)
         primes.append(RootPrime(p, e, witness))
         V *= p**e
     return RootCertificate(
@@ -418,7 +396,8 @@ def dwork_criterion(
     common order; on failure also the first violating index.
 
     With f in 1 + z Z[[z]] and g in z Q[[z]] this holds exactly when
-    exp(g / (tau f)) has p-integral coefficients.
+    exp(g / (tau f)) has p-integral coefficients, order by order: the first
+    violating index is that of exp's first non-p-integral coefficient.
     """
     require_prime(p)
     if tau < 1:

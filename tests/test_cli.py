@@ -113,6 +113,43 @@ class TestCertifyCommand:
         assert code == 2 and "error" in err
 
 
+# The README certify commands, --table on a pass and on a violation, two
+# prescribed-root edge cases and every certify spec of the benchmark menu at
+# order 40, with the exit code and the SHA-256 of stdout recorded while roots
+# were still taken through ps_pow(exp(G/F), 1/V).
+CERTIFY_GOLDEN = [
+    ("--map qLN --L 7 --N 7 --order 25 --root 108", 0, "67c9b80157b56841c83df2de6932f0125dda57910b012eeabaf8f79e76c6415d"),
+    ("--map qLN --L 5 --N 5 --k 1 --order 25 --root auto", 0, "201c896a8ba6f63333cc2663f92d2a1d3bbb59c4a01c6737bf020e31c361bf3f"),
+    ("--map qN --N 1 --k 1 --order 10", 0, "d1801a12699235266fe5c1f19c0a2f9e183009c578f9f828e1aedada04138fb1"),
+    ("--map qLN --L 5 --N 5 --root auto --root-scale 3", 1, "025777bc3e73c3c7515a6e248fa300183b76324c758f488ea138bb5e6e54e4f7"),
+    ("--map qLN --L 5 --N 5 --k 1 --order 25 --root auto --table", 0, "2a6fd0227f15c88e5272412a77b8a07f5accfeb7c2388e273ed005873f8ba281"),
+    ("--map qLN --L 5 --N 5 --root auto --root-scale 3 --table", 1, "6ecfd7f9979071a307a3e2d5191d88183f83936ced8862b604bd1fd30d50dcbd"),
+    ("--map qLN --L 2 --N 2 --root auto", 0, "01d77c889aa7fc0fe15f0f358e00a1e7c49da1c72d7a21b77ea8cdf963e8bfc3"),
+    ("--map qLN --L 3 --N 2 --root auto --order 10", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("--map qLN --L 7 --N 7 --root 108 --order 40", 0, "12790e62d14668fbea801de8976d82a092f0bc5b1113974149d21c4eb31b6883"),
+    ("--map qLN --L 7 --N 7 --root 324 --order 40", 1, "e948440aa9cee0f01f998d7117ad081b23162fb637c142c24285a89e93445732"),
+    ("--map qLN --L 5 --N 5 --root auto --root-scale 3 --order 40", 1, "088aa7433a5c7949ddd0dde02797d48f3c9d61285dd90bfad9497beb28e71055"),
+    ("--map qLN --L 3 --N 5 --k 1 --order 40", 0, "196a00bc347becded6760814397699cbcf860b4598645c7f6bb288b99345a5d8"),
+    ("--map qN --N 3 --k 1 --order 40", 0, "dc1983dcbb97856da53b574dacc1d60cbf2f1e62c4ed3060161cbc3d470b2fc3"),
+    ("--map qtilde --N 4 --k 1 --order 40", 0, "bd9c78a3e8bd22ecc00df54d70f752a6ee2f6e1b61f45cf23db28189fbe38034"),
+    ("--map qN --N 3 --k 2 --order 40", 0, "06db11b8a2bc7d3b2d0b5142168c79a6ca47d7f701dc3816b8fd751e7e737224"),
+    ("--map qtilde --N 3 --k 2 --order 40", 0, "417425d8096f09e1aa0c89263b4fd291997d67f9eed9832c4b8d03547b378001"),
+    ("--map qLN --L 2 --N 3 --k 3 --order 40", 0, "f4caf6e9b4c72d436129da1a1fbea42bd1f5a986829936d1ec5ee8a53cad7341"),
+    ("--map qN --N 2 --k 3 --order 40", 0, "92caf7111a44f910f6626d7dcb9fc59349b1746e8dcb4183fc10e09fe3afb6c6"),
+    ("--map qN --N 1 --k 1 --order 40", 0, "f54a0049caca02cf85ca3c351f026bcc46a0d9882fc90cc4e583360301348297"),
+    ("--map qN --N 1 --k 2 --order 40", 0, "da54bf117f34a7afd68d9ca5aa6c345522b8bb491a76ad8f8b2d8fe9f0adfb69"),
+    ("--map qN --N 1 --k 3 --order 40", 0, "e29913308789ca49bf95b042b3da31855a90797545a2367bf9bad5fdc05a93b2"),
+]
+
+
+class TestCertifyGolden:
+    @pytest.mark.parametrize("argv,code,sha256", CERTIFY_GOLDEN)
+    def test_byte_identical(self, capsys, monkeypatch, argv, code, sha256):
+        monkeypatch.delenv("MIRRORINT_ORDER", raising=False)
+        got, out, _ = run_cli(capsys, "certify", *argv.split())
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha256)
+
+
 class TestSieveCommand:
     def test_boyd_hits(self, capsys):
         code, out, err = run_cli(

@@ -11,6 +11,7 @@ from mirrorint.padic import (
     big_B_sequence,
     factorial_unit_mod,
     is_prime,
+    prime_divisors,
     primes_upto,
     vp_big_B,
     vp_factorial,
@@ -43,6 +44,18 @@ class TestPrimes:
         assert primes_upto(1) == []
         assert primes_upto(2) == [2]
         assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+class TestPrimeDivisors:
+    def test_matches_prime_divisor_filter(self):
+        for n in range(1, 3001):
+            expected = [d for d in range(2, n + 1) if n % d == 0 and is_prime(d)]
+            assert prime_divisors(n) == expected, n
+            assert prime_divisors(-n) == expected, -n
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            prime_divisors(0)
 
 
 class TestVpRational:

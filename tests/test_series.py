@@ -15,6 +15,7 @@ from mirrorint.series import (
     build_G,
     build_GL,
     build_Gtilde,
+    canonical_log,
     canonical_q,
     dwork_criterion,
     integrality_check,
@@ -225,6 +226,20 @@ class TestCanonicalMaps:
         with pytest.raises(ValueError):
             canonical_q("mystery", 2, 1, order=3)
 
+    def test_log_and_roots_match_the_pow_route(self):
+        # canonical_log is log(canonical_q) exactly, so exp(log / V) gives
+        # the same V-th root as ps_pow at every truncation order.
+        for kind in ("qLN", "qN", "qtilde"):
+            for N in range(1, 7):
+                for k in (1, 2):
+                    for L in range(1, N + 1) if kind == "qLN" else (None,):
+                        log_q = canonical_log(kind, N, k, L=L, order=15)
+                        q = canonical_q(kind, N, k, L=L, order=15)
+                        assert ps_log(q) == log_q, (kind, N, k, L)
+                        for V in (1, 2, 3, 4, 6, 12):
+                            root = ps_pow(q, F(1, V))
+                            assert ps_exp(log_q / V) == root, (kind, N, k, L, V)
+
     def test_folk_integrality(self):
         # Both z^{-1} q(z) and q^{-1} z(q) have integer coefficients
         # (checked to order 20, the reversion to order 19).
@@ -280,14 +295,25 @@ class TestMaxRoot:
             max_root(PSeries([2, 1]))
 
     def test_certificate_validity(self):
-        # Re-expanding confirms integrality at V and the recorded witness at
-        # one more power of each prime.
-        s = canonical_q("qLN", 5, 1, L=5, order=20)
-        cert = max_root(s)
-        assert integrality_check(ps_pow(s, F(1, cert.V))) is None
-        for rp in cert.primes:
-            worse = ps_pow(s, F(1, rp.p ** (rp.exponent + 1)))
-            assert p_integral_violation(worse, rp.p) == rp.witness
+        # Re-expanding through ps_pow confirms integrality at V and the
+        # recorded witness at one more power of each prime.
+        rng = random.Random(11)
+        cases = [
+            canonical_q("qLN", 5, 1, L=5, order=20),
+            canonical_q("qN", 4, 1, order=20),
+            canonical_q("qN", 3, 2, order=16),
+            canonical_q("qtilde", 6, 1, order=20),
+            canonical_q("qtilde", 3, 2, order=16),
+        ]
+        for V0 in (1, 2, 3, 4, 6, 9, 12):
+            t = PSeries([1] + [rng.randint(-5, 5) for _ in range(12)])
+            cases.append(ps_pow(t, V0))
+        for s in cases:
+            cert = max_root(s)
+            assert integrality_check(ps_pow(s, F(1, cert.V))) is None
+            for rp in cert.primes:
+                worse = ps_pow(s, F(1, rp.p ** (rp.exponent + 1)))
+                assert p_integral_violation(worse, rp.p) == rp.witness
 
     def test_mirror_map_n7(self):
         # Computed maximal root at desk scale; the 3-exponent stays at 3
@@ -351,10 +377,11 @@ class TestDworkCriterion:
                     rng.randint(1, 3), rng.choice([1, 2, 3, 5])
                 )
             g = PSeries(g_coeffs, order=order)
-            verdict, _ = dwork_criterion(f, g, tau, p)
+            verdict, index = dwork_criterion(f, g, tau, p)
             direct = ps_exp(g / (f * tau))
-            exp_integral = p_integral_violation(direct, p) is None
-            assert verdict == exp_integral, (trial, p, tau)
+            first_bad = p_integral_violation(direct, p)
+            assert verdict == (first_bad is None), (trial, p, tau)
+            assert index == first_bad, (trial, p, tau)
             if verdict:
                 agree_true += 1
             else:
