@@ -12,6 +12,7 @@ first).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -129,7 +130,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--N", type=int, required=True)
     p_cert.add_argument("--k", type=int, default=1)
     p_cert.add_argument("--L", type=int, default=None)
-    p_cert.add_argument("--order", type=int, default=None)
+    p_cert.add_argument(
+        "--order",
+        type=int,
+        default=None,
+        help=f"truncation order (default: ${ORDER_ENV}, else 25); a pass is a "
+        "certificate only up to this order",
+    )
     p_cert.add_argument(
         "--root",
         default="auto",
@@ -362,7 +369,30 @@ def _cmd_sweep(args) -> int:
     return EXIT_VIOLATION if failures else EXIT_PASS
 
 
+@contextlib.contextmanager
+def _int_str_digits(limit: int):
+    """Python's int->str digit limit set to `limit` (0: none) for a block,
+    on interpreters that have the limit."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    set_limit(limit)
+    try:
+        yield
+    finally:
+        set_limit(saved)
+
+
 def main(argv: list[str] | None = None) -> int:
+    # Exact values can have more digits than the default limit of 4300
+    # allows (u_N at N = 2000 has more), so it is lifted while a command runs.
+    with _int_str_digits(0):
+        return _run(argv)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

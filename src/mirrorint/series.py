@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Union
 
 from .harmonic import harmonic
@@ -124,11 +125,12 @@ class PSeries:
         if not isinstance(other, PSeries):
             return NotImplemented
         m = min(self.order, other.order)
-        a, b = self._c, other._c
-        out = []
-        for n in range(m + 1):
-            out.append(sum(a[i] * b[n - i] for i in range(n + 1)))
-        return PSeries(out)
+        a, da = _over_lcm(self._c[: m + 1])
+        b, db = _over_lcm(other._c[: m + 1])
+        return PSeries(
+            Fraction(sum(map(mul, a[: n + 1], b[n::-1])), da * db)
+            for n in range(m + 1)
+        )
 
     __rmul__ = __mul__
 
@@ -142,12 +144,8 @@ class PSeries:
         if other._c[0] == 0:
             raise ValueError("division requires a nonzero constant term")
         m = min(self.order, other.order)
-        a, b = self._c, other._c
-        q: list[Fraction] = []
-        for n in range(m + 1):
-            acc = a[n] - sum(q[i] * b[n - i] for i in range(n))
-            q.append(acc / b[0])
-        return PSeries(q)
+        b, db = _over_lcm(other._c[: m + 1])
+        return PSeries(_solve(self._c[: m + 1], b, db, [other._c[0]] * (m + 1)))
 
     def __repr__(self) -> str:
         head = ", ".join(str(x) for x in self._c[:6])
@@ -161,6 +159,35 @@ class PSeries:
         }
 
 
+def _over_lcm(c: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators of c over the lcm of its denominators, and that lcm."""
+    d = math.lcm(*(x.denominator for x in c))
+    return [x.numerator * (d // x.denominator) for x in c], d
+
+
+def _solve(
+    u: list[Coeff], w: list[int], dw: int, pivots: list[Coeff]
+) -> list[Fraction]:
+    """out[n] = (u[n] - sum_{i<n} out[i] w[n-i]/dw) / pivots[n] for n < len(u).
+
+    Until the end the outputs are kept as integers over their running lcm,
+    so each step is one integer dot product and one reduced Fraction."""
+    out, lcm = [], 1
+    for n, pivot in enumerate(pivots):
+        un, ud = u[n].numerator, u[n].denominator
+        acc = un * lcm * dw - sum(map(mul, out, w[n:0:-1])) * ud
+        x = Fraction(acc, ud * lcm * dw) / pivot
+        g = x.denominator // math.gcd(lcm, x.denominator)
+        if g > 1:
+            lcm *= g
+            for i, v in enumerate(out):
+                out[i] = v * g
+        out.append(x.numerator * (lcm // x.denominator))
+    for i, v in enumerate(out):
+        out[i] = Fraction(v, lcm)
+    return out
+
+
 def ps_derivative(s: PSeries) -> PSeries:
     if s.order == 0:
         return PSeries([0])
@@ -171,12 +198,12 @@ def ps_exp(s: PSeries) -> PSeries:
     """exp of a series with zero constant term."""
     if s[0] != 0:
         raise ValueError("ps_exp requires a zero constant term")
+    # n e[n] = sum_{j=1..n} j s[j] e[n-j], with e[0] = 1.
     m = s.order
-    c = s.coefficients
-    out = [Fraction(1)]
-    for n in range(1, m + 1):
-        out.append(sum(j * c[j] * out[n - j] for j in range(1, n + 1)) / n)
-    return PSeries(out)
+    w, d = _over_lcm(s.coefficients)
+    for j in range(m + 1):
+        w[j] *= -j
+    return PSeries(_solve([1] + [0] * m, w, d, [1, *range(1, m + 1)]))
 
 
 def ps_log(s: PSeries) -> PSeries:

@@ -1,11 +1,13 @@
 import argparse
 import hashlib
 import json
+import sys
 
 import pytest
 
-from mirrorint.cli import _build_parser, main
+from mirrorint.cli import _build_parser, _int_str_digits, main
 from mirrorint.congruences import SWEEPS
+from mirrorint.constants import u_conjectured
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +45,17 @@ class TestConstantsCommand:
         code, out, _ = run_cli(capsys, "constants", "--which", "u", "--N", "1")
         assert code == 0
         assert json.loads(out)["status"] == "degenerate"
+
+    def test_u_beyond_the_int_str_digit_limit(self, capsys):
+        # Under Python's default limit of 4300 digits, main lifts the limit
+        # for the command and puts it back.
+        with _int_str_digits(4300):
+            code, out, _ = run_cli(capsys, "constants", "--which", "u", "--N", "2000")
+            assert getattr(sys, "get_int_max_str_digits", lambda: 4300)() == 4300
+        with _int_str_digits(0):
+            expected = str(u_conjectured(2000)[0])
+        assert code == 0 and len(expected) > 4300
+        assert json.loads(out)["payload"]["value"] == expected
 
     def test_table_mode(self, capsys):
         code, out, _ = run_cli(
@@ -139,6 +152,11 @@ CERTIFY_GOLDEN = [
     ("--map qN --N 1 --k 1 --order 40", 0, "f54a0049caca02cf85ca3c351f026bcc46a0d9882fc90cc4e583360301348297"),
     ("--map qN --N 1 --k 2 --order 40", 0, "da54bf117f34a7afd68d9ca5aa6c345522b8bb491a76ad8f8b2d8fe9f0adfb69"),
     ("--map qN --N 1 --k 3 --order 40", 0, "e29913308789ca49bf95b042b3da31855a90797545a2367bf9bad5fdc05a93b2"),
+    # The benchmark's heavy root probes at its order 180, recorded while
+    # multiply, divide and exp still ran one Fraction operation per term.
+    ("--map qLN --L 7 --N 7 --root 108 --order 180", 0, "af86c5279802d0398804d997cec880b2eb8dc772e97b3307f591e1676022b599"),
+    ("--map qLN --L 7 --N 7 --root 324 --order 180", 1, "41deeefec1f4cf30788606ce5b9ee198e70f96beda17bcd744e0766d067ac8a8"),
+    ("--map qLN --L 5 --N 5 --root auto --root-scale 3 --order 180", 1, "9741011fb0c5630db54c91489029583aeb92b8e3c222633ca7805e2af6d192f2"),
 ]
 
 

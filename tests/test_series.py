@@ -86,6 +86,85 @@ class TestRingOps:
         assert a * (b + c) == a * b + a * c
 
 
+# Term-by-term Fraction recurrences on coefficient lists: the oracle for the
+# integer kernels behind PSeries multiply/divide and ps_exp.
+def ref_mul(a, b):
+    m = min(len(a), len(b))
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), F(0)) for n in range(m)]
+
+
+def ref_div(a, b):
+    q = []
+    for n in range(min(len(a), len(b))):
+        q.append((a[n] - sum((q[i] * b[n - i] for i in range(n)), F(0))) / b[0])
+    return q
+
+
+def ref_exp(c):
+    out = [F(1)]
+    for n in range(1, len(c)):
+        out.append(sum(j * c[j] * out[n - j] for j in range(1, n + 1)) / n)
+    return out
+
+
+def ref_log(c):
+    q = ref_div([i * c[i] for i in range(1, len(c))], c[:-1])
+    return [F(0)] + [q[n - 1] / n for n in range(1, len(c))]
+
+
+def random_coeffs(rng, order, const=None):
+    """Zeros, integers and fractions of both signs, some with big denominators."""
+    pool = [
+        lambda: F(0),
+        lambda: F(rng.randint(-9, 9)),
+        lambda: F(rng.randint(-50, 50), rng.randint(1, 12)),
+        lambda: F(rng.randint(-10**30, 10**30), rng.randint(1, 10**20)),
+    ]
+    c = [rng.choice(pool)() for _ in range(order + 1)]
+    if const is not None:
+        c[0] = const
+    return c
+
+
+def pairs(s):
+    if isinstance(s, PSeries):
+        s = s.coefficients
+    assert all(type(x) is F for x in s)
+    return [(x.numerator, x.denominator) for x in s]
+
+
+class TestIntegerKernels:
+    CONSTS = [F(1), F(-1), F(3), F(-3, 7), F(22, 9)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mul_and_div_match_fraction_recurrences(self, seed):
+        rng = random.Random(seed)
+        for _ in range(6):
+            a = random_coeffs(rng, rng.randint(0, 12))
+            b = random_coeffs(rng, rng.randint(0, 12), const=rng.choice(self.CONSTS))
+            assert pairs(PSeries(a) * PSeries(b)) == pairs(ref_mul(a, b))
+            assert pairs(PSeries(a) / PSeries(b)) == pairs(ref_div(a, b))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_exp_log_pow_match_fraction_recurrences(self, seed):
+        rng = random.Random(1000 + seed)
+        order = rng.randint(0, 12)
+        z = random_coeffs(rng, order, const=F(0))
+        assert pairs(ps_exp(PSeries(z))) == pairs(ref_exp(z))
+        u = random_coeffs(rng, order, const=F(1))
+        log_u = ref_log(u)
+        assert pairs(ps_log(PSeries(u))) == pairs(log_u)
+        for e in (2, -1, -3, F(1, 3), F(-5, 2), F(7, 12)):
+            expected = ref_exp([e * x for x in log_u])
+            assert pairs(ps_pow(PSeries(u), e)) == pairs(expected)
+
+    def test_canonical_map_matches_fraction_recurrences(self):
+        f, g = build_F(5, 1, 30), build_GL(5, 5, 1, 30)
+        log_q = ref_div(list(g.coefficients), list(f.coefficients))
+        assert pairs(canonical_log("qLN", 5, L=5, order=30)) == pairs(log_q)
+        assert pairs(canonical_q("qLN", 5, L=5, order=30)) == pairs(ref_exp(log_q))
+
+
 class TestExpLog:
     def test_exp_of_z(self):
         e = ps_exp(PSeries([0, 1], order=6))
