@@ -12,7 +12,6 @@ first).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
 import math
@@ -33,6 +32,7 @@ from .series import (
     KIND_QLN,
     KIND_QN,
     KIND_QTILDE,
+    _int_str_digits,
     canonical_log,
     integrality_check,
     ps_exp,
@@ -367,22 +367,6 @@ def _cmd_sweep(args) -> int:
             out.close()
     print(f"sweep {args.check}: {total} tuples, {failures} failures", file=sys.stderr)
     return EXIT_VIOLATION if failures else EXIT_PASS
-
-
-@contextlib.contextmanager
-def _int_str_digits(limit: int):
-    """Python's int->str digit limit set to `limit` (0: none) for a block,
-    on interpreters that have the limit."""
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    set_limit(limit)
-    try:
-        yield
-    finally:
-        set_limit(saved)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,6 +19,7 @@ from .harmonic import (
     ModularHarmonicSum,
     check_harmonic_congruence,
     harmonic,
+    harmonic_weight,
     is_wolstenholme,
     wolstenholme_valuation,
 )
@@ -70,20 +71,22 @@ def _b(row: list[int], n: int) -> int:
     return row[n] if n >= 0 else 0
 
 
-def coeff_C(N: int, k: int, p: int, a: int, K: int) -> Fraction:
-    """sum_{j=0..K} B(a+jp) B(K-j) (H_{N(K-j)} - p H_{N(a+jp)}).
+def coeff_C(N: int, k: int, p: int, a: int, K: int, shifted: bool = False) -> Fraction:
+    """sum_{j=0..K} B(a+jp) B(K-j) (w(K-j) - p w(a+jp)), with the harmonic
+    weight w(m) = H_{Nm}, or H_{Nm} - H_m when shifted.
 
     This is exactly the (a+Kp)-th coefficient of F(z) G_L(z^p) - p F(z^p)
-    G_L(z) with L = N.
+    G_L(z) with L = N, or of the same with Gt in place of G_L when shifted.
     """
     _validate_core(N, k, p, a, K)
     b = big_B_sequence(N, k, a + K * p)
     total = Fraction(0)
     for j in range(K + 1):
+        low, high = K - j, a + j * p
         total += (
-            b[a + j * p]
-            * b[K - j]
-            * (harmonic(N * (K - j)) - p * harmonic(N * (a + j * p)))
+            b[high]
+            * b[low]
+            * (harmonic_weight(N, low, shifted) - p * harmonic_weight(N, high, shifted))
         )
     return total
 
@@ -91,21 +94,7 @@ def coeff_C(N: int, k: int, p: int, a: int, K: int) -> Fraction:
 def coeff_C_tilde(N: int, k: int, p: int, a: int, K: int) -> Fraction:
     """Shifted analogue of coeff_C, with harmonic differences H_{Nm} - H_m;
     the (a+Kp)-th coefficient of F(z) Gt(z^p) - p F(z^p) Gt(z)."""
-    _validate_core(N, k, p, a, K)
-    b = big_B_sequence(N, k, a + K * p)
-    total = Fraction(0)
-    for j in range(K + 1):
-        low = K - j
-        high = a + j * p
-        total += (
-            b[high]
-            * b[low]
-            * (
-                (harmonic(N * low) - harmonic(low))
-                - p * (harmonic(N * high) - harmonic(high))
-            )
-        )
-    return total
+    return coeff_C(N, k, p, a, K, shifted=True)
 
 
 def _constant_vp(which: str, N: int, p: int) -> int:
@@ -121,12 +110,12 @@ def check_theorem_congruence(
 ) -> Membership:
     """Membership of C(a+Kp) in p * xi(N) * N!^k * Z_p (or of the shifted sum
     in p * omega(N) * N!^k * Z_p)."""
-    if which == WHICH_OMEGA and N < 2:
+    shifted = which == WHICH_OMEGA
+    if shifted and N < 2:
         raise ValueError("the shifted variant requires N >= 2")
-    value = coeff_C(N, k, p, a, K) if which == WHICH_XI else coeff_C_tilde(N, k, p, a, K)
+    value = coeff_C(N, k, p, a, K, shifted)
     required = 1 + _constant_vp(which, N, p) + k * vp_factorial(N, p)
-    achieved = INFINITE if value == 0 else vp_rational(value, p)
-    return Membership(achieved=achieved, required=required)
+    return Membership(achieved=vp_rational(value, p), required=required)
 
 
 def S_sum(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> int:
@@ -150,8 +139,15 @@ def check_dwork_S(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Mem
     """Membership of the S-sum in p^(s+1) B(m) Z_p."""
     value = S_sum(N, k, p, a, K, s, m)
     required = s + 1 + vp_big_B(N, k, m, p)
-    achieved = INFINITE if value == 0 else vp_int(value, p)
-    return Membership(achieved=achieved, required=required)
+    return Membership(achieved=vp_int(value, p), required=required)
+
+
+def _level_gap(N: int, p: int, m: int, s: int, shifted: bool) -> Fraction:
+    """w(m p^s) - w(floor(m/p) p^(s+1)) for the harmonic weight w of
+    harmonic_weight(N, ., shifted)."""
+    return harmonic_weight(N, m * p**s, shifted) - harmonic_weight(
+        N, (m // p) * p ** (s + 1), shifted
+    )
 
 
 def Y_term(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Fraction:
@@ -159,15 +155,14 @@ def Y_term(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Fraction:
     value = S_sum(N, k, p, a, K, s, m)
     if value == 0:
         return Fraction(0)
-    return (harmonic(N * m * p**s) - harmonic(N * (m // p) * p ** (s + 1))) * value
+    return _level_gap(N, p, m, s, False) * value
 
 
 def check_Y(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Membership:
     """Membership of the Y-term in p * xi(N) * N!^k * Z_p."""
     value = Y_term(N, k, p, a, K, s, m)
     required = 1 + _constant_vp(WHICH_XI, N, p) + k * vp_factorial(N, p)
-    achieved = INFINITE if value == 0 else vp_rational(value, p)
-    return Membership(achieved=achieved, required=required)
+    return Membership(achieved=vp_rational(value, p), required=required)
 
 
 @dataclass(frozen=True)
@@ -202,7 +197,7 @@ def check_decomposition(
     b = big_B_sequence(N, k, a + K * p)
     lhs = Fraction(0)
     for j in range(K + 1):
-        lhs += harmonic(N * j) * (
+        lhs += harmonic_weight(N, j) * (
             b[a + j * p] * _b(b, K - j) - _b(b, j) * _b(b, a + (K - j) * p)
         )
 
@@ -236,8 +231,7 @@ def check_lemma12(
         value = Fraction(big_B(N, k, a + p * j)) * (
             harmonic(N * j + (N * a) // p) - harmonic(N * j)
         )
-    achieved = INFINITE if value == 0 else vp_rational(value, p)
-    return Membership(achieved=achieved, required=required)
+    return Membership(achieved=vp_rational(value, p), required=required)
 
 
 def check_lemma11(
@@ -249,20 +243,12 @@ def check_lemma11(
     require_prime(p)
     if N < 1 or k < 1 or m < 0 or s < 0:
         raise ValueError("invalid parameters")
-    if which == WHICH_OMEGA and N < 2:
+    shifted = which == WHICH_OMEGA
+    if shifted and N < 2:
         raise ValueError("the shifted variant requires N >= 2")
-    hi = N * m * p**s
-    lo = N * (m // p) * p ** (s + 1)
-    if which == WHICH_XI:
-        diff = harmonic(hi) - harmonic(lo)
-    else:
-        diff = (harmonic(hi) - harmonic(m * p**s)) - (
-            harmonic(lo) - harmonic((m // p) * p ** (s + 1))
-        )
-    value = Fraction(big_B(N, k, m)) * diff
+    value = big_B(N, k, m) * _level_gap(N, p, m, s, shifted)
     required = -s + _constant_vp(which, N, p) + k * vp_factorial(N, p)
-    achieved = INFINITE if value == 0 else vp_rational(value, p)
-    return Membership(achieved=achieved, required=required)
+    return Membership(achieved=vp_rational(value, p), required=required)
 
 
 def optimality_witness(N: int, p: int, shifted: bool = False) -> tuple[int, int]:
@@ -277,8 +263,7 @@ def optimality_witness(N: int, p: int, shifted: bool = False) -> tuple[int, int]
     if shifted and N < 2:
         raise ValueError("the shifted witness requires N >= 2")
     a = 1 if N == 1 else -(-p // N)
-    value = big_B(N, 1, a) * (harmonic(N * a) - (harmonic(a) if shifted else 0))
-    return a, vp_rational(value, p)
+    return a, vp_rational(big_B(N, 1, a) * harmonic_weight(N, a, shifted), p)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .harmonic import TARGET_H, TARGET_H1, harmonic, is_wolstenholme
+from .harmonic import TARGET_H, TARGET_H1, harmonic, harmonic_weight, is_wolstenholme
 from .padic import is_prime, primes_upto, require_prime, vp_rational
 
 BRANCH_CAP = "cap"
@@ -99,8 +99,7 @@ def omega_indicator(p: int, N: int) -> int:
 
 
 def _breakdown(N: int, target: str, indicator) -> Breakdown:
-    shifted = target == TARGET_H1
-    h = harmonic(N) - (1 if shifted else 0)
+    h = harmonic_weight(N, 1, target == TARGET_H1)
     factors = []
     product = Fraction(1)
     for p in primes_upto(N):
@@ -147,12 +146,8 @@ def omega(N: int) -> Breakdown:
 
 
 def _simplified(N: int, target: str) -> Fraction:
-    shifted = target == TARGET_H1
-    h = harmonic(N) - (1 if shifted else 0)
-    product = Fraction(1)
-    for p in primes_upto(N):
-        product *= Fraction(p) ** min(2, vp_rational(h, p))
-    return product
+    # With every indicator 0 the cap is 2 at every prime.
+    return _breakdown(N, target, lambda p, N: 0).product
 
 
 def xi_simplified(N: int) -> tuple[Fraction, bool]:

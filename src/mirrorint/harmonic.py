@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import INFINITE, is_prime, require_prime, vp_int, vp_rational
+from .padic import require_prime, vp_int, vp_rational
 
 _HARMONIC: list[Fraction] = [Fraction(0)]
 
@@ -44,6 +44,14 @@ def harmonic_power(n: int, alpha: int) -> Fraction:
     return sum((Fraction(1, i**alpha) for i in range(1, n + 1)), Fraction(0))
 
 
+def harmonic_weight(N: int, n: int, shifted: bool = False) -> Fraction:
+    """The harmonic weight of B(n) in the maps: H_{Nn} for the q_L maps (at
+    L = N), or H_{Nn} - H_n for the Dwork-Kontsevich maps when shifted. At
+    n = 1 these are H_N and H_N - 1."""
+    h = harmonic(N * n)
+    return h - harmonic(n) if shifted else h
+
+
 def vp_harmonic(N: int, p: int, shifted: bool = False) -> int:
     """v_p(H_N), or v_p(H_N - 1) when shifted.
 
@@ -55,8 +63,7 @@ def vp_harmonic(N: int, p: int, shifted: bool = False) -> int:
         raise ValueError("N must be a positive integer")
     if shifted and N == 1:
         raise ValueError("H_1 - 1 = 0; shifted valuation requires N >= 2")
-    x = harmonic(N) - (1 if shifted else 0)
-    return vp_rational(x, p)
+    return vp_rational(harmonic_weight(N, 1, shifted), p)
 
 
 class ModularHarmonicSum:
@@ -265,28 +272,21 @@ def check_harmonic_congruence(
         value = p * harmonic(J) - harmonic(J // p)
         required = 5
         params = {"J": J}
-    elif kind == "congH":
+    elif kind in ("congH", "congH2"):
         if p < 5:
-            raise ValueError("congH requires p >= 5")
+            raise ValueError(f"{kind} requires p >= 5")
         if N is None or N < 1:
-            raise ValueError("congH requires N >= 1")
-        value = p * harmonic(p * N) - harmonic(N)
+            raise ValueError(f"{kind} requires N >= 1")
+        shifted = kind == "congH2"
+        value = p * harmonic_weight(N, p, shifted) - harmonic_weight(N, 1, shifted)
         required = 4
-        predicted = is_wolstenholme(p) or N % p == 0
-        params = {"N": N}
-    elif kind == "congH2":
-        if p < 5:
-            raise ValueError("congH2 requires p >= 5")
-        if N is None or N < 1:
-            raise ValueError("congH2 requires N >= 1")
-        value = p * (harmonic(p * N) - harmonic(p)) - (harmonic(N) - 1)
-        required = 4
-        predicted = is_wolstenholme(p) or N % p in (1, p - 1)
+        residues = (1, p - 1) if shifted else (0,)
+        predicted = is_wolstenholme(p) or N % p in residues
         params = {"N": N}
     else:
         raise ValueError(f"unknown congruence kind {kind!r}")
 
-    achieved = INFINITE if value == 0 else vp_rational(value, p)
+    achieved = vp_rational(value, p)
     holds = achieved >= required
     matches = None if predicted is None else (holds == predicted)
     return HarmonicCongruence(

@@ -11,13 +11,15 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Union
 
-from .harmonic import harmonic
+from .harmonic import harmonic_weight
 from .padic import big_B_sequence, prime_divisors, require_prime, vp_int, vp_rational
 
 Coeff = Union[int, Fraction]
@@ -153,10 +155,26 @@ class PSeries:
         return f"PSeries([{head}{tail}], order={self.order})"
 
     def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "coefficients": [str(x) for x in self._c],
-        }
+        with _int_str_digits(0):
+            coefficients = [str(x) for x in self._c]
+        return {"order": self.order, "coefficients": coefficients}
+
+
+@contextlib.contextmanager
+def _int_str_digits(limit: int):
+    """Python's int->str digit limit set to `limit` (0: none) for a block,
+    on interpreters that have the limit. Exact coefficients can have more
+    digits than the default limit of 4300 allows."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    set_limit(limit)
+    try:
+        yield
+    finally:
+        set_limit(saved)
 
 
 def _over_lcm(c: tuple[Fraction, ...]) -> tuple[list[int], int]:
@@ -288,35 +306,29 @@ def build_F(N: int, k: int, order: int) -> PSeries:
 
 
 def build_G(N: int, k: int, order: int) -> PSeries:
-    """sum_{m>=1} kN (H_{Nm} - H_m) ((Nm)!/m!^N)^k z^m."""
-    _validate_build(N, k, order)
-    b = big_B_sequence(N, k, order)
-    out = [Fraction(0)]
-    for m in range(1, order + 1):
-        out.append(k * N * (harmonic(N * m) - harmonic(m)) * b[m])
-    return PSeries(out, order=order)
+    """sum_{m>=1} kN (H_{Nm} - H_m) ((Nm)!/m!^N)^k z^m, i.e. kN G-tilde."""
+    return _build_weighted(N, N, k, order, shifted=True) * (k * N)
 
 
 def build_GL(L: int, N: int, k: int, order: int) -> PSeries:
     """sum_{m>=1} H_{Lm} ((Nm)!/m!^N)^k z^m."""
     if L < 1:
         raise ValueError("L must be a positive integer")
-    _validate_build(N, k, order)
-    b = big_B_sequence(N, k, order)
-    out = [Fraction(0)]
-    for m in range(1, order + 1):
-        out.append(harmonic(L * m) * b[m])
-    return PSeries(out, order=order)
+    return _build_weighted(L, N, k, order, shifted=False)
 
 
 def build_Gtilde(N: int, k: int, order: int) -> PSeries:
     """sum_{m>=1} (H_{Nm} - H_m) ((Nm)!/m!^N)^k z^m."""
+    return _build_weighted(N, N, k, order, shifted=True)
+
+
+def _build_weighted(L: int, N: int, k: int, order: int, shifted: bool) -> PSeries:
+    # sum_{m>=1} harmonic_weight(L, m, shifted) ((Nm)!/m!^N)^k z^m
     _validate_build(N, k, order)
     b = big_B_sequence(N, k, order)
-    out = [Fraction(0)]
-    for m in range(1, order + 1):
-        out.append((harmonic(N * m) - harmonic(m)) * b[m])
-    return PSeries(out, order=order)
+    return PSeries(
+        [0] + [harmonic_weight(L, m, shifted) * b[m] for m in range(1, order + 1)]
+    )
 
 
 def canonical_log(
@@ -375,10 +387,12 @@ class RootCertificate:
     degenerate: bool = False
 
     def to_json(self) -> dict:
+        with _int_str_digits(0):
+            V = str(self.V)
         return {
             "order": self.order,
             "primes": [f.to_json() for f in self.primes],
-            "V": str(self.V),
+            "V": V,
             "status": self.status,
             "degenerate": self.degenerate,
         }

@@ -168,6 +168,33 @@ class TestCertifyGolden:
         assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha256)
 
 
+# The benchmark's constants commands, the xi(7) special case, the degenerate
+# u at N = 1, t with k = 2 and one --table command, with the exit code and
+# the SHA-256 of stdout recorded before both harmonic weights came from
+# harmonic_weight.
+CONSTANTS_GOLDEN = [
+    ("--which xi --N 2500", 0, "5e0d2c4d5ef31b8143726122ba20d1deff8c076b7515c8f10cf67ee6eadee890"),
+    ("--which omega --N 2500", 0, "fc7ba414170b27caba07b9cb7133efb29c1c5a5a6a2c816b19da973f1b05239c"),
+    ("--which theta --N 3000", 0, "00db24645a4396d4d0683c3bede5bfd47bc6566d9254f3d151a1a0d703ad011a"),
+    ("--which u --N 2000", 0, "784eb6d5f55e7516cdaf2eb51b592167075a0cc05bdb929a187b2bf1894227e6"),
+    ("--which t --N 1000", 0, "57414cffc39be4979426d73286e8bc02af37f87b0c46cf10f7a0688be7dca4a9"),
+    ("--which t --N 1100", 0, "0905374dd622c7f92186f3c0ef34a1d0d577cb4ee595f3cccd31a7bbf894cba1"),
+    ("--which u --N 1000", 0, "7d9e33d292e9b8f8304f9c459d0f198403976e70ca0d1247b0cf4938bf977bbb"),
+    ("--which u --N 1100", 0, "69e1cf2b141384d059e85af4a6979d4d390df35f61385f313bffa6c4531153d7"),
+    ("--which xi --N 7", 0, "0a9e12ee6b94936a912122a515aa62a0ea3a2096e7c634b4e66340f3625581f6"),
+    ("--which u --N 1", 0, "d6ab2ee820ed2637cbe2f657a472133371a22a94d8878cfec52348f6500e096c"),
+    ("--which t --N 5 --k 2", 0, "11616e93efd5bbac62b8cda511d0e7aaa1833af4c21d123f6e1df050db706da7"),
+    ("--which omega --N 12 --table", 0, "b667c10106ce558e9f5b0392d693f95f11b10c666c5c395be5f2dcb0bd5bc0ac"),
+]
+
+
+class TestConstantsGolden:
+    @pytest.mark.parametrize("argv,code,sha256", CONSTANTS_GOLDEN)
+    def test_byte_identical(self, capsys, argv, code, sha256):
+        got, out, _ = run_cli(capsys, "constants", *argv.split())
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha256)
+
+
 class TestSieveCommand:
     def test_boyd_hits(self, capsys):
         code, out, err = run_cli(

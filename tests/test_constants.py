@@ -147,6 +147,19 @@ class TestSimplifiedForms:
             value, agrees = omega_simplified(N)
             assert agrees, N
 
+    def test_values_up_to_300(self):
+        # prod_{p <= N} p^min(2, v_p(h)), with h = H_N or H_N - 1.
+        def capped(N, h):
+            product = F(1)
+            for p in primes_upto(N):
+                product *= F(p) ** min(2, vp_rational(h, p))
+            return product
+
+        for N in range(2, 301):
+            if N != 7:
+                assert xi_simplified(N)[0] == capped(N, harmonic(N)), N
+            assert omega_simplified(N)[0] == capped(N, harmonic(N) - 1), N
+
 
 class TestConjecturedSequences:
     def test_t_examples(self):

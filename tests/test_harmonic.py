@@ -8,11 +8,13 @@ from mirrorint.harmonic import (
     check_harmonic_congruence,
     harmonic,
     harmonic_power,
+    harmonic_weight,
     is_wolstenholme,
     vp_harmonic,
     wolstenholme_valuation,
 )
-from mirrorint.padic import INFINITE, primes_upto, vp_rational
+from mirrorint.padic import INFINITE, big_B, primes_upto, vp_rational
+from mirrorint.series import build_GL
 
 
 class TestHarmonicValues:
@@ -35,6 +37,28 @@ class TestHarmonicValues:
     def test_power_alpha_one_matches(self):
         for n in (0, 1, 9, 30):
             assert harmonic_power(n, 1) == harmonic(n)
+
+
+class TestHarmonicWeight:
+    def test_values(self):
+        for N in range(1, 6):
+            assert harmonic_weight(N, 1) == harmonic(N)
+            assert harmonic_weight(N, 1, shifted=True) == harmonic(N) - 1
+            for n in range(12):
+                assert harmonic_weight(N, n) == harmonic(N * n)
+                assert harmonic_weight(N, n, True) == harmonic(N * n) - harmonic(n)
+
+    def test_shifted_vanishes_at_N_one(self):
+        for n in range(20):
+            assert harmonic_weight(1, n, shifted=True) == 0
+
+    def test_weights_the_map_coefficients(self):
+        M = 8
+        for N in range(1, 5):
+            for k in (1, 2):
+                gl = build_GL(N, N, k, M)
+                for m in range(1, M + 1):
+                    assert gl[m] == harmonic_weight(N, m) * big_B(N, k, m)
 
 
 class TestVpHarmonic:

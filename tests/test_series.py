@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 
 from mirrorint.constants import t_conjectured, theta, u_conjectured, xi
 from mirrorint.harmonic import harmonic
+from mirrorint.padic import big_B
 from mirrorint.series import (
     PSeries,
+    RootCertificate,
+    _int_str_digits,
     build_F,
     build_G,
     build_GL,
@@ -280,6 +284,23 @@ class TestBuilders:
     def test_gl_first_coefficient(self):
         assert build_GL(2, 2, 1, 1).coefficients == (0, 3)  # H_2 * 2
 
+    def test_coefficients_against_the_definitions(self):
+        M = 9
+        for N in range(1, 5):
+            for k in (1, 2):
+                b = [big_B(N, k, m) for m in range(M + 1)]
+                g, gt = build_G(N, k, M), build_Gtilde(N, k, M)
+                assert g[0] == gt[0] == 0
+                for m in range(1, M + 1):
+                    shifted = harmonic(N * m) - harmonic(m)
+                    assert gt[m] == shifted * b[m]
+                    assert g[m] == k * N * shifted * b[m]
+                for L in range(1, N + 2):
+                    gl = build_GL(L, N, k, M)
+                    assert gl[0] == 0
+                    for m in range(1, M + 1):
+                        assert gl[m] == harmonic(L * m) * b[m]
+
     def test_gtilde_vs_g(self):
         # G = kN * G-tilde, coefficientwise.
         for N, k in [(2, 1), (3, 2)]:
@@ -401,6 +422,18 @@ class TestMaxRoot:
         cert = max_root(canonical_q("qLN", 7, 1, L=7, order=25))
         assert cert.V == 108
         assert int(t_conjectured(7, 1)[0]) == 36
+
+    def test_json_beyond_the_int_str_digit_limit(self):
+        # Under Python's default limit of 4300 digits, both to_json methods
+        # lift the limit for the conversion and put it back.
+        big = 10**4400
+        with _int_str_digits(4300):
+            series_doc = PSeries([1, big]).to_json()
+            cert = RootCertificate(order=1, primes=(), V=big, status="certified")
+            cert_doc = cert.to_json()
+            assert getattr(sys, "get_int_max_str_digits", lambda: 4300)() == 4300
+        assert series_doc["coefficients"] == ["1", "1" + "0" * 4400]
+        assert cert_doc["V"] == "1" + "0" * 4400
 
     def test_json_schema(self):
         cert = max_root(ps_pow(PSeries([1, 1], order=6), 2))
