@@ -5,18 +5,22 @@ object, streaming commands print JSONL, and a human table sits behind
 --table. Diagnostics and progress go to stderr only, so stdout pipes clean.
 
 Exit codes: 0 pass, 1 mathematical violation found, 2 usage error,
-3 environment/IO error (130 when interrupted; the checkpoint is written
-first).
+3 environment/IO error (130 when a sieve is interrupted by SIGINT or SIGTERM;
+its --out file is flushed and its checkpoint written first).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import itertools
 import json
 import math
 import os
+import signal
 import sys
+import threading
 from fractions import Fraction
 
 from .congruences import SWEEPS, sweep
@@ -294,6 +298,44 @@ def _cmd_certify(args) -> int:
     return EXIT_VIOLATION
 
 
+@contextlib.contextmanager
+def _stop_on_signals(run):
+    """SIGINT and SIGTERM ask ``run`` to stop at its next index boundary
+    instead of raising wherever the interpreter happens to be, so the
+    checkpoint written afterwards matches the records already streamed.
+    Handlers can only be set from the main thread; elsewhere the signals
+    keep their current handling."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = {
+        sig: signal.signal(sig, lambda signum, frame: run.stop())
+        for sig in (signal.SIGINT, signal.SIGTERM)
+    }
+    try:
+        yield
+    finally:
+        for sig, old in previous.items():
+            signal.signal(sig, old)
+
+
+def _open_sieve_out(path: str, checkpoint: SieveCheckpoint | None):
+    """--out for a sieve run. Resuming with an existing file cuts it back
+    to the checkpoint's offset and appends; a new file, or a checkpoint
+    whose records went to stdout, starts empty."""
+    if path == "-":
+        return sys.stdout
+    offset = checkpoint.out_offset if checkpoint else None
+    if offset is None or not os.path.exists(path):
+        return open(path, "w", encoding="utf-8")
+    if os.path.getsize(path) < offset:
+        raise CheckpointError(
+            f"{path} is shorter than the {offset} bytes the checkpoint recorded"
+        )
+    os.truncate(path, offset)
+    return open(path, "a", encoding="utf-8")
+
+
 def _cmd_sieve(args) -> int:
     checkpoint = None
     if args.checkpoint and os.path.exists(args.checkpoint):
@@ -302,38 +344,35 @@ def _cmd_sieve(args) -> int:
     run = sieve_positive_valuation(
         args.p, args.max, target=args.target, backend=args.backend, checkpoint=checkpoint
     )
-
-    def write_checkpoint() -> None:
-        if args.checkpoint:
-            with open(args.checkpoint, "w", encoding="utf-8") as fh:
-                fh.write(run.checkpoint().dump() + "\n")
-
-    out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
+    out = _open_sieve_out(args.out, checkpoint)
     conjecture_hits = 0
     emitted = 0
     try:
-        for record in run:
-            out.write(record.to_line() + "\n")
-            emitted += 1
-            if record.v_at_least:
-                conjecture_hits += 1
-                print(
-                    f"CONJECTURE-LEVEL HIT: v_{args.p}(H_{record.N}"
-                    f"{' - 1' if record.target != TARGET_H else ''}) >= {record.v}",
-                    file=sys.stderr,
-                )
-            if args.progress and emitted % 50 == 0:
-                print(f"... {emitted} records, N={record.N}", file=sys.stderr)
+        with _stop_on_signals(run):
+            for record in run:
+                out.write(record.to_line() + "\n")
+                emitted += 1
+                if record.v_at_least:
+                    conjecture_hits += 1
+                    print(
+                        f"CONJECTURE-LEVEL HIT: v_{args.p}(H_{record.N}"
+                        f"{' - 1' if record.target != TARGET_H else ''}) >= {record.v}",
+                        file=sys.stderr,
+                    )
+                if args.progress and emitted % 50 == 0:
+                    print(f"... {emitted} records, N={record.N}", file=sys.stderr)
         out.flush()
-    except KeyboardInterrupt:
-        out.flush()
-        write_checkpoint()
-        print(f"interrupted at N={run.last_N}; checkpoint saved", file=sys.stderr)
-        return EXIT_INTERRUPT
+        offset = None if out is sys.stdout else out.tell()
     finally:
         if out is not sys.stdout:
             out.close()
-    write_checkpoint()
+    if args.checkpoint:
+        cp = dataclasses.replace(run.checkpoint(), out_offset=offset)
+        with open(args.checkpoint, "w", encoding="utf-8") as fh:
+            fh.write(cp.dump() + "\n")
+    if run.stopped:
+        print(f"interrupted at N={run.last_N}; checkpoint saved", file=sys.stderr)
+        return EXIT_INTERRUPT
     print(
         f"sieve complete: p={args.p} target={args.target} N<={args.max}, "
         f"{emitted} records",

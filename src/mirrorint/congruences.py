@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .constants import omega, xi
+from .constants import omega_exponent, xi_exponent
 from .harmonic import (
     ModularHarmonicSum,
     check_harmonic_congruence,
@@ -99,9 +99,9 @@ def coeff_C_tilde(N: int, k: int, p: int, a: int, K: int) -> Fraction:
 
 def _constant_vp(which: str, N: int, p: int) -> int:
     if which == WHICH_XI:
-        return xi(N).exponent_of(p)
+        return xi_exponent(N, p)
     if which == WHICH_OMEGA:
-        return omega(N).exponent_of(p)
+        return omega_exponent(N, p)
     raise ValueError(f"which must be {WHICH_XI!r} or {WHICH_OMEGA!r}")
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .harmonic import TARGET_H, TARGET_H1, harmonic, harmonic_weight, is_wolstenholme
 from .padic import is_prime, primes_upto, require_prime, vp_rational
+from .series import _int_str_digits
 
 BRANCH_CAP = "cap"
 BRANCH_VALUATION = "valuation"
@@ -59,9 +60,11 @@ class Breakdown:
         return 0
 
     def to_json(self) -> dict:
+        with _int_str_digits(0):
+            product = str(self.product)
         return {
             "N": self.N,
-            "product": str(self.product),
+            "product": product,
             "factors": [f.to_json() for f in self.factors],
             "special_case": self.special_case,
         }
@@ -98,19 +101,22 @@ def omega_indicator(p: int, N: int) -> int:
     return 1 if p >= 5 and is_wolstenholme(p) else 0
 
 
+def _factor(N: int, h: Fraction, p: int, indicator) -> PrimeFactor:
+    """The factor of prime p <= N in the product over the harmonic weight h."""
+    ind = indicator(p, N)
+    v = vp_rational(h, p)
+    cap = 2 + ind
+    branch = BRANCH_CAP if cap <= v else BRANCH_VALUATION
+    return PrimeFactor(p, min(cap, v), ind, branch)
+
+
 def _breakdown(N: int, target: str, indicator) -> Breakdown:
     h = harmonic_weight(N, 1, target == TARGET_H1)
-    factors = []
+    factors = tuple(_factor(N, h, p, indicator) for p in primes_upto(N))
     product = Fraction(1)
-    for p in primes_upto(N):
-        ind = indicator(p, N)
-        v = vp_rational(h, p)
-        cap = 2 + ind
-        e = min(cap, v)
-        branch = BRANCH_CAP if cap <= v else BRANCH_VALUATION
-        factors.append(PrimeFactor(p, e, ind, branch))
-        product *= Fraction(p) ** e
-    return Breakdown(N=N, target=target, factors=tuple(factors), product=product)
+    for f in factors:
+        product *= Fraction(f.p) ** f.exponent
+    return Breakdown(N=N, target=target, factors=factors, product=product)
 
 
 # xi(7) differs from the generic product by dropping the factor 3; the value
@@ -143,6 +149,26 @@ def omega(N: int) -> Breakdown:
     if N < 2:
         raise ValueError("N must be at least 2")
     return _breakdown(N, TARGET_H1, omega_indicator)
+
+
+def xi_exponent(N: int, p: int) -> int:
+    """``xi(N).exponent_of(p)`` for a prime p, computed at p alone."""
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    if N == 7:
+        return _XI_7_EXPONENTS.get(p, 0)
+    if N == 1 or p > N:
+        return 0
+    return _factor(N, harmonic_weight(N, 1), p, xi_indicator).exponent
+
+
+def omega_exponent(N: int, p: int) -> int:
+    """``omega(N).exponent_of(p)`` for a prime p, computed at p alone."""
+    if N < 2:
+        raise ValueError("N must be at least 2")
+    if p > N:
+        return 0
+    return _factor(N, harmonic_weight(N, 1, True), p, omega_indicator).exponent
 
 
 def _simplified(N: int, target: str) -> Fraction:

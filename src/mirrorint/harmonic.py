@@ -3,7 +3,9 @@ primes, and congruences relating p*H_J to H_{J/p}.
 
 Two evaluation routes are provided on purpose: exact rationals (the oracle)
 and a modular route that tracks H_n in Z_p with just enough precision to
-read off valuations, so large indices never require exact arithmetic.
+read off valuations, so large indices never require exact arithmetic. The
+modular state jumps to any index in closed form, so the sieve and the vp3
+probe pay for the indices they read, not for the ones they pass over.
 """
 
 from __future__ import annotations
@@ -76,9 +78,14 @@ class ModularHarmonicSum:
     v_p(H_n), or v_p(H_n - 1), whenever it is below ``cap`` -- and to report
     "at least cap" otherwise. New levels appear as n grows, so the state can
     be advanced indefinitely and resumed from a snapshot.
+
+    The state is a function of n alone: level w holds S(floor(n/p^w)) mod
+    p^(cap+1+w), where S(m) = sum of 1/u over u <= m with p not dividing u.
+    ``advance`` steps to n + 1 with one modular inverse; ``advance_to`` jumps
+    to any later n in closed form, at a cost that does not grow with n.
     """
 
-    __slots__ = ("p", "cap", "n", "sums")
+    __slots__ = ("p", "cap", "n", "sums", "_jump")
 
     def __init__(self, p: int, cap: int = 4):
         require_prime(p)
@@ -88,6 +95,8 @@ class ModularHarmonicSum:
         self.cap = cap
         self.n = 0
         self.sums: list[int] = []
+        # Per level w, the coefficients D_s of advance_to's closed form.
+        self._jump: list[list[int]] = []
 
     @classmethod
     def restore(cls, p: int, cap: int, n: int, sums: list[int]) -> "ModularHarmonicSum":
@@ -119,8 +128,86 @@ class ModularHarmonicSum:
         self.sums[w] = (self.sums[w] + pow(f % mod, -1, mod)) % mod
 
     def advance_to(self, n: int) -> None:
-        while self.n < n:
-            self.advance()
+        """Jump to index n >= self.n without visiting the indices between.
+
+        Level w is set to S(m) mod p^K with m = floor(n/p^w) and
+        K = cap + 1 + w. Write m = q p + r with 0 <= r < p. Every u <= m
+        prime to p is either j p + a with 0 <= j < q and 1 <= a <= p - 1,
+        or q p + a with 1 <= a <= r. For the first kind, x = j p / a lies
+        in p Z_p, and
+
+            (1 + x) * sum_{t<K} (-x)^t = 1 - (-x)^K = 1 mod p^K,
+
+        so, 1 + x being a unit, 1/(j p + a) = a^-1 / (1 + x) is congruent
+        mod p^K to sum_{t<K} (-p)^t j^t a^-(t+1): the terms t >= K carry
+        p^K and drop out. Summing over a and j,
+
+            S(m) = sum_{t<K} (-p)^t A_t P_t(q)
+                   + sum_{a<=r} 1/(q p + a)                 (mod p^K),
+
+        with A_t = sum_{a<p} a^-(t+1) and P_t(q) = sum_{j<q} j^t
+        (0^0 = 1). The power sums are exact integers: j^t =
+        sum_s S2(t, s) s! C(j, s) with S2 the Stirling numbers of the
+        second kind, and sum_{j<q} C(j, s) = C(q, s+1), so the first part
+        is sum_{s<K} C(q, s+1) D_s with
+        D_s = s! sum_{s<=t<K} S2(t, s) (-p)^t A_t. The D_s depend on the
+        level only and are computed once per level, in O(p K + K^2); a
+        jump then costs O(K + p) per level -- K binomials and at most
+        p - 1 terms of the tail, summed over one common denominator.
+        """
+        if n < self.n:
+            raise ValueError("advance_to cannot move back")
+        p = self.p
+        sums = []
+        m = n
+        while m:
+            w = len(sums)
+            mod = p ** (self.cap + 1 + w)
+            q, r = divmod(m, p)
+            first = 0
+            binom = q
+            for s, d in enumerate(self._level(w)):
+                if not binom:
+                    break
+                first += binom * d
+                binom = binom * (q - s - 1) // (s + 2)
+            base = q * p
+            num, den = 0, 1
+            for a in range(1, r + 1):
+                num = (num * (base + a) + den) % mod
+                den = den * (base + a) % mod
+            sums.append((first + num * pow(den, -1, mod)) % mod)
+            m //= p
+        self.sums = sums
+        self.n = n
+
+    def _level(self, w: int) -> list[int]:
+        """The coefficients D_0..D_{K-1} of level w, mod p^K (K = cap+1+w)."""
+        while len(self._jump) <= w:
+            p = self.p
+            K = self.cap + 1 + len(self._jump)
+            mod = p**K
+            inverses = [pow(a, -1, mod) for a in range(1, p)]
+            # A_t for t < K, one running power per residue a.
+            A = [0] * K
+            powers = list(inverses)
+            for t in range(K):
+                A[t] = sum(powers) % mod
+                powers = [x * y % mod for x, y in zip(powers, inverses)]
+            # D_s = s! sum_t S2(t, s) (-p)^t A_t, one Stirling row per t.
+            D = [0] * K
+            row = [1]  # S2(t, 0..t)
+            for t in range(K):
+                weight = (-p) ** t * A[t]
+                for s, stirling in enumerate(row):
+                    D[s] += stirling * weight
+                row = [s * row[s] + (row[s - 1] if s else 0) for s in range(len(row))] + [1]
+            factorial = 1
+            for s in range(K):
+                D[s] = factorial * D[s] % mod
+                factorial *= s + 1
+            self._jump.append(D)
+        return self._jump[w]
 
     def _combined(self) -> tuple[int, int, int]:
         # (scaled residue, scale exponent W, modulus p^(W+cap+1))

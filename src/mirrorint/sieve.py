@@ -1,27 +1,33 @@
 """Streaming search for indices N with v_p(H_N) > 0 (or v_p(H_N - 1) > 0).
 
 Two backends: ``exact`` keeps a running Fraction and is the correctness
-oracle; ``modular`` keeps the p-adic state of ModularHarmonicSum and prunes
-candidates with the recursion "a positive valuation at N forces a positive
-valuation at floor(N/p)", so it scales to bounds where exact rationals are
-hopeless. Both emit identical record streams, valuations capped at 4 (a hit
-at or beyond the cap is a conjecture-level event and is flagged).
+oracle and pays for every N up to the bound; ``modular`` keeps the p-adic
+state of ModularHarmonicSum and prunes candidates with the recursion "a
+positive valuation at N forces a positive valuation at floor(N/p)" (Boyd's
+tree). It visits only the candidate blocks [1, p - 1] and [x p, x p + p - 1]
+for each positive x, reaching each block with a closed-form jump, so its
+work grows with the number of candidate blocks, not with the bound. Both
+emit identical record streams, valuations capped at 4 (a hit at or beyond
+the cap is a conjecture-level event and is flagged).
 
 Runs snapshot to a checkpoint document and resume deterministically: a run
 to N, checkpoint, resume to M yields record for record what a single run to
-M yields.
+M yields. A run asked to ``stop()`` ends at the next index boundary, so a
+checkpoint taken then covers exactly the records already yielded.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .harmonic import TARGET_H, TARGET_H1, ModularHarmonicSum
 from .padic import is_prime, vp_int
+from .series import _int_str_digits
 
 TARGETS = (TARGET_H, TARGET_H1)
 
@@ -30,7 +36,7 @@ BACKEND_MODULAR = "modular"
 BACKENDS = (BACKEND_EXACT, BACKEND_MODULAR)
 
 VALUATION_CAP = 4
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -65,11 +71,17 @@ def _state_digest(core: dict) -> str:
 
 @dataclass(frozen=True)
 class SieveCheckpoint:
+    """The processed prefix of a run. ``out_offset`` is the byte length of
+    the record file written so far (None when records went to stdout); the
+    run itself ignores it, and a resumed CLI run truncates its --out file
+    to it before appending."""
+
     p: int
     target: str
     backend: str
     last_N: int
     state: dict
+    out_offset: int | None = None
 
     def _core(self) -> dict:
         return {
@@ -78,6 +90,7 @@ class SieveCheckpoint:
             "backend": self.backend,
             "last_N": self.last_N,
             "state": self.state,
+            "out_offset": self.out_offset,
         }
 
     def to_json(self) -> dict:
@@ -104,12 +117,16 @@ class SieveCheckpoint:
                 backend=doc["backend"],
                 last_N=doc["last_N"],
                 state=doc["state"],
+                out_offset=doc["out_offset"],
             )
             digest = doc["digest"]
         except KeyError as exc:
             raise CheckpointError(f"checkpoint is missing field {exc}") from exc
         if _state_digest(cp._core()) != digest:
             raise CheckpointError("checkpoint digest mismatch (corrupt file)")
+        offset = cp.out_offset
+        if offset is not None and (type(offset) is not int or offset < 0):
+            raise CheckpointError("checkpoint out_offset is not a byte count")
         return cp
 
     @staticmethod
@@ -125,7 +142,9 @@ class SieveRun:
     """One resumable sieve pass; iterate it to stream SieveRecords.
 
     ``checkpoint()`` is valid at any point between yielded records and after
-    exhaustion, and captures exactly the processed prefix.
+    exhaustion, and captures exactly the processed prefix. ``stop()`` ends
+    the iteration at the next index boundary (safe to call from a signal
+    handler); the run then reports ``stopped``.
     """
 
     def __init__(
@@ -157,6 +176,7 @@ class SieveRun:
         self._exact_n = 0
         self._modular: ModularHarmonicSum | None = None
         self._positive: set[int] = set()
+        self.stopped = False
         if backend == BACKEND_MODULAR:
             self._modular = ModularHarmonicSum(p, cap=VALUATION_CAP)
 
@@ -174,7 +194,8 @@ class SieveRun:
         state = cp.state
         try:
             if self.backend == BACKEND_EXACT:
-                self._exact_h = Fraction(int(state["num"]), int(state["den"]))
+                with _int_str_digits(0):
+                    self._exact_h = Fraction(int(state["num"]), int(state["den"]))
                 self._exact_n = cp.last_N
             else:
                 sums = [int(t) for t in state["unit_sums"]]
@@ -182,7 +203,7 @@ class SieveRun:
                     self.p, VALUATION_CAP, cp.last_N, sums
                 )
                 self._positive = set(state["positive"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CheckpointError(f"checkpoint state is invalid: {exc}") from exc
 
     @property
@@ -193,10 +214,11 @@ class SieveRun:
 
     def checkpoint(self) -> SieveCheckpoint:
         if self.backend == BACKEND_EXACT:
-            state = {
-                "num": str(self._exact_h.numerator),
-                "den": str(self._exact_h.denominator),
-            }
+            with _int_str_digits(0):
+                state = {
+                    "num": str(self._exact_h.numerator),
+                    "den": str(self._exact_h.denominator),
+                }
         else:
             state = {
                 "unit_sums": [str(t) for t in self._modular.sums],
@@ -210,6 +232,9 @@ class SieveRun:
             state=state,
         )
 
+    def stop(self) -> None:
+        self.stopped = True
+
     def __iter__(self) -> Iterator[SieveRecord]:
         if self.backend == BACKEND_EXACT:
             return self._iter_exact()
@@ -221,7 +246,7 @@ class SieveRun:
     def _iter_exact(self) -> Iterator[SieveRecord]:
         p = self.p
         cap = VALUATION_CAP
-        while self._exact_n < self.max_N:
+        while self._exact_n < self.max_N and not self.stopped:
             self._exact_n += 1
             n = self._exact_n
             self._exact_h += Fraction(1, n)
@@ -242,26 +267,38 @@ class SieveRun:
         p = self.p
         state = self._modular
         positive = self._positive
-        while state.n < self.max_N:
-            state.advance()
-            n = state.n
-            parent = n // p
-            # Positive valuation at n forces positive valuation at n//p, so
-            # anything whose parent missed can be skipped outright.
-            if parent and parent not in positive:
-                continue
-            v, at_least = state.valuation()
-            if v >= 1:
-                positive.add(n)
-            if self.target == TARGET_H:
+        # A positive valuation at n forces one at n // p, so the candidates
+        # are the block [1, p - 1] of parent 0 and the block [x p, x p + p - 1]
+        # of each positive x. Positives turn up in increasing order, each one
+        # above every block still queued, so a FIFO of parents lists the
+        # blocks in increasing order; on resume it starts from the
+        # checkpoint's positives whose blocks are not finished.
+        parents = deque(x for x in sorted(positive | {0}) if x * p + p - 1 > state.n)
+        while parents and not self.stopped:
+            x = parents.popleft()
+            lo = max(x * p, 1, state.n + 1)
+            hi = min(x * p + p - 1, self.max_N)
+            if lo > hi:
+                break
+            state.advance_to(lo)
+            for n in range(lo, hi + 1):
+                if n > lo:
+                    if self.stopped:
+                        return
+                    state.advance()
+                v, at_least = state.valuation()
                 if v >= 1:
-                    yield self._record(n, v, at_least)
-            else:
-                if n == 1:
-                    continue
-                v1, at_least1 = state.valuation(shifted=True)
-                if v1 >= 1:
-                    yield self._record(n, v1, at_least1)
+                    positive.add(n)
+                    parents.append(n)
+                if self.target == TARGET_H:
+                    if v >= 1:
+                        yield self._record(n, v, at_least)
+                elif n > 1:
+                    v1, at_least1 = state.valuation(shifted=True)
+                    if v1 >= 1:
+                        yield self._record(n, v1, at_least1)
+        if not self.stopped:
+            state.advance_to(self.max_N)
 
 
 def sieve_positive_valuation(

@@ -1,13 +1,22 @@
 import argparse
 import hashlib
 import json
+import os
+import signal
+import subprocess
 import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from mirrorint.cli import _build_parser, _int_str_digits, main
 from mirrorint.congruences import SWEEPS
 from mirrorint.constants import u_conjectured
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -254,6 +263,72 @@ class TestSieveCommand:
             "--checkpoint", str(ckpt),
         )
         assert code == 0 and parse_jsonl(out) == []
+
+    def test_resume_into_the_same_out(self, capsys, tmp_path):
+        # A resumed run cuts --out back to the checkpoint's offset (dropping
+        # anything written after it) and appends the rest.
+        out, ckpt, direct = tmp_path / "split.jsonl", tmp_path / "split.ckpt", tmp_path / "d.jsonl"
+        files = ["--out", str(out), "--checkpoint", str(ckpt)]
+        assert run_cli(capsys, "sieve", "--p", "11", "--max", "1000", *files)[0] == 0
+        offset = json.loads(ckpt.read_text())["out_offset"]
+        assert offset == out.stat().st_size > 0
+        with open(out, "a", encoding="utf-8") as fh:
+            fh.write('{"p":11,"N":1291,"v":1,"v_at')
+        assert run_cli(capsys, "sieve", "--p", "11", "--max", "20000", *files)[0] == 0
+        assert run_cli(capsys, "sieve", "--p", "11", "--max", "20000", "--out", str(direct))[0] == 0
+        assert out.read_bytes() == direct.read_bytes()
+        assert len(parse_jsonl(direct.read_text())) == 32
+
+    def test_resume_into_a_truncated_out(self, capsys, tmp_path):
+        out, ckpt = tmp_path / "a.jsonl", tmp_path / "a.ckpt"
+        files = ["--out", str(out), "--checkpoint", str(ckpt)]
+        assert run_cli(capsys, "sieve", "--p", "5", "--max", "100", *files)[0] == 0
+        out.write_text(out.read_text()[:-1])
+        code, _, err = run_cli(capsys, "sieve", "--p", "5", "--max", "1000", *files)
+        assert code == 3 and "shorter" in err
+
+    def test_sigterm_then_resume(self, capsys, tmp_path):
+        # SIGTERM mid-run flushes --out, writes the checkpoint and exits 130;
+        # the resumed run completes --out byte for byte. The exact backend is
+        # slow enough (about 1 s to 30000) to be caught mid-run, and p = 29
+        # has hits on both sides of where the signal usually lands.
+        out, ckpt, direct = tmp_path / "r.jsonl", tmp_path / "r.ckpt", tmp_path / "d.jsonl"
+        argv = ["sieve", "--p", "29", "--max", "30000", "--backend", "exact", "--target", "H"]
+        files = ["--out", str(out), "--checkpoint", str(ckpt)]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        for attempt in range(3):
+            # Retried with a longer delay if the signal beat the handler.
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "mirrorint", *argv, *files],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            )
+            time.sleep(0.5 * 2**attempt)
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=120)
+            if proc.returncode != -signal.SIGTERM:
+                break
+        assert proc.returncode == 130, err
+        assert "interrupted at N=" in err
+        cp = json.loads(ckpt.read_text())
+        assert 0 < cp["last_N"] < 30000
+        assert cp["out_offset"] == out.stat().st_size
+        assert run_cli(capsys, *argv, *files)[0] == 0
+        assert run_cli(capsys, *argv, "--out", str(direct))[0] == 0
+        assert out.read_bytes() == direct.read_bytes()
+
+    def test_off_the_main_thread(self, tmp_path):
+        # Signal handlers cannot be set there; the sieve runs without them.
+        out = tmp_path / "t.jsonl"
+        codes = []
+        worker = threading.Thread(
+            target=lambda: codes.append(
+                main(["sieve", "--p", "3", "--max", "100", "--out", str(out)])
+            )
+        )
+        worker.start()
+        worker.join()
+        assert codes == [0] and [r["N"] for r in parse_jsonl(out.read_text())] == [2, 7, 22]
 
     def test_corrupt_checkpoint_io_error(self, capsys, tmp_path):
         ckpt = tmp_path / "bad.ckpt"

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -7,17 +8,20 @@ import pytest
 from mirrorint.constants import (
     DegenerateCase,
     omega,
+    omega_exponent,
     omega_indicator,
     omega_simplified,
     t_conjectured,
     theta,
     u_conjectured,
     xi,
+    xi_exponent,
     xi_indicator,
     xi_simplified,
 )
 from mirrorint.harmonic import harmonic, vp_harmonic
 from mirrorint.padic import primes_upto, vp_rational
+from mirrorint.series import _int_str_digits
 
 
 class TestTheta:
@@ -104,6 +108,34 @@ class TestXi:
         assert doc["N"] == 7 and doc["product"] == "1/140" and doc["special_case"]
         assert all(set(f) == {"p", "e", "indicator", "branch"} for f in doc["factors"])
         json.dumps(doc)  # serializable
+
+    def test_json_beyond_the_int_str_digit_limit(self):
+        # The denominator of xi(2500) has 1084 digits, above Python's
+        # lowest settable limit of 640.
+        with _int_str_digits(0):
+            expected = str(xi(2500).product)
+        assert len(expected) > 1084
+        with _int_str_digits(640):
+            doc = xi(2500).to_json()
+            assert getattr(sys, "get_int_max_str_digits", lambda: 640)() == 640
+        assert doc["product"] == expected
+
+
+class TestExponentAtOnePrime:
+    def test_matches_the_breakdowns(self):
+        for N in range(1, 60):
+            for p in primes_upto(N + 12):
+                assert xi_exponent(N, p) == xi(N).exponent_of(p), (N, p)
+                if N >= 2:
+                    assert omega_exponent(N, p) == omega(N).exponent_of(p), (N, p)
+
+    def test_special_case_and_domain(self):
+        assert [xi_exponent(7, p) for p in (2, 3, 5, 7, 11)] == [-2, 0, -1, -1, 0]
+        assert xi_exponent(1, 2) == 0
+        with pytest.raises(ValueError):
+            xi_exponent(0, 2)
+        with pytest.raises(ValueError):
+            omega_exponent(1, 2)
 
 
 class TestOmega:

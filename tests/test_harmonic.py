@@ -138,6 +138,61 @@ class TestModularHarmonicSum:
             ModularHarmonicSum.restore(5, 4, 10, [1, 2, 3])  # too many levels
 
 
+class TestAdvanceTo:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
+    @pytest.mark.parametrize("cap", [1, 4, 7])
+    def test_jumps_match_steps(self, p, cap):
+        stepped = ModularHarmonicSum(p, cap)
+        # One accumulator jumps to every n in turn, one in irregular strides,
+        # and fresh ones jump from 0 to every level boundary and a spread of
+        # other indices.
+        jumper = ModularHarmonicSum(p, cap)
+        strider = ModularHarmonicSum(p, cap)
+        stride = 0
+        boundaries = {p**e + d for e in range(8) for d in (-1, 0, 1)}
+        for n in range(2001):
+            if n:
+                stepped.advance()
+            jumper.advance_to(n)
+            assert (jumper.n, jumper.sums) == (n, stepped.sums)
+            if n == strider.n + stride:
+                strider.advance_to(n)
+                assert strider.sums == stepped.sums
+                stride = (7 * stride + 3) % 41
+            if n in boundaries or n % 97 == 0:
+                fresh = ModularHarmonicSum(p, cap)
+                fresh.advance_to(n)
+                assert fresh.sums == stepped.sums
+
+    def test_jumps_near_a_million(self):
+        p, cap = 3, 7
+        stepped = ModularHarmonicSum(p, cap)
+        for n in range(1, 10**6 + 6):
+            stepped.advance()
+            if n >= 10**6 - 5:
+                jumped = ModularHarmonicSum(p, cap)
+                jumped.advance_to(n)
+                assert jumped.sums == stepped.sums, n
+
+    def test_steps_after_a_jump(self):
+        jumped = ModularHarmonicSum(11, 4)
+        jumped.advance_to(9338)
+        assert jumped.valuation() == (3, False)
+        restored = ModularHarmonicSum.restore(11, 4, jumped.n, jumped.sums)
+        for _ in range(50):
+            jumped.advance()
+            restored.advance()
+        assert jumped.sums == restored.sums
+
+    def test_no_move_back(self):
+        acc = ModularHarmonicSum(5)
+        acc.advance_to(30)
+        acc.advance_to(30)
+        assert acc.n == 30
+        with pytest.raises(ValueError):
+            acc.advance_to(29)
+
+
 class TestWolstenholme:
     def test_known_wolstenholme_prime(self):
         assert is_wolstenholme(16843)

@@ -1,14 +1,18 @@
+import dataclasses
 import json
 from fractions import Fraction as F
 
 import pytest
 
+from mirrorint.harmonic import ModularHarmonicSum
 from mirrorint.padic import primes_upto
+from mirrorint.series import _int_str_digits
 from mirrorint.sieve import (
     BACKEND_EXACT,
     BACKEND_MODULAR,
     TARGET_H,
     TARGET_H1,
+    VALUATION_CAP,
     CheckpointError,
     SieveCheckpoint,
     SieveRecord,
@@ -19,6 +23,38 @@ from mirrorint.sieve import (
 def run(p, max_N, target=TARGET_H, backend=BACKEND_MODULAR, checkpoint=None):
     r = sieve_positive_valuation(p, max_N, target, backend, checkpoint)
     return list(r), r
+
+
+def per_index_sieve(p, max_N, target):
+    """The modular backend as one step per index: every N up to max_N is
+    visited, and the state is read where the parent N // p is positive."""
+    state = ModularHarmonicSum(p, cap=VALUATION_CAP)
+    positive = set()
+    records = []
+    while state.n < max_N:
+        state.advance()
+        n = state.n
+        parent = n // p
+        if parent and parent not in positive:
+            continue
+        v, at_least = state.valuation()
+        if v >= 1:
+            positive.add(n)
+        if target == TARGET_H:
+            if v >= 1:
+                records.append(SieveRecord(p, n, v, at_least, target))
+        elif n > 1:
+            v1, at_least1 = state.valuation(shifted=True)
+            if v1 >= 1:
+                records.append(SieveRecord(p, n, v1, at_least1, target))
+    checkpoint = SieveCheckpoint(
+        p=p,
+        target=target,
+        backend=BACKEND_MODULAR,
+        last_N=state.n,
+        state={"unit_sums": [str(t) for t in state.sums], "positive": sorted(positive)},
+    )
+    return records, checkpoint, positive
 
 
 class TestKnownSets:
@@ -62,6 +98,58 @@ class TestBackendAgreement:
             exact, _ = run(p, 10_000, target, BACKEND_EXACT)
             modular, _ = run(p, 10_000, target, BACKEND_MODULAR)
             assert exact == modular, p
+
+
+class TestCandidateBlocks:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("target", [TARGET_H, TARGET_H1])
+    def test_matches_the_per_index_sieve(self, p, target):
+        records, checkpoint, positive = per_index_sieve(p, 30_000, target)
+        got, r = run(p, 30_000, target)
+        assert got == records
+        assert r.checkpoint().dump() == checkpoint.dump()
+        assert r._positive == positive
+
+    @pytest.mark.parametrize("p", [5, 11])
+    @pytest.mark.parametrize("target", [TARGET_H, TARGET_H1])
+    def test_resume_from_every_prefix(self, p, target):
+        # Checkpoints at every index up to 400 (most of them inside or
+        # between candidate blocks), each resumed to 3000.
+        direct, _ = run(p, 3000, target)
+        final = per_index_sieve(p, 3000, target)[1]
+        for last in range(1, 401):
+            first, r1 = run(p, last, target)
+            rest, r2 = run(p, 3000, target, checkpoint=r1.checkpoint())
+            assert first + rest == direct, last
+            assert r2.checkpoint() == final
+
+    @pytest.mark.parametrize("backend,max_N", [(BACKEND_EXACT, 3000), (BACKEND_MODULAR, 20_000)])
+    def test_stop_after_each_record(self, backend, max_N):
+        direct, _ = run(11, max_N, TARGET_H, backend)
+        for k in range(1, len(direct) + 1):
+            runner = sieve_positive_valuation(11, max_N, TARGET_H, backend)
+            first = []
+            for record in runner:
+                first.append(record)
+                if len(first) == k:
+                    runner.stop()
+            assert runner.stopped and first == direct[:k]
+            cp = runner.checkpoint()
+            assert cp.last_N == direct[k - 1].N
+            rest, _ = run(11, max_N, TARGET_H, backend, cp)
+            assert first + rest == direct
+
+
+class TestExactCheckpointDigits:
+    def test_beyond_the_int_str_digit_limit(self):
+        # H_2500 has a numerator of about 1080 digits, above Python's lowest
+        # settable limit of 640.
+        direct, _ = run(11, 4000, TARGET_H, BACKEND_EXACT)
+        with _int_str_digits(640):
+            first, r = run(11, 2500, TARGET_H, BACKEND_EXACT)
+            cp = SieveCheckpoint.load(r.checkpoint().dump())
+            rest, _ = run(11, 4000, TARGET_H, BACKEND_EXACT, cp)
+        assert first + rest == direct
 
 
 class TestHitGrowthBounds:
@@ -123,6 +211,25 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError):
             SieveCheckpoint.load(json.dumps({"format_version": 99}))
 
+    def test_old_format_and_bad_offset_detected(self):
+        _, r = run(5, 100, TARGET_H, BACKEND_MODULAR)
+        doc = r.checkpoint().to_json()
+        with pytest.raises(CheckpointError, match="format_version"):
+            SieveCheckpoint.from_json({**doc, "format_version": 1})
+        del doc["out_offset"]
+        with pytest.raises(CheckpointError, match="out_offset"):
+            SieveCheckpoint.from_json(doc)
+        for bad in (-1, "12", True):
+            cp = dataclasses.replace(r.checkpoint(), out_offset=bad)
+            with pytest.raises(CheckpointError, match="byte count"):
+                SieveCheckpoint.load(cp.dump())
+
+    def test_zero_denominator_detected(self):
+        _, r = run(3, 10, TARGET_H, BACKEND_EXACT)
+        cp = dataclasses.replace(r.checkpoint(), state={"num": "1", "den": "0"})
+        with pytest.raises(CheckpointError, match="state is invalid"):
+            sieve_positive_valuation(3, 20, TARGET_H, BACKEND_EXACT, SieveCheckpoint.load(cp.dump()))
+
     def test_mismatched_run_detected(self):
         _, r = run(5, 100, TARGET_H, BACKEND_MODULAR)
         cp = r.checkpoint()
@@ -153,8 +260,8 @@ class TestRecordSchema:
     def test_checkpoint_format_version(self):
         _, r = run(3, 10, TARGET_H, BACKEND_MODULAR)
         doc = r.checkpoint().to_json()
-        assert doc["format_version"] == 1
-        assert {"p", "target", "backend", "last_N", "state", "digest"} <= set(doc)
+        assert doc["format_version"] == 2
+        assert {"p", "target", "backend", "last_N", "state", "out_offset", "digest"} <= set(doc)
 
 
 class TestValidation:
