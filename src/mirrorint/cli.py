@@ -72,8 +72,9 @@ def _default_order() -> int:
     return value
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+# One encoder for every row: json.dumps with keyword arguments would build a
+# new one per call.
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _outcome(command: str, params: dict, status: str, payload: dict) -> dict:
@@ -336,6 +337,21 @@ def _open_sieve_out(path: str, checkpoint: SieveCheckpoint | None):
     return open(path, "a", encoding="utf-8")
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Replace the file at `path` by one holding `text`. The text goes to a
+    temporary file beside it first, which os.replace then renames over it,
+    so a write that fails or is killed midway leaves the old file whole."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def _cmd_sieve(args) -> int:
     checkpoint = None
     if args.checkpoint and os.path.exists(args.checkpoint):
@@ -368,8 +384,7 @@ def _cmd_sieve(args) -> int:
             out.close()
     if args.checkpoint:
         cp = dataclasses.replace(run.checkpoint(), out_offset=offset)
-        with open(args.checkpoint, "w", encoding="utf-8") as fh:
-            fh.write(cp.dump() + "\n")
+        _write_atomic(args.checkpoint, cp.dump() + "\n")
     if run.stopped:
         print(f"interrupted at N={run.last_N}; checkpoint saved", file=sys.stderr)
         return EXIT_INTERRUPT

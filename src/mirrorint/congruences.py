@@ -18,14 +18,14 @@ from .constants import omega_exponent, xi_exponent
 from .harmonic import (
     ModularHarmonicSum,
     check_harmonic_congruence,
-    harmonic,
-    harmonic_weight,
+    harmonic_scaled,
     is_wolstenholme,
+    scaled_weight,
+    vp_scaled,
     wolstenholme_valuation,
 )
 from .padic import (
     INFINITE,
-    big_B,
     big_B_sequence,
     factorial_unit_mod,
     primes_upto,
@@ -33,7 +33,6 @@ from .padic import (
     vp_big_B,
     vp_factorial,
     vp_int,
-    vp_rational,
 )
 
 WHICH_XI = "Xi"
@@ -78,17 +77,27 @@ def coeff_C(N: int, k: int, p: int, a: int, K: int, shifted: bool = False) -> Fr
     This is exactly the (a+Kp)-th coefficient of F(z) G_L(z^p) - p F(z^p)
     G_L(z) with L = N, or of the same with Gt in place of G_L when shifted.
     """
+    total, _, S = _coeff_C_scaled(N, k, p, a, K, shifted)
+    return Fraction(total, S)
+
+
+def _coeff_C_scaled(
+    N: int, k: int, p: int, a: int, K: int, shifted: bool
+) -> tuple[int, list[int], int]:
+    # S * coeff_C, with the harmonic table h of scale S that it was read from.
     _validate_core(N, k, p, a, K)
-    b = big_B_sequence(N, k, a + K * p)
-    total = Fraction(0)
+    top = a + K * p
+    b = big_B_sequence(N, k, top)
+    h, S = harmonic_scaled(N * top)
+    total = 0
     for j in range(K + 1):
         low, high = K - j, a + j * p
         total += (
             b[high]
             * b[low]
-            * (harmonic_weight(N, low, shifted) - p * harmonic_weight(N, high, shifted))
+            * (scaled_weight(h, N, low, shifted) - p * scaled_weight(h, N, high, shifted))
         )
-    return total
+    return total, h, S
 
 
 def coeff_C_tilde(N: int, k: int, p: int, a: int, K: int) -> Fraction:
@@ -113,9 +122,9 @@ def check_theorem_congruence(
     shifted = which == WHICH_OMEGA
     if shifted and N < 2:
         raise ValueError("the shifted variant requires N >= 2")
-    value = coeff_C(N, k, p, a, K, shifted)
     required = 1 + _constant_vp(which, N, p) + k * vp_factorial(N, p)
-    return Membership(achieved=vp_rational(value, p), required=required)
+    value, h, _ = _coeff_C_scaled(N, k, p, a, K, shifted)
+    return Membership(achieved=vp_scaled(value, p, h), required=required)
 
 
 def S_sum(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> int:
@@ -142,11 +151,12 @@ def check_dwork_S(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Mem
     return Membership(achieved=vp_int(value, p), required=required)
 
 
-def _level_gap(N: int, p: int, m: int, s: int, shifted: bool) -> Fraction:
-    """w(m p^s) - w(floor(m/p) p^(s+1)) for the harmonic weight w of
-    harmonic_weight(N, ., shifted)."""
-    return harmonic_weight(N, m * p**s, shifted) - harmonic_weight(
-        N, (m // p) * p ** (s + 1), shifted
+def _level_gap(h: list[int], N: int, p: int, m: int, s: int, shifted: bool) -> int:
+    """S (w(m p^s) - w(floor(m/p) p^(s+1))) for the harmonic weight w of
+    harmonic_weight(N, ., shifted), read off a table h of scale S that
+    covers N m p^s."""
+    return scaled_weight(h, N, m * p**s, shifted) - scaled_weight(
+        h, N, (m // p) * p ** (s + 1), shifted
     )
 
 
@@ -155,14 +165,19 @@ def Y_term(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Fraction:
     value = S_sum(N, k, p, a, K, s, m)
     if value == 0:
         return Fraction(0)
-    return _level_gap(N, p, m, s, False) * value
+    h, S = harmonic_scaled(N * m * p**s)
+    return Fraction(_level_gap(h, N, p, m, s, False) * value, S)
 
 
 def check_Y(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Membership:
     """Membership of the Y-term in p * xi(N) * N!^k * Z_p."""
-    value = Y_term(N, k, p, a, K, s, m)
     required = 1 + _constant_vp(WHICH_XI, N, p) + k * vp_factorial(N, p)
-    return Membership(achieved=vp_rational(value, p), required=required)
+    value = S_sum(N, k, p, a, K, s, m)
+    if value == 0:
+        return Membership(achieved=INFINITE, required=required)
+    h, _ = harmonic_scaled(N * m * p**s)
+    achieved = vp_int(value, p) + vp_scaled(_level_gap(h, N, p, m, s, False), p, h)
+    return Membership(achieved=achieved, required=required)
 
 
 @dataclass(frozen=True)
@@ -195,22 +210,24 @@ def check_decomposition(
         raise ValueError(f"r must satisfy K < p^r (minimal r is {r_min})")
 
     b = big_B_sequence(N, k, a + K * p)
-    lhs = Fraction(0)
+    # Every index read below is at most N K: S_sum vanishes for m p^s > K.
+    h, S = harmonic_scaled(N * K)
+    lhs = 0
     for j in range(K + 1):
-        lhs += harmonic_weight(N, j) * (
-            b[a + j * p] * _b(b, K - j) - _b(b, j) * _b(b, a + (K - j) * p)
-        )
+        lhs += h[N * j] * (b[a + j * p] * _b(b, K - j) - _b(b, j) * _b(b, a + (K - j) * p))
 
     def rhs_at(depth: int) -> Fraction:
-        total = Fraction(0)
+        total = 0
         for s in range(depth + 1):
             for m in range(p ** (depth + 1 - s)):
                 if m * p**s > K:
                     break
-                total += Y_term(N, k, p, a, K, s, m)
-        return total
+                total += _level_gap(h, N, p, m, s, False) * S_sum(N, k, p, a, K, s, m)
+        return Fraction(total, S)
 
-    return DecompositionCheck(r=r, lhs=lhs, rhs=rhs_at(r), rhs_next=rhs_at(r + 1))
+    return DecompositionCheck(
+        r=r, lhs=Fraction(lhs, S), rhs=rhs_at(r), rhs_next=rhs_at(r + 1)
+    )
 
 
 def check_lemma12(
@@ -226,12 +243,15 @@ def check_lemma12(
     if a == 1 and j == 0:
         if K is None or K < 1:
             raise ValueError("the a=1, j=0 variant requires K >= 1")
-        value = Fraction(big_B(N, k, 1) * big_B(N, k, K) * harmonic(N // p))
+        h, _ = harmonic_scaled(N // p)
+        v_B = vp_big_B(N, k, 1, p) + vp_big_B(N, k, K, p)
+        value = h[N // p]
     else:
-        value = Fraction(big_B(N, k, a + p * j)) * (
-            harmonic(N * j + (N * a) // p) - harmonic(N * j)
-        )
-    return Membership(achieved=vp_rational(value, p), required=required)
+        top = N * j + (N * a) // p
+        h, _ = harmonic_scaled(top)
+        v_B = vp_big_B(N, k, a + p * j, p)
+        value = h[top] - h[N * j]
+    return Membership(achieved=v_B + vp_scaled(value, p, h), required=required)
 
 
 def check_lemma11(
@@ -246,9 +266,10 @@ def check_lemma11(
     shifted = which == WHICH_OMEGA
     if shifted and N < 2:
         raise ValueError("the shifted variant requires N >= 2")
-    value = big_B(N, k, m) * _level_gap(N, p, m, s, shifted)
     required = -s + _constant_vp(which, N, p) + k * vp_factorial(N, p)
-    return Membership(achieved=vp_rational(value, p), required=required)
+    h, _ = harmonic_scaled(N * m * p**s)
+    achieved = vp_big_B(N, k, m, p) + vp_scaled(_level_gap(h, N, p, m, s, shifted), p, h)
+    return Membership(achieved=achieved, required=required)
 
 
 def optimality_witness(N: int, p: int, shifted: bool = False) -> tuple[int, int]:
@@ -263,7 +284,8 @@ def optimality_witness(N: int, p: int, shifted: bool = False) -> tuple[int, int]
     if shifted and N < 2:
         raise ValueError("the shifted witness requires N >= 2")
     a = 1 if N == 1 else -(-p // N)
-    return a, vp_rational(big_B(N, 1, a) * harmonic_weight(N, a, shifted), p)
+    h, _ = harmonic_scaled(N * a)
+    return a, vp_big_B(N, 1, a, p) + vp_scaled(scaled_weight(h, N, a, shifted), p, h)
 
 
 @dataclass(frozen=True)

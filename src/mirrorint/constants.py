@@ -10,8 +10,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .harmonic import TARGET_H, TARGET_H1, harmonic, harmonic_weight, is_wolstenholme
-from .padic import is_prime, primes_upto, require_prime, vp_rational
+from .harmonic import (
+    TARGET_H,
+    TARGET_H1,
+    harmonic_scaled,
+    is_wolstenholme,
+    scaled_weight,
+    vp_scaled,
+)
+from .padic import primes_upto, require_prime
 from .series import _int_str_digits
 
 BRANCH_CAP = "cap"
@@ -101,21 +108,25 @@ def omega_indicator(p: int, N: int) -> int:
     return 1 if p >= 5 and is_wolstenholme(p) else 0
 
 
-def _factor(N: int, h: Fraction, p: int, indicator) -> PrimeFactor:
-    """The factor of prime p <= N in the product over the harmonic weight h."""
+def _factor(N: int, shifted: bool, p: int, indicator) -> PrimeFactor:
+    """The factor of prime p <= N in the product over the harmonic weight
+    H_N, or H_N - 1 when shifted."""
+    # The table covers p - 1 first, so is_wolstenholme reads it too.
+    h, _ = harmonic_scaled(N)
     ind = indicator(p, N)
-    v = vp_rational(h, p)
+    v = vp_scaled(scaled_weight(h, N, 1, shifted), p, h)
     cap = 2 + ind
     branch = BRANCH_CAP if cap <= v else BRANCH_VALUATION
     return PrimeFactor(p, min(cap, v), ind, branch)
 
 
 def _breakdown(N: int, target: str, indicator) -> Breakdown:
-    h = harmonic_weight(N, 1, target == TARGET_H1)
-    factors = tuple(_factor(N, h, p, indicator) for p in primes_upto(N))
-    product = Fraction(1)
-    for f in factors:
-        product *= Fraction(f.p) ** f.exponent
+    shifted = target == TARGET_H1
+    factors = tuple(_factor(N, shifted, p, indicator) for p in primes_upto(N))
+    product = Fraction(
+        math.prod(f.p**f.exponent for f in factors if f.exponent > 0),
+        math.prod(f.p**-f.exponent for f in factors if f.exponent < 0),
+    )
     return Breakdown(N=N, target=target, factors=factors, product=product)
 
 
@@ -159,7 +170,7 @@ def xi_exponent(N: int, p: int) -> int:
         return _XI_7_EXPONENTS.get(p, 0)
     if N == 1 or p > N:
         return 0
-    return _factor(N, harmonic_weight(N, 1), p, xi_indicator).exponent
+    return _factor(N, False, p, xi_indicator).exponent
 
 
 def omega_exponent(N: int, p: int) -> int:
@@ -168,7 +179,7 @@ def omega_exponent(N: int, p: int) -> int:
         raise ValueError("N must be at least 2")
     if p > N:
         return 0
-    return _factor(N, harmonic_weight(N, 1, True), p, omega_indicator).exponent
+    return _factor(N, True, p, omega_indicator).exponent
 
 
 def _simplified(N: int, target: str) -> Fraction:
@@ -205,11 +216,11 @@ def theta(L: int) -> int:
     """
     if L < 1:
         raise ValueError("L must be a positive integer")
-    h = harmonic(L)
-    den = h.denominator
+    h, S = harmonic_scaled(L)
+    den = S // math.gcd(h[L], S)
     product = 1
     for p in primes_upto(L):
-        v = vp_rational(h, p)
+        v = vp_scaled(h[L], p, h)
         if v < 0:
             product *= p ** (-v)
     if product != den:

@@ -6,17 +6,30 @@ and a modular route that tracks H_n in Z_p with just enough precision to
 read off valuations, so large indices never require exact arithmetic. The
 modular state jumps to any index in closed form, so the sieve and the vp3
 probe pay for the indices they read, not for the ones they pass over.
+
+The exact route is one table of integers, h[i] = S * H_i for i <= T with
+S = lcm(1..T). Every harmonic weight H_a - c H_b is then the integer
+h[a] - c h[b] over S, and its valuation is v_p(h[a] - c h[b]) - v_p(S) with
+v_p(S) = floor(log_p T): no Fraction is added and no gcd runs per term.
+Growing the table from T to T' appends T' - T entries, h[i] = h[i-1] + S'/i,
+and rescales the old ones in place by S'/S, which is 1 unless a prime power
+lies in (T, T']. A caller that walks an increasing range of indices asks for
+the top one first, so the table rescales once, not once per step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import require_prime, vp_int, vp_rational
+from .padic import require_prime, vp_int
 
-_HARMONIC: list[Fraction] = [Fraction(0)]
+# h[i] = S * H_i for i < len(_HARMONIC), with S = _SCALE = lcm(1..T) and
+# T = len(_HARMONIC) - 1.
+_HARMONIC: list[int] = [0]
+_SCALE = 1
 
 # The two targets of the valuation studies: H_N and H_N - 1.
 TARGET_H = "H"
@@ -25,14 +38,51 @@ TARGET_H1 = "H1"
 CONGRUENCE_KINDS = ("J_mod_p", "W1", "W2", "W3", "congH", "congH2")
 
 
-def harmonic(n: int) -> Fraction:
-    """Exact H_n = 1 + 1/2 + ... + 1/n (H_0 = 0). Values are cached."""
+def harmonic_scaled(n: int) -> tuple[list[int], int]:
+    """(h, S): the table grown to cover n, with h[i] = S * H_i for every
+    i < len(h) and S = lcm(1..len(h) - 1).
+
+    h is the shared table itself. Read it before the next call, which may
+    rescale it, and never change it."""
+    global _SCALE
     if n < 0:
         raise ValueError("n must be non-negative")
     h = _HARMONIC
-    while len(h) <= n:
-        h.append(h[-1] + Fraction(1, len(h)))
-    return h[n]
+    top = len(h) - 1
+    if n > top:
+        S = _SCALE
+        for i in range(top + 1, n + 1):
+            S = math.lcm(S, i)
+        if S != _SCALE:
+            # One entry at a time, so the old and the new table never
+            # coexist in memory.
+            factor = S // _SCALE
+            for i in range(1, top + 1):
+                h[i] *= factor
+        last = h[-1]
+        for i in range(top + 1, n + 1):
+            last += S // i
+            h.append(last)
+        _SCALE = S
+    return h, _SCALE
+
+
+def vp_scaled(x: int, p: int, h: list[int]) -> int | float:
+    """v_p(x / S) for x an integer combination of entries of the table h
+    (see harmonic_scaled): v_p(x) - floor(log_p T), INFINITE for x = 0.
+    Assumes p prime."""
+    v = vp_int(x, p)
+    q = p
+    while q < len(h):
+        q *= p
+        v -= 1
+    return v
+
+
+def harmonic(n: int) -> Fraction:
+    """Exact H_n = 1 + 1/2 + ... + 1/n (H_0 = 0), read off the table."""
+    h, S = harmonic_scaled(n)
+    return Fraction(h[n], S)
 
 
 def harmonic_power(n: int, alpha: int) -> Fraction:
@@ -46,12 +96,19 @@ def harmonic_power(n: int, alpha: int) -> Fraction:
     return sum((Fraction(1, i**alpha) for i in range(1, n + 1)), Fraction(0))
 
 
+def scaled_weight(h: list[int], N: int, n: int, shifted: bool = False) -> int:
+    """S times harmonic_weight(N, n, shifted), read off a table h from
+    harmonic_scaled that covers N n."""
+    x = h[N * n]
+    return x - h[n] if shifted else x
+
+
 def harmonic_weight(N: int, n: int, shifted: bool = False) -> Fraction:
     """The harmonic weight of B(n) in the maps: H_{Nn} for the q_L maps (at
     L = N), or H_{Nn} - H_n for the Dwork-Kontsevich maps when shifted. At
     n = 1 these are H_N and H_N - 1."""
-    h = harmonic(N * n)
-    return h - harmonic(n) if shifted else h
+    h, S = harmonic_scaled(N * n)
+    return Fraction(scaled_weight(h, N, n, shifted), S)
 
 
 def vp_harmonic(N: int, p: int, shifted: bool = False) -> int:
@@ -65,7 +122,8 @@ def vp_harmonic(N: int, p: int, shifted: bool = False) -> int:
         raise ValueError("N must be a positive integer")
     if shifted and N == 1:
         raise ValueError("H_1 - 1 = 0; shifted valuation requires N >= 2")
-    return vp_rational(harmonic_weight(N, 1, shifted), p)
+    h, _ = harmonic_scaled(N)
+    return vp_scaled(scaled_weight(h, N, 1, shifted), p, h)
 
 
 class ModularHarmonicSum:
@@ -269,16 +327,29 @@ def _half_pair_unit_sum(p: int, mod: int) -> int:
 
 
 def wolstenholme_valuation(p: int, cap: int = 3) -> int:
-    """min(v_p(H_{p-1}), cap) for a prime p >= 5, computed modularly.
+    """min(v_p(H_{p-1}), cap) for a prime p >= 5.
 
-    Pairing 1/e with 1/(p-e) gives H_{p-1} = p * T with T in Z_p, so the
-    valuation is read off T modulo p^(cap-1); H_{p-1} itself is never built.
+    Read off the harmonic table when it already covers p - 1, otherwise
+    computed modularly by _wolstenholme_pairing; the table is never grown
+    for it.
     """
     require_prime(p)
     if p < 5:
         raise ValueError("defined for primes p >= 5")
     if cap < 2:
         raise ValueError("cap must be at least 2")
+    h = _HARMONIC
+    if p <= len(h):
+        return min(vp_scaled(h[p - 1], p, h), cap)
+    return _wolstenholme_pairing(p, cap)
+
+
+def _wolstenholme_pairing(p: int, cap: int) -> int:
+    """min(v_p(H_{p-1}), cap) for a prime p >= 5 and cap >= 2.
+
+    Pairing 1/e with 1/(p-e) gives H_{p-1} = p * T with T in Z_p, so the
+    valuation is read off T modulo p^(cap-1); H_{p-1} itself is never built.
+    """
     t = _half_pair_unit_sum(p, p ** (cap - 1))
     if t == 0:
         return cap
@@ -332,7 +403,8 @@ def check_harmonic_congruence(
     if kind == "J_mod_p":
         if J is None or J < 1:
             raise ValueError("J_mod_p requires J >= 1")
-        value = p * harmonic(J) - harmonic(J // p)
+        h, _ = harmonic_scaled(J)
+        value = p * h[J] - h[J // p]
         required = 1
         params = {"J": J}
     elif kind == "W1":
@@ -340,7 +412,8 @@ def check_harmonic_congruence(
             raise ValueError("W1 requires p >= 5")
         if r is None or r < 1:
             raise ValueError("W1 requires r >= 1")
-        value = harmonic(r * p - 1) - harmonic(r * p - p)
+        h, _ = harmonic_scaled(r * p - 1)
+        value = h[r * p - 1] - h[r * p - p]
         required = 2
         params = {"r": r}
     elif kind == "W2":
@@ -348,7 +421,8 @@ def check_harmonic_congruence(
             raise ValueError("W2 requires p >= 3")
         if J is None or J < 1 or J % p:
             raise ValueError("W2 requires J divisible by p")
-        value = p * harmonic(J) - harmonic(J // p)
+        h, _ = harmonic_scaled(J)
+        value = p * h[J] - h[J // p]
         required = 3 if p >= 5 else 2
         params = {"J": J}
     elif kind == "W3":
@@ -356,7 +430,8 @@ def check_harmonic_congruence(
             raise ValueError("W3 requires p >= 5")
         if J is None or J < 1 or J % p**2:
             raise ValueError("W3 requires J divisible by p^2")
-        value = p * harmonic(J) - harmonic(J // p)
+        h, _ = harmonic_scaled(J)
+        value = p * h[J] - h[J // p]
         required = 5
         params = {"J": J}
     elif kind in ("congH", "congH2"):
@@ -365,7 +440,8 @@ def check_harmonic_congruence(
         if N is None or N < 1:
             raise ValueError(f"{kind} requires N >= 1")
         shifted = kind == "congH2"
-        value = p * harmonic_weight(N, p, shifted) - harmonic_weight(N, 1, shifted)
+        h, _ = harmonic_scaled(N * p)
+        value = p * scaled_weight(h, N, p, shifted) - scaled_weight(h, N, 1, shifted)
         required = 4
         residues = (1, p - 1) if shifted else (0,)
         predicted = is_wolstenholme(p) or N % p in residues
@@ -373,7 +449,7 @@ def check_harmonic_congruence(
     else:
         raise ValueError(f"unknown congruence kind {kind!r}")
 
-    achieved = vp_rational(value, p)
+    achieved = vp_scaled(value, p, h)
     holds = achieved >= required
     matches = None if predicted is None else (holds == predicted)
     return HarmonicCongruence(

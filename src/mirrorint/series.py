@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Union
 
-from .harmonic import harmonic_weight
+from .harmonic import harmonic_scaled, scaled_weight
 from .padic import big_B_sequence, prime_divisors, require_prime, vp_int, vp_rational
 
 Coeff = Union[int, Fraction]
@@ -326,8 +326,10 @@ def _build_weighted(L: int, N: int, k: int, order: int, shifted: bool) -> PSerie
     # sum_{m>=1} harmonic_weight(L, m, shifted) ((Nm)!/m!^N)^k z^m
     _validate_build(N, k, order)
     b = big_B_sequence(N, k, order)
+    h, S = harmonic_scaled(L * order)
     return PSeries(
-        [0] + [harmonic_weight(L, m, shifted) * b[m] for m in range(1, order + 1)]
+        [0]
+        + [Fraction(b[m] * scaled_weight(h, L, m, shifted), S) for m in range(1, order + 1)]
     )
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from mirrorint import cli
 from mirrorint.cli import _build_parser, _int_str_digits, main
 from mirrorint.congruences import SWEEPS
 from mirrorint.constants import u_conjectured
@@ -330,6 +331,41 @@ class TestSieveCommand:
         worker.join()
         assert codes == [0] and [r["N"] for r in parse_jsonl(out.read_text())] == [2, 7, 22]
 
+    def test_failed_checkpoint_write_keeps_the_previous_one(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # The second leg's checkpoint write fails halfway: the command exits
+        # 3 and the first leg's checkpoint is still there, byte for byte.
+        out, ckpt = tmp_path / "a.jsonl", tmp_path / "a.ckpt"
+        files = ["--out", str(out), "--checkpoint", str(ckpt)]
+        assert run_cli(capsys, "sieve", "--p", "11", "--max", "1000", *files)[0] == 0
+        before = ckpt.read_bytes()
+
+        class HalfWritten:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError("no space left on device")
+
+        def failing_open(path, mode="r", **kwargs):
+            fh = open(path, mode, **kwargs)
+            return HalfWritten(fh) if "w" in mode and str(path).startswith(str(ckpt)) else fh
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        code, _, err = run_cli(capsys, "sieve", "--p", "11", "--max", "20000", *files)
+        assert code == 3 and "no space left" in err
+        assert ckpt.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ckpt", "a.jsonl"]
+
     def test_corrupt_checkpoint_io_error(self, capsys, tmp_path):
         ckpt = tmp_path / "bad.ckpt"
         ckpt.write_text('{"format_version": 1, "p": 3}')
@@ -435,6 +471,19 @@ SWEEP_GOLDEN = [
     ("--check wolstenholme", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("--check vp3-probe --p 11", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("--check theorem-congruence --which foo", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # The benchmark's larger sweeps, recorded while every harmonic weight
+    # was still a sum of Fractions.
+    ("--check theorem-congruence --which Xi --Nmax 8 --summax 40", 0, "26de89b8c5922cbad6336c646ec059b4c1a66d5939ddccd805e6c79278cad31b"),
+    ("--check theorem-congruence --which Omega --Nmax 8 --summax 40", 0, "09c82b84982685efc8bd2ac96ce8020e787add93eedcd4ca6b05fd687b81caf9"),
+    ("--check yms --p 3,5,7 --Nmax 5 --Kmax 8", 0, "19ce42f4b844e3a371701a0fc43a38c55063deba23e3b27d335c31984b154c39"),
+    ("--check dworkS --p 2,3,5,7 --Nmax 5 --Kmax 8", 0, "7697ab895b919b7e7edf160c6f405d5b757d732ccb181d851b492a540b57797f"),
+    ("--check lemma11 --mmax 20", 0, "217fa4651bcd87cd34f7b2afb4ed9275ea6330ebc9831ba7c406184529ef86e5"),
+    ("--check lemma11 --mmax 20 --which Omega", 0, "b4d7435f376c8946bc62fec18ecc38a2c3a5ab8769e482a01b0c2764ff25fba8"),
+    ("--check lemma12 --jmax 12", 0, "035c910c4b96c2cc5b2d0ad9d15491343b28dfc166e7e683b1ed4c4defcb5c61"),
+    ("--check j-mod-p --pmax 23 --Jmax 800", 0, "64fff7fbd387ed62ed073a517d3a6c8612d8132740894abc7b592acdef70936e"),
+    ("--check decomposition --p 3,5,7 --Kmax 3", 0, "d348a19d85ddb575708cf37d5ed01bef005062531ab8cb412c4d10f32cad1a71"),
+    ("--check witness --Nmax 12 --pmax 200", 0, "d6d63d72adf9a9f518a2f010dbfd828ced7654e12ca94b04ac31c34c028503d5"),
+    ("--check witness --Nmax 12 --pmax 200 --which u", 0, "f15aadba83ef9378f9ab16ef7953e9ed35e8ced8da17fead72c0d729633b2109"),
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from mirrorint.harmonic import (
     ModularHarmonicSum,
+    _wolstenholme_pairing,
     check_harmonic_congruence,
     harmonic,
     harmonic_power,
@@ -214,6 +215,9 @@ class TestWolstenholme:
             if p < 5:
                 continue
             assert wolstenholme_valuation(p) == min(vp_harmonic(p - 1, p), 3)
+            # Once the table covers p - 1 both sides above read it; the
+            # modular pairing sum is the independent route.
+            assert _wolstenholme_pairing(p, 3) == min(vp_harmonic(p - 1, p), 3)
 
 
 class TestCongruences:

@@ -1,0 +1,219 @@
+"""The integer harmonic table h[i] = S * H_i against Fraction oracles.
+
+Every oracle here is a test-local sum of Fractions: the formula each check
+evaluated before it read its harmonic weights off the table.
+"""
+
+import importlib
+import math
+from fractions import Fraction as F
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mirrorint.congruences import (
+    S_sum,
+    check_decomposition,
+    check_lemma11,
+    check_lemma12,
+    check_theorem_congruence,
+    check_Y,
+    coeff_C,
+    optimality_witness,
+)
+from mirrorint.constants import omega, theta, xi
+from mirrorint.harmonic import (
+    _wolstenholme_pairing,
+    check_harmonic_congruence,
+    harmonic,
+    harmonic_scaled,
+    vp_harmonic,
+    wolstenholme_valuation,
+)
+from mirrorint.padic import big_B, primes_upto, vp_rational
+
+# The package re-exports the function harmonic under the module's name.
+harmonic_module = importlib.import_module("mirrorint.harmonic")
+
+
+@lru_cache(maxsize=None)
+def H(n):
+    return sum((F(1, i) for i in range(1, n + 1)), F(0))
+
+
+def w(N, n, shifted=False):
+    return H(N * n) - H(n) if shifted else H(N * n)
+
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    """An empty table for one test; the shared one is put back after it."""
+    monkeypatch.setattr(harmonic_module, "_HARMONIC", [0])
+    monkeypatch.setattr(harmonic_module, "_SCALE", 1)
+
+
+class TestTableGrowth:
+    @given(st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=10))
+    @settings(max_examples=40, deadline=None)
+    def test_any_request_order(self, requests):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harmonic_module, "_HARMONIC", [0])
+            mp.setattr(harmonic_module, "_SCALE", 1)
+            top = 0
+            for n in requests:
+                top = max(top, n)
+                h, S = harmonic_scaled(n)
+                assert len(h) == top + 1
+                assert S == math.lcm(*range(1, len(h)))
+                assert all(h[i] == S * H(i) for i in range(len(h)))
+                assert harmonic(n) == H(n)
+
+    def test_entries_are_ints(self, empty_table):
+        # bench/tracer.py reads .numerator and .denominator off the entries.
+        h, S = harmonic_scaled(40)
+        assert all(type(x) is int for x in h)
+        assert harmonic_module._HARMONIC is h and S == math.lcm(*range(1, 41))
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            harmonic_scaled(-1)
+
+    def test_vp_harmonic(self):
+        for N in range(1, 60):
+            for p in primes_upto(13):
+                assert vp_harmonic(N, p) == vp_rational(H(N), p)
+                if N > 1:
+                    assert vp_harmonic(N, p, shifted=True) == vp_rational(H(N) - 1, p)
+
+
+class TestWolstenholmeRoutes:
+    def test_table_route_matches_the_pairing_sum(self, empty_table):
+        primes = [p for p in primes_upto(3000) if p >= 5]
+        harmonic_scaled(3000)
+        for p in primes:
+            for cap in range(2, 6):
+                assert wolstenholme_valuation(p, cap) == _wolstenholme_pairing(p, cap), (p, cap)
+
+    def test_short_table_takes_the_pairing_sum(self, empty_table, monkeypatch):
+        harmonic_scaled(100)
+        calls = []
+        monkeypatch.setattr(
+            harmonic_module,
+            "_wolstenholme_pairing",
+            lambda p, cap: calls.append(p) or _wolstenholme_pairing(p, cap),
+        )
+        assert wolstenholme_valuation(101, 3) == 2 and calls == []
+        assert wolstenholme_valuation(103, 3) == 2 and calls == [103]
+        assert len(harmonic_module._HARMONIC) == 101  # never grown for it
+
+
+SMALL = [(N, k, p) for N in (1, 2, 3, 4) for k in (1, 2) for p in (2, 3, 5)]
+
+
+class TestChecksAgainstFractionFormulas:
+    def test_coeff_C(self):
+        for N, k, p in SMALL:
+            for which, shifted in (("Xi", False), ("Omega", True)):
+                if shifted and N < 2:
+                    continue
+                for a in range(p):
+                    for K in range(4):
+                        value = sum(
+                            (
+                                big_B(N, k, a + j * p)
+                                * big_B(N, k, K - j)
+                                * (w(N, K - j, shifted) - p * w(N, a + j * p, shifted))
+                                for j in range(K + 1)
+                            ),
+                            F(0),
+                        )
+                        assert coeff_C(N, k, p, a, K, shifted) == value
+                        rep = check_theorem_congruence(N, k, p, a, K, which)
+                        assert rep.achieved == vp_rational(value, p)
+
+    def test_Y(self):
+        for N, k, p in SMALL:
+            for a in range(p):
+                for K in range(5):
+                    for s in range(3):
+                        for m in range(K // p**s + 2):
+                            gap = H(N * m * p**s) - H(N * (m // p) * p ** (s + 1))
+                            value = gap * S_sum(N, k, p, a, K, s, m)
+                            assert check_Y(N, k, p, a, K, s, m).achieved == vp_rational(value, p)
+
+    def test_decomposition(self):
+        for N, k, p in SMALL:
+            for a in range(p):
+                for K in range(5):
+                    lhs = sum(
+                        (
+                            H(N * j)
+                            * (
+                                big_B(N, k, a + j * p) * big_B(N, k, K - j)
+                                - big_B(N, k, j) * big_B(N, k, a + (K - j) * p)
+                            )
+                            for j in range(K + 1)
+                        ),
+                        F(0),
+                    )
+                    rep = check_decomposition(N, k, p, a, K)
+                    assert rep.lhs == lhs and rep.equal
+
+    def test_lemma11(self):
+        for N, k, p in SMALL:
+            for which, shifted in (("Xi", False), ("Omega", True)):
+                if shifted and N < 2:
+                    continue
+                for m in range(12):
+                    for s in range(3):
+                        gap = w(N, m * p**s, shifted) - w(N, (m // p) * p ** (s + 1), shifted)
+                        value = big_B(N, k, m) * gap
+                        rep = check_lemma11(N, k, p, m, s, which)
+                        assert rep.achieved == vp_rational(value, p)
+
+    def test_lemma12(self):
+        for N, k, p in SMALL:
+            for a in range(p):
+                for K in range(1, 4):
+                    if a == 1:
+                        value = big_B(N, k, 1) * big_B(N, k, K) * H(N // p)
+                        rep = check_lemma12(N, k, p, 1, 0, K)
+                        assert rep.achieved == vp_rational(value, p)
+                for j in range(1 if a == 1 else 0, 7):
+                    value = big_B(N, k, a + p * j) * (H(N * j + (N * a) // p) - H(N * j))
+                    assert check_lemma12(N, k, p, a, j).achieved == vp_rational(value, p)
+
+    def test_witness(self):
+        for N in range(1, 9):
+            for p in primes_upto(60):
+                if p <= N:
+                    continue
+                for shifted in (False, True) if N >= 2 else (False,):
+                    a, v = optimality_witness(N, p, shifted)
+                    assert v == vp_rational(big_B(N, 1, a) * w(N, a, shifted), p)
+
+    def test_harmonic_congruences(self):
+        for p in primes_upto(13):
+            for J in range(1, 200):
+                rep = check_harmonic_congruence("J_mod_p", p, J=J)
+                assert rep.achieved == vp_rational(p * H(J) - H(J // p), p)
+        for p in (5, 7, 11):
+            for N in range(1, 30):
+                for kind, shifted in (("congH", False), ("congH2", True)):
+                    rep = check_harmonic_congruence(kind, p, N=N)
+                    value = p * w(N, p, shifted) - w(N, 1, shifted)
+                    assert rep.achieved == vp_rational(value, p)
+            for r in range(1, 12):
+                rep = check_harmonic_congruence("W1", p, r=r)
+                assert rep.achieved == vp_rational(H(r * p - 1) - H(r * p - p), p)
+
+    def test_factors_and_theta(self):
+        for N in range(2, 120):
+            for breakdown, weight in ((xi(N), H(N)), (omega(N), H(N) - 1)):
+                if breakdown.special_case:
+                    continue
+                for f in breakdown.factors:
+                    assert f.exponent == min(2 + f.indicator, vp_rational(weight, f.p)), (N, f)
+            assert theta(N) == H(N).denominator
