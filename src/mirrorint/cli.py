@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import dataclasses
 import itertools
-import json
 import math
 import os
 import signal
@@ -48,7 +47,8 @@ from .sieve import (
     TARGETS,
     CheckpointError,
     SieveCheckpoint,
-    sieve_positive_valuation,
+    SieveRun,
+    canonical_json,
 )
 
 FORMAT_VERSION = 1
@@ -72,11 +72,6 @@ def _default_order() -> int:
     return value
 
 
-# One encoder for every row: json.dumps with keyword arguments would build a
-# new one per call.
-_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
 def _outcome(command: str, params: dict, status: str, payload: dict) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -89,7 +84,7 @@ def _outcome(command: str, params: dict, status: str, payload: dict) -> dict:
 
 def _print_outcome(doc: dict, table: bool) -> None:
     if not table:
-        print(_dump(doc))
+        print(canonical_json(doc))
         return
     print(f"command : {doc['command']}")
     print(f"status  : {doc['status']}")
@@ -357,7 +352,7 @@ def _cmd_sieve(args) -> int:
     if args.checkpoint and os.path.exists(args.checkpoint):
         with open(args.checkpoint, "r", encoding="utf-8") as fh:
             checkpoint = SieveCheckpoint.load(fh.read())
-    run = sieve_positive_valuation(
+    run = SieveRun(
         args.p, args.max, target=args.target, backend=args.backend, checkpoint=checkpoint
     )
     out = _open_sieve_out(args.out, checkpoint)
@@ -411,7 +406,7 @@ def _cmd_sweep(args) -> int:
     total = 0
     try:
         for row in itertools.chain(first, rows):
-            out.write(_dump(row) + "\n")
+            out.write(canonical_json(row) + "\n")
             total += 1
             if not row["holds"]:
                 failures += 1

@@ -135,12 +135,14 @@ class ModularHarmonicSum:
     p^W (W = floor(log_p n)) leaves exactly enough precision to read off
     v_p(H_n), or v_p(H_n - 1), whenever it is below ``cap`` -- and to report
     "at least cap" otherwise. New levels appear as n grows, so the state can
-    be advanced indefinitely and resumed from a snapshot.
+    be advanced indefinitely.
 
     The state is a function of n alone: level w holds S(floor(n/p^w)) mod
     p^(cap+1+w), where S(m) = sum of 1/u over u <= m with p not dividing u.
     ``advance`` steps to n + 1 with one modular inverse; ``advance_to`` jumps
-    to any later n in closed form, at a cost that does not grow with n.
+    to any later n in closed form, at a cost that does not grow with n. So a
+    sieve checkpoint saves none of the state: the resumed run reaches its
+    first pending index past ``last_N`` with one jump from n = 0.
     """
 
     __slots__ = ("p", "cap", "n", "sums", "_jump")
@@ -155,23 +157,6 @@ class ModularHarmonicSum:
         self.sums: list[int] = []
         # Per level w, the coefficients D_s of advance_to's closed form.
         self._jump: list[list[int]] = []
-
-    @classmethod
-    def restore(cls, p: int, cap: int, n: int, sums: list[int]) -> "ModularHarmonicSum":
-        state = cls(p, cap)
-        expected_levels = 0
-        q = 1
-        while q <= n:
-            expected_levels += 1
-            q *= p
-        if n < 0 or len(sums) != expected_levels:
-            raise ValueError("inconsistent modular harmonic snapshot")
-        for w, t in enumerate(sums):
-            if not 0 <= t < p ** (cap + 1 + w):
-                raise ValueError("modular harmonic partial sum out of range")
-        state.n = n
-        state.sums = list(sums)
-        return state
 
     def advance(self) -> None:
         self.n += 1

@@ -10,10 +10,15 @@ work grows with the number of candidate blocks, not with the bound. Both
 emit identical record streams, valuations capped at 4 (a hit at or beyond
 the cap is a conjecture-level event and is flagged).
 
-Runs snapshot to a checkpoint document and resume deterministically: a run
-to N, checkpoint, resume to M yields record for record what a single run to
-M yields. A run asked to ``stop()`` ends at the next index boundary, so a
-checkpoint taken then covers exactly the records already yielded.
+Runs save a checkpoint and resume deterministically: a run to N,
+checkpoint, resume to M yields record for record what a single run to M
+yields. A checkpoint keeps only what cannot be recomputed cheaply from its
+last index ``last_N``: the running H_N of the exact backend, and the
+positive indices that drive the modular backend's pruning. The modular
+p-adic state is a function of the index alone, so a resumed modular run
+rebuilds it with one closed-form jump from ``last_N``. A run asked to
+``stop()`` ends at the next index boundary, so a checkpoint taken then
+covers exactly the records already yielded.
 """
 
 from __future__ import annotations
@@ -36,7 +41,14 @@ BACKEND_MODULAR = "modular"
 BACKENDS = (BACKEND_EXACT, BACKEND_MODULAR)
 
 VALUATION_CAP = 4
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
+
+# The one JSON encoding of records, checkpoints and CLI documents: sorted
+# keys and no spaces. One encoder object serves every call, where json.dumps
+# with keyword arguments would construct a new JSONEncoder each time; encode()
+# still sets up its C encoder per call, so only that Python-level
+# construction is saved.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class CheckpointError(Exception):
@@ -61,12 +73,11 @@ class SieveRecord:
         }
 
     def to_line(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json())
 
 
 def _state_digest(core: dict) -> str:
-    blob = json.dumps(core, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(canonical_json(core).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -102,7 +113,7 @@ class SieveCheckpoint:
         }
 
     def dump(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json())
 
     @staticmethod
     def from_json(doc: dict) -> "SieveCheckpoint":
@@ -124,6 +135,8 @@ class SieveCheckpoint:
             raise CheckpointError(f"checkpoint is missing field {exc}") from exc
         if _state_digest(cp._core()) != digest:
             raise CheckpointError("checkpoint digest mismatch (corrupt file)")
+        if type(cp.last_N) is not int or cp.last_N < 0:
+            raise CheckpointError("checkpoint last_N is not an index")
         offset = cp.out_offset
         if offset is not None and (type(offset) is not int or offset < 0):
             raise CheckpointError("checkpoint out_offset is not a byte count")
@@ -172,14 +185,11 @@ class SieveRun:
         self.max_N = max_N
         self.target = target
         self.backend = backend
+        # The last index processed, for both backends.
+        self.last_N = 0
         self._exact_h = Fraction(0)
-        self._exact_n = 0
-        self._modular: ModularHarmonicSum | None = None
         self._positive: set[int] = set()
         self.stopped = False
-        if backend == BACKEND_MODULAR:
-            self._modular = ModularHarmonicSum(p, cap=VALUATION_CAP)
-
         if checkpoint is not None:
             self._restore(checkpoint)
 
@@ -196,21 +206,14 @@ class SieveRun:
             if self.backend == BACKEND_EXACT:
                 with _int_str_digits(0):
                     self._exact_h = Fraction(int(state["num"]), int(state["den"]))
-                self._exact_n = cp.last_N
             else:
-                sums = [int(t) for t in state["unit_sums"]]
-                self._modular = ModularHarmonicSum.restore(
-                    self.p, VALUATION_CAP, cp.last_N, sums
-                )
-                self._positive = set(state["positive"])
+                positive = set(state["positive"])
+                if not all(type(x) is int and 0 < x <= cp.last_N for x in positive):
+                    raise ValueError("positive indices must lie in 1..last_N")
+                self._positive = positive
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CheckpointError(f"checkpoint state is invalid: {exc}") from exc
-
-    @property
-    def last_N(self) -> int:
-        if self.backend == BACKEND_EXACT:
-            return self._exact_n
-        return self._modular.n
+        self.last_N = cp.last_N
 
     def checkpoint(self) -> SieveCheckpoint:
         if self.backend == BACKEND_EXACT:
@@ -220,10 +223,7 @@ class SieveRun:
                     "den": str(self._exact_h.denominator),
                 }
         else:
-            state = {
-                "unit_sums": [str(t) for t in self._modular.sums],
-                "positive": sorted(self._positive),
-            }
+            state = {"positive": sorted(self._positive)}
         return SieveCheckpoint(
             p=self.p,
             target=self.target,
@@ -246,9 +246,9 @@ class SieveRun:
     def _iter_exact(self) -> Iterator[SieveRecord]:
         p = self.p
         cap = VALUATION_CAP
-        while self._exact_n < self.max_N and not self.stopped:
-            self._exact_n += 1
-            n = self._exact_n
+        while self.last_N < self.max_N and not self.stopped:
+            self.last_N += 1
+            n = self.last_N
             self._exact_h += Fraction(1, n)
             x = self._exact_h
             if self.target == TARGET_H1:
@@ -265,18 +265,19 @@ class SieveRun:
 
     def _iter_modular(self) -> Iterator[SieveRecord]:
         p = self.p
-        state = self._modular
+        state = ModularHarmonicSum(p, cap=VALUATION_CAP)
         positive = self._positive
         # A positive valuation at n forces one at n // p, so the candidates
         # are the block [1, p - 1] of parent 0 and the block [x p, x p + p - 1]
         # of each positive x. Positives turn up in increasing order, each one
         # above every block still queued, so a FIFO of parents lists the
         # blocks in increasing order; on resume it starts from the
-        # checkpoint's positives whose blocks are not finished.
-        parents = deque(x for x in sorted(positive | {0}) if x * p + p - 1 > state.n)
+        # checkpoint's positives whose blocks are not finished, and the first
+        # advance_to reaches the first pending index from n = 0 in one jump.
+        parents = deque(x for x in sorted(positive | {0}) if x * p + p - 1 > self.last_N)
         while parents and not self.stopped:
             x = parents.popleft()
-            lo = max(x * p, 1, state.n + 1)
+            lo = max(x * p, 1, self.last_N + 1)
             hi = min(x * p + p - 1, self.max_N)
             if lo > hi:
                 break
@@ -286,6 +287,7 @@ class SieveRun:
                     if self.stopped:
                         return
                     state.advance()
+                self.last_N = n
                 v, at_least = state.valuation()
                 if v >= 1:
                     positive.add(n)
@@ -298,15 +300,4 @@ class SieveRun:
                     if v1 >= 1:
                         yield self._record(n, v1, at_least1)
         if not self.stopped:
-            state.advance_to(self.max_N)
-
-
-def sieve_positive_valuation(
-    p: int,
-    max_N: int,
-    target: str = TARGET_H,
-    backend: str = BACKEND_MODULAR,
-    checkpoint: SieveCheckpoint | None = None,
-) -> SieveRun:
-    """Build a sieve run; iterate the result for its record stream."""
-    return SieveRun(p, max_N, target=target, backend=backend, checkpoint=checkpoint)
+            self.last_N = self.max_N

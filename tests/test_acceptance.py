@@ -44,7 +44,7 @@ from mirrorint.sieve import (
     BACKEND_MODULAR,
     TARGET_H,
     TARGET_H1,
-    sieve_positive_valuation,
+    SieveRun,
 )
 
 
@@ -56,7 +56,7 @@ def report(number, description, ok, detail=""):
 
 
 def sieve_hits(p, max_N, target, backend=BACKEND_MODULAR):
-    return list(sieve_positive_valuation(p, max_N, target, backend))
+    return list(SieveRun(p, max_N, target, backend))
 
 
 def test_criterion_01_harmonic_valuation_tables():

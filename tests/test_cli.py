@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ from mirrorint import cli
 from mirrorint.cli import _build_parser, _int_str_digits, main
 from mirrorint.congruences import SWEEPS
 from mirrorint.constants import u_conjectured
+from mirrorint.sieve import SieveCheckpoint
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -374,6 +376,20 @@ class TestSieveCommand:
             "sieve", "--p", "3", "--max", "100", "--checkpoint", str(ckpt),
         )
         assert code == 3 and "error" in err
+
+    @pytest.mark.parametrize("backend", ["exact", "modular"])
+    @pytest.mark.parametrize("bad", [-5, 2.5, True])
+    def test_bad_last_N_io_error(self, capsys, tmp_path, backend, bad):
+        # The file's digest is right, so only the last_N check can reject it.
+        ckpt = tmp_path / "c.ckpt"
+        argv = ["sieve", "--p", "5", "--backend", backend, "--checkpoint", str(ckpt)]
+        assert run_cli(capsys, *argv, "--max", "50")[0] == 0
+        cp = SieveCheckpoint.load(ckpt.read_text())
+        ckpt.write_text(dataclasses.replace(cp, last_N=bad).dump() + "\n")
+        code, _, err = run_cli(capsys, *argv, "--max", "100")
+        lines = err.splitlines()
+        assert code == 3 and len(lines) == 1 and lines[0].startswith("error:")
+        assert "last_N" in lines[0]
 
 
 class TestSweepCommand:

@@ -16,12 +16,12 @@ from mirrorint.sieve import (
     CheckpointError,
     SieveCheckpoint,
     SieveRecord,
-    sieve_positive_valuation,
+    SieveRun,
 )
 
 
 def run(p, max_N, target=TARGET_H, backend=BACKEND_MODULAR, checkpoint=None):
-    r = sieve_positive_valuation(p, max_N, target, backend, checkpoint)
+    r = SieveRun(p, max_N, target, backend, checkpoint)
     return list(r), r
 
 
@@ -52,7 +52,7 @@ def per_index_sieve(p, max_N, target):
         target=target,
         backend=BACKEND_MODULAR,
         last_N=state.n,
-        state={"unit_sums": [str(t) for t in state.sums], "positive": sorted(positive)},
+        state={"positive": sorted(positive)},
     )
     return records, checkpoint, positive
 
@@ -88,7 +88,7 @@ class TestKnownSets:
 
     def test_p2_modular_rejected(self):
         with pytest.raises(ValueError):
-            sieve_positive_valuation(2, 100, TARGET_H, BACKEND_MODULAR)
+            SieveRun(2, 100, TARGET_H, BACKEND_MODULAR)
 
 
 class TestBackendAgreement:
@@ -127,7 +127,7 @@ class TestCandidateBlocks:
     def test_stop_after_each_record(self, backend, max_N):
         direct, _ = run(11, max_N, TARGET_H, backend)
         for k in range(1, len(direct) + 1):
-            runner = sieve_positive_valuation(11, max_N, TARGET_H, backend)
+            runner = SieveRun(11, max_N, TARGET_H, backend)
             first = []
             for record in runner:
                 first.append(record)
@@ -214,8 +214,9 @@ class TestCheckpointing:
     def test_old_format_and_bad_offset_detected(self):
         _, r = run(5, 100, TARGET_H, BACKEND_MODULAR)
         doc = r.checkpoint().to_json()
-        with pytest.raises(CheckpointError, match="format_version"):
-            SieveCheckpoint.from_json({**doc, "format_version": 1})
+        for old in (1, 2):
+            with pytest.raises(CheckpointError, match="format_version"):
+                SieveCheckpoint.from_json({**doc, "format_version": old})
         del doc["out_offset"]
         with pytest.raises(CheckpointError, match="out_offset"):
             SieveCheckpoint.from_json(doc)
@@ -224,30 +225,46 @@ class TestCheckpointing:
             with pytest.raises(CheckpointError, match="byte count"):
                 SieveCheckpoint.load(cp.dump())
 
+    @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_MODULAR])
+    @pytest.mark.parametrize("bad", [-5, 2.5, True])
+    def test_bad_last_N_detected(self, backend, bad):
+        # The digest is right, so only the last_N check can catch it.
+        _, r = run(5, 100, TARGET_H, backend)
+        cp = dataclasses.replace(r.checkpoint(), last_N=bad)
+        with pytest.raises(CheckpointError, match="last_N"):
+            SieveCheckpoint.load(cp.dump())
+
+    @pytest.mark.parametrize("positive", [[0], [101], ["7"], 7])
+    def test_bad_positive_indices_detected(self, positive):
+        _, r = run(5, 100, TARGET_H, BACKEND_MODULAR)
+        cp = dataclasses.replace(r.checkpoint(), state={"positive": positive})
+        with pytest.raises(CheckpointError, match="state is invalid"):
+            SieveRun(5, 200, TARGET_H, BACKEND_MODULAR, SieveCheckpoint.load(cp.dump()))
+
     def test_zero_denominator_detected(self):
         _, r = run(3, 10, TARGET_H, BACKEND_EXACT)
         cp = dataclasses.replace(r.checkpoint(), state={"num": "1", "den": "0"})
         with pytest.raises(CheckpointError, match="state is invalid"):
-            sieve_positive_valuation(3, 20, TARGET_H, BACKEND_EXACT, SieveCheckpoint.load(cp.dump()))
+            SieveRun(3, 20, TARGET_H, BACKEND_EXACT, SieveCheckpoint.load(cp.dump()))
 
     def test_mismatched_run_detected(self):
         _, r = run(5, 100, TARGET_H, BACKEND_MODULAR)
         cp = r.checkpoint()
         with pytest.raises(CheckpointError, match="different run"):
-            sieve_positive_valuation(7, 200, TARGET_H, BACKEND_MODULAR, cp)
+            SieveRun(7, 200, TARGET_H, BACKEND_MODULAR, cp)
         with pytest.raises(CheckpointError, match="past"):
-            sieve_positive_valuation(5, 50, TARGET_H, BACKEND_MODULAR, cp)
+            SieveRun(5, 50, TARGET_H, BACKEND_MODULAR, cp)
 
     def test_checkpoint_midstream(self):
-        runner = sieve_positive_valuation(3, 1000, TARGET_H, BACKEND_MODULAR)
+        runner = SieveRun(3, 1000, TARGET_H, BACKEND_MODULAR)
         it = iter(runner)
         first = next(it)
         assert first.N == 2
         cp = runner.checkpoint()
         assert cp.last_N == 2
-        resumed = sieve_positive_valuation(3, 1000, TARGET_H, BACKEND_MODULAR, cp)
+        resumed = SieveRun(3, 1000, TARGET_H, BACKEND_MODULAR, cp)
         assert [first] + list(resumed) == list(
-            sieve_positive_valuation(3, 1000, TARGET_H, BACKEND_MODULAR)
+            SieveRun(3, 1000, TARGET_H, BACKEND_MODULAR)
         )
 
 
@@ -258,19 +275,21 @@ class TestRecordSchema:
         assert doc == {"p": 3, "N": 7, "v": 1, "v_at_least": False, "target": "H"}
 
     def test_checkpoint_format_version(self):
-        _, r = run(3, 10, TARGET_H, BACKEND_MODULAR)
-        doc = r.checkpoint().to_json()
-        assert doc["format_version"] == 2
-        assert {"p", "target", "backend", "last_N", "state", "out_offset", "digest"} <= set(doc)
+        for backend, state in ((BACKEND_EXACT, {"num", "den"}), (BACKEND_MODULAR, {"positive"})):
+            _, r = run(3, 10, TARGET_H, backend)
+            doc = r.checkpoint().to_json()
+            assert doc["format_version"] == 3
+            assert {"p", "target", "backend", "last_N", "state", "out_offset", "digest"} <= set(doc)
+            assert set(doc["state"]) == state
 
 
 class TestValidation:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            sieve_positive_valuation(4, 10)
+            SieveRun(4, 10)
         with pytest.raises(ValueError):
-            sieve_positive_valuation(3, 0)
+            SieveRun(3, 0)
         with pytest.raises(ValueError):
-            sieve_positive_valuation(3, 10, target="X")
+            SieveRun(3, 10, target="X")
         with pytest.raises(ValueError):
-            sieve_positive_valuation(3, 10, backend="quantum")
+            SieveRun(3, 10, backend="quantum")
