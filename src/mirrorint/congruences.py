@@ -557,25 +557,17 @@ def sweep(check: str, **params) -> Iterator[dict]:
 
 
 def _rows(check: str, spec: Sweep, grid: dict) -> Iterator[dict]:
-    # An odometer: one live iterator per bound axis, the innermost last. The
-    # innermost axis runs as a plain loop, so a row costs one loop step and
-    # one call of `run`, however deep the grid is.
-    names = [name for name, _ in spec.axes]
-    values = [fn for _, fn in spec.axes]
-    last = len(names) - 1
-    run = spec.run
+    # Depth first over spec.axes, the first axis outermost; an axis reads
+    # the current values of the axes outside it from `point`.
     point: dict = {}
-    stack = [iter(values[0](grid, point))]
-    while stack:
-        depth = len(stack) - 1
-        name = names[depth]
-        if depth == last:
-            for point[name] in stack.pop():
-                params, holds, margin = run(point)
+
+    def walk(depth: int) -> Iterator[dict]:
+        name, values = spec.axes[depth]
+        for point[name] in values(grid, point):
+            if depth + 1 < len(spec.axes):
+                yield from walk(depth + 1)
+            else:
+                params, holds, margin = spec.run(point)
                 yield {"check": check, "params": params, "holds": holds, "margin": margin}
-            continue
-        for point[name] in stack[depth]:
-            stack.append(iter(values[depth + 1](grid, point)))
-            break
-        else:
-            stack.pop()
+
+    return walk(0)

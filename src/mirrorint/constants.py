@@ -10,14 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .harmonic import (
-    TARGET_H,
-    TARGET_H1,
-    harmonic_scaled,
-    is_wolstenholme,
-    scaled_weight,
-    vp_scaled,
-)
+from .harmonic import harmonic_scaled, is_wolstenholme, scaled_weight, vp_scaled
 from .padic import primes_upto, require_prime
 from .series import _int_str_digits
 
@@ -50,12 +43,12 @@ class PrimeFactor:
 class Breakdown:
     """Per-prime factorisation of one capped valuation product.
 
-    ``exponent = min(2 + indicator, v_p(target))`` for every listed prime,
-    except in the hard-coded special case (see ``xi``).
+    ``exponent = min(2 + indicator, v_p(w))`` for every listed prime, with
+    w = H_N for xi and H_N - 1 for omega, except in the hard-coded special
+    case (see ``xi``).
     """
 
     N: int
-    target: str
     factors: tuple[PrimeFactor, ...]
     product: Fraction
     special_case: bool = False
@@ -120,14 +113,13 @@ def _factor(N: int, shifted: bool, p: int, indicator) -> PrimeFactor:
     return PrimeFactor(p, min(cap, v), ind, branch)
 
 
-def _breakdown(N: int, target: str, indicator) -> Breakdown:
-    shifted = target == TARGET_H1
+def _breakdown(N: int, shifted: bool, indicator) -> Breakdown:
     factors = tuple(_factor(N, shifted, p, indicator) for p in primes_upto(N))
     product = Fraction(
         math.prod(f.p**f.exponent for f in factors if f.exponent > 0),
         math.prod(f.p**-f.exponent for f in factors if f.exponent < 0),
     )
-    return Breakdown(N=N, target=target, factors=factors, product=product)
+    return Breakdown(N=N, factors=factors, product=product)
 
 
 # xi(7) differs from the generic product by dropping the factor 3; the value
@@ -142,16 +134,14 @@ def xi(N: int) -> Breakdown:
     if N < 1:
         raise ValueError("N must be a positive integer")
     if N == 1:
-        return Breakdown(N=1, target=TARGET_H, factors=(), product=Fraction(1))
+        return Breakdown(N=1, factors=(), product=Fraction(1))
     if N == 7:
         factors = tuple(
             PrimeFactor(p, e, xi_indicator(p, 7), BRANCH_VALUATION)
             for p, e in sorted(_XI_7_EXPONENTS.items())
         )
-        return Breakdown(
-            N=7, target=TARGET_H, factors=factors, product=_XI_7, special_case=True
-        )
-    return _breakdown(N, TARGET_H, xi_indicator)
+        return Breakdown(N=7, factors=factors, product=_XI_7, special_case=True)
+    return _breakdown(N, False, xi_indicator)
 
 
 def omega(N: int) -> Breakdown:
@@ -159,7 +149,7 @@ def omega(N: int) -> Breakdown:
     v_p(H_N - 1)); defined for N >= 2."""
     if N < 2:
         raise ValueError("N must be at least 2")
-    return _breakdown(N, TARGET_H1, omega_indicator)
+    return _breakdown(N, True, omega_indicator)
 
 
 def xi_exponent(N: int, p: int) -> int:
@@ -182,9 +172,9 @@ def omega_exponent(N: int, p: int) -> int:
     return _factor(N, True, p, omega_indicator).exponent
 
 
-def _simplified(N: int, target: str) -> Fraction:
+def _simplified(N: int, shifted: bool) -> Fraction:
     # With every indicator 0 the cap is 2 at every prime.
-    return _breakdown(N, target, lambda p, N: 0).product
+    return _breakdown(N, shifted, lambda p, N: 0).product
 
 
 def xi_simplified(N: int) -> tuple[Fraction, bool]:
@@ -196,7 +186,7 @@ def xi_simplified(N: int) -> tuple[Fraction, bool]:
     """
     if N in (1, 7):
         raise ValueError("the simplified product is defined for N outside {1, 7}")
-    value = _simplified(N, TARGET_H)
+    value = _simplified(N, False)
     return value, value == xi(N).product
 
 
@@ -204,7 +194,7 @@ def omega_simplified(N: int) -> tuple[Fraction, bool]:
     """Capped-at-2 analogue of omega(N), plus agreement flag."""
     if N < 2:
         raise ValueError("N must be at least 2")
-    value = _simplified(N, TARGET_H1)
+    value = _simplified(N, True)
     return value, value == omega(N).product
 
 

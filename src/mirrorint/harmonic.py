@@ -4,8 +4,9 @@ primes, and congruences relating p*H_J to H_{J/p}.
 Two evaluation routes are provided on purpose: exact rationals (the oracle)
 and a modular route that tracks H_n in Z_p with just enough precision to
 read off valuations, so large indices never require exact arithmetic. The
-modular state jumps to any index in closed form, so the sieve and the vp3
-probe pay for the indices they read, not for the ones they pass over.
+modular state jumps to any index by Newton differences of its block sums
+(sums of 1/u over p - 1 consecutive units), so the sieve and the vp3 probe
+pay for the indices they read, not for the ones they pass over.
 
 The exact route is one table of integers, h[i] = S * H_i for i <= T with
 S = lcm(1..T). Every harmonic weight H_a - c H_b is then the integer
@@ -140,9 +141,10 @@ class ModularHarmonicSum:
     The state is a function of n alone: level w holds S(floor(n/p^w)) mod
     p^(cap+1+w), where S(m) = sum of 1/u over u <= m with p not dividing u.
     ``advance`` steps to n + 1 with one modular inverse; ``advance_to`` jumps
-    to any later n in closed form, at a cost that does not grow with n. So a
-    sieve checkpoint saves none of the state: the resumed run reaches its
-    first pending index past ``last_N`` with one jump from n = 0.
+    to any later n by Newton differences of block sums, at a cost that does
+    not grow with n. So a sieve checkpoint saves none of the state: the
+    resumed run reaches its first pending index past ``last_N`` with one
+    jump from n = 0.
     """
 
     __slots__ = ("p", "cap", "n", "sums", "_jump")
@@ -155,7 +157,7 @@ class ModularHarmonicSum:
         self.cap = cap
         self.n = 0
         self.sums: list[int] = []
-        # Per level w, the coefficients D_s of advance_to's closed form.
+        # Per level w, the Newton table D_s that advance_to jumps by.
         self._jump: list[list[int]] = []
 
     def advance(self) -> None:
@@ -176,27 +178,25 @@ class ModularHarmonicSum:
         Level w is set to S(m) mod p^K with m = floor(n/p^w) and
         K = cap + 1 + w. Write m = q p + r with 0 <= r < p. Every u <= m
         prime to p is either j p + a with 0 <= j < q and 1 <= a <= p - 1,
-        or q p + a with 1 <= a <= r. For the first kind, x = j p / a lies
-        in p Z_p, and
+        or q p + a with 1 <= a <= r, so S(m) is sum_{j<q} T(j) plus the
+        tail sum_{a<=r} 1/(q p + a), where T(j) = sum_{a<p} 1/(j p + a).
+        With x = j p / a in p Z_p,
 
             (1 + x) * sum_{t<K} (-x)^t = 1 - (-x)^K = 1 mod p^K,
 
-        so, 1 + x being a unit, 1/(j p + a) = a^-1 / (1 + x) is congruent
-        mod p^K to sum_{t<K} (-p)^t j^t a^-(t+1): the terms t >= K carry
-        p^K and drop out. Summing over a and j,
+        so 1/(j p + a) = a^-1 / (1 + x) = sum_{t<K} (-p)^t j^t a^-(t+1)
+        mod p^K: at every integer j, T(j) is congruent mod p^K to a
+        polynomial in j of degree < K with coefficients in Z_p. Newton's
+        formula for that polynomial gives T(j) = sum_{s<K} D_s C(j, s)
+        mod p^K with D_s = Delta^s T(0): the polynomial's own differences
+        at 0 are integer combinations of its values at 0..s, which agree
+        with T's mod p^K. As sum_{j<q} C(j, s) = C(q, s+1),
 
-            S(m) = sum_{t<K} (-p)^t A_t P_t(q)
-                   + sum_{a<=r} 1/(q p + a)                 (mod p^K),
+            S(m) = sum_{s<K} C(q, s+1) D_s + sum_{a<=r} 1/(q p + a)   (mod p^K).
 
-        with A_t = sum_{a<p} a^-(t+1) and P_t(q) = sum_{j<q} j^t
-        (0^0 = 1). The power sums are exact integers: j^t =
-        sum_s S2(t, s) s! C(j, s) with S2 the Stirling numbers of the
-        second kind, and sum_{j<q} C(j, s) = C(q, s+1), so the first part
-        is sum_{s<K} C(q, s+1) D_s with
-        D_s = s! sum_{s<=t<K} S2(t, s) (-p)^t A_t. The D_s depend on the
-        level only and are computed once per level, in O(p K + K^2); a
-        jump then costs O(K + p) per level -- K binomials and at most
-        p - 1 terms of the tail, summed over one common denominator.
+        The D_s depend on the level only and are built once per level
+        from T(0..K-1), in O(p K + K^2); a jump then costs O(K + p) per
+        level, the tail summed by the same _block_sum as T.
         """
         if n < self.n:
             raise ValueError("advance_to cannot move back")
@@ -207,48 +207,29 @@ class ModularHarmonicSum:
             w = len(sums)
             mod = p ** (self.cap + 1 + w)
             q, r = divmod(m, p)
-            first = 0
+            total = _block_sum(q * p, r, mod)
             binom = q
             for s, d in enumerate(self._level(w)):
                 if not binom:
                     break
-                first += binom * d
+                total += binom * d
                 binom = binom * (q - s - 1) // (s + 2)
-            base = q * p
-            num, den = 0, 1
-            for a in range(1, r + 1):
-                num = (num * (base + a) + den) % mod
-                den = den * (base + a) % mod
-            sums.append((first + num * pow(den, -1, mod)) % mod)
+            sums.append(total % mod)
             m //= p
         self.sums = sums
         self.n = n
 
     def _level(self, w: int) -> list[int]:
-        """The coefficients D_0..D_{K-1} of level w, mod p^K (K = cap+1+w)."""
+        """Newton's table D_s = Delta^s T(0) for s < K of level w, mod p^K
+        (K = cap + 1 + w), by K - 1 rounds of differencing T(0..K-1)."""
         while len(self._jump) <= w:
             p = self.p
             K = self.cap + 1 + len(self._jump)
             mod = p**K
-            inverses = [pow(a, -1, mod) for a in range(1, p)]
-            # A_t for t < K, one running power per residue a.
-            A = [0] * K
-            powers = list(inverses)
-            for t in range(K):
-                A[t] = sum(powers) % mod
-                powers = [x * y % mod for x, y in zip(powers, inverses)]
-            # D_s = s! sum_t S2(t, s) (-p)^t A_t, one Stirling row per t.
-            D = [0] * K
-            row = [1]  # S2(t, 0..t)
-            for t in range(K):
-                weight = (-p) ** t * A[t]
-                for s, stirling in enumerate(row):
-                    D[s] += stirling * weight
-                row = [s * row[s] + (row[s - 1] if s else 0) for s in range(len(row))] + [1]
-            factorial = 1
-            for s in range(K):
-                D[s] = factorial * D[s] % mod
-                factorial *= s + 1
+            D = [_block_sum(j * p, p - 1, mod) for j in range(K)]
+            for s in range(1, K):
+                for j in range(K - 1, s - 1, -1):
+                    D[j] = (D[j] - D[j - 1]) % mod
             self._jump.append(D)
         return self._jump[w]
 
@@ -293,6 +274,16 @@ class ModularHarmonicSum:
         if x % self.p**scale:
             raise ValueError("value is not p-integral at this index")
         return (x // self.p**scale) % self.p**exponent
+
+
+def _block_sum(base: int, r: int, mod: int) -> int:
+    """sum_{a=1..r} 1/(base + a) mod ``mod``, over one common denominator.
+    Every base + a must be a unit mod ``mod``."""
+    num, den = 0, 1
+    for u in range(base + 1, base + r + 1):
+        num = (num * u + den) % mod
+        den = den * u % mod
+    return num * pow(den, -1, mod) % mod
 
 
 def _half_pair_unit_sum(p: int, mod: int) -> int:

@@ -12,16 +12,21 @@ from fractions import Fraction
 
 INFINITE = math.inf
 
-# Deterministic Miller-Rabin witness set, exact for all n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the primes up to 41 as witnesses is exact below psi_13,
+# the least strong pseudoprime to all of them (Sorenson-Webster).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 _B_CACHE: dict[tuple[int, int], list[int]] = {}
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for every input below 3.3e24."""
+    """Deterministic primality test for n < 3317044064679887385961981;
+    ValueError from there up, where the fixed witnesses prove nothing."""
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is exact only below {_MR_LIMIT}, got {n}")
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .harmonic import TARGET_H, TARGET_H1, ModularHarmonicSum
-from .padic import is_prime, vp_int
+from .padic import require_prime, vp_int
 from .series import _int_str_digits
 
 TARGETS = (TARGET_H, TARGET_H1)
@@ -168,8 +168,7 @@ class SieveRun:
         backend: str = BACKEND_MODULAR,
         checkpoint: SieveCheckpoint | None = None,
     ):
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+        require_prime(p)
         if max_N < 1:
             raise ValueError("max_N must be at least 1")
         if target not in TARGETS:

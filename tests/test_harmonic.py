@@ -170,6 +170,28 @@ class TestAdvanceTo:
         fresh.advance_to(9388)
         assert (jumped.n, jumped.sums) == (fresh.n, fresh.sums)
 
+    @staticmethod
+    def stirling_level(p, K):
+        """The jump table by power sums: D_s = s! sum_{s<=t<K} S2(t, s)
+        (-p)^t A_t mod p^K, A_t = sum_{a<p} a^-(t+1), S2 the Stirling
+        numbers of the second kind."""
+        mod = p**K
+        A = [sum(pow(a, -(t + 1), mod) for a in range(1, p)) for t in range(K)]
+        D = [0] * K
+        row = [1]  # S2(t, 0..t)
+        for t in range(K):
+            for s, stirling in enumerate(row):
+                D[s] += stirling * (-p) ** t * A[t]
+            row = [s * row[s] + (row[s - 1] if s else 0) for s in range(len(row))] + [1]
+        return [math.factorial(s) * d % mod for s, d in enumerate(D)]
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 1009])
+    @pytest.mark.parametrize("cap", range(1, 8))
+    def test_level_matches_stirling_formula(self, p, cap):
+        acc = ModularHarmonicSum(p, cap)
+        for w in range(6):
+            assert acc._level(w) == self.stirling_level(p, cap + 1 + w), w
+
     def test_no_move_back(self):
         acc = ModularHarmonicSum(5)
         acc.advance_to(30)

@@ -40,6 +40,16 @@ class TestPrimes:
         assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
         assert is_prime(2) and is_prime(16843) and not is_prime(16843 * 3)
 
+    def test_is_prime_exact_range(self):
+        # psi_12, a strong pseudoprime to every base 2..37: base 41 finds it.
+        assert not is_prime(318665857834031151167461)
+        assert is_prime(2**61 - 1) and is_prime(2**79 - 67)
+        # From psi_13, a strong pseudoprime to every base 2..41, on up the
+        # fixed witnesses decide nothing.
+        for n in (3317044064679887385961981, 2**89 - 1):
+            with pytest.raises(ValueError):
+                is_prime(n)
+
     def test_primes_upto(self):
         assert primes_upto(1) == []
         assert primes_upto(2) == [2]
