@@ -13,7 +13,7 @@ import sys
 import time
 
 from mirrorint.harmonic import ModularHarmonicSum
-from mirrorint.padic import big_B_sequence, vp_big_B
+from mirrorint.padic import big_B_units
 
 N, K_OCC, P = 7, 1, 3
 CAP = 4  # we test v_3 >= 4
@@ -36,10 +36,8 @@ def main(m_max: int) -> int:
             x, w, _ = acc._combined()
             h_res[n] = x * P ** (scale - w) % mod
 
-    # Coefficients as (valuation, unit mod 3^(cap+1)) pairs.
-    b = big_B_sequence(N, K_OCC, m_max)
-    bv = [vp_big_B(N, K_OCC, m, P) for m in range(m_max + 1)]
-    bu = [(b[m] // P ** bv[m]) % mod for m in range(m_max + 1)]
+    # Coefficients as (valuation, unit mod 3^(scale+cap+1)) pairs.
+    bv, bu = zip(*big_B_units(N, K_OCC, m_max, P, scale + CAP + 1))
     print(f"tables built in {time.time() - t0:.1f}s (scale {scale})")
 
     worst = None

@@ -27,7 +27,7 @@ from .harmonic import (
 from .padic import (
     INFINITE,
     big_B_sequence,
-    factorial_unit_mod,
+    big_B_units,
     primes_upto,
     require_prime,
     vp_big_B,
@@ -313,9 +313,10 @@ def vp3_probe(p: int, N: int) -> RootSharpnessProbe:
     """Sharpness probe at user-supplied (p, N) with v_p(H_N) = 3, p <= N,
     p not Wolstenholme, p not dividing N (k = 1 throughout).
 
-    Large N is fine: everything is evaluated p-adically to five digits; the
-    harmonic residues come from the modular accumulator and the coefficient
-    B(p) = (Np)!/p!^N enters only through its p-free part.
+    Everything is evaluated p-adically to five digits. The cost is O(N p)
+    products for the (valuation, unit) rows of B(1) and B(p) = (Np)!/p!^N,
+    plus two jumps of the modular accumulator over O(log N) levels for the
+    harmonic residues.
     """
     require_prime(p)
     if p < 7:
@@ -342,15 +343,10 @@ def vp3_probe(p: int, N: int) -> RootSharpnessProbe:
     acc.advance_to(N * p)
     h_np = acc.residue(4)
 
-    vfact = vp_factorial(N, p)
-    v_bp = vp_factorial(N * p, p) - N * vp_factorial(p, p)
+    units = big_B_units(N, 1, p, p, 5)
+    (vfact, unit_b1), (v_bp, unit_bp) = units[1], units[p]
     if v_bp != vfact:
         raise ArithmeticError("scale invariance of v_p(B(p)) failed")
-    unit_b1 = factorial_unit_mod(N, p, 5)
-    unit_bp = (
-        factorial_unit_mod(N * p, p, 5)
-        * pow(factorial_unit_mod(p, p, 5), -N, mod5)
-    ) % mod5
 
     inner = (unit_b1 * h_n - unit_bp * (p * h_np)) % mod5
     v_inner = 5 if inner == 0 else vp_int(inner, p)

@@ -167,21 +167,31 @@ def vp_big_B(N: int, k: int, m: int, p: int) -> int:
     return k * total
 
 
-def factorial_unit_mod(n: int, p: int, exponent: int) -> int:
-    """The p-free part of n! reduced modulo p**exponent.
+def big_B_units(N: int, k: int, m_max: int, p: int, exponent: int) -> list[tuple[int, int]]:
+    """Rows (v_p(B(m)), B(m)/p^v mod p^exponent) of B(m) = ((Nm)!/m!^N)^k
+    for m = 0..m_max.
 
-    n! = p^{v_p(n!)} * u with p not dividing u; returns u mod p^exponent.
+    Built by the ratio B(m)/B(m-1) = (prod_{i=1}^{N} (N(m-1)+i) / m^N)^k with
+    every factor split into its p-part and its unit: O(N m_max) products
+    below p^exponent, never a factorial or a B(m).
     """
     require_prime(p)
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _validate_b_params(N, k, m_max)
     if exponent < 1:
         raise ValueError("exponent must be positive")
     mod = p**exponent
-    unit = 1
-    while n > 0:
-        for i in range(1, n + 1):
-            if i % p:
-                unit = unit * i % mod
-        n //= p
-    return unit
+    v, unit = 0, 1  # of the k = 1 multinomial (Nm)!/m!^N
+    rows = [(0, 1)]
+    for m in range(1, m_max + 1):
+        d = m
+        while d % p == 0:
+            d //= p
+            v -= N
+        unit = unit * pow(d, -N, mod) % mod
+        for n in range(N * (m - 1) + 1, N * m + 1):
+            while n % p == 0:
+                n //= p
+                v += 1
+            unit = unit * n % mod
+        rows.append((k * v, pow(unit, k, mod)))
+    return rows

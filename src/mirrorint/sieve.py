@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -64,13 +64,7 @@ class SieveRecord:
     target: str
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "N": self.N,
-            "v": self.v,
-            "v_at_least": self.v_at_least,
-            "target": self.target,
-        }
+        return asdict(self)
 
     def to_line(self) -> str:
         return canonical_json(self.to_json())
@@ -94,18 +88,8 @@ class SieveCheckpoint:
     state: dict
     out_offset: int | None = None
 
-    def _core(self) -> dict:
-        return {
-            "p": self.p,
-            "target": self.target,
-            "backend": self.backend,
-            "last_N": self.last_N,
-            "state": self.state,
-            "out_offset": self.out_offset,
-        }
-
     def to_json(self) -> dict:
-        core = self._core()
+        core = asdict(self)
         return {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             **core,
@@ -133,7 +117,7 @@ class SieveCheckpoint:
             digest = doc["digest"]
         except KeyError as exc:
             raise CheckpointError(f"checkpoint is missing field {exc}") from exc
-        if _state_digest(cp._core()) != digest:
+        if _state_digest(asdict(cp)) != digest:
             raise CheckpointError("checkpoint digest mismatch (corrupt file)")
         if type(cp.last_N) is not int or cp.last_N < 0:
             raise CheckpointError("checkpoint last_N is not an index")

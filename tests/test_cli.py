@@ -479,6 +479,8 @@ SWEEP_GOLDEN = [
     ("--check witness --which u --Nmax 4 --pmax 13", 0, "0822ee3025c291df71d39bdfbd82671a3d9c516cf92eb313bf3023dffca077a5"),
     ("--check wolstenholme --pmin 3 --pmax 60", 0, "1d5a852616d84baa7d97278d5b4cb00819eefc48bc6d23e1be6b6d46fd0a5a96"),
     ("--check vp3-probe --p 11 --N 848", 0, "8c713f6192d84cde0de88b5ee22d3059455fa6e38ac54167927bac9c341c1b23"),
+    ("--check vp3-probe --p 11 --N 9338", 0, "07a2e705edd0991337baf0d5f9e83fc9081edcdaa46d4ec0d1424d08a3fe6e5a"),
+    ("--check vp3-probe --p 11 --N 10583", 0, "b1dcb79a89bea0c5a58f73c10e69fbc8f48d09ebb06f33155dbf3c894f66649a"),
     ("--check witness", 0, "6f4adc3455917e6ac19b89887df8aecf581cab214c7625f50a03f29f282a0879"),
     ("--check j-mod-p --Jmax 20", 0, "466f43b2d9aa0f2fe006096e9b014f22fc45901947cc6a9eed7194e218b99659"),
     ("--check lemma12 --kmax 1 --jmax 2 --Kmax 2", 0, "cd571bb0a81e1356adcb84d4523ca2eb3fae1657abcaf96c0e7842d986c16590"),

@@ -9,7 +9,7 @@ from mirrorint.padic import (
     INFINITE,
     big_B,
     big_B_sequence,
-    factorial_unit_mod,
+    big_B_units,
     is_prime,
     prime_divisors,
     primes_upto,
@@ -220,11 +220,38 @@ class TestCoefficientLowerBounds:
                             assert vp_big_B(N, k, a + p * j, p) >= bound
 
 
-class TestFactorialUnit:
-    def test_reconstructs_factorial(self):
-        for n in (0, 1, 5, 12, 31):
+class TestBigBUnits:
+    def test_matches_exact_rows(self):
+        for N in range(1, 9):
+            for k in (1, 2):
+                b = big_B_sequence(N, k, 300)
+                for p in primes_upto(31):
+                    exact = []
+                    for m in range(301):
+                        v = vp_big_B(N, k, m, p)
+                        exact.append((v, b[m] // p**v))
+                    for T in range(1, 7):
+                        mod = p**T
+                        assert big_B_units(N, k, 300, p, T) == [
+                            (v, u % mod) for v, u in exact
+                        ]
+
+    def test_first_row_is_the_factorial(self):
+        # B(1) = N!, so row 1 is (v_p(N!), unit of N!).
+        for n in (1, 5, 12, 31):
             for p in (2, 3, 7):
-                v = vp_factorial(n, p)
-                u = factorial_unit_mod(n, p, 12)
+                v, u = big_B_units(n, 1, 1, p, 12)[1]
+                assert v == vp_factorial(n, p)
                 assert u % p != 0
                 assert (math.factorial(n) // p**v) % p**12 == u
+
+    def test_validation(self):
+        for bad in [
+            (3, 1, 5, 4, 2),  # p not prime
+            (0, 1, 5, 3, 2),
+            (3, 0, 5, 3, 2),
+            (3, 1, -1, 3, 2),
+            (3, 1, 5, 3, 0),  # exponent
+        ]:
+            with pytest.raises(ValueError):
+                big_B_units(*bad)

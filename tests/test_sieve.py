@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -273,6 +274,22 @@ class TestRecordSchema:
         rec = SieveRecord(p=3, N=7, v=1, v_at_least=False, target=TARGET_H)
         doc = json.loads(rec.to_line())
         assert doc == {"p": 3, "N": 7, "v": 1, "v_at_least": False, "target": "H"}
+
+    # canonical_json sorts keys, so these bytes must not depend on how the
+    # record and checkpoint dicts are assembled.
+    @pytest.mark.parametrize(
+        "backend,sha256",
+        [
+            (BACKEND_EXACT, "59175bc6924ce46ac8a595bb3e1b6cc6d5b782494a579c0ddab4421e221b20ff"),
+            (BACKEND_MODULAR, "a129b9d790be9c3c7369a83c0f4fb865b2bfd0545e8c0386d3cccca178793b26"),
+        ],
+    )
+    def test_checkpoint_bytes_are_pinned(self, backend, sha256):
+        records, r = run(11, 3000, TARGET_H, backend)
+        assert records[-1].to_line() == (
+            '{"N":1293,"p":11,"target":"H","v":1,"v_at_least":false}'
+        )
+        assert hashlib.sha256(r.checkpoint().dump().encode()).hexdigest() == sha256
 
     def test_checkpoint_format_version(self):
         for backend, state in ((BACKEND_EXACT, {"num", "den"}), (BACKEND_MODULAR, {"positive"})):
