@@ -6,7 +6,10 @@ and a modular route that tracks H_n in Z_p with just enough precision to
 read off valuations, so large indices never require exact arithmetic. The
 modular state jumps to any index by Newton differences of its block sums
 (sums of 1/u over p - 1 consecutive units), so the sieve and the vp3 probe
-pay for the indices they read, not for the ones they pass over.
+pay for the indices they read, not for the ones they pass over. Every
+modular sum of inverses (a block sum, a jump's tail, the Wolstenholme
+pairing) goes through one kernel, _inverse_sum: the terms over one common
+denominator, and one modular inverse for the whole sum.
 
 The exact route is one table of integers, h[i] = S * H_i for i <= T with
 S = lcm(1..T). Every harmonic weight H_a - c H_b is then the integer
@@ -21,6 +24,7 @@ the top one first, so the table rescales once, not once per step.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -196,7 +200,7 @@ class ModularHarmonicSum:
 
         The D_s depend on the level only and are built once per level
         from T(0..K-1), in O(p K + K^2); a jump then costs O(K + p) per
-        level, the tail summed by the same _block_sum as T.
+        level, the tail summed by the same _inverse_sum as T.
         """
         if n < self.n:
             raise ValueError("advance_to cannot move back")
@@ -207,7 +211,7 @@ class ModularHarmonicSum:
             w = len(sums)
             mod = p ** (self.cap + 1 + w)
             q, r = divmod(m, p)
-            total = _block_sum(q * p, r, mod)
+            total = _inverse_sum(range(q * p + 1, q * p + r + 1), mod)
             binom = q
             for s, d in enumerate(self._level(w)):
                 if not binom:
@@ -226,7 +230,7 @@ class ModularHarmonicSum:
             p = self.p
             K = self.cap + 1 + len(self._jump)
             mod = p**K
-            D = [_block_sum(j * p, p - 1, mod) for j in range(K)]
+            D = [_inverse_sum(range(j * p + 1, j * p + p), mod) for j in range(K)]
             for s in range(1, K):
                 for j in range(K - 1, s - 1, -1):
                     D[j] = (D[j] - D[j - 1]) % mod
@@ -235,6 +239,8 @@ class ModularHarmonicSum:
 
     def _combined(self) -> tuple[int, int, int]:
         # (scaled residue, scale exponent W, modulus p^(W+cap+1))
+        if self.n < 1:
+            raise ValueError("no terms accumulated yet")
         scale = len(self.sums) - 1
         mod = self.p ** (scale + self.cap + 1)
         x = 0
@@ -245,8 +251,6 @@ class ModularHarmonicSum:
     def valuation(self, shifted: bool = False) -> tuple[int, bool]:
         """(v, capped): v = v_p(H_n) (or of H_n - 1), exact when v < cap;
         (cap, True) means the valuation is at least cap."""
-        if self.n < 1:
-            raise ValueError("no terms accumulated yet")
         x, scale, mod = self._combined()
         if shifted:
             x = (x - self.p**scale) % mod
@@ -276,30 +280,15 @@ class ModularHarmonicSum:
         return (x // self.p**scale) % self.p**exponent
 
 
-def _block_sum(base: int, r: int, mod: int) -> int:
-    """sum_{a=1..r} 1/(base + a) mod ``mod``, over one common denominator.
-    Every base + a must be a unit mod ``mod``."""
+def _inverse_sum(units: Iterable[int], mod: int) -> int:
+    """The sum of 1/u over ``units`` mod ``mod``, over one common
+    denominator, so one ``pow`` inverts it. Every u must be a unit mod
+    ``mod``."""
     num, den = 0, 1
-    for u in range(base + 1, base + r + 1):
+    for u in units:
         num = (num * u + den) % mod
         den = den * u % mod
     return num * pow(den, -1, mod) % mod
-
-
-def _half_pair_unit_sum(p: int, mod: int) -> int:
-    """sum_{e=1..(p-1)/2} inverse(e*(p-e)) mod ``mod``, by batch inversion."""
-    half = (p - 1) // 2
-    prefix = [1] * (half + 1)
-    acc = 1
-    for e in range(1, half + 1):
-        acc = acc * (e * (p - e) % mod) % mod
-        prefix[e] = acc
-    inv = pow(acc, -1, mod)
-    total = 0
-    for e in range(half, 0, -1):
-        total = (total + prefix[e - 1] * inv) % mod
-        inv = inv * (e * (p - e) % mod) % mod
-    return total
 
 
 def wolstenholme_valuation(p: int, cap: int = 3) -> int:
@@ -325,8 +314,9 @@ def _wolstenholme_pairing(p: int, cap: int) -> int:
 
     Pairing 1/e with 1/(p-e) gives H_{p-1} = p * T with T in Z_p, so the
     valuation is read off T modulo p^(cap-1); H_{p-1} itself is never built.
+    T = sum_{e<p/2} 1/(e (p-e)) is summed over one common denominator.
     """
-    t = _half_pair_unit_sum(p, p ** (cap - 1))
+    t = _inverse_sum((e * (p - e) for e in range(1, (p + 1) // 2)), p ** (cap - 1))
     if t == 0:
         return cap
     return min(1 + vp_int(t, p), cap)

@@ -140,7 +140,7 @@ def big_B_sequence(N: int, k: int, m_max: int) -> list[int]:
 
     The returned list is a shared cache row; callers must not mutate it.
     """
-    _validate_b_params(N, k, max(m_max, 0))
+    _validate_b_params(N, k, m_max)
     row = _B_CACHE.setdefault((N, k), [1])
     while len(row) <= m_max:
         m = len(row)

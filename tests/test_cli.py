@@ -502,6 +502,11 @@ SWEEP_GOLDEN = [
     ("--check decomposition --p 3,5,7 --Kmax 3", 0, "d348a19d85ddb575708cf37d5ed01bef005062531ab8cb412c4d10f32cad1a71"),
     ("--check witness --Nmax 12 --pmax 200", 0, "d6d63d72adf9a9f518a2f010dbfd828ced7654e12ca94b04ac31c34c028503d5"),
     ("--check witness --Nmax 12 --pmax 200 --which u", 0, "f15aadba83ef9378f9ab16ef7953e9ed35e8ced8da17fead72c0d729633b2109"),
+    # Primes above the harmonic table that the tests up to here grow (to
+    # 3000), so the rows come from the modular pairing sum: 92 rows, and 9
+    # rows with 16843 at v_capped 3.
+    ("--check wolstenholme --pmin 6000 --pmax 6800", 0, "8834396124e7cd10b6ec58af1bcc45344672338852973fcf1b2422d008384ea6"),
+    ("--check wolstenholme --pmin 16800 --pmax 16900", 0, "bb44a7e640270edb12f70768475414a5bf173515f1927d4f0d9a3dac2d499804"),
 ]
 
 

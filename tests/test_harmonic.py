@@ -2,9 +2,12 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorint.harmonic import (
     ModularHarmonicSum,
+    _inverse_sum,
     _wolstenholme_pairing,
     check_harmonic_congruence,
     harmonic,
@@ -123,6 +126,28 @@ class TestModularHarmonicSum:
                 expected = h.numerator * pow(h.denominator, -1, p**5) % p**5
                 assert acc.residue(5) == expected
 
+    def test_nothing_to_read_before_the_first_term(self):
+        acc = ModularHarmonicSum(5)
+        with pytest.raises(ValueError):
+            acc.residue(2)
+        with pytest.raises(ValueError):
+            acc.valuation()
+
+
+class TestInverseSum:
+    @given(
+        st.sampled_from([p for p in primes_upto(50) if p > 2]),
+        st.integers(min_value=1, max_value=6),
+        st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=30),
+    )
+    @settings(max_examples=200)
+    def test_matches_fraction_sum(self, p, e, xs):
+        mod = p**e
+        units = [x for x in xs if x % p]
+        exact = sum((F(1, u) for u in units), F(0))
+        expected = exact.numerator * pow(exact.denominator, -1, mod) % mod
+        assert _inverse_sum(units, mod) == expected
+
 
 class TestAdvanceTo:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
@@ -225,6 +250,11 @@ class TestWolstenholme:
             # Once the table covers p - 1 both sides above read it; the
             # modular pairing sum is the independent route.
             assert _wolstenholme_pairing(p, 3) == min(vp_harmonic(p - 1, p), 3)
+
+    def test_pairing_at_the_known_wolstenholme_primes(self):
+        # v_16843(H_16842) = 3 exactly, below a cap of 5.
+        assert _wolstenholme_pairing(16843, 5) == 3
+        assert _wolstenholme_pairing(2124679, 3) == 3
 
 
 class TestCongruences:

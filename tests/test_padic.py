@@ -140,6 +140,11 @@ class TestBigB:
             with pytest.raises(ValueError):
                 big_B(*bad)
 
+    def test_sequence_validation(self):
+        with pytest.raises(ValueError):
+            big_B_sequence(3, 1, -5)
+        assert big_B_sequence(3, 1, 0)[:1] == [1]
+
     def test_divisible_by_factorial_power(self):
         for N in range(1, 13):
             fk = math.factorial(N)
