@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .constants import omega_exponent, xi_exponent
@@ -106,6 +107,8 @@ def coeff_C_tilde(N: int, k: int, p: int, a: int, K: int) -> Fraction:
     return coeff_C(N, k, p, a, K, shifted=True)
 
 
+# A sweep asks for the same few hundred (which, N, p) in every row.
+@lru_cache(maxsize=1024)
 def _constant_vp(which: str, N: int, p: int) -> int:
     if which == WHICH_XI:
         return xi_exponent(N, p)
@@ -553,17 +556,26 @@ def sweep(check: str, **params) -> Iterator[dict]:
 
 
 def _rows(check: str, spec: Sweep, grid: dict) -> Iterator[dict]:
-    # Depth first over spec.axes, the first axis outermost; an axis reads
-    # the current values of the axes outside it from `point`.
+    # An odometer: one live iterator per bound axis, the innermost last. The
+    # innermost axis runs as a plain loop, so a row costs one loop step and
+    # one call of `run`, however deep the grid is. An axis reads the current
+    # values of the axes outside it from `point`.
+    names = [name for name, _ in spec.axes]
+    values = [fn for _, fn in spec.axes]
+    last = len(names) - 1
+    run = spec.run
     point: dict = {}
-
-    def walk(depth: int) -> Iterator[dict]:
-        name, values = spec.axes[depth]
-        for point[name] in values(grid, point):
-            if depth + 1 < len(spec.axes):
-                yield from walk(depth + 1)
-            else:
-                params, holds, margin = spec.run(point)
+    stack = [iter(values[0](grid, point))]
+    while stack:
+        depth = len(stack) - 1
+        name = names[depth]
+        if depth == last:
+            for point[name] in stack.pop():
+                params, holds, margin = run(point)
                 yield {"check": check, "params": params, "holds": holds, "margin": margin}
-
-    return walk(0)
+            continue
+        for point[name] in stack[depth]:
+            stack.append(iter(values[depth + 1](grid, point)))
+            break
+        else:
+            stack.pop()

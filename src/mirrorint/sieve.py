@@ -28,6 +28,7 @@ import json
 from collections import deque
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterator
 
 from .harmonic import TARGET_H, TARGET_H1, ModularHarmonicSum
@@ -44,11 +45,27 @@ VALUATION_CAP = 4
 CHECKPOINT_FORMAT_VERSION = 3
 
 # The one JSON encoding of records, checkpoints and CLI documents: sorted
-# keys and no spaces. One encoder object serves every call, where json.dumps
-# with keyword arguments would construct a new JSONEncoder each time; encode()
-# still sets up its C encoder per call, so only that Python-level
-# construction is saved.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# keys and no spaces. JSONEncoder.encode sets up a new C encoder on every
+# call; here the C encoder is built once, with the arguments encode() would
+# pass it, and every call reuses it. Its circular-reference markers are
+# cleared first, because a call that raised (on a set, say) leaves its ids
+# behind. Sharing them is safe because the C encoder runs no Python code but
+# `default`, which only raises, so no call can start inside another. Without
+# the C encoder, encode() is the only path.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+if c_make_encoder is None:
+    canonical_json = _ENCODER.encode
+else:
+    _MARKERS: dict = {}
+    _c_encode = c_make_encoder(
+        _MARKERS, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
+        _ENCODER.key_separator, _ENCODER.item_separator,
+        _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
+    )
+
+    def canonical_json(o) -> str:
+        _MARKERS.clear()
+        return "".join(_c_encode(o, 0))
 
 
 class CheckpointError(Exception):

@@ -507,6 +507,22 @@ SWEEP_GOLDEN = [
     # rows with 16843 at v_capped 3.
     ("--check wolstenholme --pmin 6000 --pmax 6800", 0, "8834396124e7cd10b6ec58af1bcc45344672338852973fcf1b2422d008384ea6"),
     ("--check wolstenholme --pmin 16800 --pmax 16900", 0, "bb44a7e640270edb12f70768475414a5bf173515f1927d4f0d9a3dac2d499804"),
+    # The rest of the benchmark's sweep commands, recorded before the sweep
+    # rows were walked by the odometer and encoded by one C encoder.
+    ("--check dworkS --p 2,3,5 --Nmax 5 --Kmax 8", 0, "94cba5f6ae8bc7eee2fd4853a9ff870f147c671d32ad03c42420bc686bad6527"),
+    ("--check yms --p 2,3,5 --Nmax 5 --Kmax 8", 0, "5554c0a7a18456750e08952c88691859e9f2462459f1a880e8489f4f7e8f0ce1"),
+    ("--check theorem-congruence --which Xi --Nmax 8", 0, "c78c3044829e19264752a6d09dd077f6dbeb878eb245179406e0d4abaf71d38b"),
+    ("--check theorem-congruence --which Omega --Nmax 8", 0, "a6bac902355dc595f6c24a50105218d0472cae957acaaf809edb5fd33862dd96"),
+    ("--check decomposition --p 3 --K 2", 0, "f5106edbb1612e2513d911855bf1ab18936d3b920ca3bb7d8d1cc2b1a14666a7"),
+    ("--check decomposition --p 2,3,5 --Kmax 3", 0, "cbbfd6b674ba1c1e709a009d06d66d1f994ca77aa0f763779b3cc33f36710674"),
+    ("--check lemma11", 0, "99a4c0c2ab7561e119bb58ecb5cd4f59a2695e7c9f9178ac940ec85342345664"),
+    ("--check lemma11 --which Omega", 0, "68c63e3d16c0d4b625bc7913a9b6207615b5f8465eec31dc5a57b74e9ae56c9a"),
+    ("--check lemma12", 0, "82e2374e0bd454d681bd49c4179e639766611a2596c3d02756d65c9e64ab0c0c"),
+    ("--check j-mod-p", 0, "f6e8c1340c41c554a7eaa6d543a59167c165381a4211ec1a03383af785409652"),
+    ("--check j-mod-p --pmax 17 --Jmax 1000", 0, "38a5b84ce95e026016c541cc5f04c720dd4a07cd5385ac8ef948b4fd057686ac"),
+    ("--check witness --which u", 0, "909a8798a45ab362c3bd838a09414b8edd92749ae54ce168acabce514a87b919"),
+    ("--check wolstenholme --pmax 6000", 0, "74dc49531c1403fd1d4912a790c398ab3b34111dfcbfb2ece382740a16d2c212"),
+    ("--check wolstenholme --pmin 3000 --pmax 6800", 0, "a55bbd814506a2ae23c7b08b33430a74ea15109448ea4ea2a7bf78f714fd8542"),
 ]
 
 

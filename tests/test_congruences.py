@@ -1,10 +1,15 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
 import pytest
 
 from mirrorint.congruences import (
+    SWEEPS,
+    WHICH_OMEGA,
+    WHICH_XI,
     S_sum,
+    _constant_vp,
     Y_term,
     check_decomposition,
     check_dwork_S,
@@ -18,6 +23,7 @@ from mirrorint.congruences import (
     sweep,
     vp3_probe,
 )
+from mirrorint.constants import omega_exponent, xi_exponent
 from mirrorint.harmonic import harmonic
 from mirrorint.padic import INFINITE, big_B, primes_upto, vp_rational
 from mirrorint.series import build_F, build_G, build_GL, build_Gtilde, ps_substitute_power
@@ -267,3 +273,107 @@ class TestVp3Probe:
             vp3_probe(11, 7)
         with pytest.raises(ValueError, match="not dividing"):
             vp3_probe(11, 848 * 11)
+
+
+def reference_rows(check, **params):
+    """The sweep grid walked by plain recursion over the axes, the first
+    axis outermost; `sweep` must yield exactly these rows."""
+    spec = SWEEPS[check]
+    grid = dict(spec.defaults)
+    if spec.variants:
+        grid["which"] = spec.variants[0]
+    grid.update(params)
+    point = {}
+
+    def walk(depth):
+        name, values = spec.axes[depth]
+        for value in values(grid, dict(point)):
+            point[name] = value
+            if depth + 1 < len(spec.axes):
+                yield from walk(depth + 1)
+            else:
+                row_params, holds, margin = spec.run(dict(point))
+                yield {"check": check, "params": row_params, "holds": holds, "margin": margin}
+        point.pop(name, None)
+
+    return list(walk(0))
+
+
+SMALL_GRIDS = [
+    ("theorem-congruence", {"p": [2, 3], "Nmax": 3, "kmax": 1, "summax": 8}),
+    ("theorem-congruence", {"p": [3], "Nmax": 3, "kmax": 2, "summax": 8, "which": WHICH_OMEGA}),
+    ("dworkS", {"p": [2, 3], "Nmax": 2, "kmax": 1, "Kmax": 3, "smax": 1}),
+    ("dworkS", {"kmax": 0}),  # the k axis is empty under every N
+    ("yms", {"p": [3], "Nmax": 2, "kmax": 2, "Kmax": 3, "smax": 1}),
+    ("decomposition", {"p": [2, 3], "Nmax": 2, "kmax": 1, "Kmax": 2}),
+    ("decomposition", {"p": [3], "K": 2, "Nmax": 3}),
+    ("lemma11", {"p": [2, 3], "Nmax": 3, "kmax": 1, "mmax": 3, "smax": 1}),
+    ("lemma11", {"p": [3], "Nmax": 3, "kmax": 1, "mmax": 3, "smax": 1, "which": WHICH_OMEGA}),
+    ("lemma12", {"p": [2, 3], "Nmax": 2, "kmax": 1, "jmax": 2, "Kmax": 2}),
+    ("lemma12", {"p": [2, 3], "Nmax": 2, "kmax": 1, "jmax": 2, "Kmax": 0}),  # a = 1: K has only None
+    ("j-mod-p", {"pmax": 7, "Jmax": 10}),
+    ("witness", {"Nmax": 7, "pmax": 5}),  # no prime above N for N >= 5
+    ("witness", {"Nmax": 7, "pmax": 5, "which": "u"}),
+    ("wolstenholme", {"pmin": 3, "pmax": 60}),
+    ("vp3-probe", {"p": [11], "N": 848}),
+]
+
+
+class TestSweepWalk:
+    def test_every_check_has_a_grid(self):
+        assert {check for check, _ in SMALL_GRIDS} == set(SWEEPS)
+
+    @pytest.mark.parametrize("check,params", SMALL_GRIDS)
+    def test_rows_match_the_recursive_walk(self, check, params):
+        assert list(sweep(check, **params)) == reference_rows(check, **params)
+
+    def test_empty_inner_axes(self):
+        assert list(sweep("dworkS", kmax=0)) == []
+        witness = list(sweep("witness", Nmax=7, pmax=5))
+        assert [row["params"]["N"] for row in witness] == [1, 1, 1, 2, 2, 3, 4]
+        lemma12 = list(sweep("lemma12", p=[3], Nmax=1, kmax=1, jmax=1, Kmax=0))
+        assert [(r["params"]["a"], r["params"]["j"]) for r in lemma12] == [
+            (0, 0), (0, 1), (1, 1), (2, 0), (2, 1)
+        ]
+
+    def test_first_row_runs_one_grid_point(self, monkeypatch):
+        spec = SWEEPS["dworkS"]
+        calls = []
+
+        def run(point):
+            calls.append(dict(point))
+            return spec.run(point)
+
+        monkeypatch.setitem(SWEEPS, "dworkS", dataclasses.replace(spec, run=run))
+        rows = sweep("dworkS", p=[3], Nmax=2, kmax=1, Kmax=2, smax=1)
+        assert calls == []
+        first = next(rows)
+        assert calls == [first["params"]]
+
+
+class TestConstantMemo:
+    def test_bounded(self):
+        assert _constant_vp.cache_info().maxsize is not None
+
+    def test_values_match_the_exponents(self):
+        primes = primes_upto(41)
+        for N in range(1, 41):
+            for p in primes:
+                # The second call of each pair is answered by the memo.
+                xi_vp = xi_exponent(N, p)
+                assert _constant_vp(WHICH_XI, N, p) == _constant_vp(WHICH_XI, N, p) == xi_vp
+                if N >= 2:
+                    omega_vp = omega_exponent(N, p)
+                    assert (
+                        _constant_vp(WHICH_OMEGA, N, p)
+                        == _constant_vp(WHICH_OMEGA, N, p)
+                        == omega_vp
+                    )
+
+    def test_xi_7_is_pinned(self):
+        xi_7 = math.prod(F(p) ** _constant_vp(WHICH_XI, 7, p) for p in primes_upto(41))
+        assert xi_7 == F(1, 140)
+
+    def test_bad_variant_still_raises(self):
+        with pytest.raises(ValueError):
+            _constant_vp("foo", 5, 3)

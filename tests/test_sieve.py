@@ -4,6 +4,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorint.harmonic import ModularHarmonicSum
 from mirrorint.padic import primes_upto
@@ -18,6 +20,7 @@ from mirrorint.sieve import (
     SieveCheckpoint,
     SieveRecord,
     SieveRun,
+    canonical_json,
 )
 
 
@@ -267,6 +270,47 @@ class TestCheckpointing:
         assert [first] + list(resumed) == list(
             SieveRun(3, 1000, TARGET_H, BACKEND_MODULAR)
         )
+
+
+def dumps(o):
+    return json.dumps(o, sort_keys=True, separators=(",", ":"))
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()  # inf and nan included
+    | st.text(),  # any code point, non-ASCII and control characters included
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestCanonicalJson:
+    @given(json_values)
+    @settings(max_examples=300)
+    def test_matches_json_dumps(self, o):
+        assert canonical_json(o) == dumps(o)
+
+    def test_int_beyond_the_int_str_digit_limit(self):
+        doc = {"v": [10**4400 + 7, -(10**4400)]}
+        with _int_str_digits(0):
+            assert canonical_json(doc) == dumps(doc)
+
+    def test_a_failed_call_leaves_nothing_behind(self):
+        doc = {"a": {1, 2}}
+        with pytest.raises(TypeError):
+            canonical_json(doc)
+        doc["a"] = [1, 2]
+        assert canonical_json(doc) == '{"a":[1,2]}'
+
+    def test_circular_reference_is_detected(self):
+        doc = {"x": 1}
+        doc["self"] = doc
+        with pytest.raises(ValueError, match="Circular"):
+            canonical_json(doc)
+        assert canonical_json({"x": [doc["x"]]}) == '{"x":[1]}'
 
 
 class TestRecordSchema:
