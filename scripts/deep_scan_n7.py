@@ -27,14 +27,14 @@ def main(m_max: int) -> int:
         scale += 1
     mod = P ** (scale + CAP + 1)
 
-    # Scaled harmonic residues 3^scale * H_n mod 3^(scale+cap+1) at n = 7*m.
+    # Scaled harmonic residues 3^scale * H_n mod 3^(scale+cap+1) at n = 7*m,
+    # one forward move per m, past the indices in between.
     acc = ModularHarmonicSum(P, cap=scale + CAP + 1)
     h_res = {0: 0}
-    for n in range(1, n_top + 1):
-        acc.advance()
-        if n % N == 0:
-            x, w, _ = acc._combined()
-            h_res[n] = x * P ** (scale - w) % mod
+    for n in range(N, n_top + 1, N):
+        acc.advance_to(n)
+        x, w, _ = acc._combined()
+        h_res[n] = x * P ** (scale - w) % mod
 
     # Coefficients as (valuation, unit mod 3^(scale+cap+1)) pairs.
     bv, bu = zip(*big_B_units(N, K_OCC, m_max, P, scale + CAP + 1))

@@ -107,14 +107,14 @@ def coeff_C_tilde(N: int, k: int, p: int, a: int, K: int) -> Fraction:
     return coeff_C(N, k, p, a, K, shifted=True)
 
 
-# A sweep asks for the same few hundred (which, N, p) in every row.
+# v_p(xi(N) N!^k), or of omega(N) N!^k: what every membership check below is
+# measured against. A sweep asks for the same few hundred keys in every row.
 @lru_cache(maxsize=1024)
-def _constant_vp(which: str, N: int, p: int) -> int:
-    if which == WHICH_XI:
-        return xi_exponent(N, p)
-    if which == WHICH_OMEGA:
-        return omega_exponent(N, p)
-    raise ValueError(f"which must be {WHICH_XI!r} or {WHICH_OMEGA!r}")
+def _required_vp(which: str, N: int, k: int, p: int) -> int:
+    if which not in (WHICH_XI, WHICH_OMEGA):
+        raise ValueError(f"which must be {WHICH_XI!r} or {WHICH_OMEGA!r}")
+    exponent = xi_exponent if which == WHICH_XI else omega_exponent
+    return exponent(N, p) + k * vp_factorial(N, p)
 
 
 def check_theorem_congruence(
@@ -125,7 +125,7 @@ def check_theorem_congruence(
     shifted = which == WHICH_OMEGA
     if shifted and N < 2:
         raise ValueError("the shifted variant requires N >= 2")
-    required = 1 + _constant_vp(which, N, p) + k * vp_factorial(N, p)
+    required = 1 + _required_vp(which, N, k, p)
     value, h, _ = _coeff_C_scaled(N, k, p, a, K, shifted)
     return Membership(achieved=vp_scaled(value, p, h), required=required)
 
@@ -174,7 +174,7 @@ def Y_term(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Fraction:
 
 def check_Y(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Membership:
     """Membership of the Y-term in p * xi(N) * N!^k * Z_p."""
-    required = 1 + _constant_vp(WHICH_XI, N, p) + k * vp_factorial(N, p)
+    required = 1 + _required_vp(WHICH_XI, N, k, p)
     value = S_sum(N, k, p, a, K, s, m)
     if value == 0:
         return Membership(achieved=INFINITE, required=required)
@@ -242,7 +242,7 @@ def check_lemma12(
     _validate_core(N, k, p, a, max(K or 0, 0))
     if j < 0:
         raise ValueError("j must be non-negative")
-    required = 1 + _constant_vp(WHICH_XI, N, p) + k * vp_factorial(N, p)
+    required = 1 + _required_vp(WHICH_XI, N, k, p)
     if a == 1 and j == 0:
         if K is None or K < 1:
             raise ValueError("the a=1, j=0 variant requires K >= 1")
@@ -269,7 +269,7 @@ def check_lemma11(
     shifted = which == WHICH_OMEGA
     if shifted and N < 2:
         raise ValueError("the shifted variant requires N >= 2")
-    required = -s + _constant_vp(which, N, p) + k * vp_factorial(N, p)
+    required = -s + _required_vp(which, N, k, p)
     h, _ = harmonic_scaled(N * m * p**s)
     achieved = vp_big_B(N, k, m, p) + vp_scaled(_level_gap(h, N, p, m, s, shifted), p, h)
     return Membership(achieved=achieved, required=required)

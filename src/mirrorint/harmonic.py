@@ -4,9 +4,10 @@ primes, and congruences relating p*H_J to H_{J/p}.
 Two evaluation routes are provided on purpose: exact rationals (the oracle)
 and a modular route that tracks H_n in Z_p with just enough precision to
 read off valuations, so large indices never require exact arithmetic. The
-modular state jumps to any index by Newton differences of its block sums
-(sums of 1/u over p - 1 consecutive units), so the sieve and the vp3 probe
-pay for the indices they read, not for the ones they pass over. Every
+modular state moves only by advance_to, which rewrites just the levels whose
+index changes: by the new units within a block of p, by Newton differences
+of block sums (sums of 1/u over p - 1 units) across blocks. So the sieve and
+the vp3 probe pay for the indices they read, not for those they pass. Every
 modular sum of inverses (a block sum, a jump's tail, the Wolstenholme
 pairing) goes through one kernel, _inverse_sum: the terms over one common
 denominator, and one modular inverse for the whole sum.
@@ -144,11 +145,10 @@ class ModularHarmonicSum:
 
     The state is a function of n alone: level w holds S(floor(n/p^w)) mod
     p^(cap+1+w), where S(m) = sum of 1/u over u <= m with p not dividing u.
-    ``advance`` steps to n + 1 with one modular inverse; ``advance_to`` jumps
-    to any later n by Newton differences of block sums, at a cost that does
-    not grow with n. So a sieve checkpoint saves none of the state: the
-    resumed run reaches its first pending index past ``last_N`` with one
-    jump from n = 0.
+    ``advance_to`` is the one way to move it, and only forward, at a cost
+    that does not grow with n. So a sieve checkpoint saves none of the
+    state: the resumed run reaches its first pending index past ``last_N``
+    with one jump from n = 0.
     """
 
     __slots__ = ("p", "cap", "n", "sums", "_jump")
@@ -164,27 +164,22 @@ class ModularHarmonicSum:
         # Per level w, the Newton table D_s that advance_to jumps by.
         self._jump: list[list[int]] = []
 
-    def advance(self) -> None:
-        self.n += 1
-        f = self.n
-        w = 0
-        while f % self.p == 0:
-            f //= self.p
-            w += 1
-        if w == len(self.sums):
-            self.sums.append(0)
-        mod = self.p ** (self.cap + 1 + w)
-        self.sums[w] = (self.sums[w] + pow(f % mod, -1, mod)) % mod
-
     def advance_to(self, n: int) -> None:
-        """Jump to index n >= self.n without visiting the indices between.
+        """Move to index n >= self.n, rewriting only the levels that change.
 
-        Level w is set to S(m) mod p^K with m = floor(n/p^w) and
-        K = cap + 1 + w. Write m = q p + r with 0 <= r < p. Every u <= m
-        prime to p is either j p + a with 0 <= j < q and 1 <= a <= p - 1,
-        or q p + a with 1 <= a <= r, so S(m) is sum_{j<q} T(j) plus the
-        tail sum_{a<=r} 1/(q p + a), where T(j) = sum_{a<p} 1/(j p + a).
-        With x = j p / a in p Z_p,
+        Level w holds S(m) mod p^K with m = floor(n/p^w) and K = cap + 1 + w.
+        Let o = floor(self.n/p^w) be its old index and q = floor(m/p). The
+        walk goes up from w = 0:
+
+        - m = o: the level is unchanged, and so is every level above, since
+          floor(n/p^(w+1)) = floor(m/p). The walk stops.
+        - floor(o/p) = q: the new units o < u <= m are q p + a with 0 < a < p,
+          all prime to p, so S(m) is S(o) plus their inverses. A level not
+          yet built has o = 0 and holds S(0) = 0.
+        - otherwise S(m) is S(q p) plus the inverses of q p < u <= m, with
+          S(q p) in closed form. Every u < q p prime to p is j p + a with
+          0 <= j < q and 0 < a < p, so S(q p) = sum_{j<q} T(j) with
+          T(j) = sum_{a<p} 1/(j p + a). With x = j p / a in p Z_p,
 
             (1 + x) * sum_{t<K} (-x)^t = 1 - (-x)^K = 1 mod p^K,
 
@@ -196,31 +191,33 @@ class ModularHarmonicSum:
         at 0 are integer combinations of its values at 0..s, which agree
         with T's mod p^K. As sum_{j<q} C(j, s) = C(q, s+1),
 
-            S(m) = sum_{s<K} C(q, s+1) D_s + sum_{a<=r} 1/(q p + a)   (mod p^K).
+            S(q p) = sum_{s<K} C(q, s+1) D_s   (mod p^K).
 
-        The D_s depend on the level only and are built once per level
-        from T(0..K-1), in O(p K + K^2); a jump then costs O(K + p) per
-        level, the tail summed by the same _inverse_sum as T.
+        The D_s depend on the level only and are built once per level from
+        T(0..K-1), in O(p K + K^2). A move then costs O(K + p) per level
+        that changes, so the next index within a block costs one inverse.
         """
         if n < self.n:
             raise ValueError("advance_to cannot move back")
         p = self.p
-        sums = []
-        m = n
-        while m:
-            w = len(sums)
+        sums = self.sums
+        m, o, w = n, self.n, 0
+        while m != o:
+            q = m // p
+            if w == len(sums):
+                sums.append(0)
+            if o // p == q:
+                total, start = sums[w], o
+            else:
+                total, start, binom = 0, q * p, q
+                for s, d in enumerate(self._level(w)):
+                    if not binom:
+                        break
+                    total += binom * d
+                    binom = binom * (q - s - 1) // (s + 2)
             mod = p ** (self.cap + 1 + w)
-            q, r = divmod(m, p)
-            total = _inverse_sum(range(q * p + 1, q * p + r + 1), mod)
-            binom = q
-            for s, d in enumerate(self._level(w)):
-                if not binom:
-                    break
-                total += binom * d
-                binom = binom * (q - s - 1) // (s + 2)
-            sums.append(total % mod)
-            m //= p
-        self.sums = sums
+            sums[w] = (total + _inverse_sum(range(start + 1, m + 1), mod)) % mod
+            m, o, w = m // p, o // p, w + 1
         self.n = n
 
     def _level(self, w: int) -> list[int]:
@@ -322,7 +319,7 @@ def _wolstenholme_pairing(p: int, cap: int) -> int:
     return min(1 + vp_int(t, p), cap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def is_wolstenholme(p: int) -> bool:
     """True iff v_p(H_{p-1}) >= 3. Only 16843 and 2124679 are known."""
     return wolstenholme_valuation(p, cap=3) >= 3

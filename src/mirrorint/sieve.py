@@ -5,8 +5,9 @@ oracle and pays for every N up to the bound; ``modular`` keeps the p-adic
 state of ModularHarmonicSum and prunes candidates with the recursion "a
 positive valuation at N forces a positive valuation at floor(N/p)" (Boyd's
 tree). It visits only the candidate blocks [1, p - 1] and [x p, x p + p - 1]
-for each positive x, reaching each block with a closed-form jump, so its
-work grows with the number of candidate blocks, not with the bound. Both
+for each positive x, with one advance_to per index it reads: a closed-form
+jump into each block, then one inverse per index. So its work grows with
+the number of candidate blocks, not with the bound. Both
 emit identical record streams, valuations capped at 4 (a hit at or beyond
 the cap is a conjecture-level event and is flagged).
 
@@ -275,18 +276,16 @@ class SieveRun:
         # checkpoint's positives whose blocks are not finished, and the first
         # advance_to reaches the first pending index from n = 0 in one jump.
         parents = deque(x for x in sorted(positive | {0}) if x * p + p - 1 > self.last_N)
-        while parents and not self.stopped:
+        while parents:
             x = parents.popleft()
             lo = max(x * p, 1, self.last_N + 1)
             hi = min(x * p + p - 1, self.max_N)
             if lo > hi:
                 break
-            state.advance_to(lo)
             for n in range(lo, hi + 1):
-                if n > lo:
-                    if self.stopped:
-                        return
-                    state.advance()
+                if self.stopped:
+                    return
+                state.advance_to(n)
                 self.last_N = n
                 v, at_least = state.valuation()
                 if v >= 1:

@@ -9,8 +9,8 @@ from mirrorint.congruences import (
     WHICH_OMEGA,
     WHICH_XI,
     S_sum,
-    _constant_vp,
     Y_term,
+    _required_vp,
     check_decomposition,
     check_dwork_S,
     check_lemma11,
@@ -353,27 +353,33 @@ class TestSweepWalk:
 
 class TestConstantMemo:
     def test_bounded(self):
-        assert _constant_vp.cache_info().maxsize is not None
+        assert _required_vp.cache_info().maxsize is not None
 
     def test_values_match_the_exponents(self):
+        # v_p(xi(N) N!^k) and v_p(omega(N) N!^k), with v_p(N!) read off the
+        # exact factorial.
         primes = primes_upto(41)
         for N in range(1, 41):
             for p in primes:
-                # The second call of each pair is answered by the memo.
+                fact_vp = vp_rational(F(math.factorial(N)), p)
                 xi_vp = xi_exponent(N, p)
-                assert _constant_vp(WHICH_XI, N, p) == _constant_vp(WHICH_XI, N, p) == xi_vp
-                if N >= 2:
-                    omega_vp = omega_exponent(N, p)
-                    assert (
-                        _constant_vp(WHICH_OMEGA, N, p)
-                        == _constant_vp(WHICH_OMEGA, N, p)
-                        == omega_vp
-                    )
+                omega_vp = omega_exponent(N, p) if N >= 2 else None
+                for k in range(4):
+                    # The second call of each pair is answered by the memo.
+                    expected = xi_vp + k * fact_vp
+                    assert _required_vp(WHICH_XI, N, k, p) == expected
+                    assert _required_vp(WHICH_XI, N, k, p) == expected
+                    if omega_vp is not None:
+                        expected = omega_vp + k * fact_vp
+                        assert _required_vp(WHICH_OMEGA, N, k, p) == expected
+                        assert _required_vp(WHICH_OMEGA, N, k, p) == expected
 
     def test_xi_7_is_pinned(self):
-        xi_7 = math.prod(F(p) ** _constant_vp(WHICH_XI, 7, p) for p in primes_upto(41))
+        xi_7 = math.prod(F(p) ** _required_vp(WHICH_XI, 7, 0, p) for p in primes_upto(41))
         assert xi_7 == F(1, 140)
+        xi_7_fact = math.prod(F(p) ** _required_vp(WHICH_XI, 7, 1, p) for p in primes_upto(41))
+        assert xi_7_fact == F(5040, 140)
 
     def test_bad_variant_still_raises(self):
         with pytest.raises(ValueError):
-            _constant_vp("foo", 5, 3)
+            _required_vp("foo", 5, 1, 3)

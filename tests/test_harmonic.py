@@ -21,6 +21,32 @@ from mirrorint.padic import INFINITE, big_B, primes_upto, vp_rational
 from mirrorint.series import build_GL
 
 
+def step(acc):
+    """The stepping oracle: move acc from n to n + 1 by adding 1/f to level
+    w, where n + 1 = f p^w with p not dividing f."""
+    acc.n += 1
+    f = acc.n
+    w = 0
+    while f % acc.p == 0:
+        f //= acc.p
+        w += 1
+    if w == len(acc.sums):
+        acc.sums.append(0)
+    mod = acc.p ** (acc.cap + 1 + w)
+    acc.sums[w] = (acc.sums[w] + pow(f % mod, -1, mod)) % mod
+
+
+def fresh_jump(p, cap, n, like=None):
+    """A fresh accumulator moved from 0 to n in one advance_to: the closed
+    form at every level. ``like`` lends its Newton tables, which depend on
+    p and cap alone, so deep fresh jumps do not rebuild them."""
+    acc = ModularHarmonicSum(p, cap)
+    if like is not None:
+        acc._jump = like._jump
+    acc.advance_to(n)
+    return acc
+
+
 class TestHarmonicValues:
     def test_known_values(self):
         assert harmonic(0) == 0
@@ -106,7 +132,7 @@ class TestModularHarmonicSum:
     def test_matches_exact_valuations(self, p):
         acc = ModularHarmonicSum(p, cap=4)
         for n in range(1, 501):
-            acc.advance()
+            acc.advance_to(n)
             v, capped = acc.valuation()
             exact = vp_harmonic(n, p)
             assert not capped  # no valuation this large in range
@@ -120,7 +146,7 @@ class TestModularHarmonicSum:
         p = 7
         acc = ModularHarmonicSum(p, cap=4)
         for n in range(1, 200):
-            acc.advance()
+            acc.advance_to(n)
             h = harmonic(n)
             if vp_rational(h, p) >= 0:
                 expected = h.numerator * pow(h.denominator, -1, p**5) % p**5
@@ -163,7 +189,7 @@ class TestAdvanceTo:
         boundaries = {p**e + d for e in range(8) for d in (-1, 0, 1)}
         for n in range(2001):
             if n:
-                stepped.advance()
+                step(stepped)
             jumper.advance_to(n)
             assert (jumper.n, jumper.sums) == (n, stepped.sums)
             if n == strider.n + stride:
@@ -179,7 +205,7 @@ class TestAdvanceTo:
         p, cap = 3, 7
         stepped = ModularHarmonicSum(p, cap)
         for n in range(1, 10**6 + 6):
-            stepped.advance()
+            step(stepped)
             if n >= 10**6 - 5:
                 jumped = ModularHarmonicSum(p, cap)
                 jumped.advance_to(n)
@@ -190,10 +216,66 @@ class TestAdvanceTo:
         jumped.advance_to(9338)
         assert jumped.valuation() == (3, False)
         for _ in range(50):
-            jumped.advance()
+            step(jumped)
         fresh = ModularHarmonicSum(11, 4)
         fresh.advance_to(9388)
         assert (jumped.n, jumped.sums) == (fresh.n, fresh.sums)
+
+    @pytest.mark.parametrize("p", [3, 5, 11, 83])
+    def test_walks_near_1e40(self, p):
+        # Every move of one walker, by +1 across a block, by +(p - 1), onto
+        # and past multiples of p^w and by irregular strides, lands on the
+        # state of a fresh jump to the same n.
+        cap = 4
+        walker = fresh_jump(p, cap, 10**40 - 3)
+        targets = [walker.n + d for d in range(1, p + 3)]
+        targets += [targets[-1] + (p - 1) * d for d in range(1, 6)]
+        for w in range(1, 7):
+            edge = (targets[-1] // p**w + 1) * p**w
+            targets += [edge - 1, edge, edge + 1]
+        stride = 1
+        for _ in range(40):
+            targets.append(targets[-1] + stride)
+            stride = (7 * stride + 3) % (3 * p + 5)
+        for n in targets:
+            walker.advance_to(n)
+            assert walker.sums == fresh_jump(p, cap, n, like=walker).sums, n
+
+    @pytest.mark.parametrize("p", [3, 11])
+    def test_window_at_1e40_matches_steps(self, p):
+        stepped = fresh_jump(p, 4, 10**40)
+        walker = fresh_jump(p, 4, 10**40)
+        for n in range(10**40 + 1, 10**40 + 2000):
+            step(stepped)
+            walker.advance_to(n)
+            assert walker.sums == stepped.sums, n
+
+    @pytest.mark.parametrize("p", [3, 11, 83])
+    def test_cap_8_reduces_to_cap_4_near_1e40(self, p):
+        wide, narrow = ModularHarmonicSum(p, 8), ModularHarmonicSum(p, 4)
+        for n in [10**40 + d for d in (0, 1, p - 1, p, p * p - 1, 10**5)] + [p**84 - 1, p**84]:
+            wide.advance_to(n)
+            narrow.advance_to(n)
+            assert len(wide.sums) == len(narrow.sums)
+            for w, (a, b) in enumerate(zip(wide.sums, narrow.sums)):
+                assert a % p ** (5 + w) == b, (n, w)
+
+    def test_step_within_a_block_builds_no_level(self, monkeypatch):
+        calls = []
+        level = ModularHarmonicSum._level
+
+        def counted(self, w):
+            calls.append(w)
+            return level(self, w)
+
+        monkeypatch.setattr(ModularHarmonicSum, "_level", counted)
+        acc = ModularHarmonicSum(11, 4)
+        acc.advance_to(11 * 10**30)
+        assert calls
+        calls.clear()
+        for d in range(1, 11):
+            acc.advance_to(11 * 10**30 + d)
+        assert calls == []
 
     @staticmethod
     def stirling_level(p, K):
@@ -250,6 +332,12 @@ class TestWolstenholme:
             # Once the table covers p - 1 both sides above read it; the
             # modular pairing sum is the independent route.
             assert _wolstenholme_pairing(p, 3) == min(vp_harmonic(p - 1, p), 3)
+
+    def test_memo_is_bounded_and_agrees(self):
+        assert is_wolstenholme.cache_info().maxsize is not None
+        for p in [q for q in primes_upto(3000) if q >= 5] + [16843]:
+            assert is_wolstenholme(p) == (wolstenholme_valuation(p, 3) >= 3), p
+            assert is_wolstenholme(p) == (p == 16843)
 
     def test_pairing_at_the_known_wolstenholme_primes(self):
         # v_16843(H_16842) = 3 exactly, below a cap of 5.

@@ -30,14 +30,13 @@ def run(p, max_N, target=TARGET_H, backend=BACKEND_MODULAR, checkpoint=None):
 
 
 def per_index_sieve(p, max_N, target):
-    """The modular backend as one step per index: every N up to max_N is
+    """The modular backend as one move per index: every N up to max_N is
     visited, and the state is read where the parent N // p is positive."""
     state = ModularHarmonicSum(p, cap=VALUATION_CAP)
     positive = set()
     records = []
-    while state.n < max_N:
-        state.advance()
-        n = state.n
+    for n in range(1, max_N + 1):
+        state.advance_to(n)
         parent = n // p
         if parent and parent not in positive:
             continue
@@ -55,7 +54,7 @@ def per_index_sieve(p, max_N, target):
         p=p,
         target=target,
         backend=BACKEND_MODULAR,
-        last_N=state.n,
+        last_N=max_N,
         state={"positive": sorted(positive)},
     )
     return records, checkpoint, positive
@@ -142,6 +141,55 @@ class TestCandidateBlocks:
             assert cp.last_N == direct[k - 1].N
             rest, _ = run(11, max_N, TARGET_H, backend, cp)
             assert first + rest == direct
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestDeepTrees:
+    """Whole Boyd trees far past the range the exact backend can check,
+    pinned by the SHA-256 of their records (one to_line() per line) and of
+    their final checkpoint."""
+
+    @pytest.mark.parametrize(
+        "p,max_N,target,count,records_sha,checkpoint_sha",
+        [
+            (
+                11, 10**40, TARGET_H1, 620,
+                "de87fb4492e5f21c551b135f3dbf82382ca300131dc86cd95ba0ea7a52dd3ccf",
+                "7608d3c728d78c12c531db2fcd67b3a47acb9e91a912cc750db42be860c9a5ad",
+            ),
+            (
+                83, 10**60, TARGET_H, 398,
+                "73b83945b839ec04cd097f8e291904ada50c8b546870652d047c898bdf7f7c82",
+                "edb9f52c4c2fccd8370ba4ab8d998e1dc8888e5ae6bc5e12b6a0f681e1f45a38",
+            ),
+        ],
+    )
+    def test_records_and_checkpoint_are_pinned(
+        self, p, max_N, target, count, records_sha, checkpoint_sha
+    ):
+        records, r = run(p, max_N, target)
+        assert len(records) == count
+        assert sha256("\n".join(rec.to_line() for rec in records)) == records_sha
+        assert sha256(r.checkpoint().dump()) == checkpoint_sha
+
+    def test_stop_and_resume_deep(self):
+        direct, r = run(11, 10**40, TARGET_H1)
+        final = r.checkpoint()
+        for k in (1, 17, 300):
+            runner = SieveRun(11, 10**40, TARGET_H1)
+            first = []
+            for record in runner:
+                first.append(record)
+                if len(first) == k:
+                    runner.stop()
+            assert first == direct[:k]
+            cp = SieveCheckpoint.load(runner.checkpoint().dump())
+            rest, resumed = run(11, 10**40, TARGET_H1, checkpoint=cp)
+            assert first + rest == direct, k
+            assert resumed.checkpoint() == final
 
 
 class TestExactCheckpointDigits:
