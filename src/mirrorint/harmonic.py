@@ -41,8 +41,6 @@ _SCALE = 1
 TARGET_H = "H"
 TARGET_H1 = "H1"
 
-CONGRUENCE_KINDS = ("J_mod_p", "W1", "W2", "W3", "congH", "congH2")
-
 
 def harmonic_scaled(n: int) -> tuple[list[int], int]:
     """(h, S): the table grown to cover n, with h[i] = S * H_i for every
@@ -262,16 +260,12 @@ class ModularHarmonicSum:
                 return self.cap, True
         return v - scale, False
 
-    def residue(self, exponent: int, shifted: bool = False) -> int:
-        """H_n mod p**exponent (as an element of Z_p).
-
-        Only valid when the value is p-integral; exponent <= cap + 1.
-        """
+    def residue(self, exponent: int) -> int:
+        """H_n mod p**exponent as an element of Z_p, for 1 <= exponent <=
+        cap + 1; H_n must be p-integral."""
         if exponent < 1 or exponent > self.cap + 1:
             raise ValueError("exponent must be in 1..cap+1")
         x, scale, _ = self._combined()
-        if shifted:
-            x -= self.p**scale
         if x % self.p**scale:
             raise ValueError("value is not p-integral at this index")
         return (x // self.p**scale) % self.p**exponent

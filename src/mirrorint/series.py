@@ -20,7 +20,7 @@ from operator import mul
 from typing import Iterable, Union
 
 from .harmonic import harmonic_scaled, scaled_weight
-from .padic import big_B_sequence, prime_divisors, require_prime, vp_int, vp_rational
+from .padic import big_B_sequence, prime_divisors, require_prime, vp_int
 
 Coeff = Union[int, Fraction]
 
@@ -30,7 +30,6 @@ KIND_QTILDE = "qtilde"
 CANONICAL_KINDS = (KIND_QN, KIND_QLN, KIND_QTILDE)
 
 STATUS_CERTIFIED = "certified"
-STATUS_VIOLATION = "violation"
 
 
 class PSeries:
@@ -264,9 +263,7 @@ def ps_revert(s: PSeries) -> PSeries:
     if s[0] != 0 or s.order < 1 or s[1] != 1:
         raise ValueError("ps_revert requires s = z + O(z^2) with linear coefficient 1")
     m = s.order
-    w = PSeries([1], order=m - 1) if m == 1 else (
-        PSeries([1], order=m - 1) / PSeries(s.coefficients[1:])
-    )
+    w = PSeries([1], order=m - 1) / PSeries(s.coefficients[1:])
     out = [Fraction(0), Fraction(1)]
     power = w
     for n in range(2, m + 1):
@@ -403,10 +400,18 @@ class RootCertificate:
 def max_root(s: PSeries) -> RootCertificate:
     """Largest V (to the truncation order) with s^(1/V) integral.
 
-    Roots are exp(log(s) / V) from one logarithm. Only primes dividing the
-    first nonzero non-constant coefficient c can divide V, with exponent at
-    most v_p(c): the root series starts 1 + (c/V) z^i + ..., so the next
-    power of p fails at index i at latest.
+    Only primes p dividing the first nonzero non-constant coefficient c, at
+    index ``first``, can divide V. With h = log s and tau = p^(e+1), the
+    exponent of p is the least e where dwork_criterion(1, h, tau, p) fails,
+    and the failing index is the witness:
+
+    - It is the first non-p-integral index of F = exp(h / tau). By the
+      Dieudonne-Dwork lemma truncated at n, coefficients 1..n of F are
+      p-integral iff those of F(z^p) / F(z)^p = exp(D / tau), with
+      D = h(z^p) - p h(z), lie in p Z_p; exp and log keep p z Z_p[[z]]
+      order by order, so iff those of D lie in p tau Z_p.
+    - The loop stops by e = v_p(c): h(z^p) vanishes below index p * first,
+      so D[first] = -p c, and 1 + v_p(c) < v_p(p tau) once e = v_p(c).
     """
     if s[0] != 1:
         raise ValueError("max_root requires constant term 1")
@@ -419,11 +424,12 @@ def max_root(s: PSeries) -> RootCertificate:
             order=s.order, primes=(), V=1, status=STATUS_CERTIFIED, degenerate=True
         )
     log_s = ps_log(s)
+    one = PSeries([1], order=s.order)
     primes = []
     V = 1
     for p in prime_divisors(int(s[first])):
         e = 0
-        while (witness := p_integral_violation(ps_exp(log_s / p**(e + 1)), p)) is None:
+        while (witness := dwork_criterion(one, log_s, p**(e + 1), p)[1]) is None:
             e += 1
         primes.append(RootPrime(p, e, witness))
         V *= p**e
@@ -454,9 +460,8 @@ def dwork_criterion(
         raise ValueError("g must have zero constant term")
     diff = f * ps_substitute_power(g, p) - p * ps_substitute_power(f, p) * g
     need = 1 + vp_int(tau, p)
-    for i in range(1, diff.order + 1):
-        x = diff[i]
-        if x != 0 and vp_rational(x, p) < need:
+    for i, x in enumerate(diff.coefficients[1:], 1):
+        if x and vp_int(x.numerator, p) - vp_int(x.denominator, p) < need:
             return False, i
     return True, None
 

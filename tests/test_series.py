@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorint import padic, series
 from mirrorint.constants import t_conjectured, theta, u_conjectured, xi
 from mirrorint.harmonic import harmonic
-from mirrorint.padic import big_B
+from mirrorint.padic import big_B, prime_divisors
 from mirrorint.series import (
+    CANONICAL_KINDS,
     PSeries,
     RootCertificate,
+    RootPrime,
     _int_str_digits,
     build_F,
     build_G,
@@ -41,6 +44,24 @@ small_series = st.builds(
         max_size=9,
     ),
 )
+
+
+def exp_scan_root(s):
+    """The exp-scan oracle: max_root's certificate from re-expanding the
+    root exp(log s / p^(e+1)) at every trial exponent e and scanning it for
+    its first non-p-integral coefficient."""
+    first = next((i for i in range(1, s.order + 1) if s[i] != 0), None)
+    if first is None:
+        return RootCertificate(s.order, (), 1, "certified", degenerate=True)
+    log_s = ps_log(s)
+    primes, V = [], 1
+    for p in prime_divisors(int(s[first])):
+        e = 0
+        while (witness := p_integral_violation(ps_exp(log_s / p ** (e + 1)), p)) is None:
+            e += 1
+        primes.append(RootPrime(p, e, witness))
+        V *= p**e
+    return RootCertificate(s.order, tuple(primes), V, "certified")
 
 
 def compose(outer, inner):
@@ -237,6 +258,7 @@ class TestSubstitutePower:
 class TestRevert:
     def test_identity(self):
         assert ps_revert(PSeries([0, 1], order=4)).coefficients == (0, 1, 0, 0, 0)
+        assert ps_revert(PSeries([0, 1])).coefficients == (0, 1)
 
     def test_moebius(self):
         # z/(1-z) inverts to q/(1+q).
@@ -435,6 +457,37 @@ class TestMaxRoot:
         assert series_doc["coefficients"] == ["1", "1" + "0" * 4400]
         assert cert_doc["V"] == "1" + "0" * 4400
 
+    def test_never_expands_a_root(self, monkeypatch):
+        s = canonical_q("qLN", 7, 1, L=7, order=25)
+
+        def refuse(*args):
+            raise AssertionError("max_root re-expanded a root")
+
+        monkeypatch.setattr(series, "ps_exp", refuse)
+        monkeypatch.setattr(series, "p_integral_violation", refuse)
+        assert max_root(s).V == 108
+
+    @given(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=10),
+        st.integers(1, 27),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_exp_scan_oracle(self, tail, k, powered):
+        # Integral series, and k-th powers, whose roots reach deeper exponents.
+        base = PSeries([1] + tail)
+        s = ps_pow(base, k) if powered else base
+        assert max_root(s) == exp_scan_root(s)
+
+    def test_canonical_maps_match_exp_scan_oracle(self):
+        # All 104 maps are integral; max_root raises on any that is not.
+        for N in range(1, 9):
+            for k in (1, 2):
+                for kind in CANONICAL_KINDS:
+                    for L in range(1, N + 1) if kind == "qLN" else (None,):
+                        s = canonical_q(kind, N, k, L=L, order=30 if k == 1 else 20)
+                        assert max_root(s) == exp_scan_root(s), (kind, N, k, L)
+
     def test_json_schema(self):
         cert = max_root(ps_pow(PSeries([1, 1], order=6), 2))
         doc = cert.to_json()
@@ -469,6 +522,20 @@ class TestDworkCriterion:
             dwork_criterion(PSeries([1, F(1, 2)]), PSeries([0, 1]), 1, 5)
         with pytest.raises(ValueError):
             dwork_criterion(PSeries([1, 1]), PSeries([1, 1]), 1, 5)
+
+    def test_validates_the_prime_once(self, monkeypatch):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return is_prime(n)
+
+        is_prime = padic.is_prime
+        monkeypatch.setattr(padic, "is_prime", counting)
+        # g in 3 Z[[z]] passes, so every coefficient is examined.
+        g = PSeries([0] + [3 * (2 * i - 7) for i in range(12)])
+        assert dwork_criterion(PSeries([1, 1, 2], order=12), g, 1, 3) == (True, None)
+        assert calls == [3]
 
     def test_matches_direct_integrality(self):
         # Randomized two-sided agreement between the congruence criterion
