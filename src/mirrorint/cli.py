@@ -36,9 +36,8 @@ from .series import (
     KIND_QN,
     KIND_QTILDE,
     _int_str_digits,
-    canonical_log,
-    integrality_check,
-    ps_exp,
+    canonical_parts,
+    exp_quotient,
 )
 from .sieve import (
     BACKEND_MODULAR,
@@ -252,8 +251,9 @@ def _cmd_certify(args) -> int:
         "root": args.root,
         "root_scale": args.root_scale,
     }
-    log_q = canonical_log(args.map, args.N, args.k, L=args.L, order=order)
-    if not any(log_q.coefficients):
+    g, f = canonical_parts(args.map, args.N, args.k, L=args.L, order=order)
+    # F[0] = 1, so log q = G/F vanishes to the order exactly when G does.
+    if not any(g.coefficients):
         payload = {"reason": "the map reduces to z: every root is trivially integral"}
         _print_outcome(_outcome("certify", params, "degenerate", payload), args.table)
         return EXIT_PASS
@@ -279,16 +279,17 @@ def _cmd_certify(args) -> int:
             raise ValueError("--root must be positive")
     root *= args.root_scale
 
-    powered = ps_exp(log_q / root)
-    witness = integrality_check(powered)
+    # next() stops the stream at the witness: a violation costs only up to it.
+    powered = enumerate(exp_quotient(g, f, root))
+    witness = next(((i, x) for i, x in powered if x.denominator != 1), None)
     if witness is None:
         payload = {"root": str(root), "certified_to_order": order}
         _print_outcome(_outcome("certify", params, "pass", payload), args.table)
         return EXIT_PASS
     payload = {
         "root": str(root),
-        "witness_index": witness,
-        "witness_coefficient": str(powered[witness]),
+        "witness_index": witness[0],
+        "witness_coefficient": str(witness[1]),
     }
     _print_outcome(_outcome("certify", params, "violation", payload), args.table)
     return EXIT_VIOLATION

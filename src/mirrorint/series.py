@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .harmonic import harmonic_scaled, scaled_weight
 from .padic import big_B_sequence, prime_divisors, require_prime, vp_int
@@ -38,7 +38,7 @@ class PSeries:
     __slots__ = ("_c",)
 
     def __init__(self, coefficients: Iterable[Coeff], order: int | None = None):
-        c = [Fraction(x) for x in coefficients]
+        c = [x if type(x) is Fraction else Fraction(x) for x in coefficients]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be non-negative")
@@ -145,8 +145,7 @@ class PSeries:
         if other._c[0] == 0:
             raise ValueError("division requires a nonzero constant term")
         m = min(self.order, other.order)
-        b, db = _over_lcm(other._c[: m + 1])
-        return PSeries(_solve(self._c[: m + 1], b, db, [other._c[0]] * (m + 1)))
+        return PSeries(_solve(self._c[: m + 1], other._c, [other._c[0]] * (m + 1)))
 
     def __repr__(self) -> str:
         head = ", ".join(str(x) for x in self._c[:6])
@@ -182,59 +181,68 @@ def _over_lcm(c: tuple[Fraction, ...]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in c], d
 
 
+def _push(ints: list[int], lcm: int, x: Coeff) -> int:
+    """Append x to ints, integers over their running lcm; the new lcm. A
+    rescale is in place, so a long list is never held twice."""
+    g = x.denominator // math.gcd(lcm, x.denominator)
+    if g > 1:
+        lcm *= g
+        for i, v in enumerate(ints):
+            ints[i] = v * g
+    ints.append(x.numerator * (lcm // x.denominator))
+    return lcm
+
+
 def _solve(
-    u: list[Coeff], w: list[int], dw: int, pivots: list[Coeff]
-) -> list[Fraction]:
-    """out[n] = (u[n] - sum_{i<n} out[i] w[n-i]/dw) / pivots[n] for n < len(u).
-
-    Until the end the outputs are kept as integers over their running lcm,
-    so each step is one integer dot product and one reduced Fraction."""
-    out, lcm = [], 1
-    for n, pivot in enumerate(pivots):
-        un, ud = u[n].numerator, u[n].denominator
-        acc = un * lcm * dw - sum(map(mul, out, w[n:0:-1])) * ud
-        x = Fraction(acc, ud * lcm * dw) / pivot
-        g = x.denominator // math.gcd(lcm, x.denominator)
-        if g > 1:
-            lcm *= g
-            for i, v in enumerate(out):
-                out[i] = v * g
-        out.append(x.numerator * (lcm // x.denominator))
-    for i, v in enumerate(out):
-        out[i] = Fraction(v, lcm)
-    return out
-
-
-def ps_derivative(s: PSeries) -> PSeries:
-    if s.order == 0:
-        return PSeries([0])
-    return PSeries([i * s.coefficients[i] for i in range(1, s.order + 1)])
+    u: Sequence[Coeff], w: Iterable[Coeff], pivots: Sequence[Coeff]
+) -> Iterator[Fraction]:
+    """Yield out[n] = (u[n] - sum_{0<i<=n} w[i] out[n-i]) / pivots[n], n < len(u),
+    reading w one term per step: w[n] just before out[n]. The outputs and the
+    w read so far are integers over their own running lcms, so each step is
+    one integer dot product and one reduced Fraction."""
+    out, lcm, ws, dw = [], 1, [], 1
+    for un, wn, pivot in zip(u, w, pivots):
+        dw = _push(ws, dw, wn)
+        acc = un.numerator * lcm * dw - sum(map(mul, out, ws[:0:-1])) * un.denominator
+        x = Fraction(acc * pivot.denominator, un.denominator * lcm * dw * pivot.numerator)
+        lcm = _push(out, lcm, x)
+        yield x
 
 
 def ps_exp(s: PSeries) -> PSeries:
-    """exp of a series with zero constant term."""
+    """exp of a series with zero constant term, by exp_quotient's kernel."""
     if s[0] != 0:
         raise ValueError("ps_exp requires a zero constant term")
-    # n e[n] = sum_{j=1..n} j s[j] e[n-j], with e[0] = 1.
-    m = s.order
-    w, d = _over_lcm(s.coefficients)
-    for j in range(m + 1):
-        w[j] *= -j
-    return PSeries(_solve([1] + [0] * m, w, d, [1, *range(1, m + 1)]))
+    return PSeries(_exp(s.coefficients, s.order, 1))
+
+
+def _exp(h: Iterable[Fraction], m: int, r: int) -> Iterator[Fraction]:
+    # r n e[n] = sum_{j=1..n} j h[j] e[n-j], with e[0] = 1, for exp(h / r).
+    w = (-j * x for j, x in enumerate(h))
+    return _solve([1] + [0] * m, w, [1] + [n * r for n in range(1, m + 1)])
+
+
+def exp_quotient(g: PSeries, f: PSeries, r: int) -> Iterator[Fraction]:
+    """Coefficients of exp(g / (r f)) to the common order, one at a time: step
+    n of the quotient g / f feeds step n of exp, so a caller that stops at
+    index n has paid for coefficients 0..n of each and nothing beyond."""
+    if g[0] != 0:
+        raise ValueError("exp_quotient requires g with zero constant term")
+    if f[0] == 0:
+        raise ValueError("division requires a nonzero constant term")
+    if r == 0:
+        raise ValueError("exp_quotient requires a nonzero r")
+    m = min(g.order, f.order)
+    return _exp(_solve(g.coefficients[: m + 1], f.coefficients, [f[0]] * (m + 1)), m, r)
 
 
 def ps_log(s: PSeries) -> PSeries:
-    """log of a series with constant term 1."""
+    """log of a series with constant term 1: the integral of s' / s."""
     if s[0] != 1:
         raise ValueError("ps_log requires constant term 1")
-    m = s.order
-    if m == 0:
-        return PSeries([0])
-    quotient = ps_derivative(s) / s.truncate(m - 1)
-    out = [Fraction(0)]
-    for n in range(1, m + 1):
-        out.append(quotient[n - 1] / n)
-    return PSeries(out)
+    c = s.coefficients
+    quotient = _solve([n * c[n] for n in range(1, len(c))], c, [1] * s.order)
+    return PSeries([0, *(x / n for n, x in enumerate(quotient, 1))])
 
 
 def ps_pow(s: PSeries, exponent: Coeff) -> PSeries:
@@ -330,10 +338,10 @@ def _build_weighted(L: int, N: int, k: int, order: int, shifted: bool) -> PSerie
     )
 
 
-def canonical_log(
+def canonical_parts(
     kind: str, N: int, k: int = 1, L: int | None = None, order: int = 25
-) -> PSeries:
-    """Logarithms of the canonical coordinates, series with constant term 0.
+) -> tuple[PSeries, PSeries]:
+    """(G, F) with G / F the logarithm of the canonical coordinate:
 
     qLN     G_L / F = log q_L, requires L
     qN      G / F = log(z^{-1} q(z))
@@ -349,14 +357,22 @@ def canonical_log(
         g = build_Gtilde(N, k, order)
     else:
         raise ValueError(f"kind must be one of {CANONICAL_KINDS}")
-    return g / build_F(N, k, order)
+    return g, build_F(N, k, order)
+
+
+def canonical_log(
+    kind: str, N: int, k: int = 1, L: int | None = None, order: int = 25
+) -> PSeries:
+    """Logarithms of the canonical coordinates, series with constant term 0."""
+    g, f = canonical_parts(kind, N, k, L, order)
+    return g / f
 
 
 def canonical_q(
     kind: str, N: int, k: int = 1, L: int | None = None, order: int = 25
 ) -> PSeries:
     """Canonical coordinates exp(canonical_log(...)), constant term 1."""
-    return ps_exp(canonical_log(kind, N, k, L, order))
+    return PSeries(exp_quotient(*canonical_parts(kind, N, k, L, order), 1))
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,14 @@ CERTIFY_GOLDEN = [
     ("--map qLN --L 7 --N 7 --root 108 --order 180", 0, "af86c5279802d0398804d997cec880b2eb8dc772e97b3307f591e1676022b599"),
     ("--map qLN --L 7 --N 7 --root 324 --order 180", 1, "41deeefec1f4cf30788606ce5b9ee198e70f96beda17bcd744e0766d067ac8a8"),
     ("--map qLN --L 5 --N 5 --root auto --root-scale 3 --order 180", 1, "9741011fb0c5630db54c91489029583aeb92b8e3c222633ca7805e2af6d192f2"),
+    # A degenerate map reports before its root is read, so even a root that
+    # is not a positive integer passes; recorded while certify still built
+    # all of exp(log q / V) before scanning it, as were the two probes at
+    # order 400 whose witness sits at index 1.
+    ("--map qN --N 1 --root 0", 0, "b6a85b86deef5b7bfdb7e14eea222f4360cda29dc08b1336a7885455e22b3bce"),
+    ("--map qtilde --N 1 --k 2 --root zero --order 30", 0, "28f8b08b8f003845345fd55bdfe05518be59ac367e102e4136f0a0499f556530"),
+    ("--map qLN --L 7 --N 7 --root 324 --order 400", 1, "21ac50a305726001ef92e237ebf4d5bc7a6ffa68506a1ba537feb4e3b8abb180"),
+    ("--map qLN --L 5 --N 5 --root auto --root-scale 3 --order 400", 1, "f555f58c123f6c694ba8778a0486e1a22d9caabd3a68640738860152ed2e7d9c"),
 ]
 
 

@@ -25,6 +25,7 @@ from mirrorint.series import (
     canonical_log,
     canonical_q,
     dwork_criterion,
+    exp_quotient,
     integrality_check,
     max_root,
     p_integral_violation,
@@ -182,6 +183,40 @@ class TestIntegerKernels:
         for e in (2, -1, -3, F(1, 3), F(-5, 2), F(7, 12)):
             expected = ref_exp([e * x for x in log_u])
             assert pairs(ps_pow(PSeries(u), e)) == pairs(expected)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_exp_quotient_matches_fraction_recurrences(self, seed):
+        rng = random.Random(2000 + seed)
+        order = rng.randint(0, 12)
+        g = random_coeffs(rng, order, const=F(0))
+        f = random_coeffs(rng, rng.randint(0, 12), const=rng.choice(self.CONSTS))
+        r = rng.choice((1, 2, 108, 324))
+        expected = ref_exp([x / r for x in ref_div(g, f)])
+        assert pairs(list(exp_quotient(PSeries(g), PSeries(f), r))) == pairs(expected)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_solve_reads_w_one_term_per_step(self, k):
+        rng = random.Random(k)
+        u = random_coeffs(rng, 8)
+        f = random_coeffs(rng, 8, const=F(-3, 7))
+
+        def w():
+            yield from f[: k + 1]
+            raise RuntimeError("w read beyond the outputs asked for")
+
+        steps = series._solve(u, w(), [f[0]] * len(u))
+        got = [next(steps) for _ in range(k + 1)]
+        assert pairs(got) == pairs(ref_div(u, f)[: k + 1])
+        with pytest.raises(RuntimeError):
+            next(steps)
+
+    def test_exp_quotient_preconditions(self):
+        with pytest.raises(ValueError):
+            exp_quotient(PSeries([1, 1]), PSeries([1, 1]), 1)
+        with pytest.raises(ValueError):
+            exp_quotient(PSeries([0, 1]), PSeries([0, 1]), 1)
+        with pytest.raises(ValueError):
+            exp_quotient(PSeries([0, 1]), PSeries([1, 1]), 0)
 
     def test_canonical_map_matches_fraction_recurrences(self):
         f, g = build_F(5, 1, 30), build_GL(5, 5, 1, 30)
