@@ -15,7 +15,6 @@ from .constants import (
 )
 from .harmonic import (
     ModularHarmonicSum,
-    check_harmonic_congruence,
     harmonic,
     is_wolstenholme,
     vp_harmonic,
@@ -25,9 +24,9 @@ from .padic import (
     INFINITE,
     big_B,
     big_B_sequence,
+    big_B_units,
     is_prime,
     primes_upto,
-    vp_big_B,
     vp_factorial,
     vp_rational,
 )
@@ -37,11 +36,9 @@ from .series import (
     build_G,
     build_GL,
     build_Gtilde,
-    canonical_log,
     canonical_q,
     dwork_criterion,
     integrality_check,
-    p_integral_violation,
     ps_exp,
     ps_log,
     ps_substitute_power,
@@ -64,13 +61,12 @@ __all__ = [
     "SieveRun",
     "big_B",
     "big_B_sequence",
+    "big_B_units",
     "build_F",
     "build_G",
     "build_GL",
     "build_Gtilde",
-    "canonical_log",
     "canonical_q",
-    "check_harmonic_congruence",
     "dwork_criterion",
     "harmonic",
     "integrality_check",
@@ -79,7 +75,6 @@ __all__ = [
     "omega",
     "omega_indicator",
     "omega_simplified",
-    "p_integral_violation",
     "primes_upto",
     "ps_exp",
     "ps_log",
@@ -87,7 +82,6 @@ __all__ = [
     "t_conjectured",
     "theta",
     "u_conjectured",
-    "vp_big_B",
     "vp_factorial",
     "vp_harmonic",
     "vp_rational",

@@ -6,6 +6,9 @@ margins, and the optimality witnesses showing the root constants are sharp.
 Membership checks never return a bare boolean: they carry the achieved and
 required valuations, because sharpness arguments are precisely about the
 margin (e.g. failure at exactly one extra power of p).
+
+p is checked where it enters: `sweep` checks each prime of its grid once,
+before any row, and every other function here takes p on trust.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ class Membership:
 
 
 def _validate_core(N: int, k: int, p: int, a: int, K: int) -> None:
-    require_prime(p)
     if N < 1 or k < 1:
         raise ValueError("N and k must be positive integers")
     if not 0 <= a < p:
@@ -263,7 +265,6 @@ def check_lemma11(
     """Membership of B(m) (H_{N m p^s} - H_{N floor(m/p) p^(s+1)}) in
     p^(-s) * xi(N) * N!^k * Z_p; the shifted variant subtracts the plain
     harmonic differences and uses omega(N)."""
-    require_prime(p)
     if N < 1 or k < 1 or m < 0 or s < 0:
         raise ValueError("invalid parameters")
     shifted = which == WHICH_OMEGA
@@ -279,7 +280,6 @@ def optimality_witness(N: int, p: int, shifted: bool = False) -> tuple[int, int]
     """The witness a showing primes p > N cannot divide the maximal root:
     a is minimal with a*N >= p (a = 1 when N = 1), and
     v_p(B_N(a) * H_{Na}) = 0 (shifted: with H_{Na} - H_a). Returns (a, v)."""
-    require_prime(p)
     if N < 1:
         raise ValueError("N must be a positive integer")
     if p <= N:
@@ -321,7 +321,6 @@ def vp3_probe(p: int, N: int) -> RootSharpnessProbe:
     plus two jumps of the modular accumulator over O(log N) levels for the
     harmonic residues.
     """
-    require_prime(p)
     if p < 7:
         raise ValueError("the probe applies to primes p >= 7")
     if p > N:

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .harmonic import harmonic_scaled, is_wolstenholme, scaled_weight, vp_scaled
+from .harmonic import _indicator, harmonic_scaled, scaled_weight, vp_scaled
 from .padic import primes_upto, require_prime
 from .series import _int_str_digits
 
@@ -71,20 +71,13 @@ class Breakdown:
 
 
 def xi_indicator(p: int, N: int) -> int:
-    """1 iff p is a Wolstenholme prime or p divides N; requires p <= N.
-
-    For p in {2, 3} the Wolstenholme branch is false by convention: the
-    defining condition v_p(H_{p-1}) >= 3 lives in a p >= 5 context and is
-    vacuously false there anyway (H_1 = 1, H_2 = 3/2).
-    """
+    """1 iff p is a Wolstenholme prime or p divides N; requires p <= N."""
     require_prime(p)
     if N < 1:
         raise ValueError("N must be a positive integer")
     if p > N:
         raise ValueError("indicator is defined for primes p <= N only")
-    if N % p == 0:
-        return 1
-    return 1 if p >= 5 and is_wolstenholme(p) else 0
+    return _indicator(p, N, False)
 
 
 def omega_indicator(p: int, N: int) -> int:
@@ -96,25 +89,24 @@ def omega_indicator(p: int, N: int) -> int:
     require_prime(p)
     if N < 2:
         raise ValueError("N must be at least 2")
-    if N % p in (1, p - 1):
-        return 1
-    return 1 if p >= 5 and is_wolstenholme(p) else 0
+    return _indicator(p, N, True)
 
 
-def _factor(N: int, shifted: bool, p: int, indicator) -> PrimeFactor:
+def _factor(N: int, shifted: bool, p: int, simplified: bool = False) -> PrimeFactor:
     """The factor of prime p <= N in the product over the harmonic weight
-    H_N, or H_N - 1 when shifted."""
-    # The table covers p - 1 first, so is_wolstenholme reads it too.
+    H_N, or H_N - 1 when shifted. Simplified, the indicator is 0 and the
+    cap is 2."""
+    # The table covers p - 1 first, so the Wolstenholme test reads it too.
     h, _ = harmonic_scaled(N)
-    ind = indicator(p, N)
+    ind = 0 if simplified else _indicator(p, N, shifted)
     v = vp_scaled(scaled_weight(h, N, 1, shifted), p, h)
     cap = 2 + ind
     branch = BRANCH_CAP if cap <= v else BRANCH_VALUATION
     return PrimeFactor(p, min(cap, v), ind, branch)
 
 
-def _breakdown(N: int, shifted: bool, indicator) -> Breakdown:
-    factors = tuple(_factor(N, shifted, p, indicator) for p in primes_upto(N))
+def _breakdown(N: int, shifted: bool, simplified: bool = False) -> Breakdown:
+    factors = tuple(_factor(N, shifted, p, simplified) for p in primes_upto(N))
     product = Fraction(
         math.prod(f.p**f.exponent for f in factors if f.exponent > 0),
         math.prod(f.p**-f.exponent for f in factors if f.exponent < 0),
@@ -137,11 +129,11 @@ def xi(N: int) -> Breakdown:
         return Breakdown(N=1, factors=(), product=Fraction(1))
     if N == 7:
         factors = tuple(
-            PrimeFactor(p, e, xi_indicator(p, 7), BRANCH_VALUATION)
+            PrimeFactor(p, e, _indicator(p, 7, False), BRANCH_VALUATION)
             for p, e in sorted(_XI_7_EXPONENTS.items())
         )
         return Breakdown(N=7, factors=factors, product=_XI_7, special_case=True)
-    return _breakdown(N, False, xi_indicator)
+    return _breakdown(N, False)
 
 
 def omega(N: int) -> Breakdown:
@@ -149,7 +141,7 @@ def omega(N: int) -> Breakdown:
     v_p(H_N - 1)); defined for N >= 2."""
     if N < 2:
         raise ValueError("N must be at least 2")
-    return _breakdown(N, True, omega_indicator)
+    return _breakdown(N, True)
 
 
 def xi_exponent(N: int, p: int) -> int:
@@ -160,7 +152,7 @@ def xi_exponent(N: int, p: int) -> int:
         return _XI_7_EXPONENTS.get(p, 0)
     if N == 1 or p > N:
         return 0
-    return _factor(N, False, p, xi_indicator).exponent
+    return _factor(N, False, p).exponent
 
 
 def omega_exponent(N: int, p: int) -> int:
@@ -169,12 +161,7 @@ def omega_exponent(N: int, p: int) -> int:
         raise ValueError("N must be at least 2")
     if p > N:
         return 0
-    return _factor(N, True, p, omega_indicator).exponent
-
-
-def _simplified(N: int, shifted: bool) -> Fraction:
-    # With every indicator 0 the cap is 2 at every prime.
-    return _breakdown(N, shifted, lambda p, N: 0).product
+    return _factor(N, True, p).exponent
 
 
 def xi_simplified(N: int) -> tuple[Fraction, bool]:
@@ -186,7 +173,7 @@ def xi_simplified(N: int) -> tuple[Fraction, bool]:
     """
     if N in (1, 7):
         raise ValueError("the simplified product is defined for N outside {1, 7}")
-    value = _simplified(N, False)
+    value = _breakdown(N, False, simplified=True).product
     return value, value == xi(N).product
 
 
@@ -194,7 +181,7 @@ def omega_simplified(N: int) -> tuple[Fraction, bool]:
     """Capped-at-2 analogue of omega(N), plus agreement flag."""
     if N < 2:
         raise ValueError("N must be at least 2")
-    value = _simplified(N, True)
+    value = _breakdown(N, True, simplified=True).product
     return value, value == omega(N).product
 
 

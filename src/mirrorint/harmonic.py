@@ -294,6 +294,11 @@ def wolstenholme_valuation(p: int, cap: int = 3) -> int:
         raise ValueError("defined for primes p >= 5")
     if cap < 2:
         raise ValueError("cap must be at least 2")
+    return _wolstenholme(p, cap)
+
+
+def _wolstenholme(p: int, cap: int) -> int:
+    """wolstenholme_valuation, taking p >= 5 prime and cap >= 2 on trust."""
     h = _HARMONIC
     if p <= len(h):
         return min(vp_scaled(h[p - 1], p, h), cap)
@@ -317,6 +322,16 @@ def _wolstenholme_pairing(p: int, cap: int) -> int:
 def is_wolstenholme(p: int) -> bool:
     """True iff v_p(H_{p-1}) >= 3. Only 16843 and 2124679 are known."""
     return wolstenholme_valuation(p, cap=3) >= 3
+
+
+def _indicator(p: int, N: int, shifted: bool) -> int:
+    """The indicator at a prime p of xi(N), or of omega(N) when shifted: 1
+    iff p divides N (shifted: N = +-1 mod p) or p is a Wolstenholme prime,
+    else 0. The second branch is false for p in {2, 3} by convention, and
+    v_p(H_{p-1}) >= 3 fails there anyway (H_1 = 1, H_2 = 3/2)."""
+    if N % p in ((1, p - 1) if shifted else (0,)):
+        return 1
+    return 1 if p >= 5 and _wolstenholme(p, 3) >= 3 else 0
 
 
 @dataclass(frozen=True)
@@ -353,9 +368,8 @@ def check_harmonic_congruence(
                Wolstenholme or N = +-1 mod p
 
     For congH/congH2 the report also carries the iff-criterion's prediction
-    and whether it matches the computed outcome.
+    and whether it matches the computed outcome. Assumes p prime.
     """
-    require_prime(p)
     predicted: bool | None = None
     if kind == "J_mod_p":
         if J is None or J < 1:
@@ -400,8 +414,7 @@ def check_harmonic_congruence(
         h, _ = harmonic_scaled(N * p)
         value = p * scaled_weight(h, N, p, shifted) - scaled_weight(h, N, 1, shifted)
         required = 4
-        residues = (1, p - 1) if shifted else (0,)
-        predicted = is_wolstenholme(p) or N % p in residues
+        predicted = bool(_indicator(p, N, shifted))
         params = {"N": N}
     else:
         raise ValueError(f"unknown congruence kind {kind!r}")

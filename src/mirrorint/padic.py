@@ -156,8 +156,7 @@ def big_B_sequence(N: int, k: int, m_max: int) -> list[int]:
 
 def vp_big_B(N: int, k: int, m: int, p: int) -> int:
     """v_p of ((Nm)!/m!^N)^k via the Legendre double sum, never touching the
-    factorials themselves."""
-    require_prime(p)
+    factorials themselves. Assumes p prime."""
     _validate_b_params(N, k, m)
     total = 0
     q = p

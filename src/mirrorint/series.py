@@ -290,7 +290,8 @@ def integrality_check(s: PSeries) -> int | None:
 
 
 def p_integral_violation(s: PSeries, p: int) -> int | None:
-    """Index of the first coefficient with v_p < 0, or None."""
+    """Index of the first coefficient with v_p < 0, or None; assumes p
+    prime. The tests' oracle for p-integrality of a root."""
     for i, x in enumerate(s.coefficients):
         if x.denominator % p == 0:
             return i
@@ -360,18 +361,11 @@ def canonical_parts(
     return g, build_F(N, k, order)
 
 
-def canonical_log(
-    kind: str, N: int, k: int = 1, L: int | None = None, order: int = 25
-) -> PSeries:
-    """Logarithms of the canonical coordinates, series with constant term 0."""
-    g, f = canonical_parts(kind, N, k, L, order)
-    return g / f
-
-
 def canonical_q(
     kind: str, N: int, k: int = 1, L: int | None = None, order: int = 25
 ) -> PSeries:
-    """Canonical coordinates exp(canonical_log(...)), constant term 1."""
+    """Canonical coordinates exp(G / F) of canonical_parts(...), constant
+    term 1."""
     return PSeries(exp_quotient(*canonical_parts(kind, N, k, L, order), 1))
 
 

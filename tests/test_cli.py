@@ -588,6 +588,27 @@ class TestSweepArguments:
         assert dest.read_text() == "keep\n"
 
 
+# A non-prime --p, and one past the range where primality is decided, at
+# each command that takes p: the exit code and the exact stderr, recorded
+# while every internal call still re-checked its prime.
+PRIME_BOUNDARY = [
+    ("sweep --check dworkS --p 4", "error: p must be prime, got 4\n"),
+    ("sweep --check vp3-probe --p 9 --N 848", "error: p must be prime, got 9\n"),
+    ("sieve --p 1 --max 10", "error: p must be prime, got 1\n"),
+    (
+        "sweep --check lemma11 --p 3317044064679887385961981",
+        "error: is_prime is exact only below 3317044064679887385961981, "
+        "got 3317044064679887385961981\n",
+    ),
+]
+
+
+class TestPrimeBoundary:
+    @pytest.mark.parametrize("argv,err", PRIME_BOUNDARY)
+    def test_usage_error(self, capsys, argv, err):
+        assert run_cli(capsys, *argv.split()) == (2, "", err)
+
+
 class TestExitCodes:
     def test_no_command(self, capsys):
         assert run_cli(capsys)[0] == 2

@@ -48,6 +48,7 @@ class TestIndicators:
         assert xi_indicator(5, 20) == 1  # divisibility branch
         assert xi_indicator(11, 848) == 0  # 848 = 77*11 + 1
         assert xi_indicator(16843, 16843) == 1
+        assert xi_indicator(16843, 16844) == 1  # Wolstenholme branch
 
     def test_xi_wolstenholme_convention(self):
         # For p in {2, 3} only the divisibility branch can fire.
@@ -65,6 +66,7 @@ class TestIndicators:
         assert omega_indicator(5, 4) == 1  # 4 = -1 mod 5
         assert omega_indicator(5, 22) == 0
         assert omega_indicator(3, 7) == 1  # 7 = 1 mod 3
+        assert omega_indicator(16843, 5) == 1  # Wolstenholme branch
 
 
 class TestXi:

@@ -22,7 +22,7 @@ from mirrorint.series import (
     build_G,
     build_GL,
     build_Gtilde,
-    canonical_log,
+    canonical_parts,
     canonical_q,
     dwork_criterion,
     exp_quotient,
@@ -221,7 +221,8 @@ class TestIntegerKernels:
     def test_canonical_map_matches_fraction_recurrences(self):
         f, g = build_F(5, 1, 30), build_GL(5, 5, 1, 30)
         log_q = ref_div(list(g.coefficients), list(f.coefficients))
-        assert pairs(canonical_log("qLN", 5, L=5, order=30)) == pairs(log_q)
+        g, f = canonical_parts("qLN", 5, L=5, order=30)
+        assert pairs(g / f) == pairs(log_q)
         assert pairs(canonical_q("qLN", 5, L=5, order=30)) == pairs(ref_exp(log_q))
 
 
@@ -384,13 +385,14 @@ class TestCanonicalMaps:
             canonical_q("mystery", 2, 1, order=3)
 
     def test_log_and_roots_match_the_pow_route(self):
-        # canonical_log is log(canonical_q) exactly, so exp(log / V) gives
-        # the same V-th root as ps_pow at every truncation order.
+        # G / F of canonical_parts is log(canonical_q) exactly, so
+        # exp(log / V) gives the same V-th root as ps_pow at every order.
         for kind in ("qLN", "qN", "qtilde"):
             for N in range(1, 7):
                 for k in (1, 2):
                     for L in range(1, N + 1) if kind == "qLN" else (None,):
-                        log_q = canonical_log(kind, N, k, L=L, order=15)
+                        g, f = canonical_parts(kind, N, k, L=L, order=15)
+                        log_q = g / f
                         q = canonical_q(kind, N, k, L=L, order=15)
                         assert ps_log(q) == log_q, (kind, N, k, L)
                         for V in (1, 2, 3, 4, 6, 12):
