@@ -21,12 +21,12 @@ from typing import Callable, Iterable, Iterator
 from .constants import omega_exponent, xi_exponent
 from .harmonic import (
     ModularHarmonicSum,
+    _wolstenholme_scan,
     check_harmonic_congruence,
     harmonic_scaled,
     is_wolstenholme,
     scaled_weight,
     vp_scaled,
-    wolstenholme_valuation,
 )
 from .padic import (
     INFINITE,
@@ -438,8 +438,8 @@ def _witness_row(point: dict):
 
 
 def _wolstenholme_row(point: dict):
-    v = wolstenholme_valuation(point["p"], cap=3)
-    return {"p": point["p"], "v_capped": v}, v >= 2, v - 2
+    p, v = point["p"]
+    return {"p": p, "v_capped": v}, v >= 2, v - 2
 
 
 def _vp3_row(point: dict):
@@ -514,7 +514,8 @@ SWEEPS: dict[str, Sweep] = {
     ),
     "wolstenholme": Sweep(
         {"pmin": 5},
-        (("p", lambda g, v: _primes(g, max(5, g["pmin"]))),),
+        # Each value is a pair (p, min(v_p(H_{p-1}), 3)).
+        (("p", lambda g, v: _wolstenholme_scan(g["pmin"], g["pmax"], 3)),),
         _wolstenholme_row,
         required=("pmax",),
     ),

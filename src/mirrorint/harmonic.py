@@ -19,18 +19,20 @@ v_p(S) = floor(log_p T): no Fraction is added and no gcd runs per term.
 Growing the table from T to T' appends T' - T entries, h[i] = h[i-1] + S'/i,
 and rescales the old ones in place by S'/S, which is 1 unless a prime power
 lies in (T, T']. A caller that walks an increasing range of indices asks for
-the top one first, so the table rescales once, not once per step.
+the top one first, so the table rescales once, not once per step. A wide
+Wolstenholme sweep walks the same recurrence in one running sum S * H_n
+and keeps no table (_wolstenholme_scan).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import require_prime, vp_int
+from .padic import primes_upto, require_prime, vp_int
 
 # h[i] = S * H_i for i < len(_HARMONIC), with S = _SCALE = lcm(1..T) and
 # T = len(_HARMONIC) - 1.
@@ -305,12 +307,60 @@ def _wolstenholme(p: int, cap: int) -> int:
     return _wolstenholme_pairing(p, cap)
 
 
+def _wolstenholme_scan(pmin: int, pmax: int, cap: int) -> Iterator[tuple[int, int]]:
+    """(p, min(v_p(H_{p-1}), cap)) for every prime max(5, pmin) <= p <= pmax,
+    ascending; cap >= 2 is taken on trust.
+
+    A wide window, 2 max(5, pmin) <= pmax, walks one running sum from n = 1
+    to pmax - 1: x = S H_n with S = lcm(1..n). A step to n scales S and x
+    by q when n is a power of the prime q, then adds S / n. At n = p - 1, S
+    is prime to p, since no factor of 1..p-1 is, so v_p(H_{p-1}) = v_p(x),
+    read off x mod p^cap. The state is two integers of about 1.44 pmax bits:
+    no table is built and _HARMONIC is not touched.
+
+    A narrower window reads each prime by _wolstenholme, off the table or by
+    the pairing, as a single prime is read. The walk costs about pmax^2 bit
+    operations whatever pmin is, the pairing p / 2 modular steps per prime
+    of the window, so on a narrow window the pairing is cheaper: pmin =
+    16800, pmax = 16900 takes 0.11 s walked and 0.03 s paired.
+    """
+    lo = max(5, pmin)
+    all_primes = primes_upto(pmax)
+    primes = [p for p in all_primes if p >= lo]
+    if 2 * lo > pmax:
+        for p in primes:
+            yield p, _wolstenholme(p, cap)
+        return
+    base = [1] * pmax  # base[n] = q when n is a power of the prime q
+    for q in all_primes:
+        power = q
+        while power < pmax:
+            base[power] = q
+            power *= q
+    S, x, top = 1, 0, 0  # x = S H_top with S = lcm(1..top)
+    for p in primes:
+        for n in range(top + 1, p):
+            q = base[n]
+            if q > 1:
+                S *= q
+                x *= q
+            x += S // n
+        top = p - 1
+        r = x % p**cap
+        yield p, vp_int(r, p) if r else cap
+
+
 def _wolstenholme_pairing(p: int, cap: int) -> int:
     """min(v_p(H_{p-1}), cap) for a prime p >= 5 and cap >= 2.
 
     Pairing 1/e with 1/(p-e) gives H_{p-1} = p * T with T in Z_p, so the
     valuation is read off T modulo p^(cap-1); H_{p-1} itself is never built.
     T = sum_{e<p/2} 1/(e (p-e)) is summed over one common denominator.
+
+    This is the route for a single prime above the table, and for each
+    prime of a narrow sweep window; a wide window walks one running sum
+    instead (_wolstenholme_scan), since p / 2 steps per prime add up to
+    about pmax^2 / (4 ln pmax) over the window.
     """
     t = _inverse_sum((e * (p - e) for e in range(1, (p + 1) // 2)), p ** (cap - 1))
     if t == 0:

@@ -82,7 +82,10 @@ def require_prime(p: int) -> None:
 
 
 def vp_int(n: int, p: int) -> int | float:
-    """Valuation of an integer; INFINITE for n = 0. Assumes p prime."""
+    """Valuation of an integer; INFINITE for n = 0. Assumes p prime, but
+    raises ValueError for p < 2, where the loop would not end."""
+    if p < 2:
+        raise ValueError(f"p must be prime, got {p}")
     if n == 0:
         return INFINITE
     v = 0
@@ -156,7 +159,10 @@ def big_B_sequence(N: int, k: int, m_max: int) -> list[int]:
 
 def vp_big_B(N: int, k: int, m: int, p: int) -> int:
     """v_p of ((Nm)!/m!^N)^k via the Legendre double sum, never touching the
-    factorials themselves. Assumes p prime."""
+    factorials themselves. Assumes p prime, but raises ValueError for p < 2,
+    where the loop would not end."""
+    if p < 2:
+        raise ValueError(f"p must be prime, got {p}")
     _validate_b_params(N, k, m)
     total = 0
     q = p

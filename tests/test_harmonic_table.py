@@ -22,10 +22,12 @@ from mirrorint.congruences import (
     check_Y,
     coeff_C,
     optimality_witness,
+    sweep,
 )
 from mirrorint.constants import omega, theta, xi
 from mirrorint.harmonic import (
     _wolstenholme_pairing,
+    _wolstenholme_scan,
     check_harmonic_congruence,
     harmonic,
     harmonic_scaled,
@@ -88,6 +90,18 @@ class TestTableGrowth:
                     assert vp_harmonic(N, p, shifted=True) == vp_rational(H(N) - 1, p)
 
 
+@pytest.fixture
+def pairing_calls(monkeypatch):
+    """The primes _wolstenholme_pairing is called with, in call order."""
+    calls = []
+    monkeypatch.setattr(
+        harmonic_module,
+        "_wolstenholme_pairing",
+        lambda p, cap: calls.append(p) or _wolstenholme_pairing(p, cap),
+    )
+    return calls
+
+
 class TestWolstenholmeRoutes:
     def test_table_route_matches_the_pairing_sum(self, empty_table):
         primes = [p for p in primes_upto(3000) if p >= 5]
@@ -96,17 +110,42 @@ class TestWolstenholmeRoutes:
             for cap in range(2, 6):
                 assert wolstenholme_valuation(p, cap) == _wolstenholme_pairing(p, cap), (p, cap)
 
-    def test_short_table_takes_the_pairing_sum(self, empty_table, monkeypatch):
+    def test_short_table_takes_the_pairing_sum(self, empty_table, pairing_calls):
         harmonic_scaled(100)
-        calls = []
-        monkeypatch.setattr(
-            harmonic_module,
-            "_wolstenholme_pairing",
-            lambda p, cap: calls.append(p) or _wolstenholme_pairing(p, cap),
-        )
-        assert wolstenholme_valuation(101, 3) == 2 and calls == []
-        assert wolstenholme_valuation(103, 3) == 2 and calls == [103]
+        assert wolstenholme_valuation(101, 3) == 2 and pairing_calls == []
+        assert wolstenholme_valuation(103, 3) == 2 and pairing_calls == [103]
         assert len(harmonic_module._HARMONIC) == 101  # never grown for it
+
+    def test_walk_matches_the_pairing_sum(self, empty_table):
+        # Every step to a prime power below 3000 rescales S and x.
+        primes = [p for p in primes_upto(3000) if p >= 5]
+        for cap in range(2, 6):
+            rows = list(_wolstenholme_scan(5, 3000, cap))
+            assert rows == [(p, _wolstenholme_pairing(p, cap)) for p in primes], cap
+
+    def test_wide_sweep_walks_without_table_or_pairing(self, empty_table, pairing_calls):
+        harmonic_scaled(100)
+        rows = list(sweep("wolstenholme", pmax=6000))
+        assert len(rows) == len(primes_upto(6000)) - 2
+        assert pairing_calls == [] and len(harmonic_module._HARMONIC) == 101
+
+    def test_narrow_sweep_pairs_each_prime_above_the_table(self, empty_table, pairing_calls):
+        harmonic_scaled(100)
+        # 2 max(5, 60) = 120 > 110: the narrow path, by table then pairing.
+        rows = list(sweep("wolstenholme", pmin=60, pmax=110))
+        assert [r["params"]["p"] for r in rows] == [61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109]
+        assert pairing_calls == [103, 107, 109]
+        assert len(harmonic_module._HARMONIC) == 101
+
+    def test_path_rule_boundary(self, empty_table, pairing_calls):
+        list(_wolstenholme_scan(50, 100, 3))  # 2 * 50 <= 100: walked
+        assert pairing_calls == []
+        list(_wolstenholme_scan(51, 100, 3))  # 2 * 51 > 100: paired
+        assert pairing_calls == [53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+
+    @pytest.mark.parametrize("pmin,pmax", [(100, 50), (5, 4), (1, 4), (3, 3), (5, 0)])
+    def test_no_primes_no_rows(self, pmin, pmax):
+        assert list(_wolstenholme_scan(pmin, pmax, 3)) == []
 
 
 SMALL = [(N, k, p) for N in (1, 2, 3, 4) for k in (1, 2) for p in (2, 3, 5)]

@@ -180,6 +180,19 @@ class TestVpBigB:
                             assert vp_big_B(N, k, p**e * h, p) == base
 
 
+class TestTrustedHelpersEnd:
+    # vp_int and vp_big_B take p on trust, but p < 2 would never leave
+    # their loops (p = 0 divided by zero in vp_int), so they refuse it.
+    @pytest.mark.parametrize("p", [1, 0, -1])
+    def test_vp_int_rejects_p_below_2(self, p):
+        with pytest.raises(ValueError):
+            vp_int(8, p)
+
+    def test_vp_big_B_rejects_p_below_2(self):
+        with pytest.raises(ValueError):
+            vp_big_B(3, 1, 2, 1)
+
+
 class TestCoefficientLowerBounds:
     def test_small_a_bound(self):
         # v_p(B(a)) >= floor(N/p) + k*v_p(N!) for 2 <= a < p <= N.
