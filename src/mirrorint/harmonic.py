@@ -19,9 +19,9 @@ v_p(S) = floor(log_p T): no Fraction is added and no gcd runs per term.
 Growing the table from T to T' appends T' - T entries, h[i] = h[i-1] + S'/i,
 and rescales the old ones in place by S'/S, which is 1 unless a prime power
 lies in (T, T']. A caller that walks an increasing range of indices asks for
-the top one first, so the table rescales once, not once per step. A wide
-Wolstenholme sweep walks the same recurrence in one running sum S * H_n
-and keeps no table (_wolstenholme_scan).
+the top one first, so the table rescales once, not once per step. A
+Wolstenholme sweep, unless its window is narrow, walks the same recurrence
+in one running sum S * H_n and keeps no table (_wolstenholme_scan).
 """
 
 from __future__ import annotations
@@ -311,23 +311,26 @@ def _wolstenholme_scan(pmin: int, pmax: int, cap: int) -> Iterator[tuple[int, in
     """(p, min(v_p(H_{p-1}), cap)) for every prime max(5, pmin) <= p <= pmax,
     ascending; cap >= 2 is taken on trust.
 
-    A wide window, 2 max(5, pmin) <= pmax, walks one running sum from n = 1
-    to pmax - 1: x = S H_n with S = lcm(1..n). A step to n scales S and x
-    by q when n is a power of the prime q, then adds S / n. At n = p - 1, S
-    is prime to p, since no factor of 1..p-1 is, so v_p(H_{p-1}) = v_p(x),
-    read off x mod p^cap. The state is two integers of about 1.44 pmax bits:
-    no table is built and _HARMONIC is not touched.
+    The walk keeps one running sum from n = 1 to pmax - 1: x = S H_n with
+    S = lcm(1..n). A step to n scales S and x by q when n is a power of the
+    prime q, then adds S / n. At n = p - 1, S is prime to p, since no factor
+    of 1..p-1 is, so v_p(H_{p-1}) = v_p(x), read off x mod p^cap. The state
+    is two integers of about 1.44 pmax bits: no table is built and
+    _HARMONIC is not touched.
 
-    A narrower window reads each prime by _wolstenholme, off the table or by
-    the pairing, as a single prime is read. The walk costs about pmax^2 bit
-    operations whatever pmin is, the pairing p / 2 modular steps per prime
-    of the window, so on a narrow window the pairing is cheaper: pmin =
-    16800, pmax = 16900 takes 0.11 s walked and 0.03 s paired.
+    The path is the cheaper one by a cost model in pairing steps. Pairing
+    the window costs (p - 1) / 2 steps per prime of it. The walk costs about
+    1 + n / 500 steps at n, whose integers have about 1.44 n bits, so about
+    pmax + pmax^2 / 1000 in all, whatever pmin is. Where the pairing is
+    cheaper, a narrow window just below pmax, each prime is read by
+    _wolstenholme, off the table or by the pairing, as a single prime is:
+    pmin = 16800, pmax = 16900 takes 0.08 s walked and 0.02 s paired. At
+    the rule's edge the two paths differ by at most about 40%.
     """
     lo = max(5, pmin)
     all_primes = primes_upto(pmax)
     primes = [p for p in all_primes if p >= lo]
-    if 2 * lo > pmax:
+    if sum(p // 2 for p in primes) < pmax + pmax * pmax // 1000:
         for p in primes:
             yield p, _wolstenholme(p, cap)
         return
@@ -358,9 +361,10 @@ def _wolstenholme_pairing(p: int, cap: int) -> int:
     T = sum_{e<p/2} 1/(e (p-e)) is summed over one common denominator.
 
     This is the route for a single prime above the table, and for each
-    prime of a narrow sweep window; a wide window walks one running sum
-    instead (_wolstenholme_scan), since p / 2 steps per prime add up to
-    about pmax^2 / (4 ln pmax) over the window.
+    prime of a sweep window narrow enough that its (p - 1) / 2 steps per
+    prime cost less than walking one running sum to pmax
+    (_wolstenholme_scan); over a wide window they add up to about
+    pmax^2 / (4 ln pmax).
     """
     t = _inverse_sum((e * (p - e) for e in range(1, (p + 1) // 2)), p ** (cap - 1))
     if t == 0:

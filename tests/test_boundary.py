@@ -62,7 +62,7 @@ def test_nonprime_rejected(name, p):
         ("j-mod-p", {"pmax": 13, "Jmax": 200}, 0),
         # Rows read H_{p-1} off one walked sum, or unchecked per prime.
         ("wolstenholme", {"pmax": 200}, 0),
-        ("wolstenholme", {"pmin": 150, "pmax": 200}, 0),
+        ("wolstenholme", {"pmin": 195, "pmax": 200}, 0),
     ],
 )
 def test_sweep_checks_primes_once(monkeypatch, check, params, calls):

@@ -532,13 +532,16 @@ SWEEP_GOLDEN = [
     ("--check wolstenholme --pmax 6000", 0, "74dc49531c1403fd1d4912a790c398ab3b34111dfcbfb2ece382740a16d2c212"),
     ("--check wolstenholme --pmin 3000 --pmax 6800", 0, "a55bbd814506a2ae23c7b08b33430a74ea15109448ea4ea2a7bf78f714fd8542"),
     # Recorded while every row was a per-prime table read or pairing sum,
-    # before wide sweeps walked one running sum S * H_n: the README's sweep
+    # before sweeps walked one running sum S * H_n: the README's sweep
     # (2260 rows, only 16843 at v_capped 3), a walked window holding 16843,
-    # and one window on each side of the rule 2 max(5, pmin) <= pmax.
+    # two walks from about pmax / 2, and one window on each side of the
+    # cost rule at pmax = 6800 (6674 paired, 6673 walked).
     ("--check wolstenholme --pmax 20000", 0, "a39a88b65d1e9a8899e2c07ed39351277d9321cea26b99b8a23e7fffcc85e3d6"),
     ("--check wolstenholme --pmin 8000 --pmax 17000", 0, "161941fe31fba1e62bc1b7fd04f443a7e623d145148f4a0ecb68599db5310261"),
     ("--check wolstenholme --pmin 3400 --pmax 6800", 0, "ef7d2ad2d3baac1cadba64da076dfd737da37b247ae596d7e4714c04d79b3d8f"),
     ("--check wolstenholme --pmin 3401 --pmax 6800", 0, "ef7d2ad2d3baac1cadba64da076dfd737da37b247ae596d7e4714c04d79b3d8f"),
+    ("--check wolstenholme --pmin 6674 --pmax 6800", 0, "c3db321574c1ba10a17491070ebcffe9107f3023bc7e942c14ec5db64149b34b"),
+    ("--check wolstenholme --pmin 6673 --pmax 6800", 0, "5970f1e4617419766993bb84329a337d757725485ad9cff34b68a142886e2cf2"),
 ]
 
 

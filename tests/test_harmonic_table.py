@@ -131,17 +131,29 @@ class TestWolstenholmeRoutes:
 
     def test_narrow_sweep_pairs_each_prime_above_the_table(self, empty_table, pairing_calls):
         harmonic_scaled(100)
-        # 2 max(5, 60) = 120 > 110: the narrow path, by table then pairing.
-        rows = list(sweep("wolstenholme", pmin=60, pmax=110))
-        assert [r["params"]["p"] for r in rows] == [61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109]
-        assert pairing_calls == [103, 107, 109]
+        # 50 + 51 pairing steps < 104 + 10 for the walk: read by the table,
+        # then paired.
+        rows = list(sweep("wolstenholme", pmin=100, pmax=104))
+        assert [r["params"]["p"] for r in rows] == [101, 103]
+        assert pairing_calls == [103]
         assert len(harmonic_module._HARMONIC) == 101
 
     def test_path_rule_boundary(self, empty_table, pairing_calls):
-        list(_wolstenholme_scan(50, 100, 3))  # 2 * 50 <= 100: walked
+        # The walk to 6800 costs 6800 + 46240 = 53040 pairing steps. The 15
+        # primes from 6679 to 6793 cost 50507 of them, and with 6673 also
+        # 53843: the same windows as the goldens on each side of the rule.
+        list(_wolstenholme_scan(6673, 6800, 3))
         assert pairing_calls == []
-        list(_wolstenholme_scan(51, 100, 3))  # 2 * 51 > 100: paired
-        assert pairing_calls == [53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+        list(_wolstenholme_scan(6674, 6800, 3))
+        assert pairing_calls == [p for p in primes_upto(6800) if p > 6673]
+        assert len(pairing_calls) == 15
+
+    def test_wide_windows_walk_from_any_pmin(self, empty_table, pairing_calls):
+        # Walking to pmax costs the same whatever pmin is, so any window
+        # wider than a few percent of pmax walks.
+        for pmin in (500, 700, 900, 950):
+            list(_wolstenholme_scan(pmin, 1000, 3))
+        assert pairing_calls == []
 
     @pytest.mark.parametrize("pmin,pmax", [(100, 50), (5, 4), (1, 4), (3, 3), (5, 0)])
     def test_no_primes_no_rows(self, pmin, pmax):
