@@ -32,9 +32,9 @@ from .constants import (
     xi,
 )
 from .series import (
+    CANONICAL_KINDS,
     KIND_QLN,
     KIND_QN,
-    KIND_QTILDE,
     _int_str_digits,
     canonical_parts,
     exp_quotient,
@@ -123,9 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser(
         "certify", help="integrality certificate for a root of a canonical map"
     )
-    p_cert.add_argument(
-        "--map", required=True, choices=(KIND_QN, KIND_QLN, KIND_QTILDE)
-    )
+    p_cert.add_argument("--map", required=True, choices=CANONICAL_KINDS)
     p_cert.add_argument("--N", type=int, required=True)
     p_cert.add_argument("--k", type=int, default=1)
     p_cert.add_argument("--L", type=int, default=None)
@@ -166,27 +164,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sieve.add_argument("--progress", action="store_true")
     p_sieve.set_defaults(func=_cmd_sieve)
 
-    # Grid flags absent from the command line stay unset, so the check's
-    # defaults in congruences.SWEEPS apply (and an explicit 0 is kept).
+    # One grid flag per parameter named in congruences.SWEEPS, --p a csv of
+    # primes and every other an int. Flags absent from the command line stay
+    # unset, so the check's defaults apply (and an explicit 0 is kept).
     p_sweep = sub.add_parser(
         "sweep",
         help="grid-run a congruence check, JSONL out",
         argument_default=argparse.SUPPRESS,
     )
     p_sweep.add_argument("--check", required=True, choices=tuple(SWEEPS))
-    p_sweep.add_argument("--p", type=_csv_ints, help="primes, csv")
-    p_sweep.add_argument("--pmax", type=int)
-    p_sweep.add_argument("--pmin", type=int)
-    p_sweep.add_argument("--N", type=int, help="single N (vp3-probe)")
-    p_sweep.add_argument("--Nmax", type=int)
-    p_sweep.add_argument("--kmax", type=int)
-    p_sweep.add_argument("--Kmax", type=int)
-    p_sweep.add_argument("--K", type=int, help="single K (decomposition)")
-    p_sweep.add_argument("--smax", type=int)
-    p_sweep.add_argument("--mmax", type=int)
-    p_sweep.add_argument("--jmax", type=int)
-    p_sweep.add_argument("--Jmax", type=int)
-    p_sweep.add_argument("--summax", type=int, help="bound on a + K*p")
+    grid_params = dict.fromkeys(
+        name for spec in SWEEPS.values() for name in (*spec.defaults, *spec.required)
+    )
+    for name in grid_params:
+        p_sweep.add_argument(f"--{name}", type=_csv_ints if name == "p" else int)
     p_sweep.add_argument("--which")
     p_sweep.add_argument("--out", default="-")
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .constants import omega_exponent, xi_exponent
+from .constants import omega, xi
 from .harmonic import (
     ModularHarmonicSum,
     _wolstenholme_scan,
@@ -115,8 +115,8 @@ def coeff_C_tilde(N: int, k: int, p: int, a: int, K: int) -> Fraction:
 def _required_vp(which: str, N: int, k: int, p: int) -> int:
     if which not in (WHICH_XI, WHICH_OMEGA):
         raise ValueError(f"which must be {WHICH_XI!r} or {WHICH_OMEGA!r}")
-    exponent = xi_exponent if which == WHICH_XI else omega_exponent
-    return exponent(N, p) + k * vp_factorial(N, p)
+    breakdown = xi(N) if which == WHICH_XI else omega(N)
+    return breakdown.exponent_of(p) + k * vp_factorial(N, p)
 
 
 def check_theorem_congruence(

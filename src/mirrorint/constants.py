@@ -7,6 +7,7 @@ sequences t_N = xi(N) * N!^k and u_N = omega(N) * N!.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,26 +93,32 @@ def omega_indicator(p: int, N: int) -> int:
     return _indicator(p, N, True)
 
 
-def _factor(N: int, shifted: bool, p: int, simplified: bool = False) -> PrimeFactor:
+def _factor(N: int, shifted: bool, p: int) -> PrimeFactor:
     """The factor of prime p <= N in the product over the harmonic weight
-    H_N, or H_N - 1 when shifted. Simplified, the indicator is 0 and the
-    cap is 2."""
+    H_N, or H_N - 1 when shifted."""
     # The table covers p - 1 first, so the Wolstenholme test reads it too.
     h, _ = harmonic_scaled(N)
-    ind = 0 if simplified else _indicator(p, N, shifted)
+    ind = _indicator(p, N, shifted)
     v = vp_scaled(scaled_weight(h, N, 1, shifted), p, h)
     cap = 2 + ind
     branch = BRANCH_CAP if cap <= v else BRANCH_VALUATION
     return PrimeFactor(p, min(cap, v), ind, branch)
 
 
-def _breakdown(N: int, shifted: bool, simplified: bool = False) -> Breakdown:
-    factors = tuple(_factor(N, shifted, p, simplified) for p in primes_upto(N))
-    product = Fraction(
-        math.prod(f.p**f.exponent for f in factors if f.exponent > 0),
-        math.prod(f.p**-f.exponent for f in factors if f.exponent < 0),
-    )
+def _breakdown(N: int, shifted: bool) -> Breakdown:
+    factors = tuple(_factor(N, shifted, p) for p in primes_upto(N))
+    product = _product((f.p, f.exponent) for f in factors)
     return Breakdown(N=N, factors=factors, product=product)
+
+
+def _product(exponents: Iterable[tuple[int, int]]) -> Fraction:
+    num = den = 1
+    for p, e in exponents:
+        if e > 0:
+            num *= p**e
+        elif e < 0:
+            den *= p**-e
+    return Fraction(num, den)
 
 
 # xi(7) differs from the generic product by dropping the factor 3; the value
@@ -144,26 +151,6 @@ def omega(N: int) -> Breakdown:
     return _breakdown(N, True)
 
 
-def xi_exponent(N: int, p: int) -> int:
-    """``xi(N).exponent_of(p)`` for a prime p, computed at p alone."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if N == 7:
-        return _XI_7_EXPONENTS.get(p, 0)
-    if N == 1 or p > N:
-        return 0
-    return _factor(N, False, p).exponent
-
-
-def omega_exponent(N: int, p: int) -> int:
-    """``omega(N).exponent_of(p)`` for a prime p, computed at p alone."""
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    if p > N:
-        return 0
-    return _factor(N, True, p).exponent
-
-
 def xi_simplified(N: int) -> tuple[Fraction, bool]:
     """The indicator-free product with exponents capped at 2, plus a flag
     telling whether it agrees with the full xi(N).
@@ -173,16 +160,21 @@ def xi_simplified(N: int) -> tuple[Fraction, bool]:
     """
     if N in (1, 7):
         raise ValueError("the simplified product is defined for N outside {1, 7}")
-    value = _breakdown(N, False, simplified=True).product
-    return value, value == xi(N).product
+    return _capped_at_2(xi(N))
 
 
 def omega_simplified(N: int) -> tuple[Fraction, bool]:
     """Capped-at-2 analogue of omega(N), plus agreement flag."""
     if N < 2:
         raise ValueError("N must be at least 2")
-    value = _breakdown(N, True, simplified=True).product
-    return value, value == omega(N).product
+    return _capped_at_2(omega(N))
+
+
+def _capped_at_2(b: Breakdown) -> tuple[Fraction, bool]:
+    # Each exponent is min(2 + indicator, v), so min(2, exponent) is
+    # min(2, v): the simplified product is read off the full breakdown.
+    value = _product((f.p, min(2, f.exponent)) for f in b.factors)
+    return value, value == b.product
 
 
 def theta(L: int) -> int:

@@ -251,15 +251,9 @@ class ModularHarmonicSum:
         x, scale, mod = self._combined()
         if shifted:
             x = (x - self.p**scale) % mod
-        limit = scale + self.cap
-        if x == 0:
+        v = vp_int(x, self.p)
+        if v >= scale + self.cap:
             return self.cap, True
-        v = 0
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-            if v >= limit:
-                return self.cap, True
         return v - scale, False
 
     def residue(self, exponent: int) -> int:

@@ -16,6 +16,7 @@ from mirrorint import cli
 from mirrorint.cli import _build_parser, _int_str_digits, main
 from mirrorint.congruences import SWEEPS
 from mirrorint.constants import u_conjectured
+from mirrorint.series import CANONICAL_KINDS
 from mirrorint.sieve import SieveCheckpoint
 
 
@@ -552,14 +553,27 @@ class TestSweepGolden:
         assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha256)
 
 
+def subcommand_actions(command):
+    sub = next(
+        a for a in _build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
 class TestSweepArguments:
     def test_check_choices_are_the_table(self):
-        sub = next(
-            a for a in _build_parser()._actions
-            if isinstance(a, argparse._SubParsersAction)
-        )
-        (check,) = [a for a in sub.choices["sweep"]._actions if a.dest == "check"]
-        assert tuple(check.choices) == tuple(SWEEPS)
+        assert tuple(subcommand_actions("sweep")["check"].choices) == tuple(SWEEPS)
+
+    def test_grid_flags_are_the_table_parameters(self):
+        params = {
+            name for spec in SWEEPS.values() for name in (*spec.defaults, *spec.required)
+        }
+        flags = subcommand_actions("sweep").keys() - {"help"}
+        assert flags == params | {"check", "which", "out"}
+
+    def test_map_choices_are_the_canonical_kinds(self):
+        assert tuple(subcommand_actions("certify")["map"].choices) == CANONICAL_KINDS
 
     def test_explicit_zero_bound_is_an_empty_grid(self, capsys):
         code, out, err = run_cli(

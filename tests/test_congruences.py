@@ -23,7 +23,7 @@ from mirrorint.congruences import (
     sweep,
     vp3_probe,
 )
-from mirrorint.constants import omega_exponent, xi_exponent
+from mirrorint.constants import omega_indicator, xi_indicator
 from mirrorint.harmonic import harmonic
 from mirrorint.padic import INFINITE, big_B, primes_upto, vp_rational
 from mirrorint.series import build_F, build_G, build_GL, build_Gtilde, ps_substitute_power
@@ -356,14 +356,26 @@ class TestConstantMemo:
         assert _required_vp.cache_info().maxsize is not None
 
     def test_values_match_the_exponents(self):
-        # v_p(xi(N) N!^k) and v_p(omega(N) N!^k), with v_p(N!) read off the
-        # exact factorial.
+        # v_p(xi(N) N!^k) and v_p(omega(N) N!^k), recomputed from the exact
+        # rationals: min(2 + indicator, v_p(w)) with w = H_N or H_N - 1, the
+        # pinned xi(7) = 1/140 and xi(1) = 1, and v_p(N!) off the factorial.
         primes = primes_upto(41)
+        xi_7 = {2: -2, 5: -1, 7: -1}
         for N in range(1, 41):
+            h = harmonic(N)
             for p in primes:
                 fact_vp = vp_rational(F(math.factorial(N)), p)
-                xi_vp = xi_exponent(N, p)
-                omega_vp = omega_exponent(N, p) if N >= 2 else None
+                if N == 7:
+                    xi_vp = xi_7.get(p, 0)
+                elif N == 1 or p > N:
+                    xi_vp = 0
+                else:
+                    xi_vp = min(2 + xi_indicator(p, N), vp_rational(h, p))
+                omega_vp = None
+                if N >= 2:
+                    omega_vp = 0
+                    if p <= N:
+                        omega_vp = min(2 + omega_indicator(p, N), vp_rational(h - 1, p))
                 for k in range(4):
                     # The second call of each pair is answered by the memo.
                     expected = xi_vp + k * fact_vp

@@ -6,16 +6,18 @@ from fractions import Fraction as F
 import pytest
 
 from mirrorint.constants import (
+    BRANCH_CAP,
+    Breakdown,
     DegenerateCase,
+    PrimeFactor,
+    _capped_at_2,
     omega,
-    omega_exponent,
     omega_indicator,
     omega_simplified,
     t_conjectured,
     theta,
     u_conjectured,
     xi,
-    xi_exponent,
     xi_indicator,
     xi_simplified,
 )
@@ -74,8 +76,14 @@ class TestXi:
         b7 = xi(7)
         assert b7.product == F(1, 140) and b7.special_case
         assert b7.exponent_of(3) == 0  # the generic formula would give 1
+        assert [b7.exponent_of(p) for p in (2, 3, 5, 7, 11)] == [-2, 0, -1, -1, 0]
         b1 = xi(1)
         assert b1.product == 1 and b1.factors == ()
+        assert b1.exponent_of(2) == 0
+
+    def test_n0_rejected(self):
+        with pytest.raises(ValueError):
+            xi(0)
 
     def test_n20_exponent(self):
         b = xi(20)
@@ -123,23 +131,6 @@ class TestXi:
         assert doc["product"] == expected
 
 
-class TestExponentAtOnePrime:
-    def test_matches_the_breakdowns(self):
-        for N in range(1, 60):
-            for p in primes_upto(N + 12):
-                assert xi_exponent(N, p) == xi(N).exponent_of(p), (N, p)
-                if N >= 2:
-                    assert omega_exponent(N, p) == omega(N).exponent_of(p), (N, p)
-
-    def test_special_case_and_domain(self):
-        assert [xi_exponent(7, p) for p in (2, 3, 5, 7, 11)] == [-2, 0, -1, -1, 0]
-        assert xi_exponent(1, 2) == 0
-        with pytest.raises(ValueError):
-            xi_exponent(0, 2)
-        with pytest.raises(ValueError):
-            omega_exponent(1, 2)
-
-
 class TestOmega:
     def test_examples(self):
         assert omega(2).product == F(1, 2)
@@ -180,6 +171,11 @@ class TestSimplifiedForms:
                 assert agrees, N
             value, agrees = omega_simplified(N)
             assert agrees, N
+
+    def test_an_exponent_of_3_is_capped(self):
+        # No known N has one (v_p >= 3 with indicator 1), so build it.
+        b = Breakdown(N=5, factors=(PrimeFactor(5, 3, 1, BRANCH_CAP),), product=F(125))
+        assert _capped_at_2(b) == (F(25), False)
 
     def test_values_up_to_300(self):
         # prod_{p <= N} p^min(2, v_p(h)), with h = H_N or H_N - 1.

@@ -142,6 +142,23 @@ class TestModularHarmonicSum:
                 assert not capped1
                 assert v1 == vp_harmonic(n, p, shifted=True)
 
+    def test_capped_valuations_match_exact(self):
+        # min(v_p(w), cap) and its flag, for w = H_n and H_n - 1, against the
+        # exact rationals; small caps make the capped branch common.
+        exact = [(F(0), F(0))] + [(h, h - 1) for h in map(harmonic, range(1, 1500))]
+        capped_seen = 0
+        for p in (3, 5, 7, 11):
+            for cap in (1, 2, 3):
+                acc = ModularHarmonicSum(p, cap)
+                for n in range(1, 1500):
+                    acc.advance_to(n)
+                    for shifted in (False, True):
+                        v = vp_rational(exact[n][shifted], p)
+                        expected = (cap, True) if v >= cap else (v, False)
+                        assert acc.valuation(shifted) == expected, (p, cap, n, shifted)
+                        capped_seen += expected[1]
+        assert capped_seen > 0
+
     def test_residue_matches_exact(self):
         p = 7
         acc = ModularHarmonicSum(p, cap=4)
