@@ -109,6 +109,47 @@ def coeff_C_tilde(N: int, k: int, p: int, a: int, K: int) -> Fraction:
     return coeff_C(N, k, p, a, K, shifted=True)
 
 
+def coeff_C_valuations(
+    N: int, p: int, ms: Iterable[int], cap: int
+) -> Iterator[tuple[int, bool]]:
+    """(v, capped) for C(m) = coeff_C(N, 1, p, m % p, m // p), for each m
+    of ms in order: v = v_p(C(m)) when that is below v0 + cap, with
+    v0 = min_j v_p(B(a+jp) B(K-j)), else (v0 + cap, True).
+
+    Modular throughout. C(m) reads H_{Nn} only at n = K - j and a + jp:
+    n <= top // p and the classes of ms mod p, up to top = max(ms). One
+    ModularHarmonicSum(p, cap - 1) reads each as R = p^s H_{Nn} mod
+    p^(s+cap) at the least s >= 0 making it p-integral. Moved to the common
+    scale W = max s, R and B(n) / p^v_p(B(n)) (from big_B_units) are known
+    mod p^(W+cap), so each term of p^W C(m) is known mod p^(W+v0+cap). The
+    least W, not floor(log_p(N top)), keeps the unit rows short.
+    """
+    ms = list(ms)
+    if N < 1 or cap < 2 or min(ms, default=0) < 0:
+        raise ValueError("requires N >= 1, cap >= 2 and every m >= 0")
+    top = max(ms, default=0)
+    classes = {m % p for m in ms}
+    acc = ModularHarmonicSum(p, cap - 1)
+    scale = [0] * (top + 1)
+    R = [0] * (top + 1)  # H_0 = 0
+    for n in range(1, top + 1):
+        if n <= top // p or n % p in classes:
+            acc.advance_to(N * n)
+            scale[n] = s = max(0, -acc.valuation()[0])
+            R[n] = acc.scaled_residue(s)
+    W = max(scale)
+    R = [r * p ** (W - s) for r, s in zip(R, scale)]
+    bv, bu = zip(*big_B_units(N, 1, top, p, W + cap))
+    c = [p**v * u for v, u in zip(bv, bu)]  # B(n) mod p^(v_p(B(n))+W+cap)
+    for m in ms:
+        # The j-th term pairs a + jp (hi) with K - j (lo).
+        hi, lo = slice(m % p, m + 1, p), slice(m // p, None, -1)
+        v0 = min(x + y for x, y in zip(bv[hi], bv[lo]))
+        total = sum(x * y * (r - p * q) for x, y, r, q in zip(c[hi], c[lo], R[lo], R[hi]))
+        v = vp_int(total % p ** (W + v0 + cap), p)
+        yield (v - W, False) if v < W + v0 + cap else (v0 + cap, True)
+
+
 # v_p(xi(N) N!^k), or of omega(N) N!^k: what every membership check below is
 # measured against. A sweep asks for the same few hundred keys in every row.
 @lru_cache(maxsize=1024)
@@ -316,10 +357,10 @@ def vp3_probe(p: int, N: int) -> RootSharpnessProbe:
     """Sharpness probe at user-supplied (p, N) with v_p(H_N) = 3, p <= N,
     p not Wolstenholme, p not dividing N (k = 1 throughout).
 
-    Everything is evaluated p-adically to five digits. The cost is O(N p)
-    products for the (valuation, unit) rows of B(1) and B(p) = (Np)!/p!^N,
-    plus two jumps of the modular accumulator over O(log N) levels for the
-    harmonic residues.
+    C(p) is read by coeff_C_valuations to five digits past its coefficient
+    valuation. The cost is O(N p) products for the (valuation, unit) rows
+    up to B(p) = (Np)!/p!^N, plus jumps of the modular accumulator over
+    O(log N) levels for H_N and H_{Np}.
     """
     if p < 7:
         raise ValueError("the probe applies to primes p >= 7")
@@ -340,24 +381,9 @@ def vp3_probe(p: int, N: int) -> RootSharpnessProbe:
         )
     if v_h != 3:
         raise ValueError(f"requires v_p(H_N) = 3, found {v_h}")
-    mod5 = p**5
-    h_n = acc.residue(5)
-    acc.advance_to(N * p)
-    h_np = acc.residue(4)
-
-    units = big_B_units(N, 1, p, p, 5)
-    (vfact, unit_b1), (v_bp, unit_bp) = units[1], units[p]
-    if v_bp != vfact:
-        raise ArithmeticError("scale invariance of v_p(B(p)) failed")
-
-    inner = (unit_b1 * h_n - unit_bp * (p * h_np)) % mod5
-    v_inner = 5 if inner == 0 else vp_int(inner, p)
+    ((achieved, _),) = coeff_C_valuations(N, p, [p], 5)
     return RootSharpnessProbe(
-        p=p,
-        N=N,
-        harmonic_valuation=v_h,
-        achieved=vfact + v_inner,
-        required=4 + vfact,
+        p=p, N=N, harmonic_valuation=v_h, achieved=achieved, required=4 + vp_factorial(N, p)
     )
 
 

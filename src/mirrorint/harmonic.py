@@ -256,15 +256,18 @@ class ModularHarmonicSum:
             return self.cap, True
         return v - scale, False
 
-    def residue(self, exponent: int) -> int:
-        """H_n mod p**exponent as an element of Z_p, for 1 <= exponent <=
-        cap + 1; H_n must be p-integral."""
-        if exponent < 1 or exponent > self.cap + 1:
-            raise ValueError("exponent must be in 1..cap+1")
-        x, scale, _ = self._combined()
-        if x % self.p**scale:
-            raise ValueError("value is not p-integral at this index")
-        return (x // self.p**scale) % self.p**exponent
+    def scaled_residue(self, scale: int) -> int:
+        """p^scale * H_n mod p^(scale+cap+1), for scale >= -cap where
+        p^scale * H_n is p-integral. The levels give p^W H_n to cap + 1
+        digits, and moving it to any such scale keeps them."""
+        if scale < -self.cap:
+            raise ValueError("scale must be at least -cap")
+        x, W, _ = self._combined()
+        shift = self.p ** abs(W - scale)
+        if scale < W and x % shift:
+            raise ValueError(f"p^{scale} H_n is not p-integral at this index")
+        x = x // shift if scale < W else x * shift
+        return x % self.p ** (scale + self.cap + 1)
 
 
 def _inverse_sum(units: Iterable[int], mod: int) -> int:

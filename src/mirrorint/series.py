@@ -411,17 +411,18 @@ def max_root(s: PSeries) -> RootCertificate:
     """Largest V (to the truncation order) with s^(1/V) integral.
 
     Only primes p dividing the first nonzero non-constant coefficient c, at
-    index ``first``, can divide V. With h = log s and tau = p^(e+1), the
-    exponent of p is the least e where dwork_criterion(1, h, tau, p) fails,
-    and the failing index is the witness:
+    index ``first``, can divide V. With h = log s and D = h(z^p) - p h(z),
+    the exponent of p is e = max(0, min_{i>=1} v_p(D_i) - 1), and the
+    witness is the first i with v_p(D_i) < e + 2:
 
-    - It is the first non-p-integral index of F = exp(h / tau). By the
-      Dieudonne-Dwork lemma truncated at n, coefficients 1..n of F are
-      p-integral iff those of F(z^p) / F(z)^p = exp(D / tau), with
-      D = h(z^p) - p h(z), lie in p Z_p; exp and log keep p z Z_p[[z]]
-      order by order, so iff those of D lie in p tau Z_p.
-    - The loop stops by e = v_p(c): h(z^p) vanishes below index p * first,
-      so D[first] = -p c, and 1 + v_p(c) < v_p(p tau) once e = v_p(c).
+    - That i is the first non-p-integral index of F = exp(h / tau) with
+      tau = p^(e+1). By the Dieudonne-Dwork lemma truncated at n,
+      coefficients 1..n of F are p-integral iff those of F(z^p) / F(z)^p =
+      exp(D / tau) lie in p Z_p; exp and log keep p z Z_p[[z]] order by
+      order, so iff those of D lie in p tau Z_p = p^(e+2) Z_p. This is
+      dwork_criterion(1, h, tau, p), and e is the least exponent failing it.
+    - The minimum is finite: h(z^p) vanishes below index p * first, so
+      D[first] = -p c.
     """
     if s[0] != 1:
         raise ValueError("max_root requires constant term 1")
@@ -434,13 +435,13 @@ def max_root(s: PSeries) -> RootCertificate:
             order=s.order, primes=(), V=1, status=STATUS_CERTIFIED, degenerate=True
         )
     log_s = ps_log(s)
-    one = PSeries([1], order=s.order)
     primes = []
     V = 1
     for p in prime_divisors(int(s[first])):
-        e = 0
-        while (witness := dwork_criterion(one, log_s, p**(e + 1), p)[1]) is None:
-            e += 1
+        D = ps_substitute_power(log_s, p) - p * log_s
+        v = [vp_int(x.numerator, p) - vp_int(x.denominator, p) for x in D.coefficients[1:]]
+        e = max(0, min(v) - 1)
+        witness = 1 + next(i for i, vi in enumerate(v) if vi < e + 2)
         primes.append(RootPrime(p, e, witness))
         V *= p**e
     return RootCertificate(

@@ -19,13 +19,14 @@ from mirrorint.congruences import (
     check_Y,
     coeff_C,
     coeff_C_tilde,
+    coeff_C_valuations,
     optimality_witness,
     sweep,
     vp3_probe,
 )
 from mirrorint.constants import omega_indicator, xi_indicator
 from mirrorint.harmonic import harmonic
-from mirrorint.padic import INFINITE, big_B, primes_upto, vp_rational
+from mirrorint.padic import INFINITE, big_B, primes_upto, vp_big_B, vp_rational
 from mirrorint.series import build_F, build_G, build_GL, build_Gtilde, ps_substitute_power
 
 
@@ -249,6 +250,43 @@ class TestOptimalityWitnesses:
         rows = list(sweep("witness", Nmax=3, pmax=13, which="t"))
         assert all(row["holds"] for row in rows)
         assert {row["params"]["N"] for row in rows} == {1, 2, 3}
+
+
+class TestCoeffCValuations:
+    def test_matches_exact_coeff_C(self):
+        # v_p(C(m)) exact below v0 + cap and capped there, against the exact
+        # coeff_C, for every m < 40 and for a sparse reversed subset, whose
+        # residue classes mod p are only some of them.
+        capped = 0
+        sparse = range(39, -1, -7)
+        for N in range(1, 9):
+            for p in (2, 3, 5, 7, 11):
+                exact = []
+                for m in range(40):
+                    a, K = m % p, m // p
+                    v0 = min(
+                        vp_big_B(N, 1, a + j * p, p) + vp_big_B(N, 1, K - j, p)
+                        for j in range(K + 1)
+                    )
+                    exact.append((vp_rational(coeff_C(N, 1, p, a, K), p), v0))
+                for cap in (2, 3, 5):
+                    expected = [
+                        (v, False) if v < v0 + cap else (v0 + cap, True) for v, v0 in exact
+                    ]
+                    got = list(coeff_C_valuations(N, p, range(40), cap))
+                    assert got == expected, (N, p, cap)
+                    assert got[0] == (cap, True)  # C(0) = 0, with v0 = 0
+                    got = list(coeff_C_valuations(N, p, sparse, cap))
+                    assert got == [expected[m] for m in sparse], (N, p, cap)
+                    capped += sum(c for _, c in expected)
+        assert capped > 0
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            next(coeff_C_valuations(7, 3, [1], 1))
+        with pytest.raises(ValueError):
+            next(coeff_C_valuations(7, 3, [-1], 4))
+        assert list(coeff_C_valuations(7, 3, [], 4)) == []
 
 
 class TestVp3Probe:

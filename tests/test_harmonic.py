@@ -159,20 +159,31 @@ class TestModularHarmonicSum:
                         capped_seen += expected[1]
         assert capped_seen > 0
 
-    def test_residue_matches_exact(self):
-        p = 7
-        acc = ModularHarmonicSum(p, cap=4)
-        for n in range(1, 200):
-            acc.advance_to(n)
-            h = harmonic(n)
-            if vp_rational(h, p) >= 0:
-                expected = h.numerator * pow(h.denominator, -1, p**5) % p**5
-                assert acc.residue(5) == expected
+    def test_scaled_residue_matches_exact(self):
+        # p^s H_n mod p^(s+cap+1) at every scale s >= -v_p(H_n) down to
+        # -cap, on both sides of 0 and of the accumulator's own scale;
+        # one scale lower raises.
+        signs = set()
+        for p, cap in ((2, 3), (3, 2), (7, 4)):
+            acc = ModularHarmonicSum(p, cap)
+            for n in range(1, 200):
+                acc.advance_to(n)
+                h = harmonic(n)
+                lowest = max(-vp_rational(h, p), -cap)
+                signs.add((lowest > 0) - (lowest < 0))
+                for s in range(lowest, max(lowest, 0) + 3):
+                    x = h * F(p) ** s
+                    mod = p ** (s + cap + 1)
+                    expected = x.numerator * pow(x.denominator, -1, mod) % mod
+                    assert acc.scaled_residue(s) == expected, (p, cap, n, s)
+                with pytest.raises(ValueError):
+                    acc.scaled_residue(lowest - 1)
+        assert signs == {-1, 0, 1}
 
     def test_nothing_to_read_before_the_first_term(self):
         acc = ModularHarmonicSum(5)
         with pytest.raises(ValueError):
-            acc.residue(2)
+            acc.scaled_residue(0)
         with pytest.raises(ValueError):
             acc.valuation()
 
