@@ -170,7 +170,7 @@ def check_theorem_congruence(
         raise ValueError("the shifted variant requires N >= 2")
     required = 1 + _required_vp(which, N, k, p)
     value, h, _ = _coeff_C_scaled(N, k, p, a, K, shifted)
-    return Membership(achieved=vp_scaled(value, p, h), required=required)
+    return Membership(achieved=vp_scaled(value, p, len(h) - 1), required=required)
 
 
 def S_sum(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> int:
@@ -222,7 +222,7 @@ def check_Y(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Membershi
     if value == 0:
         return Membership(achieved=INFINITE, required=required)
     h, _ = harmonic_scaled(N * m * p**s)
-    achieved = vp_int(value, p) + vp_scaled(_level_gap(h, N, p, m, s, False), p, h)
+    achieved = vp_int(value, p) + vp_scaled(_level_gap(h, N, p, m, s, False), p, len(h) - 1)
     return Membership(achieved=achieved, required=required)
 
 
@@ -297,7 +297,7 @@ def check_lemma12(
         h, _ = harmonic_scaled(top)
         v_B = vp_big_B(N, k, a + p * j, p)
         value = h[top] - h[N * j]
-    return Membership(achieved=v_B + vp_scaled(value, p, h), required=required)
+    return Membership(achieved=v_B + vp_scaled(value, p, len(h) - 1), required=required)
 
 
 def check_lemma11(
@@ -313,7 +313,8 @@ def check_lemma11(
         raise ValueError("the shifted variant requires N >= 2")
     required = -s + _required_vp(which, N, k, p)
     h, _ = harmonic_scaled(N * m * p**s)
-    achieved = vp_big_B(N, k, m, p) + vp_scaled(_level_gap(h, N, p, m, s, shifted), p, h)
+    gap = _level_gap(h, N, p, m, s, shifted)
+    achieved = vp_big_B(N, k, m, p) + vp_scaled(gap, p, len(h) - 1)
     return Membership(achieved=achieved, required=required)
 
 
@@ -329,7 +330,8 @@ def optimality_witness(N: int, p: int, shifted: bool = False) -> tuple[int, int]
         raise ValueError("the shifted witness requires N >= 2")
     a = 1 if N == 1 else -(-p // N)
     h, _ = harmonic_scaled(N * a)
-    return a, vp_big_B(N, 1, a, p) + vp_scaled(scaled_weight(h, N, a, shifted), p, h)
+    weight = scaled_weight(h, N, a, shifted)
+    return a, vp_big_B(N, 1, a, p) + vp_scaled(weight, p, len(h) - 1)
 
 
 @dataclass(frozen=True)

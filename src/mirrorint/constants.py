@@ -11,7 +11,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .harmonic import _indicator, harmonic_scaled, scaled_weight, vp_scaled
+from .harmonic import _indicator, _walk, vp_scaled
 from .padic import primes_upto, require_prime
 from .series import _int_str_digits
 
@@ -93,22 +93,22 @@ def omega_indicator(p: int, N: int) -> int:
     return _indicator(p, N, True)
 
 
-def _factor(N: int, shifted: bool, p: int) -> PrimeFactor:
-    """The factor of prime p <= N in the product over the harmonic weight
-    H_N, or H_N - 1 when shifted."""
-    # The table covers p - 1 first, so the Wolstenholme test reads it too.
-    h, _ = harmonic_scaled(N)
-    ind = _indicator(p, N, shifted)
-    v = vp_scaled(scaled_weight(h, N, 1, shifted), p, h)
-    cap = 2 + ind
-    branch = BRANCH_CAP if cap <= v else BRANCH_VALUATION
-    return PrimeFactor(p, min(cap, v), ind, branch)
-
-
 def _breakdown(N: int, shifted: bool) -> Breakdown:
-    factors = tuple(_factor(N, shifted, p) for p in primes_upto(N))
+    # One _walk gives each prime p <= N its Wolstenholme flag at p - 1,
+    # then the weight x = S H_N, or x - S when shifted, at N.
+    primes = primes_upto(N)
+    indicators = []
+    for n, S, x in _walk([p - 1 for p in primes] + [N]):
+        if n < N:
+            indicators.append(_indicator(n + 1, N, shifted, x))
+    weight = x - S if shifted else x
+    factors = []
+    for p, ind in zip(primes, indicators):
+        v = vp_scaled(weight, p, N)
+        branch = BRANCH_CAP if 2 + ind <= v else BRANCH_VALUATION
+        factors.append(PrimeFactor(p, min(2 + ind, v), ind, branch))
     product = _product((f.p, f.exponent) for f in factors)
-    return Breakdown(N=N, factors=factors, product=product)
+    return Breakdown(N=N, factors=tuple(factors), product=product)
 
 
 def _product(exponents: Iterable[tuple[int, int]]) -> Fraction:
@@ -185,11 +185,11 @@ def theta(L: int) -> int:
     """
     if L < 1:
         raise ValueError("L must be a positive integer")
-    h, S = harmonic_scaled(L)
-    den = S // math.gcd(h[L], S)
+    ((_, S, x),) = _walk([L])
+    den = S // math.gcd(x, S)
     product = 1
     for p in primes_upto(L):
-        v = vp_scaled(h[L], p, h)
+        v = vp_scaled(x, p, L)
         if v < 0:
             product *= p ** (-v)
     if product != den:

@@ -19,9 +19,9 @@ v_p(S) = floor(log_p T): no Fraction is added and no gcd runs per term.
 Growing the table from T to T' appends T' - T entries, h[i] = h[i-1] + S'/i,
 and rescales the old ones in place by S'/S, which is 1 unless a prime power
 lies in (T, T']. A caller that walks an increasing range of indices asks for
-the top one first, so the table rescales once, not once per step. A
-Wolstenholme sweep, unless its window is narrow, walks the same recurrence
-in one running sum S * H_n and keeps no table (_wolstenholme_scan).
+the top one first, so the table rescales once, not once per step. xi,
+omega, theta, vp_harmonic and a wide Wolstenholme sweep walk the same
+recurrence in one running sum S * H_n instead and keep no table (_walk).
 """
 
 from __future__ import annotations
@@ -73,13 +73,13 @@ def harmonic_scaled(n: int) -> tuple[list[int], int]:
     return h, _SCALE
 
 
-def vp_scaled(x: int, p: int, h: list[int]) -> int | float:
-    """v_p(x / S) for x an integer combination of entries of the table h
-    (see harmonic_scaled): v_p(x) - floor(log_p T), INFINITE for x = 0.
-    Assumes p prime."""
+def vp_scaled(x: int, p: int, top: int) -> int | float:
+    """v_p(x / S) with S = lcm(1..top): v_p(x) - floor(log_p top), INFINITE
+    for x = 0. x is read off _walk at n = top, or off a table h from
+    harmonic_scaled with top = len(h) - 1. Assumes p prime."""
     v = vp_int(x, p)
     q = p
-    while q < len(h):
+    while q <= top:
         q *= p
         v -= 1
     return v
@@ -128,8 +128,8 @@ def vp_harmonic(N: int, p: int, shifted: bool = False) -> int:
         raise ValueError("N must be a positive integer")
     if shifted and N == 1:
         raise ValueError("H_1 - 1 = 0; shifted valuation requires N >= 2")
-    h, _ = harmonic_scaled(N)
-    return vp_scaled(scaled_weight(h, N, 1, shifted), p, h)
+    ((_, S, x),) = _walk([N])
+    return vp_scaled(x - S if shifted else x, p, N)
 
 
 class ModularHarmonicSum:
@@ -282,72 +282,68 @@ def _inverse_sum(units: Iterable[int], mod: int) -> int:
 
 
 def wolstenholme_valuation(p: int, cap: int = 3) -> int:
-    """min(v_p(H_{p-1}), cap) for a prime p >= 5.
-
-    Read off the harmonic table when it already covers p - 1, otherwise
-    computed modularly by _wolstenholme_pairing; the table is never grown
-    for it.
-    """
+    """min(v_p(H_{p-1}), cap) for a prime p >= 5, by the modular
+    _wolstenholme_pairing; the harmonic table is neither read nor grown."""
     require_prime(p)
     if p < 5:
         raise ValueError("defined for primes p >= 5")
     if cap < 2:
         raise ValueError("cap must be at least 2")
-    return _wolstenholme(p, cap)
-
-
-def _wolstenholme(p: int, cap: int) -> int:
-    """wolstenholme_valuation, taking p >= 5 prime and cap >= 2 on trust."""
-    h = _HARMONIC
-    if p <= len(h):
-        return min(vp_scaled(h[p - 1], p, h), cap)
     return _wolstenholme_pairing(p, cap)
+
+
+def _walk(stops: list[int]) -> Iterator[tuple[int, int, int]]:
+    """(n, S, x) at each n of the ascending list ``stops``: S = lcm(1..n)
+    and x = S H_n. One running sum goes from n = 0 to the last stop; a step
+    to n scales S and x by q when n is a power of the prime q, then adds
+    S / n. Its two integers have about 1.44 n bits, and it keeps no table."""
+    top = max(stops, default=0)
+    base = [1] * (top + 1)  # base[n] = q when n is a power of the prime q
+    for q in primes_upto(top):
+        power = q
+        while power <= top:
+            base[power] = q
+            power *= q
+    S, x, done = 1, 0, 0  # x = S H_done with S = lcm(1..done)
+    for stop in stops:
+        for n in range(done + 1, stop + 1):
+            q = base[n]
+            if q > 1:
+                S *= q
+                x *= q
+            x += S // n
+        done = stop
+        yield stop, S, x
+
+
+def _walked_valuation(x: int, p: int, cap: int) -> int:
+    """min(v_p(H_{p-1}), cap) off x = S H_{p-1} from _walk: S is prime to p,
+    since no factor of 1..p-1 is, so v_p(H_{p-1}) = v_p(x), read off x mod p^cap."""
+    r = x % p**cap
+    return vp_int(r, p) if r else cap
 
 
 def _wolstenholme_scan(pmin: int, pmax: int, cap: int) -> Iterator[tuple[int, int]]:
     """(p, min(v_p(H_{p-1}), cap)) for every prime max(5, pmin) <= p <= pmax,
     ascending; cap >= 2 is taken on trust.
 
-    The walk keeps one running sum from n = 1 to pmax - 1: x = S H_n with
-    S = lcm(1..n). A step to n scales S and x by q when n is a power of the
-    prime q, then adds S / n. At n = p - 1, S is prime to p, since no factor
-    of 1..p-1 is, so v_p(H_{p-1}) = v_p(x), read off x mod p^cap. The state
-    is two integers of about 1.44 pmax bits: no table is built and
-    _HARMONIC is not touched.
-
     The path is the cheaper one by a cost model in pairing steps. Pairing
-    the window costs (p - 1) / 2 steps per prime of it. The walk costs about
-    1 + n / 500 steps at n, whose integers have about 1.44 n bits, so about
-    pmax + pmax^2 / 1000 in all, whatever pmin is. Where the pairing is
-    cheaper, a narrow window just below pmax, each prime is read by
-    _wolstenholme, off the table or by the pairing, as a single prime is:
-    pmin = 16800, pmax = 16900 takes 0.08 s walked and 0.02 s paired. At
-    the rule's edge the two paths differ by at most about 40%.
+    the window costs (p - 1) / 2 steps per prime of it. The _walk to pmax,
+    stopping at each p - 1, costs about 1 + n / 500 steps at n, whose
+    integers have about 1.44 n bits, so about pmax + pmax^2 / 1000 in all,
+    whatever pmin is. Where the pairing is cheaper, a narrow window just
+    below pmax, each prime is paired as a single prime is: pmin = 16800,
+    pmax = 16900 takes 0.08 s walked and 0.02 s paired. At the rule's edge
+    the two paths differ by at most about 40%.
     """
     lo = max(5, pmin)
-    all_primes = primes_upto(pmax)
-    primes = [p for p in all_primes if p >= lo]
+    primes = [p for p in primes_upto(pmax) if p >= lo]
     if sum(p // 2 for p in primes) < pmax + pmax * pmax // 1000:
         for p in primes:
-            yield p, _wolstenholme(p, cap)
+            yield p, _wolstenholme_pairing(p, cap)
         return
-    base = [1] * pmax  # base[n] = q when n is a power of the prime q
-    for q in all_primes:
-        power = q
-        while power < pmax:
-            base[power] = q
-            power *= q
-    S, x, top = 1, 0, 0  # x = S H_top with S = lcm(1..top)
-    for p in primes:
-        for n in range(top + 1, p):
-            q = base[n]
-            if q > 1:
-                S *= q
-                x *= q
-            x += S // n
-        top = p - 1
-        r = x % p**cap
-        yield p, vp_int(r, p) if r else cap
+    for n, _, x in _walk([p - 1 for p in primes]):
+        yield n + 1, _walked_valuation(x, n + 1, cap)
 
 
 def _wolstenholme_pairing(p: int, cap: int) -> int:
@@ -357,11 +353,10 @@ def _wolstenholme_pairing(p: int, cap: int) -> int:
     valuation is read off T modulo p^(cap-1); H_{p-1} itself is never built.
     T = sum_{e<p/2} 1/(e (p-e)) is summed over one common denominator.
 
-    This is the route for a single prime above the table, and for each
-    prime of a sweep window narrow enough that its (p - 1) / 2 steps per
-    prime cost less than walking one running sum to pmax
-    (_wolstenholme_scan); over a wide window they add up to about
-    pmax^2 / (4 ln pmax).
+    This is the route for every single prime, and for each prime of a
+    sweep window narrow enough that its (p - 1) / 2 steps per prime cost
+    less than walking one running sum to pmax (_wolstenholme_scan); over a
+    wide window they add up to about pmax^2 / (4 ln pmax).
     """
     t = _inverse_sum((e * (p - e) for e in range(1, (p + 1) // 2)), p ** (cap - 1))
     if t == 0:
@@ -375,14 +370,17 @@ def is_wolstenholme(p: int) -> bool:
     return wolstenholme_valuation(p, cap=3) >= 3
 
 
-def _indicator(p: int, N: int, shifted: bool) -> int:
+def _indicator(p: int, N: int, shifted: bool, walked: int | None = None) -> int:
     """The indicator at a prime p of xi(N), or of omega(N) when shifted: 1
     iff p divides N (shifted: N = +-1 mod p) or p is a Wolstenholme prime,
     else 0. The second branch is false for p in {2, 3} by convention, and
-    v_p(H_{p-1}) >= 3 fails there anyway (H_1 = 1, H_2 = 3/2)."""
+    v_p(H_{p-1}) >= 3 fails there anyway (H_1 = 1, H_2 = 3/2). It reads
+    ``walked``, S H_{p-1} off _walk, when given, and pairs otherwise."""
     if N % p in ((1, p - 1) if shifted else (0,)):
         return 1
-    return 1 if p >= 5 and _wolstenholme(p, 3) >= 3 else 0
+    if walked is not None:
+        return 1 if _walked_valuation(walked, p, 3) >= 3 else 0
+    return 1 if p >= 5 and _wolstenholme_pairing(p, 3) >= 3 else 0
 
 
 @dataclass(frozen=True)
@@ -470,7 +468,7 @@ def check_harmonic_congruence(
     else:
         raise ValueError(f"unknown congruence kind {kind!r}")
 
-    achieved = vp_scaled(value, p, h)
+    achieved = vp_scaled(value, p, len(h) - 1)
     holds = achieved >= required
     matches = None if predicted is None else (holds == predicted)
     return HarmonicCongruence(

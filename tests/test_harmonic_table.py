@@ -6,8 +6,12 @@ evaluated before it read its harmonic weights off the table.
 
 import importlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,17 +28,29 @@ from mirrorint.congruences import (
     optimality_witness,
     sweep,
 )
-from mirrorint.constants import omega, theta, xi
+from mirrorint.constants import (
+    omega,
+    omega_indicator,
+    t_conjectured,
+    theta,
+    u_conjectured,
+    xi,
+    xi_indicator,
+)
 from mirrorint.harmonic import (
+    _walk,
     _wolstenholme_pairing,
     _wolstenholme_scan,
     check_harmonic_congruence,
     harmonic,
     harmonic_scaled,
     vp_harmonic,
+    vp_scaled,
     wolstenholme_valuation,
 )
 from mirrorint.padic import big_B, primes_upto, vp_rational
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The package re-exports the function harmonic under the module's name.
 harmonic_module = importlib.import_module("mirrorint.harmonic")
@@ -103,17 +119,21 @@ def pairing_calls(monkeypatch):
 
 
 class TestWolstenholmeRoutes:
-    def test_table_route_matches_the_pairing_sum(self, empty_table):
+    # A single prime pairs whatever an earlier call left in the table: the
+    # route does not depend on call history.
+    def test_grown_table_still_pairs_every_prime(self, empty_table, pairing_calls):
         primes = [p for p in primes_upto(3000) if p >= 5]
-        harmonic_scaled(3000)
+        h, _ = harmonic_scaled(3000)
         for p in primes:
             for cap in range(2, 6):
-                assert wolstenholme_valuation(p, cap) == _wolstenholme_pairing(p, cap), (p, cap)
+                table = min(vp_scaled(h[p - 1], p, 3000), cap)
+                assert wolstenholme_valuation(p, cap) == table, (p, cap)
+        assert pairing_calls == [p for p in primes for _ in range(2, 6)]
 
-    def test_short_table_takes_the_pairing_sum(self, empty_table, pairing_calls):
+    def test_single_prime_pairs_whatever_the_table_covers(self, empty_table, pairing_calls):
         harmonic_scaled(100)
-        assert wolstenholme_valuation(101, 3) == 2 and pairing_calls == []
-        assert wolstenholme_valuation(103, 3) == 2 and pairing_calls == [103]
+        assert wolstenholme_valuation(101, 3) == 2 and pairing_calls == [101]
+        assert wolstenholme_valuation(103, 3) == 2 and pairing_calls == [101, 103]
         assert len(harmonic_module._HARMONIC) == 101  # never grown for it
 
     def test_walk_matches_the_pairing_sum(self, empty_table):
@@ -129,13 +149,13 @@ class TestWolstenholmeRoutes:
         assert len(rows) == len(primes_upto(6000)) - 2
         assert pairing_calls == [] and len(harmonic_module._HARMONIC) == 101
 
-    def test_narrow_sweep_pairs_each_prime_above_the_table(self, empty_table, pairing_calls):
+    def test_narrow_sweep_pairs_each_prime(self, empty_table, pairing_calls):
         harmonic_scaled(100)
-        # 50 + 51 pairing steps < 104 + 10 for the walk: read by the table,
-        # then paired.
+        # 50 + 51 pairing steps < 104 + 10 for the walk: both primes pair,
+        # although the table covers 101 - 1.
         rows = list(sweep("wolstenholme", pmin=100, pmax=104))
         assert [r["params"]["p"] for r in rows] == [101, 103]
-        assert pairing_calls == [103]
+        assert pairing_calls == [101, 103]
         assert len(harmonic_module._HARMONIC) == 101
 
     def test_path_rule_boundary(self, empty_table, pairing_calls):
@@ -158,6 +178,61 @@ class TestWolstenholmeRoutes:
     @pytest.mark.parametrize("pmin,pmax", [(100, 50), (5, 4), (1, 4), (3, 3), (5, 0)])
     def test_no_primes_no_rows(self, pmin, pmax):
         assert list(_wolstenholme_scan(pmin, pmax, 3)) == []
+
+
+class TestWalk:
+    def test_yields_lcm_and_scaled_sum_at_each_stop(self):
+        powers = [q**e for q in primes_upto(600) for e in range(1, 10) if q**e <= 600]
+        stops = sorted({0, 600} | {n for q in powers for n in (q - 1, q)})
+        rows = list(_walk(stops))
+        assert [n for n, _, _ in rows] == stops
+        for n, S, x in rows:
+            assert S == math.lcm(*range(1, n + 1)), n
+            assert x == S * H(n), n
+
+    def test_no_stops_no_rows(self):
+        assert list(_walk([])) == []
+
+    def test_constants_leave_the_table_empty(self, empty_table):
+        for N in (2, 7, 30, 211):
+            xi(N), omega(N), theta(N), t_conjectured(N), u_conjectured(N)
+            vp_harmonic(N, 5), vp_harmonic(N, 7, shifted=True)
+        assert harmonic_module._HARMONIC == [0]
+
+    def test_breakdown_reads_a_wolstenholme_flag_off_the_walk(self, pairing_calls):
+        # 16844 = 1 and 16845 = 2 mod 16843: neither divisibility branch
+        # holds, so indicator 1 at p = 16843 is the Wolstenholme flag, read
+        # off the walk at n = 16842 without pairing.
+        for breakdown, indicator in ((xi(16844), xi_indicator), (omega(16845), omega_indicator)):
+            f = breakdown.factors[-1]
+            assert (f.p, f.indicator) == (16843, 1)
+            assert pairing_calls == []
+            assert f.indicator == indicator(16843, breakdown.N)
+            pairing_calls.clear()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_xi_at_30000_peaks_under_30_mb(self):
+        # The child reads its own peak, VmHWM, so other tests' children do
+        # not count. Its ru_maxrss would not do: Linux carries the forking
+        # process's peak across exec, so under pytest it reads about 48 MB
+        # for a run that peaks at 24 MB.
+        code = (
+            "import contextlib, os\n"
+            "from mirrorint import cli\n"
+            "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+            "    code = cli.main(['constants', '--which', 'xi', '--N', '30000'])\n"
+            "peak = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+            "print(code, peak[0].split()[1])\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        code, max_rss_kb = map(int, done.stdout.split())
+        assert code == 0
+        assert max_rss_kb < 30 * 1024, max_rss_kb
 
 
 SMALL = [(N, k, p) for N in (1, 2, 3, 4) for k in (1, 2) for p in (2, 3, 5)]
