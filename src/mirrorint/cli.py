@@ -38,6 +38,7 @@ from .series import (
     _int_str_digits,
     canonical_parts,
     exp_quotient,
+    first_nonintegral,
 )
 from .sieve import (
     BACKEND_MODULAR,
@@ -270,17 +271,22 @@ def _cmd_certify(args) -> int:
             raise ValueError("--root must be positive")
     root *= args.root_scale
 
-    # next() stops the stream at the witness: a violation costs only up to it.
-    powered = enumerate(exp_quotient(g, f, root))
-    witness = next(((i, x) for i, x in powered if x.denominator != 1), None)
-    if witness is None:
+    # Dwork's criterion decides on residues mod p^e; the exact stream of
+    # exp(G/(V·F)) runs only to a violation's witness, to print it.
+    index = first_nonintegral(g, f, root)
+    if index is None:
         payload = {"root": str(root), "certified_to_order": order}
         _print_outcome(_outcome("certify", params, "pass", payload), args.table)
         return EXIT_PASS
+    witness = next(itertools.islice(exp_quotient(g, f, root), index, None))
+    if witness.denominator == 1:
+        raise RuntimeError(
+            f"Dwork's criterion and the exact stream disagree at index {index}"
+        )
     payload = {
         "root": str(root),
-        "witness_index": witness[0],
-        "witness_coefficient": str(witness[1]),
+        "witness_index": index,
+        "witness_coefficient": str(witness),
     }
     _print_outcome(_outcome("certify", params, "violation", payload), args.table)
     return EXIT_VIOLATION

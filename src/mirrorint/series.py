@@ -449,6 +449,81 @@ def max_root(s: PSeries) -> RootCertificate:
     )
 
 
+def _require_dwork_inputs(f: PSeries, g: PSeries, r: int, name: str) -> None:
+    if r < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    if f[0] != 1:
+        raise ValueError("f must have constant term 1")
+    bad = integrality_check(f)
+    if bad is not None:
+        raise ValueError(f"f must have integral coefficients (index {bad})")
+    if g[0] != 0:
+        raise ValueError("g must have zero constant term")
+
+
+def _dwork_modulus(p: int, d: int, r: int) -> int:
+    return p ** (1 + vp_int(r, p) + vp_int(d, p))
+
+
+def _dwork_residues(
+    f: Sequence[int], G: Sequence[int], p: int, q: int, start: int
+) -> Iterator[int]:
+    """(f G(z^p) - p f(z^p) G)[i] mod q for i = start, start + 1, ... below
+    the shorter length, for integer lists f and G. With G = d*g and
+    q = _dwork_modulus(p, d, r) this is Dwork's criterion for exp(g / (r f))
+    at p, read on residues: each coefficient is reduced once, when first
+    needed, and index i is two dot products over stride-p slices."""
+    fq = [x % q for x in f[:start]]
+    Gq = [x % q for x in G[:start]]
+    for i in range(start, min(len(f), len(G))):
+        fq.append(f[i] % q)
+        Gq.append(G[i] % q)
+        yield (sum(map(mul, Gq, fq[i::-p])) - p * sum(map(mul, fq, Gq[i::-p]))) % q
+
+
+def first_nonintegral(g: PSeries, f: PSeries, r: int) -> int | None:
+    """Index of the first non-integral coefficient of exp(g / (r f)) to the
+    common order M, or None; f in 1 + z Z[[z]], g in z Q[[z]], r >= 1.
+
+    The index is the least over primes p of dwork_criterion(f, g, r, p)'s
+    violating index, and nothing is expanded:
+
+    - For p > i, f(z^p) = 1 and g(z^p) = 0 to order i, so the difference is
+      -p g[i] and the criterion reads v_p(g[i] / r) >= 0. One pass finds the
+      first i whose g[i] / r keeps a denominator factor once the primes
+      <= i are stripped from it by gcds with their product. Neither r nor a
+      denominator is ever factored, which is how primes above M are handled.
+    - Each p below the best index so far runs the residue kernel from index
+      p up to that index.
+    """
+    _require_dwork_inputs(f, g, r, "r")
+    m = min(g.order, f.order)
+    best, primes, primorial = m + 1, [], 1
+    for i, x in enumerate(g.coefficients[1 : m + 1], 1):
+        # primorial is the product of the primes below i.
+        if i > 1 and math.gcd(i, primorial) == 1:
+            primes.append(i)
+            primorial *= i
+        # The denominator of x / r, as x is in lowest terms.
+        den = x.denominator * (r // math.gcd(x.numerator, r))
+        while (c := math.gcd(den, primorial)) > 1:
+            den //= c
+        if den > 1:
+            best = i
+            break
+    G, d = _over_lcm(g.coefficients[:best])
+    moduli = {p: _dwork_modulus(p, d, r) for p in primes if p < best}
+    # One reduction mod the product of all moduli shrinks the coefficients
+    # that every kernel reduces again.
+    Q = math.prod(moduli.values())
+    fi = [x.numerator % Q for x in f.coefficients[:best]]
+    G = [x % Q for x in G]
+    for p, q in moduli.items():
+        residues = zip(range(p, best), _dwork_residues(fi, G, p, q, p))
+        best = next((i for i, x in residues if x), best)
+    return best if best <= m else None
+
+
 def dwork_criterion(
     f: PSeries, g: PSeries, tau: int, p: int
 ) -> tuple[bool, int | None]:
@@ -460,21 +535,13 @@ def dwork_criterion(
     violating index is that of exp's first non-p-integral coefficient.
     """
     require_prime(p)
-    if tau < 1:
-        raise ValueError("tau must be a positive integer")
-    if f[0] != 1:
-        raise ValueError("f must have constant term 1")
-    bad = integrality_check(f)
-    if bad is not None:
-        raise ValueError(f"f must have integral coefficients (index {bad})")
-    if g[0] != 0:
-        raise ValueError("g must have zero constant term")
-    diff = f * ps_substitute_power(g, p) - p * ps_substitute_power(f, p) * g
-    need = 1 + vp_int(tau, p)
-    for i, x in enumerate(diff.coefficients[1:], 1):
-        if x and vp_int(x.numerator, p) - vp_int(x.denominator, p) < need:
-            return False, i
-    return True, None
+    _require_dwork_inputs(f, g, tau, "tau")
+    m = min(f.order, g.order)
+    G, d = _over_lcm(g.coefficients[: m + 1])
+    fi = [x.numerator for x in f.coefficients[: m + 1]]
+    residues = enumerate(_dwork_residues(fi, G, p, _dwork_modulus(p, d, tau), 1), 1)
+    i = next((i for i, x in residues if x), None)
+    return i is None, i
 
 
 def verify_truemap_identity(N: int, k: int, order: int) -> bool:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from mirrorint import cli
+from mirrorint import cli, padic, series
 from mirrorint.cli import _build_parser, _int_str_digits, main
 from mirrorint.congruences import SWEEPS
 from mirrorint.constants import u_conjectured
@@ -21,6 +21,7 @@ from mirrorint.sieve import SieveCheckpoint
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BIG_PRIME_ROOT = 10**24 + 7
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +139,46 @@ class TestCertifyCommand:
         )
         assert code == 2 and "error" in err
 
+    def test_never_factors_the_root(self, capsys, monkeypatch):
+        # A trial-division factoring of a 25-digit prime root would not end.
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(padic, "prime_divisors", refuse)
+        monkeypatch.setattr(series, "prime_divisors", refuse)
+        code, out, _ = run_cli(
+            capsys,
+            "certify", "--map", "qLN", "--L", "7", "--N", "7",
+            "--root", str(BIG_PRIME_ROOT), "--order", "180",
+        )
+        assert code == 1
+        payload = json.loads(out)["payload"]
+        assert payload["witness_index"] == 1
+        assert payload["witness_coefficient"] == f"13068/{BIG_PRIME_ROOT}"
+
+    def test_pass_never_streams(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a pass expanded exp(G/(V·F))")
+
+        monkeypatch.setattr(cli, "exp_quotient", refuse)
+        code, _, _ = run_cli(
+            capsys,
+            "certify", "--map", "qLN", "--L", "7", "--N", "7",
+            "--root", "108", "--order", "60",
+        )
+        assert code == 0
+
+    def test_integral_witness_raises(self, capsys, monkeypatch):
+        # Index 2 of the map's 108th root is integral, so a decision naming
+        # it contradicts the exact stream.
+        monkeypatch.setattr(cli, "first_nonintegral", lambda g, f, r: 2)
+        with pytest.raises(RuntimeError, match="disagree at index 2"):
+            run_cli(
+                capsys,
+                "certify", "--map", "qLN", "--L", "7", "--N", "7",
+                "--root", "108", "--order", "20",
+            )
+
 
 # The README certify commands, --table on a pass and on a violation, two
 # prescribed-root edge cases and every certify spec of the benchmark menu at
@@ -178,6 +219,10 @@ CERTIFY_GOLDEN = [
     ("--map qtilde --N 1 --k 2 --root zero --order 30", 0, "28f8b08b8f003845345fd55bdfe05518be59ac367e102e4136f0a0499f556530"),
     ("--map qLN --L 7 --N 7 --root 324 --order 400", 1, "21ac50a305726001ef92e237ebf4d5bc7a6ffa68506a1ba537feb4e3b8abb180"),
     ("--map qLN --L 5 --N 5 --root auto --root-scale 3 --order 400", 1, "f555f58c123f6c694ba8778a0486e1a22d9caabd3a68640738860152ed2e7d9c"),
+    # The pass at order 400 and a 25-digit prime root, recorded while
+    # certify still decided a root by streaming exp(G/(V·F)) exactly.
+    ("--map qLN --L 7 --N 7 --root 108 --order 400", 0, "a51acdedf6c986f78e376fb23d49f95b50a8b08e249770c673c32e16a02d3f7d"),
+    (f"--map qLN --L 7 --N 7 --root {BIG_PRIME_ROOT} --order 180", 1, "b650ed7c34e696ef7a46c1e6b422ff72937701b71ce28a9f535c9865a8627a34"),
 ]
 
 

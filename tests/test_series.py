@@ -26,6 +26,7 @@ from mirrorint.series import (
     canonical_q,
     dwork_criterion,
     exp_quotient,
+    first_nonintegral,
     integrality_check,
     max_root,
     p_integral_violation,
@@ -603,6 +604,96 @@ class TestDworkCriterion:
             else:
                 agree_false += 1
         assert agree_true >= 30 and agree_false >= 30
+
+
+def stream_first_nonintegral(g, f, r):
+    """The oracle: stream exp(g / (r f)) exactly to its first non-integral
+    coefficient."""
+    powered = enumerate(exp_quotient(g, f, r))
+    return next((i for i, x in powered if x.denominator != 1), None)
+
+
+class TestFirstNonintegral:
+    # 2^7, 3^5, 11*13 and 31, a prime above the order.
+    ROOTS = (1, 2, 12, 36, 108, 324, 2**7, 3**5, 11 * 13, 31)
+
+    def test_canonical_maps_match_exp_stream(self):
+        verdicts = {True: 0, False: 0}
+        for N in range(1, 9):
+            for k in (1, 2, 3):
+                for kind in CANONICAL_KINDS:
+                    for L in range(1, 9) if kind == "qLN" else (None,):
+                        g, f = canonical_parts(kind, N, k, L=L, order=30)
+                        for r in self.ROOTS:
+                            want = stream_first_nonintegral(g, f, r)
+                            assert first_nonintegral(g, f, r) == want, (kind, N, k, L, r)
+                            verdicts[want is None] += 1
+        assert min(verdicts.values()) >= 30
+
+    def test_matches_exp_stream_on_random_series(self):
+        # g = r f log u passes, since exp(g / (r f)) = u. Each spoiled style
+        # fails through a different route: a denominator prime above the
+        # order, r carrying one such prime too many, a small prime below the
+        # index of a big denominator prime at the top, or a small prime at
+        # the top index alone.
+        rng = random.Random(20261019)
+        order = 12
+        big = (13, 17, 19, 23, 29)
+        verdicts = {True: 0, False: 0}
+        for trial in range(250):
+            f = PSeries([1] + [rng.randint(-4, 4) for _ in range(order)])
+            u = PSeries([1] + [rng.randint(-3, 3) for _ in range(order)])
+            r = rng.choice((1, 2, 3, 4, 6, 9, 12, 2**7, 3**5)) * rng.choice(
+                (1, 17, 19, 23 * 29)
+            )
+            style = trial % 5
+            if style == 2:
+                q = rng.choice(big)
+                g = f * ps_log(u) * F(r, q)
+                r *= q
+            else:
+                g = f * ps_log(u) * r
+            c = list(g.coefficients)
+            if style == 1:
+                c[rng.randint(1, order)] += F(
+                    rng.randint(1, 6), rng.choice(big) * rng.choice((1, 2, 3))
+                )
+            elif style == 3:
+                c[rng.randint(1, order // 3)] += r * rng.randint(1, 3)
+                c[order] += F(1, rng.choice(big))
+            elif style == 4:
+                c[order] += F(r, rng.choice((2, 3, 4, 9)))
+            g = PSeries(c)
+            want = stream_first_nonintegral(g, f, r)
+            assert first_nonintegral(g, f, r) == want, (trial, r)
+            verdicts[want is None] += 1
+        assert verdicts[True] >= 30 and verdicts[False] >= 30
+
+    def test_never_factors(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(series, "prime_divisors", refuse)
+        monkeypatch.setattr(padic, "prime_divisors", refuse)
+        g, f = canonical_parts("qLN", 7, 1, L=7, order=60)
+        big_prime = 10**24 + 7
+        assert first_nonintegral(g, f, 108) is None
+        assert first_nonintegral(g, f, 108 * big_prime) == 1
+        assert first_nonintegral(g * big_prime, f, 108 * big_prime) is None
+
+    def test_degenerate_and_order_zero(self):
+        assert first_nonintegral(PSeries([0], order=9), PSeries([1, 5], order=9), 7) is None
+        assert first_nonintegral(PSeries([0]), PSeries([1]), 1) is None
+
+    def test_preconditions(self):
+        with pytest.raises(ValueError, match="r must be"):
+            first_nonintegral(PSeries([0, 1]), PSeries([1, 1]), 0)
+        with pytest.raises(ValueError):
+            first_nonintegral(PSeries([0, 1]), PSeries([2, 1]), 1)
+        with pytest.raises(ValueError):
+            first_nonintegral(PSeries([0, 1]), PSeries([1, F(1, 2)]), 1)
+        with pytest.raises(ValueError):
+            first_nonintegral(PSeries([1, 1]), PSeries([1, 1]), 1)
 
 
 class TestTruemapIdentity:
