@@ -104,85 +104,95 @@ def _csv_ints(text: str) -> list[int]:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mirrorint",
-        description="exact verification of harmonic-valuation and "
-        "mirror-map integrality statements",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_constants(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--which", required=True, choices=("theta", "xi", "omega", "t", "u"))
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--table", action="store_true")
+    p.set_defaults(func=_cmd_constants)
 
-    p_const = sub.add_parser("constants", help="theta / xi / omega / t / u values")
-    p_const.add_argument(
-        "--which", required=True, choices=("theta", "xi", "omega", "t", "u")
-    )
-    p_const.add_argument("--N", type=int, required=True)
-    p_const.add_argument("--k", type=int, default=1)
-    p_const.add_argument("--table", action="store_true")
-    p_const.set_defaults(func=_cmd_constants)
 
-    p_cert = sub.add_parser(
-        "certify", help="integrality certificate for a root of a canonical map"
-    )
-    p_cert.add_argument("--map", required=True, choices=CANONICAL_KINDS)
-    p_cert.add_argument("--N", type=int, required=True)
-    p_cert.add_argument("--k", type=int, default=1)
-    p_cert.add_argument("--L", type=int, default=None)
-    p_cert.add_argument(
+def _add_certify(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--map", required=True, choices=CANONICAL_KINDS)
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--L", type=int, default=None)
+    p.add_argument(
         "--order",
         type=int,
         default=None,
         help=f"truncation order (default: ${ORDER_ENV}, else 25); a pass is a "
         "certificate only up to this order",
     )
-    p_cert.add_argument(
+    p.add_argument(
         "--root",
         default="auto",
         help="'auto' for the prescribed root, or an explicit positive integer",
     )
-    p_cert.add_argument(
+    p.add_argument(
         "--root-scale",
         type=int,
         default=1,
         help="extra integer factor applied to the root (use to probe maximality)",
     )
-    p_cert.add_argument("--table", action="store_true")
-    p_cert.set_defaults(func=_cmd_certify)
+    p.add_argument("--table", action="store_true")
+    p.set_defaults(func=_cmd_certify)
 
-    p_sieve = sub.add_parser(
-        "sieve", help="stream N with positive valuation of H_N or H_N - 1"
-    )
-    p_sieve.add_argument("--p", type=int, required=True)
-    p_sieve.add_argument("--max", type=int, required=True)
-    p_sieve.add_argument("--target", choices=TARGETS, default=TARGET_H)
-    p_sieve.add_argument("--backend", choices=BACKENDS, default=BACKEND_MODULAR)
-    p_sieve.add_argument("--out", default="-", help="JSONL destination ('-' = stdout)")
-    p_sieve.add_argument(
+
+def _add_sieve(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--target", choices=TARGETS, default=TARGET_H)
+    p.add_argument("--backend", choices=BACKENDS, default=BACKEND_MODULAR)
+    p.add_argument("--out", default="-", help="JSONL destination ('-' = stdout)")
+    p.add_argument(
         "--checkpoint",
         default=None,
         help="checkpoint path; loaded when present, written on exit/interrupt",
     )
-    p_sieve.add_argument("--progress", action="store_true")
-    p_sieve.set_defaults(func=_cmd_sieve)
+    p.add_argument("--progress", action="store_true")
+    p.set_defaults(func=_cmd_sieve)
 
+
+def _add_sweep(p: argparse.ArgumentParser) -> None:
     # One grid flag per parameter named in congruences.SWEEPS, --p a csv of
     # primes and every other an int. Flags absent from the command line stay
     # unset, so the check's defaults apply (and an explicit 0 is kept).
-    p_sweep = sub.add_parser(
-        "sweep",
-        help="grid-run a congruence check, JSONL out",
-        argument_default=argparse.SUPPRESS,
-    )
-    p_sweep.add_argument("--check", required=True, choices=tuple(SWEEPS))
+    p.argument_default = argparse.SUPPRESS
+    p.add_argument("--check", required=True, choices=tuple(SWEEPS))
     grid_params = dict.fromkeys(
         name for spec in SWEEPS.values() for name in (*spec.defaults, *spec.required)
     )
     for name in grid_params:
-        p_sweep.add_argument(f"--{name}", type=_csv_ints if name == "p" else int)
-    p_sweep.add_argument("--which")
-    p_sweep.add_argument("--out", default="-")
-    p_sweep.set_defaults(func=_cmd_sweep)
+        p.add_argument(f"--{name}", type=_csv_ints if name == "p" else int)
+    p.add_argument("--which")
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=_cmd_sweep)
 
+
+# Each subcommand: its line in the top-level help, and what adds its flags.
+_COMMANDS = {
+    "constants": ("theta / xi / omega / t / u values", _add_constants),
+    "certify": ("integrality certificate for a root of a canonical map", _add_certify),
+    "sieve": ("stream N with positive valuation of H_N or H_N - 1", _add_sieve),
+    "sweep": ("grid-run a congruence check, JSONL out", _add_sweep),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, and the flags of `command` only;
+    of every subcommand when `command` is None. Each add_argument builds a
+    HelpFormatter, so a run builds just the flags it can parse."""
+    parser = argparse.ArgumentParser(
+        prog="mirrorint",
+        description="exact verification of harmonic-valuation and "
+        "mirror-map integrality statements",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_flags(p)
     return parser
 
 
@@ -389,6 +399,9 @@ def _cmd_sieve(args) -> int:
     return EXIT_VIOLATION if conjecture_hits else EXIT_PASS
 
 
+_SWEEP_CHUNK_ROWS = 256
+
+
 def _cmd_sweep(args) -> int:
     params = {
         name: value
@@ -402,13 +415,21 @@ def _cmd_sweep(args) -> int:
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     failures = 0
     total = 0
+    # Rows go out in chunks: each write can be a syscall (PYTHONUNBUFFERED).
+    chunk: list[str] = []
     try:
         for row in itertools.chain(first, rows):
-            out.write(canonical_json(row) + "\n")
+            chunk.append(canonical_json(row))
             total += 1
             if not row["holds"]:
                 failures += 1
+            if len(chunk) == _SWEEP_CHUNK_ROWS:
+                out.write("\n".join(chunk) + "\n")
+                chunk.clear()
     finally:
+        # The pending rows are written even when a later row raised.
+        if chunk:
+            out.write("\n".join(chunk) + "\n")
         out.flush()
         if out is not sys.stdout:
             out.close()
@@ -424,7 +445,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .constants import omega, xi
 from .harmonic import (
     ModularHarmonicSum,
     _wolstenholme_scan,
-    check_harmonic_congruence,
     harmonic_scaled,
     is_wolstenholme,
     scaled_weight,
@@ -68,11 +68,6 @@ def _validate_core(N: int, k: int, p: int, a: int, K: int) -> None:
         raise ValueError("K must be non-negative")
 
 
-def _b(row: list[int], n: int) -> int:
-    # Convention: the coefficient vanishes at negative indices.
-    return row[n] if n >= 0 else 0
-
-
 def coeff_C(N: int, k: int, p: int, a: int, K: int, shifted: bool = False) -> Fraction:
     """sum_{j=0..K} B(a+jp) B(K-j) (w(K-j) - p w(a+jp)), with the harmonic
     weight w(m) = H_{Nm}, or H_{Nm} - H_m when shifted.
@@ -80,27 +75,35 @@ def coeff_C(N: int, k: int, p: int, a: int, K: int, shifted: bool = False) -> Fr
     This is exactly the (a+Kp)-th coefficient of F(z) G_L(z^p) - p F(z^p)
     G_L(z) with L = N, or of the same with Gt in place of G_L when shifted.
     """
-    total, _, S = _coeff_C_scaled(N, k, p, a, K, shifted)
-    return Fraction(total, S)
+    values, S, _ = _coeff_C_column(N, k, p, a, range(K, K + 1), shifted)
+    return Fraction(next(values), S)
 
 
-def _coeff_C_scaled(
-    N: int, k: int, p: int, a: int, K: int, shifted: bool
-) -> tuple[int, list[int], int]:
-    # S * coeff_C, with the harmonic table h of scale S that it was read from.
-    _validate_core(N, k, p, a, K)
-    top = a + K * p
+def _coeff_C_column(
+    N: int, k: int, p: int, a: int, Ks: range, shifted: bool
+) -> tuple[Iterator[int], int, int]:
+    """(values, S, T): values yields S * coeff_C(N, k, p, a, K, shifted) for
+    each K of Ks, where S = lcm(1..T) is the scale of the harmonic table read.
+
+    One B row and one weight list up to a + max(Ks) p serve every K: the
+    j-th term of C(a+Kp) pairs a + jp (hi) with K - j (lo), so with
+    bw(n) = B(n) w(n) each value is two dot products of stride slices. The
+    weights are copied out of the shared table, so the values stay right if
+    the table is rescaled while they are read."""
+    Kmax = Ks[-1] if Ks else 0
+    _validate_core(N, k, p, a, Kmax)
+    top = a + Kmax * p
     b = big_B_sequence(N, k, top)
     h, S = harmonic_scaled(N * top)
-    total = 0
-    for j in range(K + 1):
-        low, high = K - j, a + j * p
-        total += (
-            b[high]
-            * b[low]
-            * (scaled_weight(h, N, low, shifted) - p * scaled_weight(h, N, high, shifted))
-        )
-    return total, h, S
+    w = [scaled_weight(h, N, n, shifted) for n in range(top + 1)]
+    bw = list(map(mul, b, w))
+
+    def values() -> Iterator[int]:
+        for K in Ks:
+            hi, lo = slice(a, a + K * p + 1, p), slice(K, None, -1)
+            yield sum(map(mul, b[hi], bw[lo])) - p * sum(map(mul, bw[hi], b[lo]))
+
+    return values(), S, len(h) - 1
 
 
 def coeff_C_tilde(N: int, k: int, p: int, a: int, K: int) -> Fraction:
@@ -169,8 +172,25 @@ def check_theorem_congruence(
     if shifted and N < 2:
         raise ValueError("the shifted variant requires N >= 2")
     required = 1 + _required_vp(which, N, k, p)
-    value, h, _ = _coeff_C_scaled(N, k, p, a, K, shifted)
-    return Membership(achieved=vp_scaled(value, p, len(h) - 1), required=required)
+    values, _, T = _coeff_C_column(N, k, p, a, range(K, K + 1), shifted)
+    return Membership(achieved=vp_scaled(next(values), p, T), required=required)
+
+
+def _S_prefix(N: int, k: int, p: int, a: int, K: int) -> list[int]:
+    """[P(0), ..., P(K+1)] with P(i) the sum over j < i of
+    B(a+jp) B(K-j) - B(j) B(a+(K-j)p): every S-sum at (p, N, k, a, K) is a
+    difference of two entries (_S_read)."""
+    b = big_B_sequence(N, k, a + K * p)
+    P = [0]
+    for j in range(K + 1):
+        P.append(P[-1] + b[a + j * p] * b[K - j] - b[j] * b[a + (K - j) * p])
+    return P
+
+
+def _S_read(P: list[int], q: int, m: int) -> int:
+    # The S-sum over m q <= j < (m+1) q, with q = p^s; j stops at K.
+    end = len(P) - 1
+    return P[min((m + 1) * q, end)] - P[min(m * q, end)]
 
 
 def S_sum(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> int:
@@ -180,14 +200,7 @@ def S_sum(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> int:
     _validate_core(N, k, p, a, K)
     if s < 0 or m < 0:
         raise ValueError("s and m must be non-negative")
-    lo = m * p**s
-    if lo > K:
-        return 0
-    b = big_B_sequence(N, k, a + K * p)
-    total = 0
-    for j in range(lo, min((m + 1) * p**s, K + 1)):
-        total += b[a + j * p] * _b(b, K - j) - _b(b, j) * _b(b, a + (K - j) * p)
-    return total
+    return _S_read(_S_prefix(N, k, p, a, K), p**s, m)
 
 
 def check_dwork_S(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Membership:
@@ -255,20 +268,17 @@ def check_decomposition(
     elif K >= p**r:
         raise ValueError(f"r must satisfy K < p^r (minimal r is {r_min})")
 
-    b = big_B_sequence(N, k, a + K * p)
-    # Every index read below is at most N K: S_sum vanishes for m p^s > K.
+    P = _S_prefix(N, k, p, a, K)
+    # Every index read below is at most N K: an S-sum vanishes for m p^s > K.
     h, S = harmonic_scaled(N * K)
-    lhs = 0
-    for j in range(K + 1):
-        lhs += h[N * j] * (b[a + j * p] * _b(b, K - j) - _b(b, j) * _b(b, a + (K - j) * p))
+    lhs = sum(h[N * j] * (P[j + 1] - P[j]) for j in range(K + 1))
 
     def rhs_at(depth: int) -> Fraction:
         total = 0
         for s in range(depth + 1):
-            for m in range(p ** (depth + 1 - s)):
-                if m * p**s > K:
-                    break
-                total += _level_gap(h, N, p, m, s, False) * S_sum(N, k, p, a, K, s, m)
+            q = p**s
+            for m in range(min(p ** (depth + 1 - s), K // q + 1)):
+                total += _level_gap(h, N, p, m, s, False) * _S_read(P, q, m)
         return Fraction(total, S)
 
     return DecompositionCheck(
@@ -396,22 +406,39 @@ def vp3_probe(p: int, N: int) -> RootSharpnessProbe:
 # An axis is (name, values): values(grid, point) gives the values `name`
 # takes, from the grid parameters and the axes bound before it.
 Axis = tuple[str, Callable[[dict, dict], Iterable]]
+Row = tuple[dict, bool, int | str | None]
+# A block is a check below one point of its outer axes: block(grid, point)
+# yields the (params, holds, margin) rows of the inner axes, in order. It
+# may bind inner axes in `point` but must not hold on to it.
+Block = Callable[[dict, dict], Iterable[Row]]
 
 
 @dataclass(frozen=True)
 class Sweep:
     """One check as a grid: its optional parameters with their defaults,
-    the axes in nesting order (outermost first), and `run`, which evaluates
-    the check at one grid point and returns (params, holds, margin). A check
-    with `variants` also takes `which`, defaulting to the first variant;
-    `required` parameters have no default."""
+    the outer axes in nesting order (outermost first), and `run`, the block
+    that yields the rows below each outer point. A check with `variants`
+    also takes `which`, defaulting to the first variant; `required`
+    parameters have no default."""
 
     defaults: dict
     axes: tuple[Axis, ...]
-    run: Callable[[dict], tuple[dict, bool, int | str | None]]
+    run: Block
     variants: tuple[str, ...] = ()
     required: tuple[str, ...] = ()
     validate: Callable[[dict], None] | None = None
+
+
+def _each(axis: Axis, row: Callable[[dict], Row]) -> Block:
+    """A per-point check as a block: `row` runs at each value of `axis`,
+    the innermost one."""
+    name, values = axis
+
+    def run(grid: dict, point: dict) -> Iterator[Row]:
+        for point[name] in values(grid, point):
+            yield row(point)
+
+    return run
 
 
 def _upto(bound: str, lo: int = 0) -> Callable[[dict, dict], range]:
@@ -426,8 +453,72 @@ def _margin_json(m: int | float) -> int | str:
     return "inf" if m == INFINITE else int(m)
 
 
-def _member(point: dict, rep: Membership) -> tuple[dict, bool, int | str]:
+def _member(point: dict, rep: Membership) -> Row:
     return dict(point), rep.holds, _margin_json(rep.margin)
+
+
+# The kernels below read v_p(x / S), for x off a harmonic table of scale
+# S = lcm(1..T), as v_p(x) plus v_p(1 / S) = vp_scaled(1, p, T), once per
+# block.
+
+
+def _theorem_block(grid: dict, v: dict) -> Iterator[Row]:
+    # check_theorem_congruence at every K with a + Kp <= summax.
+    which, p, N, k, a = v["which"], v["p"], v["N"], v["k"], v["a"]
+    Ks = range((grid["summax"] - a) // p + 1)
+    values, _, T = _coeff_C_column(N, k, p, a, Ks, which == WHICH_OMEGA)
+    required = 1 + _required_vp(which, N, k, p) - vp_scaled(1, p, T)
+    for K, value in zip(Ks, values):
+        margin = vp_int(value, p) - required
+        yield {**v, "K": K}, margin >= 0, _margin_json(margin)
+
+
+def _S_block(
+    grid: dict, v: dict, required: Callable[[int, int], int | float]
+) -> Iterator[Row]:
+    # Rows at s <= smax and m <= K/p^s + 1 with margin v_p(S-sum) minus
+    # required(s, m), off one prefix list. The last m of each s starts past
+    # K, where the S-sum is empty.
+    p, K = v["p"], v["K"]
+    P = _S_prefix(v["N"], v["k"], p, v["a"], K)
+    for s in range(grid["smax"] + 1):
+        q = p**s
+        for m in range(K // q + 1):
+            value = _S_read(P, q, m)
+            margin = vp_int(value, p) - required(s, m) if value else INFINITE
+            yield {**v, "s": s, "m": m}, margin >= 0, _margin_json(margin)
+        yield {**v, "s": s, "m": K // q + 1}, True, "inf"
+
+
+def _dwork_block(grid: dict, v: dict) -> Iterator[Row]:
+    # check_dwork_S at every (s, m): the S-sum in p^(s+1) B(m) Z_p.
+    N, k, p, K = v["N"], v["k"], v["p"], v["K"]
+    vB = [vp_big_B(N, k, m, p) for m in range(K + 1)]
+    return _S_block(grid, v, lambda s, m: s + 1 + vB[m])
+
+
+def _yms_block(grid: dict, v: dict) -> Iterator[Row]:
+    # check_Y at every (s, m). A nonzero S-sum has m p^s <= K, so its level
+    # gap reads the table below N K, copied out so no rescale reaches it.
+    N, k, p, K = v["N"], v["k"], v["p"], v["K"]
+    h, _ = harmonic_scaled(N * K)
+    required = 1 + _required_vp(WHICH_XI, N, k, p) - vp_scaled(1, p, len(h) - 1)
+    h = h[: N * K + 1]
+    return _S_block(
+        grid, v, lambda s, m: required - vp_int(_level_gap(h, N, p, m, s, False), p)
+    )
+
+
+def _j_mod_p_block(grid: dict, v: dict) -> Iterator[Row]:
+    # check_harmonic_congruence("J_mod_p", p, J=J) at every J <= Jmax, off
+    # a copy of the table.
+    p, Jmax = v["p"], grid["Jmax"]
+    h, _ = harmonic_scaled(Jmax)
+    required = 1 - vp_scaled(1, p, len(h) - 1)
+    h = h[: Jmax + 1]
+    for J in range(1, Jmax + 1):
+        margin = vp_int(p * h[J] - h[J // p], p) - required
+        yield {"p": p, "J": J}, margin >= 0, _margin_json(margin)
 
 
 def _decomposition_row(point: dict):
@@ -453,11 +544,6 @@ def _lemma12_row(point: dict):
     if params["K"] is None:
         del params["K"]
     return params, rep.holds, _margin_json(rep.margin)
-
-
-def _j_mod_p_row(point: dict):
-    rep = check_harmonic_congruence("J_mod_p", point["p"], J=point["J"])
-    return dict(point), rep.holds, _margin_json(rep.achieved - rep.required)
 
 
 def _witness_row(point: dict):
@@ -490,67 +576,62 @@ _N: Axis = (
 _PNk = (_P, _N, ("k", _upto("kmax", 1)))
 _PNka = (*_PNk, ("a", lambda g, v: range(v["p"])))
 _DWORK = {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "Kmax": 8, "smax": 2}
-_DWORK_AXES = (
-    *_PNka,
-    ("K", _upto("Kmax")),
-    ("s", _upto("smax")),
-    ("m", lambda g, v: range(v["K"] // v["p"] ** v["s"] + 2)),
-)
+# The inner axes s <= smax and m <= K/p^s + 1 are _S_block's.
+_DWORK_AXES = (*_PNka, ("K", _upto("Kmax")))
 
 SWEEPS: dict[str, Sweep] = {
     "theorem-congruence": Sweep(
         {"p": (2, 3, 5, 7), "Nmax": 8, "kmax": 2, "summax": 25},
-        (
-            _WHICH,
-            *_PNka,
-            ("K", lambda g, v: range((g["summax"] - v["a"]) // v["p"] + 1)),
-        ),
-        lambda v: _member(v, check_theorem_congruence(**v)),
+        (_WHICH, *_PNka),  # inner axis: K with a + Kp <= summax
+        _theorem_block,
         variants=(WHICH_XI, WHICH_OMEGA),
     ),
-    "dworkS": Sweep(_DWORK, _DWORK_AXES, lambda v: _member(v, check_dwork_S(**v))),
-    "yms": Sweep(_DWORK, _DWORK_AXES, lambda v: _member(v, check_Y(**v))),
+    "dworkS": Sweep(_DWORK, _DWORK_AXES, _dwork_block),
+    "yms": Sweep(_DWORK, _DWORK_AXES, _yms_block),
     "decomposition": Sweep(
         {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "Kmax": 8, "K": None},  # None: K <= Kmax
-        (
-            *_PNka,
+        _PNka,
+        _each(
             ("K", lambda g, v: range(g["Kmax"] + 1) if g["K"] is None else (g["K"],)),
+            _decomposition_row,
         ),
-        _decomposition_row,
     ),
     "lemma11": Sweep(
         {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "mmax": 9, "smax": 2},
-        (_WHICH, *_PNk, ("m", _upto("mmax")), ("s", _upto("smax"))),
-        lambda v: _member(v, check_lemma11(**v)),
+        (_WHICH, *_PNk, ("m", _upto("mmax"))),
+        _each(("s", _upto("smax")), lambda v: _member(v, check_lemma11(**v))),
         variants=(WHICH_XI, WHICH_OMEGA),
     ),
     "lemma12": Sweep(
         {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "jmax": 6, "Kmax": 8},
-        (*_PNka, ("K", _lemma12_K), ("j", _lemma12_j)),
-        _lemma12_row,
+        (*_PNka, ("K", _lemma12_K)),
+        _each(("j", _lemma12_j), _lemma12_row),
     ),
     "j-mod-p": Sweep(
         {"pmax": 13, "Jmax": 500},
-        (("p", lambda g, v: _primes(g, 2)), ("J", _upto("Jmax", 1))),
-        _j_mod_p_row,
+        (("p", lambda g, v: _primes(g, 2)),),  # inner axis: 1 <= J <= Jmax
+        _j_mod_p_block,
     ),
     "witness": Sweep(
         {"Nmax": 7, "pmax": 31},
-        (_WHICH, _N, ("p", lambda g, v: _primes(g, v["N"] + 1))),
-        _witness_row,
+        (_WHICH, _N),
+        _each(("p", lambda g, v: _primes(g, v["N"] + 1)), _witness_row),
         variants=("t", "u"),
     ),
     "wolstenholme": Sweep(
         {"pmin": 5},
+        (),
         # Each value is a pair (p, min(v_p(H_{p-1}), 3)).
-        (("p", lambda g, v: _wolstenholme_scan(g["pmin"], g["pmax"], 3)),),
-        _wolstenholme_row,
+        _each(
+            ("p", lambda g, v: _wolstenholme_scan(g["pmin"], g["pmax"], 3)),
+            _wolstenholme_row,
+        ),
         required=("pmax",),
     ),
     "vp3-probe": Sweep(
         {},
-        (_P, ("N", lambda g, v: (g["N"],))),
-        _vp3_row,
+        (_P,),
+        _each(("N", lambda g, v: (g["N"],)), _vp3_row),
         required=("p", "N"),
         validate=_one_prime,
     ),
@@ -584,26 +665,20 @@ def sweep(check: str, **params) -> Iterator[dict]:
 
 
 def _rows(check: str, spec: Sweep, grid: dict) -> Iterator[dict]:
-    # An odometer: one live iterator per bound axis, the innermost last. The
-    # innermost axis runs as a plain loop, so a row costs one loop step and
-    # one call of `run`, however deep the grid is. An axis reads the current
-    # values of the axes outside it from `point`.
-    names = [name for name, _ in spec.axes]
-    values = [fn for _, fn in spec.axes]
-    last = len(names) - 1
-    run = spec.run
+    # The outer axes are bound outermost first, each reading the values of
+    # the axes outside it from `point`; below each outer point, `run` yields
+    # the rows of its block. So the walk costs a step per outer point, not
+    # per row.
     point: dict = {}
-    stack = [iter(values[0](grid, point))]
-    while stack:
-        depth = len(stack) - 1
-        name = names[depth]
-        if depth == last:
-            for point[name] in stack.pop():
-                params, holds, margin = run(point)
-                yield {"check": check, "params": params, "holds": holds, "margin": margin}
-            continue
-        for point[name] in stack[depth]:
-            stack.append(iter(values[depth + 1](grid, point)))
-            break
-        else:
-            stack.pop()
+
+    def outer_points(depth: int) -> Iterator[None]:
+        if depth == len(spec.axes):
+            yield
+            return
+        name, values = spec.axes[depth]
+        for point[name] in values(grid, point):
+            yield from outer_points(depth + 1)
+
+    for _ in outer_points(0):
+        for params, holds, margin in spec.run(grid, point):
+            yield {"check": check, "params": params, "holds": holds, "margin": margin}

@@ -89,6 +89,17 @@ def vp_int(n: int, p: int) -> int | float:
     if n == 0:
         return INFINITE
     v = 0
+    if n.bit_length() > 64:
+        # A big n sheds p^24 at a time, and only its residue mod p^24, which
+        # has the rest of the valuation, is trial-divided: a division by p
+        # costs a pass over n's digits, one of the small residue does not.
+        q = p**24
+        r = n % q
+        while not r:
+            n //= q
+            v += 24
+            r = n % q
+        n = r
     while n % p == 0:
         n //= p
         v += 1

@@ -17,7 +17,7 @@ from mirrorint.cli import _build_parser, _int_str_digits, main
 from mirrorint.congruences import SWEEPS
 from mirrorint.constants import u_conjectured
 from mirrorint.series import CANONICAL_KINDS
-from mirrorint.sieve import SieveCheckpoint
+from mirrorint.sieve import SieveCheckpoint, canonical_json
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -596,6 +596,108 @@ class TestSweepGolden:
     def test_byte_identical(self, capsys, argv, code, sha256):
         got, out, _ = run_cli(capsys, "sweep", *argv.split())
         assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha256)
+
+
+# `mirrorint --help`, each subcommand's --help, and usage errors at the top
+# level and in each subcommand: the exit code and the SHA-256 of stdout and
+# of stderr at 80 columns, recorded while every run built all 40 flags. The
+# last is reported by the top-level parser, whose usage lists every
+# subcommand.
+EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+HELP_GOLDEN = [
+    ("--help", 0, "33c7e8e725694edea8e63aa0661ececbd0f1bd31176e005f906efb69063f85ff", EMPTY_SHA),
+    ("constants --help", 0, "8bfab027ecf1e9f66125b52deaaebd14e1c88d439db3156a8d57df49783d5a4e", EMPTY_SHA),
+    ("certify --help", 0, "41b57c84bff426428f7aba72a2287b0cd698438cf00553317bc5725d2e4c50f8", EMPTY_SHA),
+    ("sieve --help", 0, "2756a9d919c986fd243e443bf70d81478d1f8d73b593c67dcab8ded2efbbf92a", EMPTY_SHA),
+    ("sweep --help", 0, "f2daa0c0d0981a66f52221baa7b7a2e8b6ca7cac79bd0714d768ff1792530d1c", EMPTY_SHA),
+    ("", 2, EMPTY_SHA, "67f576c07f4fd25f18da425e36a93c4a007054e9da9e9ac230c7b9dc5bfe7baf"),
+    ("bogus", 2, EMPTY_SHA, "464d1d3f8daa0f2ff1618393907991c6d1dfc5a4084e70f575a2f5640f87e681"),
+    ("constants --which xi", 2, EMPTY_SHA, "1839c03e1ed5a7ec393cc3f0cd19bdd36d52dedb2e3699f57b662bf0bee74527"),
+    ("certify --map qN --N 3 --bogus 1", 2, EMPTY_SHA, "b0f7917eec8b8e893b2d4d71e25f84ef0b98afeb1f46c26b72b2853a820952c7"),
+    ("sieve --p 3", 2, EMPTY_SHA, "4ae3d25ef9ebfe41abb9ee0299c741bb6430a142eb98c4ebeb17c63f2d035228"),
+    ("sweep --check nonsense", 2, EMPTY_SHA, "e7230aa105fe1f43a7880c996468c21e355d6ca92b57f5d81bd1074e32fe2914"),
+    ("sieve --p 3 --max 10 extra", 2, EMPTY_SHA, "17d73f4bc229dc224ce259fee0dbe9d8e7410569cc5ec690c2a45c8d148f44e4"),
+]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestHelpGolden:
+    @pytest.mark.parametrize("argv,code,out_sha,err_sha", HELP_GOLDEN)
+    def test_byte_identical(self, capsys, monkeypatch, argv, code, out_sha, err_sha):
+        monkeypatch.setenv("COLUMNS", "80")
+        got, out, err = run_cli(capsys, *argv.split())
+        assert (got, sha256(out), sha256(err)) == (code, out_sha, err_sha)
+
+
+class TestParserBuild:
+    @pytest.mark.parametrize(
+        "argv,command",
+        [
+            (["sieve", "--p", "3", "--max", "10"], "sieve"),
+            (["sweep", "--help"], "sweep"),
+            (["--help"], None),
+            ([], None),
+            (["bogus"], None),
+            (["-h", "sieve"], None),
+        ],
+    )
+    def test_only_the_invoked_flags(self, capsys, monkeypatch, argv, command):
+        built = []
+
+        def build(name=None):
+            built.append(name)
+            return _build_parser(name)
+
+        monkeypatch.setattr(cli, "_build_parser", build)
+        run_cli(capsys, *argv)
+        assert built == [command]
+
+    def test_other_subcommands_have_no_flags(self):
+        sub = next(
+            a for a in _build_parser("sieve")._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert list(sub.choices) == ["constants", "certify", "sieve", "sweep"]
+        flags = {name: {a.dest for a in p._actions} for name, p in sub.choices.items()}
+        assert flags["sweep"] == flags["constants"] == flags["certify"] == {"help"}
+        assert {"p", "max", "checkpoint"} <= flags["sieve"]
+
+
+class TestSweepChunks:
+    def test_rows_go_out_in_chunks(self, monkeypatch):
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["sweep", "--check", "j-mod-p", "--pmax", "7", "--Jmax", "150"]) == 0
+        rows = "".join(writes).splitlines()
+        assert len(rows) == 600
+        assert len(writes) == 3  # 256 + 256 + 88 rows
+
+    def test_a_failing_row_keeps_the_rows_before_it(self, capsys, monkeypatch, tmp_path):
+        from mirrorint import congruences
+
+        def rows(check, **params):
+            yield from congruences.sweep("j-mod-p", pmax=3, Jmax=150)
+            raise ValueError("row 301 failed")
+
+        monkeypatch.setattr(cli, "sweep", rows)
+        dest = tmp_path / "rows.jsonl"
+        code, out, err = run_cli(
+            capsys, "sweep", "--check", "j-mod-p", "--out", str(dest)
+        )
+        assert code == 2 and err == "error: row 301 failed\n"
+        expected = [canonical_json(r) for r in congruences.sweep("j-mod-p", pmax=3, Jmax=150)]
+        assert dest.read_text().splitlines() == expected
 
 
 def subcommand_actions(command):

@@ -1,8 +1,11 @@
 import dataclasses
+import importlib
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorint.congruences import (
     SWEEPS,
@@ -25,9 +28,16 @@ from mirrorint.congruences import (
     vp3_probe,
 )
 from mirrorint.constants import omega_indicator, xi_indicator
-from mirrorint.harmonic import harmonic
+from mirrorint.harmonic import (
+    check_harmonic_congruence,
+    harmonic,
+    harmonic_scaled,
+    wolstenholme_valuation,
+)
 from mirrorint.padic import INFINITE, big_B, primes_upto, vp_big_B, vp_rational
 from mirrorint.series import build_F, build_G, build_GL, build_Gtilde, ps_substitute_power
+
+harmonic_module = importlib.import_module("mirrorint.harmonic")
 
 
 def series_coefficient_C(N, k, p, index, shifted=False):
@@ -313,10 +323,93 @@ class TestVp3Probe:
             vp3_probe(11, 848 * 11)
 
 
+def json_margin(achieved, required):
+    return "inf" if achieved == INFINITE else int(achieved - required)
+
+
+def member_row(point, rep):
+    return dict(point), rep.holds, json_margin(rep.achieved, rep.required)
+
+
+def j_mod_p_row(point):
+    rep = check_harmonic_congruence("J_mod_p", point["p"], J=point["J"])
+    return dict(point), rep.holds, json_margin(rep.achieved, rep.required)
+
+
+def lemma12_row(point):
+    rep = check_lemma12(**point)
+    params = {name: value for name, value in point.items() if value is not None}
+    return params, rep.holds, json_margin(rep.achieved, rep.required)
+
+
+def decomposition_row(point):
+    rep = check_decomposition(**point)
+    return {**point, "r": rep.r}, rep.equal, None
+
+
+def witness_row(point):
+    a, v = optimality_witness(point["N"], point["p"], shifted=point["which"] == "u")
+    return {**point, "a": a}, v == 0, v
+
+
+def wolstenholme_row(point):
+    v = wolstenholme_valuation(point["p"], 3)
+    return {"p": point["p"], "v_capped": v}, v >= 2, v - 2
+
+
+def vp3_row(point):
+    probe = vp3_probe(**point)
+    return dict(point), probe.outside, probe.margin
+
+
+def upto(bound, lo=0):
+    return lambda g, v: range(lo, g[bound] + 1)
+
+
+def lemma12_j(g, v):
+    if v["K"] is not None:
+        return (0,)
+    return range(1 if v["a"] == 1 else 0, g["jmax"] + 1)
+
+
+S_AXES = (("s", upto("smax")), ("m", lambda g, v: range(v["K"] // v["p"] ** v["s"] + 2)))
+
+# Per check: the axes inside SWEEPS' outer ones, and the row at one point
+# from the check's public per-point function.
+ORACLES = {
+    "theorem-congruence": (
+        (("K", lambda g, v: range((g["summax"] - v["a"]) // v["p"] + 1)),),
+        lambda v: member_row(v, check_theorem_congruence(**v)),
+    ),
+    "dworkS": (S_AXES, lambda v: member_row(v, check_dwork_S(**v))),
+    "yms": (S_AXES, lambda v: member_row(v, check_Y(**v))),
+    "decomposition": (
+        (("K", lambda g, v: range(g["Kmax"] + 1) if g["K"] is None else (g["K"],)),),
+        decomposition_row,
+    ),
+    "lemma11": ((("s", upto("smax")),), lambda v: member_row(v, check_lemma11(**v))),
+    "lemma12": ((("j", lemma12_j),), lemma12_row),
+    "j-mod-p": ((("J", upto("Jmax", 1)),), j_mod_p_row),
+    "witness": (
+        (("p", lambda g, v: [p for p in primes_upto(g["pmax"]) if p > v["N"]]),),
+        witness_row,
+    ),
+    "wolstenholme": (
+        (("p", lambda g, v: [p for p in primes_upto(g["pmax"]) if p >= max(5, g["pmin"])]),),
+        wolstenholme_row,
+    ),
+    "vp3-probe": ((("N", lambda g, v: (g["N"],)),), vp3_row),
+}
+
+
 def reference_rows(check, **params):
-    """The sweep grid walked by plain recursion over the axes, the first
-    axis outermost; `sweep` must yield exactly these rows."""
+    """The full sweep grid walked by plain recursion, the first axis
+    outermost: SWEEPS' outer axes, then the oracle's inner ones, with each
+    row from the check's public per-point function. `sweep` must yield
+    exactly these rows."""
     spec = SWEEPS[check]
+    inner, row = ORACLES[check]
+    axes = (*spec.axes, *inner)
     grid = dict(spec.defaults)
     if spec.variants:
         grid["which"] = spec.variants[0]
@@ -324,13 +417,13 @@ def reference_rows(check, **params):
     point = {}
 
     def walk(depth):
-        name, values = spec.axes[depth]
+        name, values = axes[depth]
         for value in values(grid, dict(point)):
             point[name] = value
-            if depth + 1 < len(spec.axes):
+            if depth + 1 < len(axes):
                 yield from walk(depth + 1)
             else:
-                row_params, holds, margin = spec.run(dict(point))
+                row_params, holds, margin = row(dict(point))
                 yield {"check": check, "params": row_params, "holds": holds, "margin": margin}
         point.pop(name, None)
 
@@ -374,19 +467,100 @@ class TestSweepWalk:
             (0, 0), (0, 1), (1, 1), (2, 0), (2, 1)
         ]
 
-    def test_first_row_runs_one_grid_point(self, monkeypatch):
+    def test_first_row_evaluates_one_block(self, monkeypatch):
+        # The CLI takes the first row before it opens --out, so that a
+        # failed precondition leaves the file untouched: that row must cost
+        # one block, the rows below one outer point, and no more.
         spec = SWEEPS["dworkS"]
         calls = []
 
-        def run(point):
+        def run(grid, point):
             calls.append(dict(point))
-            return spec.run(point)
+            return spec.run(grid, point)
 
         monkeypatch.setitem(SWEEPS, "dworkS", dataclasses.replace(spec, run=run))
         rows = sweep("dworkS", p=[3], Nmax=2, kmax=1, Kmax=2, smax=1)
         assert calls == []
         first = next(rows)
-        assert calls == [first["params"]]
+        assert calls == [{"p": 3, "N": 1, "k": 1, "a": 0, "K": 0}]
+        assert first["params"] == {**calls[0], "s": 0, "m": 0}
+        assert len(list(rows)) > 1 and len(calls) > 1
+
+
+SMALL_PRIMES = st.sampled_from((2, 3, 5, 7))
+
+
+class TestBlockKernels:
+    """Each block kernel against its public per-point check, row for row,
+    on random small grids: K <= 10 and smax <= 3, so m p^s > K occurs and
+    gives zero S-sums (margin "inf")."""
+
+    @given(SMALL_PRIMES, st.integers(1, 4), st.integers(1, 2), st.data(),
+           st.integers(0, 10), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_dwork_S_and_Y(self, p, N, k, data, K, smax):
+        a = data.draw(st.integers(0, p - 1))
+        point = {"p": p, "N": N, "k": k, "a": a, "K": K}
+        cells = [
+            {**point, "s": s, "m": m}
+            for s in range(smax + 1)
+            for m in range(K // p**s + 2)
+        ]
+        for check, per_point in (("dworkS", check_dwork_S), ("yms", check_Y)):
+            got = list(SWEEPS[check].run({"smax": smax}, dict(point)))
+            assert got == [member_row(v, per_point(**v)) for v in cells], check
+            assert got[-1][2] == "inf"  # m = K // p^smax + 1: past K
+
+    @given(SMALL_PRIMES, st.integers(1, 5), st.integers(1, 2), st.data(),
+           st.integers(0, 40), st.sampled_from((WHICH_XI, WHICH_OMEGA)))
+    @settings(max_examples=60, deadline=None)
+    def test_theorem_congruence(self, p, N, k, data, summax, which):
+        a = data.draw(st.integers(0, p - 1))
+        if which == WHICH_OMEGA:
+            N = max(N, 2)
+        point = {"which": which, "p": p, "N": N, "k": k, "a": a}
+        got = list(SWEEPS["theorem-congruence"].run({"summax": summax}, dict(point)))
+        expected = [
+            member_row(v, check_theorem_congruence(**v))
+            for v in ({**point, "K": K} for K in range((summax - a) // p + 1))
+        ]
+        assert got == expected
+
+    @given(SMALL_PRIMES, st.integers(0, 120))
+    @settings(max_examples=40, deadline=None)
+    def test_j_mod_p(self, p, Jmax):
+        got = list(SWEEPS["j-mod-p"].run({"Jmax": Jmax}, {"p": p}))
+        assert got == [j_mod_p_row({"p": p, "J": J}) for J in range(1, Jmax + 1)]
+
+    def test_zero_S_sums_inside_the_range(self):
+        # S(2, 1, 3, 1, 2, 0, 1) cancels to 0 with m p^s <= K: "inf" rows
+        # come from cancellation too, not only from m p^s > K.
+        rows = SWEEPS["yms"].run({"smax": 0}, {"p": 3, "N": 2, "k": 1, "a": 1, "K": 2})
+        assert [margin for params, _, margin in rows if params["m"] == 1] == ["inf"]
+
+    @pytest.mark.parametrize(
+        "check,grid,point,top",
+        [
+            ("yms", {"smax": 2}, {"p": 2, "N": 3, "k": 1, "a": 1, "K": 9}, 27),
+            ("j-mod-p", {"Jmax": 60}, {"p": 2}, 60),
+        ],
+    )
+    def test_table_rescaled_between_rows(self, monkeypatch, check, grid, point, top):
+        # The kernels read a copy of the harmonic table: growing the table
+        # past a power of p between two rows, which multiplies every entry
+        # by p in place, changes no row.
+        def fresh_rows():
+            monkeypatch.setattr(harmonic_module, "_HARMONIC", [0])
+            monkeypatch.setattr(harmonic_module, "_SCALE", 1)
+            return SWEEPS[check].run(grid, dict(point))
+
+        expected = list(fresh_rows())
+        rows = fresh_rows()
+        first = next(rows)
+        h, S = harmonic_scaled(0)
+        assert len(h) == top + 1
+        assert harmonic_scaled(top + 5)[1] // S % 4 == 2  # top < 2^k <= top + 5
+        assert [first, *rows] == expected
 
 
 class TestConstantMemo:

@@ -108,6 +108,27 @@ class TestVpRational:
         assert vp_rational(x + y, p) >= min(vp_rational(x, p), vp_rational(y, p))
 
 
+class TestVpInt:
+    @given(
+        st.sampled_from((*SMALL_PRIMES, 101, 65537)),
+        st.integers(0, 120),
+        st.integers(1, 2**400),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_repeated_division(self, p, v, u, negative):
+        # Small and big n, valuations below, at and past multiples of 24.
+        n = p**v * u * (-1 if negative else 1)
+        assert vp_int(n, p) == brute_vp(n, p)
+
+    def test_exact_powers(self):
+        for p in SMALL_PRIMES:
+            for v in (0, 1, 23, 24, 25, 47, 48, 49, 100):
+                assert vp_int(p**v, p) == v
+                assert vp_int(p**v * (p + 1) ** 40, p) == v
+        assert vp_int(0, 3) == INFINITE
+
+
 class TestVpFactorial:
     def test_examples(self):
         assert vp_factorial(4, 2) == 3  # 24 = 2^3 * 3
