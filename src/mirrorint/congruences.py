@@ -513,12 +513,25 @@ def _j_mod_p_block(grid: dict, v: dict) -> Iterator[Row]:
     # check_harmonic_congruence("J_mod_p", p, J=J) at every J <= Jmax, off
     # a copy of the table.
     p, Jmax = v["p"], grid["Jmax"]
+    if Jmax < 1:
+        return
     h, _ = harmonic_scaled(Jmax)
     required = 1 - vp_scaled(1, p, len(h) - 1)
     h = h[: Jmax + 1]
     for J in range(1, Jmax + 1):
         margin = vp_int(p * h[J] - h[J // p], p) - required
         yield {"p": p, "J": J}, margin >= 0, _margin_json(margin)
+
+
+def _coeff_c_block(grid: dict, v: dict) -> Iterator[Row]:
+    # v_p(C(m)) for m = 1..mmax (k = 1) off one coeff_C_valuations generator,
+    # against theorem-congruence's bound at k = 1, Xi. The cap is bound + 1,
+    # so a failing v is exact, and a capped row's margin (>= 1) a lower bound.
+    N, p = v["N"], v["p"]
+    bound = 1 + _required_vp(WHICH_XI, N, 1, p)
+    ms = range(1, grid["mmax"] + 1)
+    for m, (val, capped) in zip(ms, coeff_C_valuations(N, p, ms, bound + 1)):
+        yield {"N": N, "p": p, "m": m, "capped": capped}, val >= bound, val - bound
 
 
 def _decomposition_row(point: dict):
@@ -568,6 +581,7 @@ def _one_prime(grid: dict) -> None:
 
 _WHICH: Axis = ("which", lambda g, v: (g["which"],))
 _P: Axis = ("p", lambda g, v: g["p"])
+_ONE_N: Axis = ("N", lambda g, v: (g["N"],))
 # The shifted variants (Omega, and u for the witness) start at N = 2.
 _N: Axis = (
     "N",
@@ -631,9 +645,14 @@ SWEEPS: dict[str, Sweep] = {
     "vp3-probe": Sweep(
         {},
         (_P,),
-        _each(("N", lambda g, v: (g["N"],)), _vp3_row),
+        _each(_ONE_N, _vp3_row),
         required=("p", "N"),
         validate=_one_prime,
+    ),
+    "coeff-c": Sweep(
+        {"p": (3,), "N": 7, "mmax": 2500},
+        (_P, _ONE_N),  # inner axis: 1 <= m <= mmax
+        _coeff_c_block,
     ),
 }
 

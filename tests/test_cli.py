@@ -501,6 +501,17 @@ class TestSweepCommand:
         rows = parse_jsonl(out)
         assert all(row["holds"] and row["margin"] == 0 for row in rows)
 
+    def test_coeff_c_deep_scan(self, capsys):
+        # v_3(C(m)) >= 4 for every m <= 2500 at N = 7, one power past the
+        # bound 3 = 1 + v_3(xi(7) 7!): the 27th root stays 3-integral.
+        code, out, err = run_cli(
+            capsys, "sweep", "--check", "coeff-c", "--N", "7", "--p", "3", "--mmax", "2500"
+        )
+        rows = parse_jsonl(out)
+        assert code == 0 and len(rows) == 2500 and "0 failures" in err
+        assert all(row["holds"] for row in rows)
+        assert min(row["margin"] for row in rows) == 1
+
     def test_unknown_check(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--check", "nonsense")
         assert code == 2
@@ -556,9 +567,9 @@ SWEEP_GOLDEN = [
     ("--check decomposition --p 3,5,7 --Kmax 3", 0, "d348a19d85ddb575708cf37d5ed01bef005062531ab8cb412c4d10f32cad1a71"),
     ("--check witness --Nmax 12 --pmax 200", 0, "d6d63d72adf9a9f518a2f010dbfd828ced7654e12ca94b04ac31c34c028503d5"),
     ("--check witness --Nmax 12 --pmax 200 --which u", 0, "f15aadba83ef9378f9ab16ef7953e9ed35e8ced8da17fead72c0d729633b2109"),
-    # Primes above the harmonic table that the tests up to here grow (to
-    # 3000), so the rows come from the modular pairing sum: 92 rows, and 9
-    # rows with 16843 at v_capped 3.
+    # Two windows on either side of the Wolstenholme scan's cost rule: the
+    # first (92 rows) is walked, the second (9 rows, with 16843 at v_capped
+    # 3) is paired prime by prime.
     ("--check wolstenholme --pmin 6000 --pmax 6800", 0, "8834396124e7cd10b6ec58af1bcc45344672338852973fcf1b2422d008384ea6"),
     ("--check wolstenholme --pmin 16800 --pmax 16900", 0, "bb44a7e640270edb12f70768475414a5bf173515f1927d4f0d9a3dac2d499804"),
     # The rest of the benchmark's sweep commands, recorded before the sweep
@@ -588,6 +599,9 @@ SWEEP_GOLDEN = [
     ("--check wolstenholme --pmin 3401 --pmax 6800", 0, "ef7d2ad2d3baac1cadba64da076dfd737da37b247ae596d7e4714c04d79b3d8f"),
     ("--check wolstenholme --pmin 6674 --pmax 6800", 0, "c3db321574c1ba10a17491070ebcffe9107f3023bc7e942c14ec5db64149b34b"),
     ("--check wolstenholme --pmin 6673 --pmax 6800", 0, "5970f1e4617419766993bb84329a337d757725485ad9cff34b68a142886e2cf2"),
+    # The deep 3-adic scan of C(m) at N = 7 (2500 rows, 95 capped): each
+    # margin + 3 was checked equal to coeff_C_valuations(7, 3, ms, 4).
+    ("--check coeff-c --N 7 --p 3 --mmax 2500", 0, "91af14d10986ae85df52e6a9718de483411c0dbabbc4718777387e321d7cdeb4"),
 ]
 
 
@@ -602,20 +616,21 @@ class TestSweepGolden:
 # level and in each subcommand: the exit code and the SHA-256 of stdout and
 # of stderr at 80 columns, recorded while every run built all 40 flags. The
 # last is reported by the top-level parser, whose usage lists every
-# subcommand.
+# subcommand. `sweep --help` and `sweep --check nonsense` were re-recorded
+# when `coeff-c` joined the --check choices, the only line that changed.
 EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 HELP_GOLDEN = [
     ("--help", 0, "33c7e8e725694edea8e63aa0661ececbd0f1bd31176e005f906efb69063f85ff", EMPTY_SHA),
     ("constants --help", 0, "8bfab027ecf1e9f66125b52deaaebd14e1c88d439db3156a8d57df49783d5a4e", EMPTY_SHA),
     ("certify --help", 0, "41b57c84bff426428f7aba72a2287b0cd698438cf00553317bc5725d2e4c50f8", EMPTY_SHA),
     ("sieve --help", 0, "2756a9d919c986fd243e443bf70d81478d1f8d73b593c67dcab8ded2efbbf92a", EMPTY_SHA),
-    ("sweep --help", 0, "f2daa0c0d0981a66f52221baa7b7a2e8b6ca7cac79bd0714d768ff1792530d1c", EMPTY_SHA),
+    ("sweep --help", 0, "1fc98ab24432304552537d6b124353beba4569dfbf2de8c317982492670188f5", EMPTY_SHA),
     ("", 2, EMPTY_SHA, "67f576c07f4fd25f18da425e36a93c4a007054e9da9e9ac230c7b9dc5bfe7baf"),
     ("bogus", 2, EMPTY_SHA, "464d1d3f8daa0f2ff1618393907991c6d1dfc5a4084e70f575a2f5640f87e681"),
     ("constants --which xi", 2, EMPTY_SHA, "1839c03e1ed5a7ec393cc3f0cd19bdd36d52dedb2e3699f57b662bf0bee74527"),
     ("certify --map qN --N 3 --bogus 1", 2, EMPTY_SHA, "b0f7917eec8b8e893b2d4d71e25f84ef0b98afeb1f46c26b72b2853a820952c7"),
     ("sieve --p 3", 2, EMPTY_SHA, "4ae3d25ef9ebfe41abb9ee0299c741bb6430a142eb98c4ebeb17c63f2d035228"),
-    ("sweep --check nonsense", 2, EMPTY_SHA, "e7230aa105fe1f43a7880c996468c21e355d6ca92b57f5d81bd1074e32fe2914"),
+    ("sweep --check nonsense", 2, EMPTY_SHA, "d3fea6a9fd45cb7ff5c66eb151a3cdfc48a3c1e89ec03829fa91815e7939a641"),
     ("sieve --p 3 --max 10 extra", 2, EMPTY_SHA, "17d73f4bc229dc224ce259fee0dbe9d8e7410569cc5ec690c2a45c8d148f44e4"),
 ]
 
@@ -723,13 +738,15 @@ class TestSweepArguments:
         assert tuple(subcommand_actions("certify")["map"].choices) == CANONICAL_KINDS
 
     def test_explicit_zero_bound_is_an_empty_grid(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            "sweep", "--check", "dworkS", "--p", "3", "--Nmax", "0",
-            "--Kmax", "0", "--smax", "0",
-        )
-        assert code == 0 and out == ""
-        assert "0 tuples" in err
+        # A zero or negative bound empties its axis, whichever check reads it.
+        for argv in (
+            "--check dworkS --p 3 --Nmax 0 --Kmax 0 --smax 0",
+            "--check j-mod-p --Jmax -3",
+            "--check coeff-c --mmax 0",
+        ):
+            code, out, err = run_cli(capsys, "sweep", *argv.split())
+            assert code == 0 and out == "", argv
+            assert "0 tuples" in err, argv
 
     @pytest.mark.parametrize(
         "argv",
@@ -739,6 +756,7 @@ class TestSweepArguments:
             ["--check", "witness", "--kmax", "1"],
             ["--check", "vp3-probe", "--p", "11,13", "--N", "848"],
             ["--check", "lemma12", "--p", "2,4"],
+            ["--check", "coeff-c", "--N", "0"],
         ],
     )
     def test_bad_argument_is_a_usage_error(self, capsys, argv):

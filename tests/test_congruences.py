@@ -291,6 +291,28 @@ class TestCoeffCValuations:
                     capped += sum(c for _, c in expected)
         assert capped > 0
 
+    def test_sweep_row_against_theorem_congruence(self):
+        # coeff-c measures C(m) against theorem-congruence's bound at k = 1,
+        # Xi: an uncapped row has its holds and margin, a capped row holds
+        # with a margin no larger (theorem-congruence's is "inf" at C = 0).
+        primes = [2, 3, 5, 7]
+        theorem = {}
+        rows = sweep("theorem-congruence", which=WHICH_XI, p=primes, Nmax=8, kmax=1, summax=30)
+        for row in rows:
+            q = row["params"]
+            theorem[q["p"], q["N"], q["a"] + q["K"] * q["p"]] = row
+        capped = 0
+        for N in range(1, 9):
+            for row in sweep("coeff-c", p=primes, N=N, mmax=30):
+                q = row["params"]
+                other = theorem[q["p"], N, q["m"]]
+                if q["capped"]:
+                    capped += 1
+                    assert row["holds"] and row["margin"] <= float(other["margin"])
+                else:
+                    assert (row["holds"], row["margin"]) == (other["holds"], other["margin"])
+        assert capped > 0
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             next(coeff_C_valuations(7, 3, [1], 1))
@@ -362,6 +384,19 @@ def vp3_row(point):
     return dict(point), probe.outside, probe.margin
 
 
+def coeff_c_row(point):
+    # The exact C(m) against bound = 1 + v_p(xi(N) N!), capped as the kernel
+    # caps it: at v0 + bound + 1, with v0 = min_j v_p(B(a+jp) B(K-j)).
+    N, p, m = point["N"], point["p"], point["m"]
+    a, K = m % p, m // p
+    bound = 1 + _required_vp(WHICH_XI, N, 1, p)
+    v0 = min(vp_big_B(N, 1, a + j * p, p) + vp_big_B(N, 1, K - j, p) for j in range(K + 1))
+    v = vp_rational(coeff_C(N, 1, p, a, K), p)
+    capped = v >= v0 + bound + 1
+    v = v0 + bound + 1 if capped else v
+    return {**point, "capped": capped}, v >= bound, v - bound
+
+
 def upto(bound, lo=0):
     return lambda g, v: range(lo, g[bound] + 1)
 
@@ -399,6 +434,7 @@ ORACLES = {
         wolstenholme_row,
     ),
     "vp3-probe": ((("N", lambda g, v: (g["N"],)),), vp3_row),
+    "coeff-c": ((("m", upto("mmax", 1)),), coeff_c_row),
 }
 
 
@@ -447,6 +483,8 @@ SMALL_GRIDS = [
     ("witness", {"Nmax": 7, "pmax": 5, "which": "u"}),
     ("wolstenholme", {"pmin": 3, "pmax": 60}),
     ("vp3-probe", {"p": [11], "N": 848}),
+    ("coeff-c", {"p": [2, 3, 5, 7], "N": 7, "mmax": 30}),
+    ("coeff-c", {"p": [3], "N": 1, "mmax": 12}),
 ]
 
 
