@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Iterator
 
 from .constants import omega, xi
@@ -38,6 +38,7 @@ from .padic import (
     vp_factorial,
     vp_int,
 )
+from .series import _dwork_difference
 
 WHICH_XI = "Xi"
 WHICH_OMEGA = "Omega"
@@ -85,11 +86,11 @@ def _coeff_C_column(
     """(values, S, T): values yields S * coeff_C(N, k, p, a, K, shifted) for
     each K of Ks, where S = lcm(1..T) is the scale of the harmonic table read.
 
-    One B row and one weight list up to a + max(Ks) p serve every K: the
-    j-th term of C(a+Kp) pairs a + jp (hi) with K - j (lo), so with
-    bw(n) = B(n) w(n) each value is two dot products of stride slices. The
-    weights are copied out of the shared table, so the values stay right if
-    the table is rescaled while they are read."""
+    One B row and one weight list up to a + max(Ks) p serve every K: with
+    bw(n) = B(n) w(n), S C(a+Kp) is series._dwork_difference of the exact
+    lists B and bw at index a + Kp. The weights are copied out of the shared
+    table, so the values stay right if the table is rescaled while they are
+    read."""
     Kmax = Ks[-1] if Ks else 0
     _validate_core(N, k, p, a, Kmax)
     top = a + Kmax * p
@@ -97,13 +98,7 @@ def _coeff_C_column(
     h, S = harmonic_scaled(N * top)
     w = [scaled_weight(h, N, n, shifted) for n in range(top + 1)]
     bw = list(map(mul, b, w))
-
-    def values() -> Iterator[int]:
-        for K in Ks:
-            hi, lo = slice(a, a + K * p + 1, p), slice(K, None, -1)
-            yield sum(map(mul, b[hi], bw[lo])) - p * sum(map(mul, bw[hi], b[lo]))
-
-    return values(), S, len(h) - 1
+    return _dwork_difference(b, bw, p, (a + K * p for K in Ks)), S, len(h) - 1
 
 
 def coeff_C_tilde(N: int, k: int, p: int, a: int, K: int) -> Fraction:
@@ -125,7 +120,8 @@ def coeff_C_valuations(
     p^(s+cap) at the least s >= 0 making it p-integral. Moved to the common
     scale W = max s, R and B(n) / p^v_p(B(n)) (from big_B_units) are known
     mod p^(W+cap), so each term of p^W C(m) is known mod p^(W+v0+cap). The
-    least W, not floor(log_p(N top)), keeps the unit rows short.
+    least W, not floor(log_p(N top)), keeps the unit rows short. p^W C(m) is
+    series._dwork_difference of c = B mod p^(v_p(B)+W+cap) and c R at m.
     """
     ms = list(ms)
     if N < 1 or cap < 2 or min(ms, default=0) < 0:
@@ -144,11 +140,9 @@ def coeff_C_valuations(
     R = [r * p ** (W - s) for r, s in zip(R, scale)]
     bv, bu = zip(*big_B_units(N, 1, top, p, W + cap))
     c = [p**v * u for v, u in zip(bv, bu)]  # B(n) mod p^(v_p(B(n))+W+cap)
-    for m in ms:
-        # The j-th term pairs a + jp (hi) with K - j (lo).
-        hi, lo = slice(m % p, m + 1, p), slice(m // p, None, -1)
-        v0 = min(x + y for x, y in zip(bv[hi], bv[lo]))
-        total = sum(x * y * (r - p * q) for x, y, r, q in zip(c[hi], c[lo], R[lo], R[hi]))
+    for m, total in zip(ms, _dwork_difference(c, list(map(mul, c, R)), p, ms)):
+        # The terms of C(m) pair B(j) with B(m - jp), j <= m // p.
+        v0 = min(map(add, bv, bv[m::-p]))
         v = vp_int(total % p ** (W + v0 + cap), p)
         yield (v - W, False) if v < W + v0 + cap else (v0 + cap, True)
 

@@ -465,20 +465,15 @@ def _dwork_modulus(p: int, d: int, r: int) -> int:
     return p ** (1 + vp_int(r, p) + vp_int(d, p))
 
 
-def _dwork_residues(
-    f: Sequence[int], G: Sequence[int], p: int, q: int, start: int
+def _dwork_difference(
+    f: Sequence[int], G: Sequence[int], p: int, indices: Iterable[int]
 ) -> Iterator[int]:
-    """(f G(z^p) - p f(z^p) G)[i] mod q for i = start, start + 1, ... below
-    the shorter length, for integer lists f and G. With G = d*g and
-    q = _dwork_modulus(p, d, r) this is Dwork's criterion for exp(g / (r f))
-    at p, read on residues: each coefficient is reduced once, when first
-    needed, and index i is two dot products over stride-p slices."""
-    fq = [x % q for x in f[:start]]
-    Gq = [x % q for x in G[:start]]
-    for i in range(start, min(len(f), len(G))):
-        fq.append(f[i] % q)
-        Gq.append(G[i] % q)
-        yield (sum(map(mul, Gq, fq[i::-p])) - p * sum(map(mul, fq, Gq[i::-p]))) % q
+    """(f G(z^p) - p f(z^p) G)[i] for each i of indices, in order, for
+    integer lists f and G that reach every i: two dot products over stride-p
+    slices. With G = d*g, it is read mod q = _dwork_modulus(p, d, r) for
+    Dwork's criterion for exp(g / (r f)) at p, on f and G reduced mod q."""
+    for i in indices:
+        yield sum(map(mul, G, f[i::-p])) - p * sum(map(mul, f, G[i::-p]))
 
 
 def first_nonintegral(g: PSeries, f: PSeries, r: int) -> int | None:
@@ -493,8 +488,8 @@ def first_nonintegral(g: PSeries, f: PSeries, r: int) -> int | None:
       first i whose g[i] / r keeps a denominator factor once the primes
       <= i are stripped from it by gcds with their product. Neither r nor a
       denominator is ever factored, which is how primes above M are handled.
-    - Each p below the best index so far runs the residue kernel from index
-      p up to that index.
+    - Each p below the best index so far reads _dwork_difference on
+      residues mod p^(1 + v_p(r) + v_p(d)), from index p up to that index.
     """
     _require_dwork_inputs(f, g, r, "r")
     m = min(g.order, f.order)
@@ -514,13 +509,14 @@ def first_nonintegral(g: PSeries, f: PSeries, r: int) -> int | None:
     G, d = _over_lcm(g.coefficients[:best])
     moduli = {p: _dwork_modulus(p, d, r) for p in primes if p < best}
     # One reduction mod the product of all moduli shrinks the coefficients
-    # that every kernel reduces again.
+    # that every prime reduces again.
     Q = math.prod(moduli.values())
     fi = [x.numerator % Q for x in f.coefficients[:best]]
     G = [x % Q for x in G]
     for p, q in moduli.items():
-        residues = zip(range(p, best), _dwork_residues(fi, G, p, q, p))
-        best = next((i for i, x in residues if x), best)
+        fq, Gq = [x % q for x in fi[:best]], [x % q for x in G[:best]]
+        values = zip(range(p, best), _dwork_difference(fq, Gq, p, range(p, best)))
+        best = next((i for i, x in values if x % q), best)
     return best if best <= m else None
 
 
@@ -532,15 +528,17 @@ def dwork_criterion(
 
     With f in 1 + z Z[[z]] and g in z Q[[z]] this holds exactly when
     exp(g / (tau f)) has p-integral coefficients, order by order: the first
-    violating index is that of exp's first non-p-integral coefficient.
+    violating index is that of exp's first non-p-integral coefficient. It
+    is read off _dwork_difference on residues.
     """
     require_prime(p)
     _require_dwork_inputs(f, g, tau, "tau")
     m = min(f.order, g.order)
     G, d = _over_lcm(g.coefficients[: m + 1])
-    fi = [x.numerator for x in f.coefficients[: m + 1]]
-    residues = enumerate(_dwork_residues(fi, G, p, _dwork_modulus(p, d, tau), 1), 1)
-    i = next((i for i, x in residues if x), None)
+    q = _dwork_modulus(p, d, tau)
+    fq, Gq = [x.numerator % q for x in f.coefficients[: m + 1]], [x % q for x in G]
+    values = enumerate(_dwork_difference(fq, Gq, p, range(1, m + 1)), 1)
+    i = next((i for i, x in values if x % q), None)
     return i is None, i
 
 

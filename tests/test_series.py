@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorint import padic, series
+from mirrorint import congruences, padic, series
 from mirrorint.constants import t_conjectured, theta, u_conjectured, xi
 from mirrorint.harmonic import harmonic
 from mirrorint.padic import big_B, prime_divisors
@@ -17,6 +17,7 @@ from mirrorint.series import (
     PSeries,
     RootCertificate,
     RootPrime,
+    _dwork_difference,
     _int_str_digits,
     build_F,
     build_G,
@@ -694,6 +695,57 @@ class TestFirstNonintegral:
             first_nonintegral(PSeries([0, 1]), PSeries([1, F(1, 2)]), 1)
         with pytest.raises(ValueError):
             first_nonintegral(PSeries([1, 1]), PSeries([1, 1]), 1)
+
+
+class TestDworkDifference:
+    @given(
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=30),
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=30),
+        st.sampled_from((2, 3, 5, 7, 11)),
+        st.integers(1, 6),
+        st.sampled_from(("ascending", "sparse-descending", "repeated", "generator")),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_series_oracle(self, f, g, p, e, style, data):
+        # The oracle is exact to the common order M of f and g.
+        fs, gs = PSeries(f), PSeries(g)
+        exact = fs * ps_substitute_power(gs, p) - p * ps_substitute_power(fs, p) * gs
+        M = exact.order
+        if style == "sparse-descending":
+            indices = sorted(data.draw(st.sets(st.integers(0, M))), reverse=True)
+        elif style == "repeated":
+            indices = data.draw(st.lists(st.integers(0, M), max_size=3 * M + 3))
+        else:
+            indices = list(range(M + 1))
+        fed = (i for i in indices) if style == "generator" else indices
+        assert list(_dwork_difference(f, g, p, fed)) == [exact[i] for i in indices]
+        # Fed residues mod q, the kernel is right mod q.
+        q = p**e
+        fq, gq = [x % q for x in f], [x % q for x in g]
+        got = _dwork_difference(fq, gq, p, indices)
+        assert [x % q for x in got] == [exact[i] % q for i in indices]
+
+    def test_every_reader_takes_the_one_kernel(self, monkeypatch):
+        # A second copy of the difference would leave one of these running.
+        def refuse(*args):
+            raise AssertionError("Dwork's difference computed off the kernel")
+
+        monkeypatch.setattr(series, "_dwork_difference", refuse)
+        monkeypatch.setattr(congruences, "_dwork_difference", refuse)
+        g, f = canonical_parts("qLN", 7, 1, L=7, order=20)
+        readers = [
+            lambda: first_nonintegral(g, f, 108),
+            lambda: dwork_criterion(f, g, 1, 3),
+            lambda: congruences.coeff_C(4, 1, 3, 1, 2),
+            lambda: congruences.check_theorem_congruence(4, 1, 3, 1, 2),
+            lambda: next(congruences.coeff_C_valuations(7, 3, [5], 3)),
+            lambda: next(congruences.sweep("theorem-congruence")),
+            lambda: next(congruences.sweep("coeff-c", mmax=5)),
+        ]
+        for read in readers:
+            with pytest.raises(AssertionError, match="off the kernel"):
+                read()
 
 
 class TestTruemapIdentity:
