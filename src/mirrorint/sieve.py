@@ -15,11 +15,11 @@ Runs save a checkpoint and resume deterministically: a run to N,
 checkpoint, resume to M yields record for record what a single run to M
 yields. A checkpoint keeps only what cannot be recomputed cheaply from its
 last index ``last_N``: the running H_N of the exact backend, and the
-positive indices that drive the modular backend's pruning. The modular
-p-adic state is a function of the index alone, so a resumed modular run
-rebuilds it with one closed-form jump from ``last_N``. A run asked to
-``stop()`` ends at the next index boundary, so a checkpoint taken then
-covers exactly the records already yielded.
+modular backend's whole state, the queue of parents whose blocks are not
+finished; it is empty once the records hold every positive N, for all N.
+Its p-adic state is a function of the index alone, rebuilt by one jump.
+A run asked to ``stop()`` ends at the next index boundary, so a checkpoint
+taken then covers exactly the records already yielded.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ BACKEND_MODULAR = "modular"
 BACKENDS = (BACKEND_EXACT, BACKEND_MODULAR)
 
 VALUATION_CAP = 4
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 # The one JSON encoding of records, checkpoints and CLI documents: sorted
 # keys and no spaces. JSONEncoder.encode sets up a new C encoder on every
@@ -94,10 +94,10 @@ def _state_digest(core: dict) -> str:
 
 @dataclass(frozen=True)
 class SieveCheckpoint:
-    """The processed prefix of a run. ``out_offset`` is the byte length of
-    the record file written so far (None when records went to stdout); the
-    run itself ignores it, and a resumed CLI run truncates its --out file
-    to it before appending."""
+    """The processed prefix of a run; ``state`` holds H_N (exact) or the queue
+    (modular). ``out_offset`` is the byte length of the --out file so far
+    (None for stdout); the run ignores it, and a resumed CLI run truncates
+    the file to it before appending."""
 
     p: int
     target: str
@@ -157,9 +157,9 @@ class SieveRun:
     """One resumable sieve pass; iterate it to stream SieveRecords.
 
     ``checkpoint()`` is valid at any point between yielded records and after
-    exhaustion, and captures exactly the processed prefix. ``stop()`` ends
-    the iteration at the next index boundary (safe to call from a signal
-    handler); the run then reports ``stopped``.
+    exhaustion, captures exactly the processed prefix and depends on
+    ``last_N`` alone. ``stop()`` ends the iteration at the next index boundary
+    (safe to call from a signal handler); the run then reports ``stopped``.
     """
 
     def __init__(
@@ -189,7 +189,7 @@ class SieveRun:
         # The last index processed, for both backends.
         self.last_N = 0
         self._exact_h = Fraction(0)
-        self._positive: set[int] = set()
+        self._queue = deque([0])  # see _iter_modular
         self.stopped = False
         if checkpoint is not None:
             self._restore(checkpoint)
@@ -208,10 +208,12 @@ class SieveRun:
                 with _int_str_digits(0):
                     self._exact_h = Fraction(int(state["num"]), int(state["den"]))
             else:
-                positive = set(state["positive"])
-                if not all(type(x) is int and 0 < x <= cp.last_N for x in positive):
-                    raise ValueError("positive indices must lie in 1..last_N")
-                self._positive = positive
+                queue, p = deque(state["queue"]), self.p
+                if list(queue) != sorted(set(queue)) or not all(
+                    type(x) is int and 0 <= x <= cp.last_N < x * p + p - 1 for x in queue
+                ):
+                    raise ValueError("queue must ascend through parents of unfinished blocks")
+                self._queue = queue
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise CheckpointError(f"checkpoint state is invalid: {exc}") from exc
         self.last_N = cp.last_N
@@ -224,7 +226,8 @@ class SieveRun:
                     "den": str(self._exact_h.denominator),
                 }
         else:
-            state = {"positive": sorted(self._positive)}
+            # Leaves out a head that was stopped at the end of its block.
+            state = {"queue": [x for x in self._queue if (x + 1) * self.p > self.last_N + 1]}
         return SieveCheckpoint(
             p=self.p,
             target=self.target,
@@ -267,30 +270,23 @@ class SieveRun:
     def _iter_modular(self) -> Iterator[SieveRecord]:
         p = self.p
         state = ModularHarmonicSum(p, cap=VALUATION_CAP)
-        positive = self._positive
+        queue = self._queue
         # A positive valuation at n forces one at n // p, so the candidates
         # are the block [1, p - 1] of parent 0 and the block [x p, x p + p - 1]
         # of each positive x. Positives turn up in increasing order, each one
         # above every block still queued, so a FIFO of parents lists the
-        # blocks in increasing order; on resume it starts from the
-        # checkpoint's positives whose blocks are not finished, and the first
-        # advance_to reaches the first pending index from n = 0 in one jump.
-        parents = deque(x for x in sorted(positive | {0}) if x * p + p - 1 > self.last_N)
-        while parents:
-            x = parents.popleft()
-            lo = max(x * p, 1, self.last_N + 1)
-            hi = min(x * p + p - 1, self.max_N)
-            if lo > hi:
-                break
-            for n in range(lo, hi + 1):
+        # blocks in increasing order. A parent leaves it once its block is
+        # finished; a resumed run's first advance_to jumps there from n = 0.
+        while queue:
+            end = queue[0] * p + p - 1
+            for n in range(max(end - p + 1, self.last_N + 1), min(end, self.max_N) + 1):
                 if self.stopped:
                     return
                 state.advance_to(n)
                 self.last_N = n
                 v, at_least = state.valuation()
                 if v >= 1:
-                    positive.add(n)
-                    parents.append(n)
+                    queue.append(n)
                 if self.target == TARGET_H:
                     if v >= 1:
                         yield self._record(n, v, at_least)
@@ -298,5 +294,8 @@ class SieveRun:
                     v1, at_least1 = state.valuation(shifted=True)
                     if v1 >= 1:
                         yield self._record(n, v1, at_least1)
+            if end > self.max_N:
+                break
+            queue.popleft()
         if not self.stopped:
             self.last_N = self.max_N

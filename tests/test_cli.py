@@ -430,6 +430,20 @@ class TestSieveCommand:
             "sieve", "--p", "3", "--max", "100", "--checkpoint", str(ckpt),
         )
         assert code == 3 and "error" in err
+        # A well-formed version 3 checkpoint (positive indices, not the
+        # queue) is refused too, before --out is opened, so the file it
+        # would have cut back to out_offset stays as it was.
+        old = SieveCheckpoint(5, "H", "modular", 50, {"positive": [4, 20, 24]}, out_offset=0)
+        ckpt.write_text(canonical_json({**old.to_json(), "format_version": 3}))
+        out = tmp_path / "f.jsonl"
+        out.write_bytes(b'{"N":4,"p":5,"target":"H","v":2,"v_at_least":false}\n')
+        before = out.read_bytes()
+        code, _, err = run_cli(
+            capsys,
+            "sieve", "--p", "5", "--max", "100", "--out", str(out), "--checkpoint", str(ckpt),
+        )
+        assert code == 3 and "format_version" in err
+        assert out.read_bytes() == before
 
     @pytest.mark.parametrize("backend", ["exact", "modular"])
     @pytest.mark.parametrize("bad", [-5, 2.5, True])

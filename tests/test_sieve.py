@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -55,9 +56,9 @@ def per_index_sieve(p, max_N, target):
         target=target,
         backend=BACKEND_MODULAR,
         last_N=max_N,
-        state={"positive": sorted(positive)},
+        state={"queue": [x for x in sorted(positive | {0}) if x * p + p - 1 > max_N]},
     )
-    return records, checkpoint, positive
+    return records, checkpoint
 
 
 class TestKnownSets:
@@ -107,11 +108,10 @@ class TestCandidateBlocks:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     @pytest.mark.parametrize("target", [TARGET_H, TARGET_H1])
     def test_matches_the_per_index_sieve(self, p, target):
-        records, checkpoint, positive = per_index_sieve(p, 30_000, target)
+        records, checkpoint = per_index_sieve(p, 30_000, target)
         got, r = run(p, 30_000, target)
         assert got == records
         assert r.checkpoint().dump() == checkpoint.dump()
-        assert r._positive == positive
 
     @pytest.mark.parametrize("p", [5, 11])
     @pytest.mark.parametrize("target", [TARGET_H, TARGET_H1])
@@ -142,6 +142,37 @@ class TestCandidateBlocks:
             rest, _ = run(11, max_N, TARGET_H, backend, cp)
             assert first + rest == direct
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("target", [TARGET_H, TARGET_H1])
+    def test_checkpoint_depends_on_last_N_alone(self, p, target):
+        # Stopping after record k leaves the checkpoint of a fresh run to N_k,
+        # whether the run is left suspended at record k or drained after it.
+        direct, _ = run(p, 30_000, target)
+        for k, record in enumerate(direct, 1):
+            fresh = run(p, record.N, target)[1].checkpoint()
+            for drain in (False, True):
+                runner = SieveRun(p, 30_000, target)
+                it = iter(runner)
+                while next(it) != record:
+                    pass
+                runner.stop()
+                if drain:
+                    assert list(it) == []
+                assert runner.checkpoint() == fresh, (k, drain)
+
+    @pytest.mark.parametrize("p,max_N,target", [(3, 600_000, TARGET_H), (11, 10**40, TARGET_H1)])
+    def test_exhausted_tree_checkpoints_an_empty_queue(self, p, max_N, target, monkeypatch):
+        _, r = run(p, max_N, target)
+        cp = SieveCheckpoint.load(r.checkpoint().dump())
+        assert cp.state == {"queue": []} and cp.last_N == max_N
+
+        def advance_to(self, n):
+            raise AssertionError("an exhausted tree has no index left to read")
+
+        monkeypatch.setattr(ModularHarmonicSum, "advance_to", advance_to)
+        rest, resumed = run(p, 10 * max_N, target, checkpoint=cp)
+        assert rest == [] and resumed.checkpoint().state == {"queue": []}
+
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -158,12 +189,12 @@ class TestDeepTrees:
             (
                 11, 10**40, TARGET_H1, 620,
                 "de87fb4492e5f21c551b135f3dbf82382ca300131dc86cd95ba0ea7a52dd3ccf",
-                "7608d3c728d78c12c531db2fcd67b3a47acb9e91a912cc750db42be860c9a5ad",
+                "8f4655ccc4e2626944577e844ed74fe918da437931080dd3b801f8ab9750d702",
             ),
             (
                 83, 10**60, TARGET_H, 398,
                 "73b83945b839ec04cd097f8e291904ada50c8b546870652d047c898bdf7f7c82",
-                "edb9f52c4c2fccd8370ba4ab8d998e1dc8888e5ae6bc5e12b6a0f681e1f45a38",
+                "10db22d3b35dcb3f0f43c5d8b9c441c02be6adab1eb8642493c4f5586158da60",
             ),
         ],
     )
@@ -266,7 +297,7 @@ class TestCheckpointing:
     def test_old_format_and_bad_offset_detected(self):
         _, r = run(5, 100, TARGET_H, BACKEND_MODULAR)
         doc = r.checkpoint().to_json()
-        for old in (1, 2):
+        for old in (1, 2, 3):
             with pytest.raises(CheckpointError, match="format_version"):
                 SieveCheckpoint.from_json({**doc, "format_version": old})
         del doc["out_offset"]
@@ -286,10 +317,15 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError, match="last_N"):
             SieveCheckpoint.load(cp.dump())
 
-    @pytest.mark.parametrize("positive", [[0], [101], ["7"], 7])
-    def test_bad_positive_indices_detected(self, positive):
+    # At p = 5 and last_N = 100 the unfinished parents are those x >= 20,
+    # up to 100: the run's own queue is [20, 24].
+    @pytest.mark.parametrize(
+        "queue", [[0], [20, 101], [-1, 20], ["7"], 7, [24, 20], [20, 20], {"20": 1}]
+    )
+    def test_bad_queue_detected(self, queue):
         _, r = run(5, 100, TARGET_H, BACKEND_MODULAR)
-        cp = dataclasses.replace(r.checkpoint(), state={"positive": positive})
+        assert r.checkpoint().state == {"queue": [20, 24]}
+        cp = dataclasses.replace(r.checkpoint(), state={"queue": queue})
         with pytest.raises(CheckpointError, match="state is invalid"):
             SieveRun(5, 200, TARGET_H, BACKEND_MODULAR, SieveCheckpoint.load(cp.dump()))
 
@@ -372,8 +408,8 @@ class TestRecordSchema:
     @pytest.mark.parametrize(
         "backend,sha256",
         [
-            (BACKEND_EXACT, "59175bc6924ce46ac8a595bb3e1b6cc6d5b782494a579c0ddab4421e221b20ff"),
-            (BACKEND_MODULAR, "a129b9d790be9c3c7369a83c0f4fb865b2bfd0545e8c0386d3cccca178793b26"),
+            (BACKEND_EXACT, "d13cd00bed3de507f4cfc8202e270432b9815d588409403a15abd7d546a80c88"),
+            (BACKEND_MODULAR, "d22341721d67cd806fe8e6a7c20fb6990bd9eb1c2f147c53d2c721c2c43f9b7b"),
         ],
     )
     def test_checkpoint_bytes_are_pinned(self, backend, sha256):
@@ -383,11 +419,22 @@ class TestRecordSchema:
         )
         assert hashlib.sha256(r.checkpoint().dump().encode()).hexdigest() == sha256
 
+    def test_readme_checkpoint_example_is_current(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("Sieve checkpoint (single JSON document") :]
+        example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        r = SieveRun(3, 500)
+        list(r)
+        doc = r.checkpoint().to_json()
+        for key in ("digest", "out_offset"):
+            del doc[key], example[key]
+        assert example == doc
+
     def test_checkpoint_format_version(self):
-        for backend, state in ((BACKEND_EXACT, {"num", "den"}), (BACKEND_MODULAR, {"positive"})):
+        for backend, state in ((BACKEND_EXACT, {"num", "den"}), (BACKEND_MODULAR, {"queue"})):
             _, r = run(3, 10, TARGET_H, backend)
             doc = r.checkpoint().to_json()
-            assert doc["format_version"] == 3
+            assert doc["format_version"] == 4
             assert {"p", "target", "backend", "last_N", "state", "out_offset", "digest"} <= set(doc)
             assert set(doc["state"]) == state
 
