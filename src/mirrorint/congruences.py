@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, mul
 from typing import Callable, Iterable, Iterator
 
@@ -38,7 +39,7 @@ from .padic import (
     vp_factorial,
     vp_int,
 )
-from .series import _dwork_difference
+from .series import _dwork_difference, _weighted_row
 
 WHICH_XI = "Xi"
 WHICH_OMEGA = "Omega"
@@ -76,29 +77,12 @@ def coeff_C(N: int, k: int, p: int, a: int, K: int, shifted: bool = False) -> Fr
     This is exactly the (a+Kp)-th coefficient of F(z) G_L(z^p) - p F(z^p)
     G_L(z) with L = N, or of the same with Gt in place of G_L when shifted.
     """
-    values, S, _ = _coeff_C_column(N, k, p, a, range(K, K + 1), shifted)
-    return Fraction(next(values), S)
-
-
-def _coeff_C_column(
-    N: int, k: int, p: int, a: int, Ks: range, shifted: bool
-) -> tuple[Iterator[int], int, int]:
-    """(values, S, T): values yields S * coeff_C(N, k, p, a, K, shifted) for
-    each K of Ks, where S = lcm(1..T) is the scale of the harmonic table read.
-
-    One B row and one weight list up to a + max(Ks) p serve every K: with
-    bw(n) = B(n) w(n), S C(a+Kp) is series._dwork_difference of the exact
-    lists B and bw at index a + Kp. The weights are copied out of the shared
-    table, so the values stay right if the table is rescaled while they are
-    read."""
-    Kmax = Ks[-1] if Ks else 0
-    _validate_core(N, k, p, a, Kmax)
-    top = a + Kmax * p
-    b = big_B_sequence(N, k, top)
-    h, S = harmonic_scaled(N * top)
-    w = [scaled_weight(h, N, n, shifted) for n in range(top + 1)]
-    bw = list(map(mul, b, w))
-    return _dwork_difference(b, bw, p, (a + K * p for K in Ks)), S, len(h) - 1
+    # S C(a+Kp) is series._dwork_difference of the B row and the B w list,
+    # read at index a + Kp: the theorem-congruence block reads every a and K
+    # off one pair of lists.
+    _validate_core(N, k, p, a, K)
+    b, bw, S = _weighted_row(N, N, k, a + K * p, shifted)
+    return Fraction(next(_dwork_difference(b, bw, p, [a + K * p])), S)
 
 
 def coeff_C_tilde(N: int, k: int, p: int, a: int, K: int) -> Fraction:
@@ -166,19 +150,17 @@ def check_theorem_congruence(
     if shifted and N < 2:
         raise ValueError("the shifted variant requires N >= 2")
     required = 1 + _required_vp(which, N, k, p)
-    values, _, T = _coeff_C_column(N, k, p, a, range(K, K + 1), shifted)
-    return Membership(achieved=vp_scaled(next(values), p, T), required=required)
+    c = coeff_C(N, k, p, a, K, shifted)
+    achieved = vp_int(c.numerator, p) - vp_int(c.denominator, p)
+    return Membership(achieved=achieved, required=required)
 
 
-def _S_prefix(N: int, k: int, p: int, a: int, K: int) -> list[int]:
+def _S_prefix(b: list[int], p: int, a: int, K: int) -> list[int]:
     """[P(0), ..., P(K+1)] with P(i) the sum over j < i of
-    B(a+jp) B(K-j) - B(j) B(a+(K-j)p): every S-sum at (p, N, k, a, K) is a
-    difference of two entries (_S_read)."""
-    b = big_B_sequence(N, k, a + K * p)
-    P = [0]
-    for j in range(K + 1):
-        P.append(P[-1] + b[a + j * p] * b[K - j] - b[j] * b[a + (K - j) * p])
-    return P
+    B(a+jp) B(K-j) - B(j) B(a+(K-j)p), off a B row b that reaches a + K p:
+    every S-sum at (p, N, k, a, K) is a difference of two entries (_S_read)."""
+    terms = (b[a + j * p] * b[K - j] - b[j] * b[a + (K - j) * p] for j in range(K + 1))
+    return list(accumulate(terms, initial=0))
 
 
 def _S_read(P: list[int], q: int, m: int) -> int:
@@ -194,7 +176,7 @@ def S_sum(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> int:
     _validate_core(N, k, p, a, K)
     if s < 0 or m < 0:
         raise ValueError("s and m must be non-negative")
-    return _S_read(_S_prefix(N, k, p, a, K), p**s, m)
+    return _S_read(_S_prefix(big_B_sequence(N, k, a + K * p), p, a, K), p**s, m)
 
 
 def check_dwork_S(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Membership:
@@ -224,12 +206,9 @@ def Y_term(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Fraction:
 
 def check_Y(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Membership:
     """Membership of the Y-term in p * xi(N) * N!^k * Z_p."""
+    y = Y_term(N, k, p, a, K, s, m)
     required = 1 + _required_vp(WHICH_XI, N, k, p)
-    value = S_sum(N, k, p, a, K, s, m)
-    if value == 0:
-        return Membership(achieved=INFINITE, required=required)
-    h, _ = harmonic_scaled(N * m * p**s)
-    achieved = vp_int(value, p) + vp_scaled(_level_gap(h, N, p, m, s, False), p, len(h) - 1)
+    achieved = vp_int(y.numerator, p) - vp_int(y.denominator, p)
     return Membership(achieved=achieved, required=required)
 
 
@@ -262,7 +241,7 @@ def check_decomposition(
     elif K >= p**r:
         raise ValueError(f"r must satisfy K < p^r (minimal r is {r_min})")
 
-    P = _S_prefix(N, k, p, a, K)
+    P = _S_prefix(big_B_sequence(N, k, a + K * p), p, a, K)
     # Every index read below is at most N K: an S-sum vanishes for m p^s > K.
     h, S = harmonic_scaled(N * K)
     lhs = sum(h[N * j] * (P[j + 1] - P[j]) for j in range(K + 1))
@@ -293,15 +272,13 @@ def check_lemma12(
     if a == 1 and j == 0:
         if K is None or K < 1:
             raise ValueError("the a=1, j=0 variant requires K >= 1")
-        h, _ = harmonic_scaled(N // p)
         v_B = vp_big_B(N, k, 1, p) + vp_big_B(N, k, K, p)
-        value = h[N // p]
+        lo, top = 0, N // p
     else:
-        top = N * j + (N * a) // p
-        h, _ = harmonic_scaled(top)
         v_B = vp_big_B(N, k, a + p * j, p)
-        value = h[top] - h[N * j]
-    return Membership(achieved=v_B + vp_scaled(value, p, len(h) - 1), required=required)
+        lo, top = N * j, N * j + (N * a) // p
+    h, _ = harmonic_scaled(top)
+    return Membership(achieved=v_B + vp_scaled(h[top] - h[lo], p, top), required=required)
 
 
 def check_lemma11(
@@ -312,14 +289,21 @@ def check_lemma11(
     harmonic differences and uses omega(N)."""
     if N < 1 or k < 1 or m < 0 or s < 0:
         raise ValueError("invalid parameters")
-    shifted = which == WHICH_OMEGA
-    if shifted and N < 2:
+    if which == WHICH_OMEGA and N < 2:
         raise ValueError("the shifted variant requires N >= 2")
-    required = -s + _required_vp(which, N, k, p)
-    h, _ = harmonic_scaled(N * m * p**s)
-    gap = _level_gap(h, N, p, m, s, shifted)
-    achieved = vp_big_B(N, k, m, p) + vp_scaled(gap, p, len(h) - 1)
-    return Membership(achieved=achieved, required=required)
+    return next(_lemma11(which, p, N, k, [(m, s)]))
+
+
+def _lemma11(
+    which: str, p: int, N: int, k: int, ms: list[tuple[int, int]]
+) -> Iterator[Membership]:
+    # check_lemma11 at each (m, s) of `ms`, off one table up to the largest
+    # N m p^s.
+    h, _ = harmonic_scaled(N * max((m * p**s for m, s in ms), default=0))
+    for m, s in ms:
+        gap = _level_gap(h, N, p, m, s, which == WHICH_OMEGA)
+        achieved = vp_big_B(N, k, m, p) + vp_scaled(gap, p, len(h) - 1)
+        yield Membership(achieved=achieved, required=-s + _required_vp(which, N, k, p))
 
 
 def optimality_witness(N: int, p: int, shifted: bool = False) -> tuple[int, int]:
@@ -332,10 +316,16 @@ def optimality_witness(N: int, p: int, shifted: bool = False) -> tuple[int, int]
         raise ValueError("the witness construction requires p > N")
     if shifted and N < 2:
         raise ValueError("the shifted witness requires N >= 2")
-    a = 1 if N == 1 else -(-p // N)
-    h, _ = harmonic_scaled(N * a)
-    weight = scaled_weight(h, N, a, shifted)
-    return a, vp_big_B(N, 1, a, p) + vp_scaled(weight, p, len(h) - 1)
+    return next(_witnesses(N, [p], shifted))
+
+
+def _witnesses(N: int, primes: list[int], shifted: bool) -> Iterator[tuple[int, int]]:
+    # optimality_witness at each prime of the ascending list `primes`, off
+    # one table up to N a at the last.
+    indices = [1 if N == 1 else -(-p // N) for p in primes]
+    h, _ = harmonic_scaled(N * max(indices, default=0))
+    for p, a in zip(primes, indices):
+        yield a, vp_big_B(N, 1, a, p) + vp_scaled(scaled_weight(h, N, a, shifted), p, len(h) - 1)
 
 
 @dataclass(frozen=True)
@@ -447,57 +437,56 @@ def _margin_json(m: int | float) -> int | str:
     return "inf" if m == INFINITE else int(m)
 
 
-def _member(point: dict, rep: Membership) -> Row:
-    return dict(point), rep.holds, _margin_json(rep.margin)
-
-
 # The kernels below read v_p(x / S), for x off a harmonic table of scale
 # S = lcm(1..T), as v_p(x) plus v_p(1 / S) = vp_scaled(1, p, T), once per
 # block.
 
 
 def _theorem_block(grid: dict, v: dict) -> Iterator[Row]:
-    # check_theorem_congruence at every K with a + Kp <= summax.
-    which, p, N, k, a = v["which"], v["p"], v["N"], v["k"], v["a"]
-    Ks = range((grid["summax"] - a) // p + 1)
-    values, _, T = _coeff_C_column(N, k, p, a, Ks, which == WHICH_OMEGA)
-    required = 1 + _required_vp(which, N, k, p) - vp_scaled(1, p, T)
-    for K, value in zip(Ks, values):
-        margin = vp_int(value, p) - required
-        yield {**v, "K": K}, margin >= 0, _margin_json(margin)
+    # check_theorem_congruence at every a < p and K with a + Kp <= summax,
+    # off one B row and one B w list up to summax.
+    which, p, N, k, top = v["which"], v["p"], v["N"], v["k"], max(grid["summax"], 0)
+    b, bw, _ = _weighted_row(N, N, k, top, which == WHICH_OMEGA)
+    required = 1 + _required_vp(which, N, k, p) - vp_scaled(1, p, N * top)
+    for a in range(p):
+        for K, value in enumerate(_dwork_difference(b, bw, p, range(a, grid["summax"] + 1, p))):
+            margin = vp_int(value, p) - required
+            yield {**v, "a": a, "K": K}, margin >= 0, _margin_json(margin)
 
 
 def _S_block(
     grid: dict, v: dict, required: Callable[[int, int], int | float]
 ) -> Iterator[Row]:
-    # Rows at s <= smax and m <= K/p^s + 1 with margin v_p(S-sum) minus
-    # required(s, m), off one prefix list. The last m of each s starts past
-    # K, where the S-sum is empty.
-    p, K = v["p"], v["K"]
-    P = _S_prefix(v["N"], v["k"], p, v["a"], K)
-    for s in range(grid["smax"] + 1):
-        q = p**s
-        for m in range(K // q + 1):
-            value = _S_read(P, q, m)
-            margin = vp_int(value, p) - required(s, m) if value else INFINITE
-            yield {**v, "s": s, "m": m}, margin >= 0, _margin_json(margin)
-        yield {**v, "s": s, "m": K // q + 1}, True, "inf"
+    # Rows at a < p, K <= Kmax, s <= smax and m <= K/p^s + 1 with margin
+    # v_p(S-sum) minus required(s, m), each (a, K) off one prefix list of one
+    # B row. The last m of each s starts past K, where the S-sum is empty.
+    p, Kmax = v["p"], grid["Kmax"]
+    b = big_B_sequence(v["N"], v["k"], max(p * Kmax + p - 1, 0))
+    for a in range(p):
+        for K in range(Kmax + 1):
+            P = _S_prefix(b, p, a, K)
+            for s in range(grid["smax"] + 1):
+                q = p**s
+                for m in range(K // q + 2):
+                    value = _S_read(P, q, m)
+                    margin = vp_int(value, p) - required(s, m) if value else INFINITE
+                    yield {**v, "a": a, "K": K, "s": s, "m": m}, margin >= 0, _margin_json(margin)
 
 
 def _dwork_block(grid: dict, v: dict) -> Iterator[Row]:
-    # check_dwork_S at every (s, m): the S-sum in p^(s+1) B(m) Z_p.
-    N, k, p, K = v["N"], v["k"], v["p"], v["K"]
-    vB = [vp_big_B(N, k, m, p) for m in range(K + 1)]
+    # check_dwork_S at every (a, K, s, m): the S-sum in p^(s+1) B(m) Z_p.
+    N, k, p = v["N"], v["k"], v["p"]
+    vB = [vp_big_B(N, k, m, p) for m in range(grid["Kmax"] + 1)]
     return _S_block(grid, v, lambda s, m: s + 1 + vB[m])
 
 
 def _yms_block(grid: dict, v: dict) -> Iterator[Row]:
-    # check_Y at every (s, m). A nonzero S-sum has m p^s <= K, so its level
-    # gap reads the table below N K, copied out so no rescale reaches it.
-    N, k, p, K = v["N"], v["k"], v["p"], v["K"]
-    h, _ = harmonic_scaled(N * K)
-    required = 1 + _required_vp(WHICH_XI, N, k, p) - vp_scaled(1, p, len(h) - 1)
-    h = h[: N * K + 1]
+    # check_Y at every (a, K, s, m). A nonzero S-sum has m p^s <= K, so its
+    # level gap reads one table up to N Kmax.
+    N, k, p = v["N"], v["k"], v["p"]
+    top = N * max(grid["Kmax"], 0)
+    h, _ = harmonic_scaled(top)
+    required = 1 + _required_vp(WHICH_XI, N, k, p) - vp_scaled(1, p, top)
     return _S_block(
         grid, v, lambda s, m: required - vp_int(_level_gap(h, N, p, m, s, False), p)
     )
@@ -505,13 +494,12 @@ def _yms_block(grid: dict, v: dict) -> Iterator[Row]:
 
 def _j_mod_p_block(grid: dict, v: dict) -> Iterator[Row]:
     # check_harmonic_congruence("J_mod_p", p, J=J) at every J <= Jmax, off
-    # a copy of the table.
+    # one table.
     p, Jmax = v["p"], grid["Jmax"]
     if Jmax < 1:
         return
     h, _ = harmonic_scaled(Jmax)
-    required = 1 - vp_scaled(1, p, len(h) - 1)
-    h = h[: Jmax + 1]
+    required = 1 - vp_scaled(1, p, Jmax)
     for J in range(1, Jmax + 1):
         margin = vp_int(p * h[J] - h[J // p], p) - required
         yield {"p": p, "J": J}, margin >= 0, _margin_json(margin)
@@ -526,6 +514,20 @@ def _coeff_c_block(grid: dict, v: dict) -> Iterator[Row]:
     ms = range(1, grid["mmax"] + 1)
     for m, (val, capped) in zip(ms, coeff_C_valuations(N, p, ms, bound + 1)):
         yield {"N": N, "p": p, "m": m, "capped": capped}, val >= bound, val - bound
+
+
+def _lemma11_block(grid: dict, v: dict) -> Iterator[Row]:
+    # check_lemma11 at every m <= mmax, then s <= smax.
+    ms = [(m, s) for m in range(grid["mmax"] + 1) for s in range(grid["smax"] + 1)]
+    for (m, s), rep in zip(ms, _lemma11(**v, ms=ms)):
+        yield {**v, "m": m, "s": s}, rep.holds, _margin_json(rep.margin)
+
+
+def _witness_block(grid: dict, v: dict) -> Iterator[Row]:
+    # optimality_witness at every prime N < p <= pmax.
+    primes = _primes(grid, v["N"] + 1)
+    for p, (a, val) in zip(primes, _witnesses(v["N"], primes, v["which"] == "u")):
+        yield {**v, "p": p, "a": a}, val == 0, val
 
 
 def _decomposition_row(point: dict):
@@ -551,11 +553,6 @@ def _lemma12_row(point: dict):
     if params["K"] is None:
         del params["K"]
     return params, rep.holds, _margin_json(rep.margin)
-
-
-def _witness_row(point: dict):
-    a, v = optimality_witness(point["N"], point["p"], shifted=point["which"] == "u")
-    return {**point, "a": a}, v == 0, v
 
 
 def _wolstenholme_row(point: dict):
@@ -584,18 +581,18 @@ _N: Axis = (
 _PNk = (_P, _N, ("k", _upto("kmax", 1)))
 _PNka = (*_PNk, ("a", lambda g, v: range(v["p"])))
 _DWORK = {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "Kmax": 8, "smax": 2}
-# The inner axes s <= smax and m <= K/p^s + 1 are _S_block's.
-_DWORK_AXES = (*_PNka, ("K", _upto("Kmax")))
 
 SWEEPS: dict[str, Sweep] = {
     "theorem-congruence": Sweep(
         {"p": (2, 3, 5, 7), "Nmax": 8, "kmax": 2, "summax": 25},
-        (_WHICH, *_PNka),  # inner axis: K with a + Kp <= summax
+        (_WHICH, *_PNk),  # inner axes: a < p, K with a + Kp <= summax
         _theorem_block,
         variants=(WHICH_XI, WHICH_OMEGA),
     ),
-    "dworkS": Sweep(_DWORK, _DWORK_AXES, _dwork_block),
-    "yms": Sweep(_DWORK, _DWORK_AXES, _yms_block),
+    # The inner axes a < p, K <= Kmax, s <= smax and m <= K/p^s + 1 are
+    # _S_block's.
+    "dworkS": Sweep(_DWORK, _PNk, _dwork_block),
+    "yms": Sweep(_DWORK, _PNk, _yms_block),
     "decomposition": Sweep(
         {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "Kmax": 8, "K": None},  # None: K <= Kmax
         _PNka,
@@ -606,8 +603,8 @@ SWEEPS: dict[str, Sweep] = {
     ),
     "lemma11": Sweep(
         {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "mmax": 9, "smax": 2},
-        (_WHICH, *_PNk, ("m", _upto("mmax"))),
-        _each(("s", _upto("smax")), lambda v: _member(v, check_lemma11(**v))),
+        (_WHICH, *_PNk),  # inner axes: m <= mmax, then s <= smax
+        _lemma11_block,
         variants=(WHICH_XI, WHICH_OMEGA),
     ),
     "lemma12": Sweep(
@@ -622,8 +619,8 @@ SWEEPS: dict[str, Sweep] = {
     ),
     "witness": Sweep(
         {"Nmax": 7, "pmax": 31},
-        (_WHICH, _N),
-        _each(("p", lambda g, v: _primes(g, v["N"] + 1)), _witness_row),
+        (_WHICH, _N),  # inner axis: primes N < p <= pmax
+        _witness_block,
         variants=("t", "u"),
     ),
     "wolstenholme": Sweep(

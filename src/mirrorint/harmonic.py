@@ -12,16 +12,14 @@ modular sum of inverses (a block sum, a jump's tail, the Wolstenholme
 pairing) goes through one kernel, _inverse_sum: the terms over one common
 denominator, and one modular inverse for the whole sum.
 
-The exact route is one table of integers, h[i] = S * H_i for i <= T with
-S = lcm(1..T). Every harmonic weight H_a - c H_b is then the integer
-h[a] - c h[b] over S, and its valuation is v_p(h[a] - c h[b]) - v_p(S) with
-v_p(S) = floor(log_p T): no Fraction is added and no gcd runs per term.
-Growing the table from T to T' appends T' - T entries, h[i] = h[i-1] + S'/i,
-and rescales the old ones in place by S'/S, which is 1 unless a prime power
-lies in (T, T']. A caller that walks an increasing range of indices asks for
-the top one first, so the table rescales once, not once per step. xi,
-omega, theta, vp_harmonic and a wide Wolstenholme sweep walk the same
-recurrence in one running sum S * H_n instead and keep no table (_walk).
+The exact route is a table of integers, h[i] = S * H_i for i <= T with
+S = lcm(1..T), built afresh by each call for the indices it reads. Every
+harmonic weight H_a - c H_b is then the integer h[a] - c h[b] over S, and
+its valuation is v_p(h[a] - c h[b]) - v_p(S) with v_p(S) = floor(log_p T):
+no Fraction is added and no gcd runs per term. A caller that reads many
+indices builds one table up to the largest. xi, omega, theta, vp_harmonic
+and a wide Wolstenholme sweep walk the same recurrence in one running sum
+S * H_n instead and keep no table (_walk).
 """
 
 from __future__ import annotations
@@ -31,13 +29,9 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .padic import primes_upto, require_prime, vp_int
-
-# h[i] = S * H_i for i < len(_HARMONIC), with S = _SCALE = lcm(1..T) and
-# T = len(_HARMONIC) - 1.
-_HARMONIC: list[int] = [0]
-_SCALE = 1
 
 # The two targets of the valuation studies: H_N and H_N - 1.
 TARGET_H = "H"
@@ -45,32 +39,12 @@ TARGET_H1 = "H1"
 
 
 def harmonic_scaled(n: int) -> tuple[list[int], int]:
-    """(h, S): the table grown to cover n, with h[i] = S * H_i for every
-    i < len(h) and S = lcm(1..len(h) - 1).
-
-    h is the shared table itself. Read it before the next call, which may
-    rescale it, and never change it."""
-    global _SCALE
+    """(h, S): a new list with h[i] = S * H_i for i <= n, and S = lcm(1..n)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    h = _HARMONIC
-    top = len(h) - 1
-    if n > top:
-        S = _SCALE
-        for i in range(top + 1, n + 1):
-            S = math.lcm(S, i)
-        if S != _SCALE:
-            # One entry at a time, so the old and the new table never
-            # coexist in memory.
-            factor = S // _SCALE
-            for i in range(1, top + 1):
-                h[i] *= factor
-        last = h[-1]
-        for i in range(top + 1, n + 1):
-            last += S // i
-            h.append(last)
-        _SCALE = S
-    return h, _SCALE
+    # Every i <= n/2 divides 2i, so the upper half of 1..n has the same lcm.
+    S = math.lcm(*range(n // 2 + 1, n + 1))
+    return list(accumulate((S // i for i in range(1, n + 1)), initial=0)), S
 
 
 def vp_scaled(x: int, p: int, top: int) -> int | float:
@@ -86,7 +60,7 @@ def vp_scaled(x: int, p: int, top: int) -> int | float:
 
 
 def harmonic(n: int) -> Fraction:
-    """Exact H_n = 1 + 1/2 + ... + 1/n (H_0 = 0), read off the table."""
+    """Exact H_n = 1 + 1/2 + ... + 1/n (H_0 = 0)."""
     h, S = harmonic_scaled(n)
     return Fraction(h[n], S)
 
@@ -283,7 +257,7 @@ def _inverse_sum(units: Iterable[int], mod: int) -> int:
 
 def wolstenholme_valuation(p: int, cap: int = 3) -> int:
     """min(v_p(H_{p-1}), cap) for a prime p >= 5, by the modular
-    _wolstenholme_pairing; the harmonic table is neither read nor grown."""
+    _wolstenholme_pairing."""
     require_prime(p)
     if p < 5:
         raise ValueError("defined for primes p >= 5")

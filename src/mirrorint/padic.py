@@ -17,8 +17,6 @@ INFINITE = math.inf
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
-_B_CACHE: dict[tuple[int, int], list[int]] = {}
-
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 3317044064679887385961981;
@@ -149,18 +147,13 @@ def big_B(N: int, k: int, m: int) -> int:
 
 
 def big_B_sequence(N: int, k: int, m_max: int) -> list[int]:
-    """Values ((Nm)!/m!^N)^k for m = 0..m_max, built by the exact ratio
-    B(m)/B(m-1) so repeated factorials are never reconstructed.
-
-    The returned list is a shared cache row; callers must not mutate it.
-    """
+    """A new list of the values ((Nm)!/m!^N)^k for m = 0..m_max, built by
+    the exact ratio B(m)/B(m-1) so repeated factorials are never
+    reconstructed."""
     _validate_b_params(N, k, m_max)
-    row = _B_CACHE.setdefault((N, k), [1])
-    while len(row) <= m_max:
-        m = len(row)
-        ratio_num = 1
-        for i in range(N * (m - 1) + 1, N * m + 1):
-            ratio_num *= i
+    row = [1]
+    for m in range(1, m_max + 1):
+        ratio_num = math.prod(range(N * (m - 1) + 1, N * m + 1))
         value, rem = divmod(row[-1] * ratio_num**k, m ** (N * k))
         if rem:
             raise ArithmeticError("coefficient ratio did not divide exactly")

@@ -308,7 +308,7 @@ def _validate_build(N: int, k: int, order: int) -> None:
 def build_F(N: int, k: int, order: int) -> PSeries:
     """sum_m ((Nm)!/m!^N)^k z^m."""
     _validate_build(N, k, order)
-    return PSeries(big_B_sequence(N, k, order)[: order + 1])
+    return PSeries(big_B_sequence(N, k, order))
 
 
 def build_G(N: int, k: int, order: int) -> PSeries:
@@ -331,12 +331,19 @@ def build_Gtilde(N: int, k: int, order: int) -> PSeries:
 def _build_weighted(L: int, N: int, k: int, order: int, shifted: bool) -> PSeries:
     # sum_{m>=1} harmonic_weight(L, m, shifted) ((Nm)!/m!^N)^k z^m
     _validate_build(N, k, order)
+    _, bw, S = _weighted_row(L, N, k, order, shifted)
+    return PSeries([Fraction(x, S) for x in bw])
+
+
+def _weighted_row(
+    L: int, N: int, k: int, order: int, shifted: bool
+) -> tuple[list[int], list[int], int]:
+    """(b, bw, S): b[m] = ((Nm)!/m!^N)^k and bw[m] = S b[m] w(m) for
+    m <= order, with w = harmonic_weight(L, ., shifted) and S = lcm(1..L
+    order) the scale of the harmonic table read."""
     b = big_B_sequence(N, k, order)
     h, S = harmonic_scaled(L * order)
-    return PSeries(
-        [0]
-        + [Fraction(b[m] * scaled_weight(h, L, m, shifted), S) for m in range(1, order + 1)]
-    )
+    return b, [x * scaled_weight(h, L, m, shifted) for m, x in enumerate(b)], S
 
 
 def canonical_parts(

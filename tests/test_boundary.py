@@ -1,18 +1,29 @@
-"""p is checked where it enters the program, and nowhere below that.
+"""Two boundaries of the package.
 
-Every public callable that takes a prime p rejects a non-prime with
-ValueError. A sweep checks its grid's primes once; the checks it runs per
-row, and every private kernel, take p on trust.
+p is checked where it enters the program, and nowhere below that. Every
+public callable that takes a prime p rejects a non-prime with ValueError. A
+sweep checks its grid's primes once; the checks it runs per row, and every
+private kernel, take p on trust.
+
+No table outlives a call. No module keeps state that a call grows without
+bound, so no result depends on the calls before it.
 """
 
+import ast
 import inspect
 from fractions import Fraction as F
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mirrorint
 from mirrorint import padic
 from mirrorint.congruences import sweep
+from mirrorint.harmonic import harmonic_scaled
+from mirrorint.padic import big_B, big_B_sequence
 from mirrorint.series import PSeries
 
 # Valid arguments besides p, for every name in __all__ that takes p.
@@ -76,3 +87,77 @@ def test_sweep_checks_primes_once(monkeypatch, check, params, calls):
     monkeypatch.setattr(padic, "is_prime", counting)
     assert list(sweep(check, **params))
     assert len(seen) == calls
+
+
+def _names(node, name):
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def unbounded_state(source):
+    """(line, what) for each global statement, functools.cache and
+    lru_cache without an integer maxsize in one module's source."""
+    tree = ast.parse(source)
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _names(node.func, "lru_cache"):
+            sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+            if any(isinstance(v, ast.Constant) and type(v.value) is int for v in sizes):
+                bounded.add(node.func)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.append((node.lineno, "global"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, "functools.cache") for a in node.names if a.name == "cache"]
+        elif _names(node, "cache") and _names(getattr(node, "value", None), "functools"):
+            found.append((node.lineno, "functools.cache"))
+        elif _names(node, "lru_cache") and node not in bounded:
+            found.append((node.lineno, "lru_cache"))
+    return found
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("def f():\n    global x\n", ["global"]),
+        ("from functools import cache\n", ["functools.cache"]),
+        ("import functools\n@functools.cache\ndef f(): pass\n", ["functools.cache"]),
+        ("@lru_cache\ndef f(): pass\n", ["lru_cache"]),
+        ("@lru_cache()\ndef f(): pass\n", ["lru_cache"]),
+        ("@lru_cache(maxsize=None)\ndef f(): pass\n", ["lru_cache"]),
+        ("@functools.lru_cache(None)\ndef f(): pass\n", ["lru_cache"]),
+        ("@lru_cache(maxsize=64)\ndef f(): pass\n", []),
+        ("@functools.lru_cache(64)\ndef f(): pass\n", []),
+    ],
+)
+def test_unbounded_state_scan(source, found):
+    assert [what for _, what in unbounded_state(source)] == found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(mirrorint.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_module_keeps_a_growing_table(path):
+    assert unbounded_state(path.read_text()) == []
+
+
+@given(st.integers(0, 120), st.integers(0, 120), st.data())
+@settings(max_examples=30, deadline=None)
+def test_mutated_harmonic_table_leaves_the_next_call_exact(n, n2, data):
+    h, _ = harmonic_scaled(n)
+    h[data.draw(st.integers(0, n))] += 1
+    h.append(1)
+    h, S = harmonic_scaled(n2)
+    H = accumulate((F(1, i) for i in range(1, n2 + 1)), initial=F(0))
+    assert [F(x, S) for x in h] == list(H)
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 15), st.integers(0, 15), st.data())
+@settings(max_examples=30, deadline=None)
+def test_mutated_B_row_leaves_the_next_call_exact(N, k, m_max, m_max2, data):
+    row = big_B_sequence(N, k, m_max)
+    row[data.draw(st.integers(0, m_max))] += 1
+    row.append(1)
+    assert big_B_sequence(N, k, m_max2) == [big_B(N, k, m) for m in range(m_max2 + 1)]

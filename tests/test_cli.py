@@ -757,6 +757,10 @@ class TestSweepArguments:
             "--check dworkS --p 3 --Nmax 0 --Kmax 0 --smax 0",
             "--check j-mod-p --Jmax -3",
             "--check coeff-c --mmax 0",
+            "--check yms --Kmax -2",
+            "--check theorem-congruence --summax -1",
+            "--check lemma11 --mmax 2 --smax -1",
+            "--check witness --pmax -5",
         ):
             code, out, err = run_cli(capsys, "sweep", *argv.split())
             assert code == 0 and out == "", argv

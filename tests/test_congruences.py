@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import math
 from fractions import Fraction as F
 
@@ -31,13 +30,10 @@ from mirrorint.constants import omega_indicator, xi_indicator
 from mirrorint.harmonic import (
     check_harmonic_congruence,
     harmonic,
-    harmonic_scaled,
     wolstenholme_valuation,
 )
 from mirrorint.padic import INFINITE, big_B, primes_upto, vp_big_B, vp_rational
 from mirrorint.series import build_F, build_G, build_GL, build_Gtilde, ps_substitute_power
-
-harmonic_module = importlib.import_module("mirrorint.harmonic")
 
 
 def series_coefficient_C(N, k, p, index, shifted=False):
@@ -407,13 +403,19 @@ def lemma12_j(g, v):
     return range(1 if v["a"] == 1 else 0, g["jmax"] + 1)
 
 
-S_AXES = (("s", upto("smax")), ("m", lambda g, v: range(v["K"] // v["p"] ** v["s"] + 2)))
+A_AXIS = ("a", lambda g, v: range(v["p"]))
+S_AXES = (
+    A_AXIS,
+    ("K", upto("Kmax")),
+    ("s", upto("smax")),
+    ("m", lambda g, v: range(v["K"] // v["p"] ** v["s"] + 2)),
+)
 
 # Per check: the axes inside SWEEPS' outer ones, and the row at one point
 # from the check's public per-point function.
 ORACLES = {
     "theorem-congruence": (
-        (("K", lambda g, v: range((g["summax"] - v["a"]) // v["p"] + 1)),),
+        (A_AXIS, ("K", lambda g, v: range((g["summax"] - v["a"]) // v["p"] + 1))),
         lambda v: member_row(v, check_theorem_congruence(**v)),
     ),
     "dworkS": (S_AXES, lambda v: member_row(v, check_dwork_S(**v))),
@@ -422,7 +424,10 @@ ORACLES = {
         (("K", lambda g, v: range(g["Kmax"] + 1) if g["K"] is None else (g["K"],)),),
         decomposition_row,
     ),
-    "lemma11": ((("s", upto("smax")),), lambda v: member_row(v, check_lemma11(**v))),
+    "lemma11": (
+        (("m", upto("mmax")), ("s", upto("smax"))),
+        lambda v: member_row(v, check_lemma11(**v)),
+    ),
     "lemma12": ((("j", lemma12_j),), lemma12_row),
     "j-mod-p": ((("J", upto("Jmax", 1)),), j_mod_p_row),
     "witness": (
@@ -520,8 +525,8 @@ class TestSweepWalk:
         rows = sweep("dworkS", p=[3], Nmax=2, kmax=1, Kmax=2, smax=1)
         assert calls == []
         first = next(rows)
-        assert calls == [{"p": 3, "N": 1, "k": 1, "a": 0, "K": 0}]
-        assert first["params"] == {**calls[0], "s": 0, "m": 0}
+        assert calls == [{"p": 3, "N": 1, "k": 1}]
+        assert first["params"] == {"p": 3, "N": 1, "k": 1, "a": 0, "K": 0, "s": 0, "m": 0}
         assert len(list(rows)) > 1 and len(calls) > 1
 
 
@@ -529,40 +534,66 @@ SMALL_PRIMES = st.sampled_from((2, 3, 5, 7))
 
 
 class TestBlockKernels:
-    """Each block kernel against its public per-point check, row for row,
-    on random small grids: K <= 10 and smax <= 3, so m p^s > K occurs and
-    gives zero S-sums (margin "inf")."""
+    """Each block kernel at one outer point against its public per-point
+    check, row for row, on random small grids: K <= 10 and smax <= 3, so
+    m p^s > K occurs and gives zero S-sums (margin "inf")."""
 
-    @given(SMALL_PRIMES, st.integers(1, 4), st.integers(1, 2), st.data(),
-           st.integers(0, 10), st.integers(0, 3))
-    @settings(max_examples=60, deadline=None)
-    def test_dwork_S_and_Y(self, p, N, k, data, K, smax):
-        a = data.draw(st.integers(0, p - 1))
-        point = {"p": p, "N": N, "k": k, "a": a, "K": K}
+    @given(SMALL_PRIMES, st.integers(1, 4), st.integers(1, 2), st.integers(0, 10),
+           st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_dwork_S_and_Y(self, p, N, k, Kmax, smax):
+        point = {"p": p, "N": N, "k": k}
         cells = [
-            {**point, "s": s, "m": m}
+            {**point, "a": a, "K": K, "s": s, "m": m}
+            for a in range(p)
+            for K in range(Kmax + 1)
             for s in range(smax + 1)
             for m in range(K // p**s + 2)
         ]
         for check, per_point in (("dworkS", check_dwork_S), ("yms", check_Y)):
-            got = list(SWEEPS[check].run({"smax": smax}, dict(point)))
+            got = list(SWEEPS[check].run({"Kmax": Kmax, "smax": smax}, dict(point)))
             assert got == [member_row(v, per_point(**v)) for v in cells], check
-            assert got[-1][2] == "inf"  # m = K // p^smax + 1: past K
+            assert got[-1][2] == "inf"  # m = Kmax // p^smax + 1: past K
 
-    @given(SMALL_PRIMES, st.integers(1, 5), st.integers(1, 2), st.data(),
-           st.integers(0, 40), st.sampled_from((WHICH_XI, WHICH_OMEGA)))
+    @given(SMALL_PRIMES, st.integers(1, 5), st.integers(1, 2), st.integers(0, 40),
+           st.sampled_from((WHICH_XI, WHICH_OMEGA)))
     @settings(max_examples=60, deadline=None)
-    def test_theorem_congruence(self, p, N, k, data, summax, which):
-        a = data.draw(st.integers(0, p - 1))
+    def test_theorem_congruence(self, p, N, k, summax, which):
         if which == WHICH_OMEGA:
             N = max(N, 2)
-        point = {"which": which, "p": p, "N": N, "k": k, "a": a}
+        point = {"which": which, "p": p, "N": N, "k": k}
         got = list(SWEEPS["theorem-congruence"].run({"summax": summax}, dict(point)))
         expected = [
             member_row(v, check_theorem_congruence(**v))
-            for v in ({**point, "K": K} for K in range((summax - a) // p + 1))
+            for a in range(p)
+            for v in ({**point, "a": a, "K": K} for K in range((summax - a) // p + 1))
         ]
         assert got == expected
+
+    @given(SMALL_PRIMES, st.integers(1, 5), st.integers(1, 2), st.integers(0, 12),
+           st.integers(0, 3), st.sampled_from((WHICH_XI, WHICH_OMEGA)))
+    @settings(max_examples=60, deadline=None)
+    def test_lemma11(self, p, N, k, mmax, smax, which):
+        if which == WHICH_OMEGA:
+            N = max(N, 2)
+        point = {"which": which, "p": p, "N": N, "k": k}
+        got = list(SWEEPS["lemma11"].run({"mmax": mmax, "smax": smax}, dict(point)))
+        expected = [
+            member_row(v, check_lemma11(**v))
+            for m in range(mmax + 1)
+            for v in ({**point, "m": m, "s": s} for s in range(smax + 1))
+        ]
+        assert got == expected
+
+    @given(st.integers(1, 12), st.integers(-2, 200), st.sampled_from(("t", "u")))
+    @settings(max_examples=60, deadline=None)
+    def test_witness(self, N, pmax, which):
+        if which == "u":
+            N = max(N, 2)
+        point = {"which": which, "N": N}
+        got = list(SWEEPS["witness"].run({"pmax": pmax}, dict(point)))
+        primes = [p for p in primes_upto(pmax) if p > N]
+        assert got == [witness_row({**point, "p": p}) for p in primes]
 
     @given(SMALL_PRIMES, st.integers(0, 120))
     @settings(max_examples=40, deadline=None)
@@ -573,32 +604,9 @@ class TestBlockKernels:
     def test_zero_S_sums_inside_the_range(self):
         # S(2, 1, 3, 1, 2, 0, 1) cancels to 0 with m p^s <= K: "inf" rows
         # come from cancellation too, not only from m p^s > K.
-        rows = SWEEPS["yms"].run({"smax": 0}, {"p": 3, "N": 2, "k": 1, "a": 1, "K": 2})
-        assert [margin for params, _, margin in rows if params["m"] == 1] == ["inf"]
-
-    @pytest.mark.parametrize(
-        "check,grid,point,top",
-        [
-            ("yms", {"smax": 2}, {"p": 2, "N": 3, "k": 1, "a": 1, "K": 9}, 27),
-            ("j-mod-p", {"Jmax": 60}, {"p": 2}, 60),
-        ],
-    )
-    def test_table_rescaled_between_rows(self, monkeypatch, check, grid, point, top):
-        # The kernels read a copy of the harmonic table: growing the table
-        # past a power of p between two rows, which multiplies every entry
-        # by p in place, changes no row.
-        def fresh_rows():
-            monkeypatch.setattr(harmonic_module, "_HARMONIC", [0])
-            monkeypatch.setattr(harmonic_module, "_SCALE", 1)
-            return SWEEPS[check].run(grid, dict(point))
-
-        expected = list(fresh_rows())
-        rows = fresh_rows()
-        first = next(rows)
-        h, S = harmonic_scaled(0)
-        assert len(h) == top + 1
-        assert harmonic_scaled(top + 5)[1] // S % 4 == 2  # top < 2^k <= top + 5
-        assert [first, *rows] == expected
+        rows = SWEEPS["yms"].run({"Kmax": 2, "smax": 0}, {"p": 3, "N": 2, "k": 1})
+        margins = [margin for q, _, margin in rows if (q["a"], q["K"], q["m"]) == (1, 2, 1)]
+        assert margins == ["inf"]
 
 
 class TestConstantMemo:

@@ -54,6 +54,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The package re-exports the function harmonic under the module's name.
 harmonic_module = importlib.import_module("mirrorint.harmonic")
+congruences = importlib.import_module("mirrorint.congruences")
+series = importlib.import_module("mirrorint.series")
 
 
 @lru_cache(maxsize=None)
@@ -66,33 +68,33 @@ def w(N, n, shifted=False):
 
 
 @pytest.fixture
-def empty_table(monkeypatch):
-    """An empty table for one test; the shared one is put back after it."""
-    monkeypatch.setattr(harmonic_module, "_HARMONIC", [0])
-    monkeypatch.setattr(harmonic_module, "_SCALE", 1)
+def no_table(monkeypatch):
+    """harmonic_scaled raises, from every module that calls it."""
+
+    def refuse(n):
+        raise AssertionError(f"harmonic_scaled({n}) was called")
+
+    for module in (harmonic_module, congruences, series):
+        monkeypatch.setattr(module, "harmonic_scaled", refuse)
 
 
 class TestTableGrowth:
     @given(st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=10))
     @settings(max_examples=40, deadline=None)
     def test_any_request_order(self, requests):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harmonic_module, "_HARMONIC", [0])
-            mp.setattr(harmonic_module, "_SCALE", 1)
-            top = 0
-            for n in requests:
-                top = max(top, n)
-                h, S = harmonic_scaled(n)
-                assert len(h) == top + 1
-                assert S == math.lcm(*range(1, len(h)))
-                assert all(h[i] == S * H(i) for i in range(len(h)))
-                assert harmonic(n) == H(n)
+        # Each call's table covers its own n, whatever came before it.
+        for n in requests:
+            h, S = harmonic_scaled(n)
+            assert len(h) == n + 1
+            assert S == math.lcm(*range(1, n + 1))
+            assert all(h[i] == S * H(i) for i in range(n + 1))
+            assert harmonic(n) == H(n)
 
-    def test_entries_are_ints(self, empty_table):
+    def test_entries_are_ints(self):
         # bench/tracer.py reads .numerator and .denominator off the entries.
         h, S = harmonic_scaled(40)
         assert all(type(x) is int for x in h)
-        assert harmonic_module._HARMONIC is h and S == math.lcm(*range(1, 41))
+        assert S == math.lcm(*range(1, 41))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -119,9 +121,8 @@ def pairing_calls(monkeypatch):
 
 
 class TestWolstenholmeRoutes:
-    # A single prime pairs whatever an earlier call left in the table: the
-    # route does not depend on call history.
-    def test_grown_table_still_pairs_every_prime(self, empty_table, pairing_calls):
+    # A single prime pairs, and no route reads a harmonic table.
+    def test_grown_table_still_pairs_every_prime(self, no_table, pairing_calls):
         primes = [p for p in primes_upto(3000) if p >= 5]
         h, _ = harmonic_scaled(3000)
         for p in primes:
@@ -130,35 +131,29 @@ class TestWolstenholmeRoutes:
                 assert wolstenholme_valuation(p, cap) == table, (p, cap)
         assert pairing_calls == [p for p in primes for _ in range(2, 6)]
 
-    def test_single_prime_pairs_whatever_the_table_covers(self, empty_table, pairing_calls):
-        harmonic_scaled(100)
+    def test_single_prime_pairs_whatever_the_table_covers(self, no_table, pairing_calls):
         assert wolstenholme_valuation(101, 3) == 2 and pairing_calls == [101]
         assert wolstenholme_valuation(103, 3) == 2 and pairing_calls == [101, 103]
-        assert len(harmonic_module._HARMONIC) == 101  # never grown for it
 
-    def test_walk_matches_the_pairing_sum(self, empty_table):
+    def test_walk_matches_the_pairing_sum(self, no_table):
         # Every step to a prime power below 3000 rescales S and x.
         primes = [p for p in primes_upto(3000) if p >= 5]
         for cap in range(2, 6):
             rows = list(_wolstenholme_scan(5, 3000, cap))
             assert rows == [(p, _wolstenholme_pairing(p, cap)) for p in primes], cap
 
-    def test_wide_sweep_walks_without_table_or_pairing(self, empty_table, pairing_calls):
-        harmonic_scaled(100)
+    def test_wide_sweep_walks_without_table_or_pairing(self, no_table, pairing_calls):
         rows = list(sweep("wolstenholme", pmax=6000))
         assert len(rows) == len(primes_upto(6000)) - 2
-        assert pairing_calls == [] and len(harmonic_module._HARMONIC) == 101
+        assert pairing_calls == []
 
-    def test_narrow_sweep_pairs_each_prime(self, empty_table, pairing_calls):
-        harmonic_scaled(100)
-        # 50 + 51 pairing steps < 104 + 10 for the walk: both primes pair,
-        # although the table covers 101 - 1.
+    def test_narrow_sweep_pairs_each_prime(self, no_table, pairing_calls):
+        # 50 + 51 pairing steps < 104 + 10 for the walk: both primes pair.
         rows = list(sweep("wolstenholme", pmin=100, pmax=104))
         assert [r["params"]["p"] for r in rows] == [101, 103]
         assert pairing_calls == [101, 103]
-        assert len(harmonic_module._HARMONIC) == 101
 
-    def test_path_rule_boundary(self, empty_table, pairing_calls):
+    def test_path_rule_boundary(self, no_table, pairing_calls):
         # The walk to 6800 costs 6800 + 46240 = 53040 pairing steps. The 15
         # primes from 6679 to 6793 cost 50507 of them, and with 6673 also
         # 53843: the same windows as the goldens on each side of the rule.
@@ -168,7 +163,7 @@ class TestWolstenholmeRoutes:
         assert pairing_calls == [p for p in primes_upto(6800) if p > 6673]
         assert len(pairing_calls) == 15
 
-    def test_wide_windows_walk_from_any_pmin(self, empty_table, pairing_calls):
+    def test_wide_windows_walk_from_any_pmin(self, no_table, pairing_calls):
         # Walking to pmax costs the same whatever pmin is, so any window
         # wider than a few percent of pmax walks.
         for pmin in (500, 700, 900, 950):
@@ -193,11 +188,10 @@ class TestWalk:
     def test_no_stops_no_rows(self):
         assert list(_walk([])) == []
 
-    def test_constants_leave_the_table_empty(self, empty_table):
+    def test_constants_leave_the_table_empty(self, no_table):
         for N in (2, 7, 30, 211):
             xi(N), omega(N), theta(N), t_conjectured(N), u_conjectured(N)
             vp_harmonic(N, 5), vp_harmonic(N, 7, shifted=True)
-        assert harmonic_module._HARMONIC == [0]
 
     def test_breakdown_reads_a_wolstenholme_flag_off_the_walk(self, pairing_calls):
         # 16844 = 1 and 16845 = 2 mod 16843: neither divisibility branch
