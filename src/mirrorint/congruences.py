@@ -233,30 +233,38 @@ def check_decomposition(
     the double sum of Y-terms over s <= r, m < p^(r+1-s), for any r with
     K < p^r; verified at r and again at r + 1."""
     _validate_core(N, k, p, a, K)
-    r_min = 0
-    while K >= p**r_min:
-        r_min += 1
     if r is None:
-        r = r_min
+        r = _depth(p, K)
     elif K >= p**r:
-        raise ValueError(f"r must satisfy K < p^r (minimal r is {r_min})")
-
-    P = _S_prefix(big_B_sequence(N, k, a + K * p), p, a, K)
-    # Every index read below is at most N K: an S-sum vanishes for m p^s > K.
+        raise ValueError(f"r must satisfy K < p^r (minimal r is {_depth(p, K)})")
     h, S = harmonic_scaled(N * K)
-    lhs = sum(h[N * j] * (P[j + 1] - P[j]) for j in range(K + 1))
+    return _decomposition(big_B_sequence(N, k, a + K * p), h, S, N, p, a, K, r)
 
-    def rhs_at(depth: int) -> Fraction:
-        total = 0
-        for s in range(depth + 1):
-            q = p**s
-            for m in range(min(p ** (depth + 1 - s), K // q + 1)):
-                total += _level_gap(h, N, p, m, s, False) * _S_read(P, q, m)
-        return Fraction(total, S)
 
-    return DecompositionCheck(
-        r=r, lhs=Fraction(lhs, S), rhs=rhs_at(r), rhs_next=rhs_at(r + 1)
-    )
+def _decomposition(
+    b: list[int], h: list[int], S: int, N: int, p: int, a: int, K: int, r: int
+) -> DecompositionCheck:
+    # check_decomposition at depth r, off a B row b that reaches a + K p
+    # and a table h of scale S that reaches N K: an S-sum vanishes for
+    # m p^s > K, so no index read is larger.
+    P = _S_prefix(b, p, a, K)
+    sums = [Fraction(sum(h[N * j] * (P[j + 1] - P[j]) for j in range(K + 1)), S)]
+    for depth in (r, r + 1):
+        total = sum(
+            _level_gap(h, N, p, m, s, False) * _S_read(P, p**s, m)
+            for s in range(depth + 1)
+            for m in range(min(p ** (depth + 1 - s), K // p**s + 1))
+        )
+        sums.append(Fraction(total, S))
+    return DecompositionCheck(r, *sums)
+
+
+def _depth(p: int, K: int) -> int:
+    # The least r with K < p^r.
+    r = 0
+    while K >= p**r:
+        r += 1
+    return r
 
 
 def check_lemma12(
@@ -268,17 +276,21 @@ def check_lemma12(
     _validate_core(N, k, p, a, max(K or 0, 0))
     if j < 0:
         raise ValueError("j must be non-negative")
-    required = 1 + _required_vp(WHICH_XI, N, k, p)
     if a == 1 and j == 0:
         if K is None or K < 1:
             raise ValueError("the a=1, j=0 variant requires K >= 1")
-        v_B = vp_big_B(N, k, 1, p) + vp_big_B(N, k, K, p)
-        lo, top = 0, N // p
     else:
-        v_B = vp_big_B(N, k, a + p * j, p)
-        lo, top = N * j, N * j + (N * a) // p
-    h, _ = harmonic_scaled(top)
-    return Membership(achieved=v_B + vp_scaled(h[top] - h[lo], p, top), required=required)
+        K = 0  # only the variant reads K
+    return _lemma12(harmonic_scaled(N * j + N * a // p)[0], p, N, k, a, j, K)
+
+
+def _lemma12(h: list[int], p: int, N: int, k: int, a: int, j: int, K: int = 0) -> Membership:
+    # check_lemma12 off a table h that reaches N j + floor(N a / p). The
+    # variant is the general term times B(K), so K = 0 (B(0) = 1) gives the
+    # general term.
+    gap = vp_scaled(h[N * j + N * a // p] - h[N * j], p, len(h) - 1)
+    achieved = vp_big_B(N, k, a + p * j, p) + vp_big_B(N, k, K, p) + gap
+    return Membership(achieved, 1 + _required_vp(WHICH_XI, N, k, p))
 
 
 def check_lemma11(
@@ -393,7 +405,7 @@ Axis = tuple[str, Callable[[dict, dict], Iterable]]
 Row = tuple[dict, bool, int | str | None]
 # A block is a check below one point of its outer axes: block(grid, point)
 # yields the (params, holds, margin) rows of the inner axes, in order. It
-# may bind inner axes in `point` but must not hold on to it.
+# must not write `point` or hold on to it.
 Block = Callable[[dict, dict], Iterable[Row]]
 
 
@@ -411,26 +423,6 @@ class Sweep:
     variants: tuple[str, ...] = ()
     required: tuple[str, ...] = ()
     validate: Callable[[dict], None] | None = None
-
-
-def _each(axis: Axis, row: Callable[[dict], Row]) -> Block:
-    """A per-point check as a block: `row` runs at each value of `axis`,
-    the innermost one."""
-    name, values = axis
-
-    def run(grid: dict, point: dict) -> Iterator[Row]:
-        for point[name] in values(grid, point):
-            yield row(point)
-
-    return run
-
-
-def _upto(bound: str, lo: int = 0) -> Callable[[dict, dict], range]:
-    return lambda g, v: range(lo, g[bound] + 1)
-
-
-def _primes(g: dict, lo: int) -> list[int]:
-    return [p for p in primes_upto(g["pmax"]) if p >= lo]
 
 
 def _margin_json(m: int | float) -> int | str:
@@ -493,16 +485,17 @@ def _yms_block(grid: dict, v: dict) -> Iterator[Row]:
 
 
 def _j_mod_p_block(grid: dict, v: dict) -> Iterator[Row]:
-    # check_harmonic_congruence("J_mod_p", p, J=J) at every J <= Jmax, off
-    # one table.
-    p, Jmax = v["p"], grid["Jmax"]
+    # check_harmonic_congruence("J_mod_p", p, J=J) at every prime p <= pmax
+    # and 1 <= J <= Jmax, off one table.
+    Jmax = grid["Jmax"]
     if Jmax < 1:
         return
     h, _ = harmonic_scaled(Jmax)
-    required = 1 - vp_scaled(1, p, Jmax)
-    for J in range(1, Jmax + 1):
-        margin = vp_int(p * h[J] - h[J // p], p) - required
-        yield {"p": p, "J": J}, margin >= 0, _margin_json(margin)
+    for p in primes_upto(grid["pmax"]):
+        required = 1 - vp_scaled(1, p, Jmax)
+        for J in range(1, Jmax + 1):
+            margin = vp_int(p * h[J] - h[J // p], p) - required
+            yield {"p": p, "J": J}, margin >= 0, _margin_json(margin)
 
 
 def _coeff_c_block(grid: dict, v: dict) -> Iterator[Row]:
@@ -525,44 +518,48 @@ def _lemma11_block(grid: dict, v: dict) -> Iterator[Row]:
 
 def _witness_block(grid: dict, v: dict) -> Iterator[Row]:
     # optimality_witness at every prime N < p <= pmax.
-    primes = _primes(grid, v["N"] + 1)
+    primes = [p for p in primes_upto(grid["pmax"]) if p > v["N"]]
     for p, (a, val) in zip(primes, _witnesses(v["N"], primes, v["which"] == "u")):
         yield {**v, "p": p, "a": a}, val == 0, val
 
 
-def _decomposition_row(point: dict):
-    rep = check_decomposition(**point)
-    return {**point, "r": rep.r}, rep.equal, None
+def _decomposition_block(grid: dict, v: dict) -> Iterator[Row]:
+    # check_decomposition at every a < p, then K <= Kmax (or K = --K), off
+    # one B row and one table up to the largest K.
+    p, N, k = v["p"], v["N"], v["k"]
+    Ks = range(grid["Kmax"] + 1) if grid["K"] is None else (grid["K"],)
+    top = max(Ks, default=0)
+    _validate_core(N, k, p, 0, top)  # --K may be negative
+    b = big_B_sequence(N, k, p - 1 + top * p)
+    h, S = harmonic_scaled(N * top)
+    for a in range(p):
+        for K in Ks:
+            r = _depth(p, K)
+            yield {**v, "a": a, "K": K, "r": r}, _decomposition(b, h, S, N, p, a, K, r).equal, None
 
 
-# Lemma 12's a = 1, j = 0 variant is checked at each K >= 1, in rows that
-# come before the j >= 1 rows; every other row has K = None, not in params.
-def _lemma12_K(g: dict, v: dict) -> tuple:
-    return (*range(1, g["Kmax"] + 1), None) if v["a"] == 1 else (None,)
+def _lemma12_block(grid: dict, v: dict) -> Iterator[Row]:
+    # check_lemma12 at every a < p, then j <= jmax, off one table. At a = 1
+    # the rows of the j = 0 variant, one per 1 <= K <= Kmax, come first and
+    # replace j = 0; only they have K in their params.
+    p, N, jmax = v["p"], v["N"], grid["jmax"]
+    h, _ = harmonic_scaled(max(N * jmax + N * (p - 1) // p, N // p))
+    for a in range(p):
+        cells = [(K, 0) for K in range(1, grid["Kmax"] + 1)] if a == 1 else []
+        for K, j in cells + [(0, j) for j in range(a == 1, jmax + 1)]:
+            rep = _lemma12(h, **v, a=a, j=j, K=K)
+            params = {**v, "a": a, **({"K": K} if K else {}), "j": j}
+            yield params, rep.holds, _margin_json(rep.margin)
 
 
-def _lemma12_j(g: dict, v: dict) -> Iterable[int]:
-    if v["K"] is not None:
-        return (0,)
-    return range(1 if v["a"] == 1 else 0, g["jmax"] + 1)
+def _wolstenholme_block(grid: dict, v: dict) -> Iterator[Row]:
+    for p, val in _wolstenholme_scan(grid["pmin"], grid["pmax"], 3):
+        yield {"p": p, "v_capped": val}, val >= 2, val - 2
 
 
-def _lemma12_row(point: dict):
-    rep = check_lemma12(**point)
-    params = dict(point)
-    if params["K"] is None:
-        del params["K"]
-    return params, rep.holds, _margin_json(rep.margin)
-
-
-def _wolstenholme_row(point: dict):
-    p, v = point["p"]
-    return {"p": p, "v_capped": v}, v >= 2, v - 2
-
-
-def _vp3_row(point: dict):
-    probe = vp3_probe(**point)
-    return dict(point), probe.outside, probe.margin
+def _vp3_block(grid: dict, v: dict) -> Iterator[Row]:
+    probe = vp3_probe(**v)
+    yield dict(v), probe.outside, probe.margin
 
 
 def _one_prime(grid: dict) -> None:
@@ -578,8 +575,7 @@ _N: Axis = (
     "N",
     lambda g, v: range(2 if v.get("which") in (WHICH_OMEGA, "u") else 1, g["Nmax"] + 1),
 )
-_PNk = (_P, _N, ("k", _upto("kmax", 1)))
-_PNka = (*_PNk, ("a", lambda g, v: range(v["p"])))
+_PNk = (_P, _N, ("k", lambda g, v: range(1, g["kmax"] + 1)))
 _DWORK = {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "Kmax": 8, "smax": 2}
 
 SWEEPS: dict[str, Sweep] = {
@@ -595,11 +591,8 @@ SWEEPS: dict[str, Sweep] = {
     "yms": Sweep(_DWORK, _PNk, _yms_block),
     "decomposition": Sweep(
         {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "Kmax": 8, "K": None},  # None: K <= Kmax
-        _PNka,
-        _each(
-            ("K", lambda g, v: range(g["Kmax"] + 1) if g["K"] is None else (g["K"],)),
-            _decomposition_row,
-        ),
+        _PNk,  # inner axes: a < p, then K
+        _decomposition_block,
     ),
     "lemma11": Sweep(
         {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "mmax": 9, "smax": 2},
@@ -609,36 +602,21 @@ SWEEPS: dict[str, Sweep] = {
     ),
     "lemma12": Sweep(
         {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "jmax": 6, "Kmax": 8},
-        (*_PNka, ("K", _lemma12_K)),
-        _each(("j", _lemma12_j), _lemma12_row),
+        _PNk,  # inner axes: a < p, then K (a = 1, j = 0 only), then j
+        _lemma12_block,
     ),
-    "j-mod-p": Sweep(
-        {"pmax": 13, "Jmax": 500},
-        (("p", lambda g, v: _primes(g, 2)),),  # inner axis: 1 <= J <= Jmax
-        _j_mod_p_block,
-    ),
+    # Inner axes: the primes p <= pmax, then 1 <= J <= Jmax.
+    "j-mod-p": Sweep({"pmax": 13, "Jmax": 500}, (), _j_mod_p_block),
     "witness": Sweep(
         {"Nmax": 7, "pmax": 31},
         (_WHICH, _N),  # inner axis: primes N < p <= pmax
         _witness_block,
         variants=("t", "u"),
     ),
-    "wolstenholme": Sweep(
-        {"pmin": 5},
-        (),
-        # Each value is a pair (p, min(v_p(H_{p-1}), 3)).
-        _each(
-            ("p", lambda g, v: _wolstenholme_scan(g["pmin"], g["pmax"], 3)),
-            _wolstenholme_row,
-        ),
-        required=("pmax",),
-    ),
+    # Inner axis: the primes max(5, pmin) <= p <= pmax.
+    "wolstenholme": Sweep({"pmin": 5}, (), _wolstenholme_block, required=("pmax",)),
     "vp3-probe": Sweep(
-        {},
-        (_P,),
-        _each(_ONE_N, _vp3_row),
-        required=("p", "N"),
-        validate=_one_prime,
+        {}, (_P, _ONE_N), _vp3_block, required=("p", "N"), validate=_one_prime
     ),
     "coeff-c": Sweep(
         {"p": (3,), "N": 7, "mmax": 2500},

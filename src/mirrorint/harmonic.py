@@ -394,12 +394,25 @@ def check_harmonic_congruence(
     and whether it matches the computed outcome. Assumes p prime.
     """
     predicted: bool | None = None
-    if kind == "J_mod_p":
-        if J is None or J < 1:
-            raise ValueError("J_mod_p requires J >= 1")
+    if kind in ("J_mod_p", "W2", "W3"):
+        if kind == "J_mod_p":
+            if J is None or J < 1:
+                raise ValueError("J_mod_p requires J >= 1")
+            required = 1
+        elif kind == "W2":
+            if p < 3:
+                raise ValueError("W2 requires p >= 3")
+            if J is None or J < 1 or J % p:
+                raise ValueError("W2 requires J divisible by p")
+            required = 3 if p >= 5 else 2
+        else:
+            if p < 5:
+                raise ValueError("W3 requires p >= 5")
+            if J is None or J < 1 or J % p**2:
+                raise ValueError("W3 requires J divisible by p^2")
+            required = 5
         h, _ = harmonic_scaled(J)
         value = p * h[J] - h[J // p]
-        required = 1
         params = {"J": J}
     elif kind == "W1":
         if p < 5:
@@ -410,24 +423,6 @@ def check_harmonic_congruence(
         value = h[r * p - 1] - h[r * p - p]
         required = 2
         params = {"r": r}
-    elif kind == "W2":
-        if p < 3:
-            raise ValueError("W2 requires p >= 3")
-        if J is None or J < 1 or J % p:
-            raise ValueError("W2 requires J divisible by p")
-        h, _ = harmonic_scaled(J)
-        value = p * h[J] - h[J // p]
-        required = 3 if p >= 5 else 2
-        params = {"J": J}
-    elif kind == "W3":
-        if p < 5:
-            raise ValueError("W3 requires p >= 5")
-        if J is None or J < 1 or J % p**2:
-            raise ValueError("W3 requires J divisible by p^2")
-        h, _ = harmonic_scaled(J)
-        value = p * h[J] - h[J // p]
-        required = 5
-        params = {"J": J}
     elif kind in ("congH", "congH2"):
         if p < 5:
             raise ValueError(f"{kind} requires p >= 5")

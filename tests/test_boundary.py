@@ -6,10 +6,12 @@ sweep checks its grid's primes once; the checks it runs per row, and every
 private kernel, take p on trust.
 
 No table outlives a call. No module keeps state that a call grows without
-bound, so no result depends on the calls before it.
+bound, so no result depends on the calls before it. A sweep block builds
+each table it reads once, not once per row.
 """
 
 import ast
+import dataclasses
 import inspect
 from fractions import Fraction as F
 from itertools import accumulate
@@ -20,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mirrorint
-from mirrorint import padic
-from mirrorint.congruences import sweep
+from mirrorint import congruences, padic
+from mirrorint.congruences import SWEEPS, sweep
 from mirrorint.harmonic import harmonic_scaled
 from mirrorint.padic import big_B, big_B_sequence
 from mirrorint.series import PSeries
@@ -161,3 +163,45 @@ def test_mutated_B_row_leaves_the_next_call_exact(N, k, m_max, m_max2, data):
     row[data.draw(st.integers(0, m_max))] += 1
     row.append(1)
     assert big_B_sequence(N, k, m_max2) == [big_B(N, k, m) for m in range(m_max2 + 1)]
+
+
+@pytest.mark.parametrize(
+    "check,params",
+    [
+        ("theorem-congruence", {"p": (2, 3), "Nmax": 3, "kmax": 1, "summax": 8}),
+        ("dworkS", {"p": (2, 3), "Nmax": 2, "kmax": 1, "Kmax": 3, "smax": 1}),
+        ("yms", {"p": (3,), "Nmax": 2, "kmax": 2, "Kmax": 3, "smax": 1}),
+        ("decomposition", {"p": (2, 3), "Nmax": 2, "kmax": 1, "Kmax": 2}),
+        ("decomposition", {"p": (3,), "K": 2, "Nmax": 3}),
+        ("lemma11", {"p": (2, 3), "Nmax": 3, "kmax": 1, "mmax": 3, "smax": 1}),
+        ("lemma12", {"p": (2, 3), "Nmax": 2, "kmax": 1, "jmax": 2, "Kmax": 2}),
+        ("lemma12", {"p": (3,), "Nmax": 2, "kmax": 1, "jmax": -2, "Kmax": 3}),
+        ("j-mod-p", {"pmax": 13, "Jmax": 40}),
+        ("witness", {"Nmax": 4, "pmax": 13, "which": "u"}),
+        ("wolstenholme", {"pmin": 3, "pmax": 60}),
+        ("vp3-probe", {"p": (11,), "N": 848}),
+        ("coeff-c", {"p": (3, 5), "N": 7, "mmax": 30}),
+    ],
+)
+def test_one_table_per_block(monkeypatch, check, params):
+    # harmonic_scaled and big_B_sequence, called through congruences, run
+    # at most once per block each; j-mod-p is one block with one table.
+    calls = {"harmonic_scaled": 0, "big_B_sequence": 0}
+    for name in calls:
+        def counting(*args, name=name, build=getattr(congruences, name)):
+            calls[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(congruences, name, counting)
+    spec = SWEEPS[check]
+    blocks = []
+
+    def run(grid, point):
+        blocks.append(dict(point))
+        return spec.run(grid, point)
+
+    monkeypatch.setitem(SWEEPS, check, dataclasses.replace(spec, run=run))
+    assert list(sweep(check, **params))
+    assert max(calls.values()) <= len(blocks), (calls, len(blocks))
+    if check == "j-mod-p":
+        assert calls["harmonic_scaled"] == 1

@@ -761,10 +761,24 @@ class TestSweepArguments:
             "--check theorem-congruence --summax -1",
             "--check lemma11 --mmax 2 --smax -1",
             "--check witness --pmax -5",
+            "--check decomposition --Kmax -1",
         ):
             code, out, err = run_cli(capsys, "sweep", *argv.split())
             assert code == 0 and out == "", argv
             assert "0 tuples" in err, argv
+
+    def test_negative_jmax_keeps_the_variant_rows(self, capsys):
+        # jmax < 0 empties lemma12's j axis, but its a = 1, j = 0 variant
+        # still runs at each 1 <= K <= Kmax: 8 rows per (N, k).
+        argv = "--check lemma12 --jmax -2 --p 3 --Nmax 2 --kmax 1"
+        code, out, _ = run_cli(capsys, "sweep", *argv.split())
+        assert (code, len(out.splitlines()), sha256(out)) == (
+            0, 16, "39f186e8e95db602b46c4837c411bf9c7a14a5cc548047a6f9ac71a208e48ced"
+        )
+
+    def test_negative_K_is_a_usage_error(self, capsys):
+        got = run_cli(capsys, "sweep", "--check", "decomposition", "--K", "-1")
+        assert got == (2, "", "error: K must be non-negative\n")
 
     @pytest.mark.parametrize(
         "argv",

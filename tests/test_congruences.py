@@ -397,10 +397,20 @@ def upto(bound, lo=0):
     return lambda g, v: range(lo, g[bound] + 1)
 
 
+# Lemma 12's a = 1, j = 0 variant is checked at each K >= 1, in rows that
+# come before the j >= 1 rows; every other row has K = None, not in params.
+def lemma12_K(g, v):
+    return (*range(1, g["Kmax"] + 1), None) if v["a"] == 1 else (None,)
+
+
 def lemma12_j(g, v):
     if v["K"] is not None:
         return (0,)
     return range(1 if v["a"] == 1 else 0, g["jmax"] + 1)
+
+
+def decomposition_K(g, v):
+    return range(g["Kmax"] + 1) if g["K"] is None else (g["K"],)
 
 
 A_AXIS = ("a", lambda g, v: range(v["p"]))
@@ -420,16 +430,16 @@ ORACLES = {
     ),
     "dworkS": (S_AXES, lambda v: member_row(v, check_dwork_S(**v))),
     "yms": (S_AXES, lambda v: member_row(v, check_Y(**v))),
-    "decomposition": (
-        (("K", lambda g, v: range(g["Kmax"] + 1) if g["K"] is None else (g["K"],)),),
-        decomposition_row,
-    ),
+    "decomposition": ((A_AXIS, ("K", decomposition_K)), decomposition_row),
     "lemma11": (
         (("m", upto("mmax")), ("s", upto("smax"))),
         lambda v: member_row(v, check_lemma11(**v)),
     ),
-    "lemma12": ((("j", lemma12_j),), lemma12_row),
-    "j-mod-p": ((("J", upto("Jmax", 1)),), j_mod_p_row),
+    "lemma12": ((A_AXIS, ("K", lemma12_K), ("j", lemma12_j)), lemma12_row),
+    "j-mod-p": (
+        (("p", lambda g, v: primes_upto(g["pmax"])), ("J", upto("Jmax", 1))),
+        j_mod_p_row,
+    ),
     "witness": (
         (("p", lambda g, v: [p for p in primes_upto(g["pmax"]) if p > v["N"]]),),
         witness_row,
@@ -438,7 +448,7 @@ ORACLES = {
         (("p", lambda g, v: [p for p in primes_upto(g["pmax"]) if p >= max(5, g["pmin"])]),),
         wolstenholme_row,
     ),
-    "vp3-probe": ((("N", lambda g, v: (g["N"],)),), vp3_row),
+    "vp3-probe": ((), vp3_row),
     "coeff-c": ((("m", upto("mmax", 1)),), coeff_c_row),
 }
 
@@ -595,11 +605,48 @@ class TestBlockKernels:
         primes = [p for p in primes_upto(pmax) if p > N]
         assert got == [witness_row({**point, "p": p}) for p in primes]
 
-    @given(SMALL_PRIMES, st.integers(0, 120))
+    @given(SMALL_PRIMES, st.integers(1, 5), st.integers(1, 2), st.integers(-2, 10),
+           st.none() | st.integers(-2, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_decomposition(self, p, N, k, Kmax, K):
+        point = {"p": p, "N": N, "k": k}
+        rows = SWEEPS["decomposition"].run({"Kmax": Kmax, "K": K}, dict(point))
+        if K is not None and K < 0:
+            with pytest.raises(ValueError, match="K must be non-negative"):
+                next(iter(rows))
+            with pytest.raises(ValueError, match="K must be non-negative"):
+                check_decomposition(N, k, p, 0, K)
+            return
+        Ks = range(Kmax + 1) if K is None else (K,)
+        expected = [decomposition_row({**point, "a": a, "K": K}) for a in range(p) for K in Ks]
+        assert list(rows) == expected
+
+    @given(SMALL_PRIMES, st.integers(1, 5), st.integers(1, 2), st.integers(-2, 8),
+           st.integers(-2, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_lemma12(self, p, N, k, jmax, Kmax):
+        point = {"p": p, "N": N, "k": k}
+        got = list(SWEEPS["lemma12"].run({"jmax": jmax, "Kmax": Kmax}, dict(point)))
+        expected = []
+        for a in range(p):
+            if a == 1:
+                expected += [
+                    lemma12_row({**point, "a": 1, "K": K, "j": 0}) for K in range(1, Kmax + 1)
+                ]
+            expected += [
+                lemma12_row({**point, "a": a, "K": None, "j": j})
+                for j in range(1 if a == 1 else 0, jmax + 1)
+            ]
+        assert got == expected
+
+    @given(st.integers(-2, 40), st.integers(-2, 120))
     @settings(max_examples=40, deadline=None)
-    def test_j_mod_p(self, p, Jmax):
-        got = list(SWEEPS["j-mod-p"].run({"Jmax": Jmax}, {"p": p}))
-        assert got == [j_mod_p_row({"p": p, "J": J}) for J in range(1, Jmax + 1)]
+    def test_j_mod_p(self, pmax, Jmax):
+        # One block: every prime p <= pmax, then every J.
+        got = list(SWEEPS["j-mod-p"].run({"pmax": pmax, "Jmax": Jmax}, {}))
+        assert got == [
+            j_mod_p_row({"p": p, "J": J}) for p in primes_upto(pmax) for J in range(1, Jmax + 1)
+        ]
 
     def test_zero_S_sums_inside_the_range(self):
         # S(2, 1, 3, 1, 2, 0, 1) cancels to 0 with m p^s <= K: "inf" rows
