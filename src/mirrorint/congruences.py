@@ -396,27 +396,32 @@ def vp3_probe(p: int, N: int) -> RootSharpnessProbe:
 
 
 # ---------------------------------------------------------------------------
-# Sweeps: a check run over a bounded parameter grid, one JSONL row dict per
-# grid point. SWEEPS is the one table behind `sweep` and the CLI.
+# Sweeps: a check run over a bounded parameter grid, one JSONL row per grid
+# point. SWEEPS is the one table behind `sweep` and the CLI.
 
 # An axis is (name, values): values(grid, point) gives the values `name`
 # takes, from the grid parameters and the axes bound before it.
 Axis = tuple[str, Callable[[dict, dict], Iterable]]
-Row = tuple[dict, bool, int | str | None]
-# A block is a check below one point of its outer axes: block(grid, point)
-# yields the (params, holds, margin) rows of the inner axes, in order. It
-# must not write `point` or hold on to it.
-Block = Callable[[dict, dict], Iterable[Row]]
+# A row is the flat tuple (holds, margin, *values), the values under the
+# last len(values) of its check's keys: `sweep` zips them into its dicts, and
+# the CLI writes rows through one template per check and row length.
+Row = tuple
+# A block is a check below one point of its outer axes: block(grid, **point)
+# yields the rows of the inner axes, in order.
+Block = Callable[..., Iterable[Row]]
 
 
 @dataclass(frozen=True)
 class Sweep:
-    """One check as a grid: its optional parameters with their defaults,
-    the outer axes in nesting order (outermost first), and `run`, the block
-    that yields the rows below each outer point. A check with `variants`
-    also takes `which`, defaulting to the first variant; `required`
-    parameters have no default."""
+    """One check as a grid: `keys`, the parameter names of its rows, sorted
+    and space-separated; its optional parameters with their defaults; the
+    outer axes in nesting order (outermost first); and `run`, the block that
+    yields the rows below each outer point. A row with fewer values than
+    `keys` lacks the leading ones (lemma12's rows without K). A check with
+    `variants` also takes `which`, defaulting to the first variant;
+    `required` parameters have no default."""
 
+    keys: str
     defaults: dict
     axes: tuple[Axis, ...]
     run: Block
@@ -425,8 +430,9 @@ class Sweep:
     validate: Callable[[dict], None] | None = None
 
 
-def _margin_json(m: int | float) -> int | str:
-    return "inf" if m == INFINITE else int(m)
+def _verdict(margin: int | float) -> tuple[bool, int | str]:
+    # (holds, margin) of a row whose check holds at margin >= 0.
+    return margin >= 0, "inf" if margin == INFINITE else margin
 
 
 # The kernels below read v_p(x / S), for x off a harmonic table of scale
@@ -434,26 +440,25 @@ def _margin_json(m: int | float) -> int | str:
 # block.
 
 
-def _theorem_block(grid: dict, v: dict) -> Iterator[Row]:
+def _theorem_block(grid: dict, which: str, p: int, N: int, k: int) -> Iterator[Row]:
     # check_theorem_congruence at every a < p and K with a + Kp <= summax,
     # off one B row and one B w list up to summax.
-    which, p, N, k, top = v["which"], v["p"], v["N"], v["k"], max(grid["summax"], 0)
+    top = max(grid["summax"], 0)
     b, bw, _ = _weighted_row(N, N, k, top, which == WHICH_OMEGA)
     required = 1 + _required_vp(which, N, k, p) - vp_scaled(1, p, N * top)
     for a in range(p):
         for K, value in enumerate(_dwork_difference(b, bw, p, range(a, grid["summax"] + 1, p))):
-            margin = vp_int(value, p) - required
-            yield {**v, "a": a, "K": K}, margin >= 0, _margin_json(margin)
+            yield *_verdict(vp_int(value, p) - required), K, N, a, k, p, which
 
 
 def _S_block(
-    grid: dict, v: dict, required: Callable[[int, int], int | float]
+    grid: dict, p: int, N: int, k: int, required: Callable[[int, int], int | float]
 ) -> Iterator[Row]:
     # Rows at a < p, K <= Kmax, s <= smax and m <= K/p^s + 1 with margin
     # v_p(S-sum) minus required(s, m), each (a, K) off one prefix list of one
     # B row. The last m of each s starts past K, where the S-sum is empty.
-    p, Kmax = v["p"], grid["Kmax"]
-    b = big_B_sequence(v["N"], v["k"], max(p * Kmax + p - 1, 0))
+    Kmax = grid["Kmax"]
+    b = big_B_sequence(N, k, max(p * Kmax + p - 1, 0))
     for a in range(p):
         for K in range(Kmax + 1):
             P = _S_prefix(b, p, a, K)
@@ -462,29 +467,27 @@ def _S_block(
                 for m in range(K // q + 2):
                     value = _S_read(P, q, m)
                     margin = vp_int(value, p) - required(s, m) if value else INFINITE
-                    yield {**v, "a": a, "K": K, "s": s, "m": m}, margin >= 0, _margin_json(margin)
+                    yield *_verdict(margin), K, N, a, k, m, p, s
 
 
-def _dwork_block(grid: dict, v: dict) -> Iterator[Row]:
+def _dwork_block(grid: dict, p: int, N: int, k: int) -> Iterator[Row]:
     # check_dwork_S at every (a, K, s, m): the S-sum in p^(s+1) B(m) Z_p.
-    N, k, p = v["N"], v["k"], v["p"]
     vB = [vp_big_B(N, k, m, p) for m in range(grid["Kmax"] + 1)]
-    return _S_block(grid, v, lambda s, m: s + 1 + vB[m])
+    return _S_block(grid, p, N, k, lambda s, m: s + 1 + vB[m])
 
 
-def _yms_block(grid: dict, v: dict) -> Iterator[Row]:
+def _yms_block(grid: dict, p: int, N: int, k: int) -> Iterator[Row]:
     # check_Y at every (a, K, s, m). A nonzero S-sum has m p^s <= K, so its
     # level gap reads one table up to N Kmax.
-    N, k, p = v["N"], v["k"], v["p"]
     top = N * max(grid["Kmax"], 0)
     h, _ = harmonic_scaled(top)
     required = 1 + _required_vp(WHICH_XI, N, k, p) - vp_scaled(1, p, top)
     return _S_block(
-        grid, v, lambda s, m: required - vp_int(_level_gap(h, N, p, m, s, False), p)
+        grid, p, N, k, lambda s, m: required - vp_int(_level_gap(h, N, p, m, s, False), p)
     )
 
 
-def _j_mod_p_block(grid: dict, v: dict) -> Iterator[Row]:
+def _j_mod_p_block(grid: dict) -> Iterator[Row]:
     # check_harmonic_congruence("J_mod_p", p, J=J) at every prime p <= pmax
     # and 1 <= J <= Jmax, off one table.
     Jmax = grid["Jmax"]
@@ -494,39 +497,36 @@ def _j_mod_p_block(grid: dict, v: dict) -> Iterator[Row]:
     for p in primes_upto(grid["pmax"]):
         required = 1 - vp_scaled(1, p, Jmax)
         for J in range(1, Jmax + 1):
-            margin = vp_int(p * h[J] - h[J // p], p) - required
-            yield {"p": p, "J": J}, margin >= 0, _margin_json(margin)
+            yield *_verdict(vp_int(p * h[J] - h[J // p], p) - required), J, p
 
 
-def _coeff_c_block(grid: dict, v: dict) -> Iterator[Row]:
+def _coeff_c_block(grid: dict, p: int, N: int) -> Iterator[Row]:
     # v_p(C(m)) for m = 1..mmax (k = 1) off one coeff_C_valuations generator,
     # against theorem-congruence's bound at k = 1, Xi. The cap is bound + 1,
     # so a failing v is exact, and a capped row's margin (>= 1) a lower bound.
-    N, p = v["N"], v["p"]
     bound = 1 + _required_vp(WHICH_XI, N, 1, p)
     ms = range(1, grid["mmax"] + 1)
     for m, (val, capped) in zip(ms, coeff_C_valuations(N, p, ms, bound + 1)):
-        yield {"N": N, "p": p, "m": m, "capped": capped}, val >= bound, val - bound
+        yield *_verdict(val - bound), N, capped, m, p
 
 
-def _lemma11_block(grid: dict, v: dict) -> Iterator[Row]:
+def _lemma11_block(grid: dict, which: str, p: int, N: int, k: int) -> Iterator[Row]:
     # check_lemma11 at every m <= mmax, then s <= smax.
     ms = [(m, s) for m in range(grid["mmax"] + 1) for s in range(grid["smax"] + 1)]
-    for (m, s), rep in zip(ms, _lemma11(**v, ms=ms)):
-        yield {**v, "m": m, "s": s}, rep.holds, _margin_json(rep.margin)
+    for (m, s), rep in zip(ms, _lemma11(which, p, N, k, ms)):
+        yield *_verdict(rep.margin), N, k, m, p, s, which
 
 
-def _witness_block(grid: dict, v: dict) -> Iterator[Row]:
+def _witness_block(grid: dict, which: str, N: int) -> Iterator[Row]:
     # optimality_witness at every prime N < p <= pmax.
-    primes = [p for p in primes_upto(grid["pmax"]) if p > v["N"]]
-    for p, (a, val) in zip(primes, _witnesses(v["N"], primes, v["which"] == "u")):
-        yield {**v, "p": p, "a": a}, val == 0, val
+    primes = [p for p in primes_upto(grid["pmax"]) if p > N]
+    for p, (a, val) in zip(primes, _witnesses(N, primes, which == "u")):
+        yield val == 0, val, N, a, p, which
 
 
-def _decomposition_block(grid: dict, v: dict) -> Iterator[Row]:
+def _decomposition_block(grid: dict, p: int, N: int, k: int) -> Iterator[Row]:
     # check_decomposition at every a < p, then K <= Kmax (or K = --K), off
     # one B row and one table up to the largest K.
-    p, N, k = v["p"], v["N"], v["k"]
     Ks = range(grid["Kmax"] + 1) if grid["K"] is None else (grid["K"],)
     top = max(Ks, default=0)
     _validate_core(N, k, p, 0, top)  # --K may be negative
@@ -535,31 +535,30 @@ def _decomposition_block(grid: dict, v: dict) -> Iterator[Row]:
     for a in range(p):
         for K in Ks:
             r = _depth(p, K)
-            yield {**v, "a": a, "K": K, "r": r}, _decomposition(b, h, S, N, p, a, K, r).equal, None
+            yield _decomposition(b, h, S, N, p, a, K, r).equal, None, K, N, a, k, p, r
 
 
-def _lemma12_block(grid: dict, v: dict) -> Iterator[Row]:
+def _lemma12_block(grid: dict, p: int, N: int, k: int) -> Iterator[Row]:
     # check_lemma12 at every a < p, then j <= jmax, off one table. At a = 1
     # the rows of the j = 0 variant, one per 1 <= K <= Kmax, come first and
-    # replace j = 0; only they have K in their params.
-    p, N, jmax = v["p"], v["N"], grid["jmax"]
+    # replace j = 0; only they have K in their params, so `head` is (K,) on
+    # them and () on the others.
+    jmax = grid["jmax"]
     h, _ = harmonic_scaled(max(N * jmax + N * (p - 1) // p, N // p))
     for a in range(p):
-        cells = [(K, 0) for K in range(1, grid["Kmax"] + 1)] if a == 1 else []
-        for K, j in cells + [(0, j) for j in range(a == 1, jmax + 1)]:
-            rep = _lemma12(h, **v, a=a, j=j, K=K)
-            params = {**v, "a": a, **({"K": K} if K else {}), "j": j}
-            yield params, rep.holds, _margin_json(rep.margin)
+        cells = [((K,), 0) for K in range(1, grid["Kmax"] + 1)] if a == 1 else []
+        for head, j in cells + [((), j) for j in range(a == 1, jmax + 1)]:
+            yield *_verdict(_lemma12(h, p, N, k, a, j, *head).margin), *head, N, a, j, k, p
 
 
-def _wolstenholme_block(grid: dict, v: dict) -> Iterator[Row]:
+def _wolstenholme_block(grid: dict) -> Iterator[Row]:
     for p, val in _wolstenholme_scan(grid["pmin"], grid["pmax"], 3):
-        yield {"p": p, "v_capped": val}, val >= 2, val - 2
+        yield *_verdict(val - 2), p, val
 
 
-def _vp3_block(grid: dict, v: dict) -> Iterator[Row]:
-    probe = vp3_probe(**v)
-    yield dict(v), probe.outside, probe.margin
+def _vp3_block(grid: dict, p: int, N: int) -> Iterator[Row]:
+    probe = vp3_probe(p, N)
+    yield probe.outside, probe.margin, N, p
 
 
 def _one_prime(grid: dict) -> None:
@@ -580,6 +579,7 @@ _DWORK = {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "Kmax": 8, "smax": 2}
 
 SWEEPS: dict[str, Sweep] = {
     "theorem-congruence": Sweep(
+        "K N a k p which",
         {"p": (2, 3, 5, 7), "Nmax": 8, "kmax": 2, "summax": 25},
         (_WHICH, *_PNk),  # inner axes: a < p, K with a + Kp <= summax
         _theorem_block,
@@ -587,38 +587,45 @@ SWEEPS: dict[str, Sweep] = {
     ),
     # The inner axes a < p, K <= Kmax, s <= smax and m <= K/p^s + 1 are
     # _S_block's.
-    "dworkS": Sweep(_DWORK, _PNk, _dwork_block),
-    "yms": Sweep(_DWORK, _PNk, _yms_block),
+    "dworkS": Sweep("K N a k m p s", _DWORK, _PNk, _dwork_block),
+    "yms": Sweep("K N a k m p s", _DWORK, _PNk, _yms_block),
     "decomposition": Sweep(
+        "K N a k p r",
         {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "Kmax": 8, "K": None},  # None: K <= Kmax
         _PNk,  # inner axes: a < p, then K
         _decomposition_block,
     ),
     "lemma11": Sweep(
+        "N k m p s which",
         {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "mmax": 9, "smax": 2},
         (_WHICH, *_PNk),  # inner axes: m <= mmax, then s <= smax
         _lemma11_block,
         variants=(WHICH_XI, WHICH_OMEGA),
     ),
     "lemma12": Sweep(
+        "K N a j k p",  # only the a = 1, j = 0 rows have K
         {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "jmax": 6, "Kmax": 8},
         _PNk,  # inner axes: a < p, then K (a = 1, j = 0 only), then j
         _lemma12_block,
     ),
     # Inner axes: the primes p <= pmax, then 1 <= J <= Jmax.
-    "j-mod-p": Sweep({"pmax": 13, "Jmax": 500}, (), _j_mod_p_block),
+    "j-mod-p": Sweep("J p", {"pmax": 13, "Jmax": 500}, (), _j_mod_p_block),
     "witness": Sweep(
+        "N a p which",
         {"Nmax": 7, "pmax": 31},
         (_WHICH, _N),  # inner axis: primes N < p <= pmax
         _witness_block,
         variants=("t", "u"),
     ),
     # Inner axis: the primes max(5, pmin) <= p <= pmax.
-    "wolstenholme": Sweep({"pmin": 5}, (), _wolstenholme_block, required=("pmax",)),
+    "wolstenholme": Sweep(
+        "p v_capped", {"pmin": 5}, (), _wolstenholme_block, required=("pmax",)
+    ),
     "vp3-probe": Sweep(
-        {}, (_P, _ONE_N), _vp3_block, required=("p", "N"), validate=_one_prime
+        "N p", {}, (_P, _ONE_N), _vp3_block, required=("p", "N"), validate=_one_prime
     ),
     "coeff-c": Sweep(
+        "N capped m p",
         {"p": (3,), "N": 7, "mmax": 2500},
         (_P, _ONE_N),  # inner axis: 1 <= m <= mmax
         _coeff_c_block,
@@ -630,6 +637,17 @@ def sweep(check: str, **params) -> Iterator[dict]:
     """Rows {"check", "params", "holds", "margin"} of `check` at every point
     of its grid, the first axis outermost. Parameters not given take the
     table's defaults. Every parameter is validated here, before any row."""
+    rows = _sweep_rows(check, **params)
+    keys = SWEEPS[check].keys.split()
+    return (
+        {"check": check, "params": dict(zip(keys[-len(values):], values)),
+         "holds": holds, "margin": margin}
+        for holds, margin, *values in rows
+    )
+
+
+def _sweep_rows(check: str, **params) -> Iterator[Row]:
+    # sweep's rows as tuples, read by `sweep` and the CLI.
     spec = SWEEPS.get(check)
     if spec is None:
         raise ValueError(f"unknown check {check!r}")
@@ -649,10 +667,10 @@ def sweep(check: str, **params) -> Iterator[dict]:
         require_prime(p)
     if spec.validate is not None:
         spec.validate(grid)
-    return _rows(check, spec, grid)
+    return _rows(spec, grid)
 
 
-def _rows(check: str, spec: Sweep, grid: dict) -> Iterator[dict]:
+def _rows(spec: Sweep, grid: dict) -> Iterator[Row]:
     # The outer axes are bound outermost first, each reading the values of
     # the axes outside it from `point`; below each outer point, `run` yields
     # the rows of its block. So the walk costs a step per outer point, not
@@ -668,5 +686,4 @@ def _rows(check: str, spec: Sweep, grid: dict) -> Iterator[dict]:
             yield from outer_points(depth + 1)
 
     for _ in outer_points(0):
-        for params, holds, margin in spec.run(grid, point):
-            yield {"check": check, "params": params, "holds": holds, "margin": margin}
+        yield from spec.run(grid, **point)

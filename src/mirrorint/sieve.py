@@ -46,13 +46,14 @@ VALUATION_CAP = 4
 CHECKPOINT_FORMAT_VERSION = 4
 
 # The one JSON encoding of records, checkpoints and CLI documents: sorted
-# keys and no spaces. JSONEncoder.encode sets up a new C encoder on every
-# call; here the C encoder is built once, with the arguments encode() would
-# pass it, and every call reuses it. Its circular-reference markers are
-# cleared first, because a call that raised (on a set, say) leaves its ids
-# behind. Sharing them is safe because the C encoder runs no Python code but
-# `default`, which only raises, so no call can start inside another. Without
-# the C encoder, encode() is the only path.
+# keys and no spaces. Sweep lines do not go through it: the CLI writes them
+# through one template per check, in the same bytes. JSONEncoder.encode sets
+# up a new C encoder on every call; here the C encoder is built once, with
+# the arguments encode() would pass it, and every call reuses it. Its
+# circular-reference markers are cleared first, because a call that raised
+# (on a set, say) leaves its ids behind. Sharing them is safe because the C
+# encoder runs no Python code but `default`, which only raises, so no call
+# can start inside another. Without the C encoder, encode() is the only path.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 if c_make_encoder is None:
     canonical_json = _ENCODER.encode

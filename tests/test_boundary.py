@@ -196,9 +196,9 @@ def test_one_table_per_block(monkeypatch, check, params):
     spec = SWEEPS[check]
     blocks = []
 
-    def run(grid, point):
-        blocks.append(dict(point))
-        return spec.run(grid, point)
+    def run(grid, **point):
+        blocks.append(point)
+        return spec.run(grid, **point)
 
     monkeypatch.setitem(SWEEPS, check, dataclasses.replace(spec, run=run))
     assert list(sweep(check, **params))

@@ -716,16 +716,17 @@ class TestSweepChunks:
         from mirrorint import congruences
 
         def rows(check, **params):
-            yield from congruences.sweep("j-mod-p", pmax=3, Jmax=150)
+            yield from congruences._sweep_rows("j-mod-p", pmax=3, Jmax=150)
             raise ValueError("row 301 failed")
 
-        monkeypatch.setattr(cli, "sweep", rows)
+        monkeypatch.setattr(cli, "_sweep_rows", rows)
         dest = tmp_path / "rows.jsonl"
         code, out, err = run_cli(
             capsys, "sweep", "--check", "j-mod-p", "--out", str(dest)
         )
         assert code == 2 and err == "error: row 301 failed\n"
         expected = [canonical_json(r) for r in congruences.sweep("j-mod-p", pmax=3, Jmax=150)]
+        assert len(expected) == 300
         assert dest.read_text().splitlines() == expected
 
 

@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import io
+import json
 import math
 from fractions import Fraction as F
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorint.cli import _json_field, _row_formats, main
 from mirrorint.congruences import (
     SWEEPS,
     WHICH_OMEGA,
@@ -34,6 +38,7 @@ from mirrorint.harmonic import (
 )
 from mirrorint.padic import INFINITE, big_B, primes_upto, vp_big_B, vp_rational
 from mirrorint.series import build_F, build_G, build_GL, build_Gtilde, ps_substitute_power
+from mirrorint.sieve import canonical_json
 
 
 def series_coefficient_C(N, k, p, index, shifted=False):
@@ -527,9 +532,9 @@ class TestSweepWalk:
         spec = SWEEPS["dworkS"]
         calls = []
 
-        def run(grid, point):
-            calls.append(dict(point))
-            return spec.run(grid, point)
+        def run(grid, **point):
+            calls.append(point)
+            return spec.run(grid, **point)
 
         monkeypatch.setitem(SWEEPS, "dworkS", dataclasses.replace(spec, run=run))
         rows = sweep("dworkS", p=[3], Nmax=2, kmax=1, Kmax=2, smax=1)
@@ -541,6 +546,13 @@ class TestSweepWalk:
 
 
 SMALL_PRIMES = st.sampled_from((2, 3, 5, 7))
+
+
+def as_tuple(row):
+    # A (params, holds, margin) row as a block yields it: the flat tuple
+    # (holds, margin, *values), the values in the sorted order of the keys.
+    params, holds, margin = row
+    return (holds, margin, *(params[key] for key in sorted(params)))
 
 
 class TestBlockKernels:
@@ -561,9 +573,9 @@ class TestBlockKernels:
             for m in range(K // p**s + 2)
         ]
         for check, per_point in (("dworkS", check_dwork_S), ("yms", check_Y)):
-            got = list(SWEEPS[check].run({"Kmax": Kmax, "smax": smax}, dict(point)))
-            assert got == [member_row(v, per_point(**v)) for v in cells], check
-            assert got[-1][2] == "inf"  # m = Kmax // p^smax + 1: past K
+            got = list(SWEEPS[check].run({"Kmax": Kmax, "smax": smax}, **point))
+            assert got == [as_tuple(member_row(v, per_point(**v))) for v in cells], check
+            assert got[-1][1] == "inf"  # m = Kmax // p^smax + 1: past K
 
     @given(SMALL_PRIMES, st.integers(1, 5), st.integers(1, 2), st.integers(0, 40),
            st.sampled_from((WHICH_XI, WHICH_OMEGA)))
@@ -572,9 +584,9 @@ class TestBlockKernels:
         if which == WHICH_OMEGA:
             N = max(N, 2)
         point = {"which": which, "p": p, "N": N, "k": k}
-        got = list(SWEEPS["theorem-congruence"].run({"summax": summax}, dict(point)))
+        got = list(SWEEPS["theorem-congruence"].run({"summax": summax}, **point))
         expected = [
-            member_row(v, check_theorem_congruence(**v))
+            as_tuple(member_row(v, check_theorem_congruence(**v)))
             for a in range(p)
             for v in ({**point, "a": a, "K": K} for K in range((summax - a) // p + 1))
         ]
@@ -587,9 +599,9 @@ class TestBlockKernels:
         if which == WHICH_OMEGA:
             N = max(N, 2)
         point = {"which": which, "p": p, "N": N, "k": k}
-        got = list(SWEEPS["lemma11"].run({"mmax": mmax, "smax": smax}, dict(point)))
+        got = list(SWEEPS["lemma11"].run({"mmax": mmax, "smax": smax}, **point))
         expected = [
-            member_row(v, check_lemma11(**v))
+            as_tuple(member_row(v, check_lemma11(**v)))
             for m in range(mmax + 1)
             for v in ({**point, "m": m, "s": s} for s in range(smax + 1))
         ]
@@ -601,16 +613,16 @@ class TestBlockKernels:
         if which == "u":
             N = max(N, 2)
         point = {"which": which, "N": N}
-        got = list(SWEEPS["witness"].run({"pmax": pmax}, dict(point)))
+        got = list(SWEEPS["witness"].run({"pmax": pmax}, **point))
         primes = [p for p in primes_upto(pmax) if p > N]
-        assert got == [witness_row({**point, "p": p}) for p in primes]
+        assert got == [as_tuple(witness_row({**point, "p": p})) for p in primes]
 
     @given(SMALL_PRIMES, st.integers(1, 5), st.integers(1, 2), st.integers(-2, 10),
            st.none() | st.integers(-2, 12))
     @settings(max_examples=60, deadline=None)
     def test_decomposition(self, p, N, k, Kmax, K):
         point = {"p": p, "N": N, "k": k}
-        rows = SWEEPS["decomposition"].run({"Kmax": Kmax, "K": K}, dict(point))
+        rows = SWEEPS["decomposition"].run({"Kmax": Kmax, "K": K}, **point)
         if K is not None and K < 0:
             with pytest.raises(ValueError, match="K must be non-negative"):
                 next(iter(rows))
@@ -618,7 +630,9 @@ class TestBlockKernels:
                 check_decomposition(N, k, p, 0, K)
             return
         Ks = range(Kmax + 1) if K is None else (K,)
-        expected = [decomposition_row({**point, "a": a, "K": K}) for a in range(p) for K in Ks]
+        expected = [
+            as_tuple(decomposition_row({**point, "a": a, "K": K})) for a in range(p) for K in Ks
+        ]
         assert list(rows) == expected
 
     @given(SMALL_PRIMES, st.integers(1, 5), st.integers(1, 2), st.integers(-2, 8),
@@ -626,7 +640,7 @@ class TestBlockKernels:
     @settings(max_examples=60, deadline=None)
     def test_lemma12(self, p, N, k, jmax, Kmax):
         point = {"p": p, "N": N, "k": k}
-        got = list(SWEEPS["lemma12"].run({"jmax": jmax, "Kmax": Kmax}, dict(point)))
+        got = list(SWEEPS["lemma12"].run({"jmax": jmax, "Kmax": Kmax}, **point))
         expected = []
         for a in range(p):
             if a == 1:
@@ -637,22 +651,26 @@ class TestBlockKernels:
                 lemma12_row({**point, "a": a, "K": None, "j": j})
                 for j in range(1 if a == 1 else 0, jmax + 1)
             ]
-        assert got == expected
+        assert got == [as_tuple(row) for row in expected]
 
     @given(st.integers(-2, 40), st.integers(-2, 120))
     @settings(max_examples=40, deadline=None)
     def test_j_mod_p(self, pmax, Jmax):
         # One block: every prime p <= pmax, then every J.
-        got = list(SWEEPS["j-mod-p"].run({"pmax": pmax, "Jmax": Jmax}, {}))
+        got = list(SWEEPS["j-mod-p"].run({"pmax": pmax, "Jmax": Jmax}))
         assert got == [
-            j_mod_p_row({"p": p, "J": J}) for p in primes_upto(pmax) for J in range(1, Jmax + 1)
+            as_tuple(j_mod_p_row({"p": p, "J": J}))
+            for p in primes_upto(pmax)
+            for J in range(1, Jmax + 1)
         ]
 
     def test_zero_S_sums_inside_the_range(self):
         # S(2, 1, 3, 1, 2, 0, 1) cancels to 0 with m p^s <= K: "inf" rows
         # come from cancellation too, not only from m p^s > K.
-        rows = SWEEPS["yms"].run({"Kmax": 2, "smax": 0}, {"p": 3, "N": 2, "k": 1})
-        margins = [margin for q, _, margin in rows if (q["a"], q["K"], q["m"]) == (1, 2, 1)]
+        rows = SWEEPS["yms"].run({"Kmax": 2, "smax": 0}, p=3, N=2, k=1)
+        margins = [
+            margin for _, margin, K, N, a, k, m, p, s in rows if (a, K, m) == (1, 2, 1)
+        ]
         assert margins == ["inf"]
 
 
@@ -700,3 +718,121 @@ class TestConstantMemo:
     def test_bad_variant_still_raises(self):
         with pytest.raises(ValueError):
             _required_vp("foo", 5, 1, 3)
+
+
+# Grids whose lines hold every form in which the CLI's templates write a
+# field: "inf" margins, decomposition's null margin, coeff-c's capped true
+# and false, lemma12 with K-bearing rows only (jmax < 0) and mixed, both
+# variants of witness and theorem-congruence, and empty grids.
+LINE_EDGE_GRIDS = [
+    ("yms", {"p": [3], "Nmax": 1, "kmax": 1, "Kmax": 1, "smax": 0}),
+    ("decomposition", {"p": [5], "Nmax": 1, "kmax": 1, "K": 0}),
+    ("coeff-c", {"p": [3], "N": 7, "mmax": 40}),
+    ("lemma12", {"p": [3], "Nmax": 1, "kmax": 1, "jmax": -1, "Kmax": 3}),
+    ("lemma12", {"p": [5], "Nmax": 2, "kmax": 1, "jmax": 1, "Kmax": 1}),
+    ("witness", {"Nmax": 3, "pmax": 11, "which": "t"}),
+    ("witness", {"Nmax": 3, "pmax": 11, "which": "u"}),
+    ("theorem-congruence", {"p": [5], "Nmax": 2, "kmax": 1, "summax": 12, "which": WHICH_XI}),
+    ("theorem-congruence", {"p": [5], "Nmax": 2, "kmax": 1, "summax": 12, "which": WHICH_OMEGA}),
+    ("dworkS", {"kmax": 0}),
+    ("j-mod-p", {"Jmax": 0}),
+    ("theorem-congruence", {"summax": -1}),
+]
+
+
+def cli_lines(check, params):
+    """The stdout lines of `mirrorint sweep --check <check>` at `params`."""
+    argv = ["sweep", "--check", check]
+    for name, value in params.items():
+        argv += [f"--{name}", ",".join(map(str, value)) if name == "p" else str(value)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    return out.getvalue().splitlines()
+
+
+def encoded_rows(check, params):
+    return [canonical_json(row) for row in sweep(check, **params)]
+
+
+class TestSweepLines:
+    """The CLI writes each row tuple through its check's template, and
+    `sweep` zips the same tuples into dicts: every line must be the bytes
+    canonical_json writes for the dict."""
+
+    @pytest.mark.parametrize("check,params", SMALL_GRIDS + LINE_EDGE_GRIDS)
+    def test_lines_are_the_encoded_dicts(self, check, params):
+        assert cli_lines(check, params) == encoded_rows(check, params)
+
+    def test_edge_grids_hold_every_field_form(self):
+        grids = [cli_lines(check, params) for check, params in LINE_EDGE_GRIDS]
+        text = "\n".join(line for lines in grids for line in lines)
+        for form in (
+            '"margin":"inf"', '"margin":null', '"capped":true', '"capped":false',
+            '"which":"t"', '"which":"u"', '"which":"Xi"', '"which":"Omega"',
+        ):
+            assert form in text, form
+        rows = [json.loads(line) for line in text.splitlines()]
+        assert {"K" in row["params"] for row in rows if row["check"] == "lemma12"} == {True, False}
+        assert grids.count([]) == 3
+
+    @given(st.sampled_from(("dworkS", "theorem-congruence")),
+           st.lists(SMALL_PRIMES, min_size=1, max_size=2, unique=True), st.integers(0, 3),
+           st.integers(0, 2), st.integers(-1, 6), st.integers(-1, 2),
+           st.sampled_from((WHICH_XI, WHICH_OMEGA)))
+    @settings(max_examples=25, deadline=None)
+    def test_random_grids(self, check, p, Nmax, kmax, bound, smax, which):
+        if check == "dworkS":
+            params = {"p": p, "Nmax": Nmax, "kmax": kmax, "Kmax": bound, "smax": smax}
+        else:
+            params = {"p": p, "Nmax": Nmax, "kmax": kmax, "summax": 3 * bound, "which": which}
+        assert cli_lines(check, params) == encoded_rows(check, params)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_row(self, data):
+        # Rows no small grid yields, failing ones too: any holds, margin and
+        # values under any suffix of a check's keys.
+        check = data.draw(st.sampled_from(sorted(SWEEPS)))
+        keys = SWEEPS[check].keys.split()
+        names = keys[data.draw(st.integers(0, len(keys))):]
+        fields = {
+            "which": st.sampled_from(SWEEPS[check].variants or ("Xi",)),
+            "capped": st.booleans(),
+        }
+        values = [data.draw(fields.get(name, st.integers())) for name in names]
+        holds = data.draw(st.booleans())
+        margin = data.draw(st.integers() | st.sampled_from(("inf", None)))
+        row = (holds, margin, *values)
+        line = _row_formats(check, keys)[len(row)] % tuple(map(_json_field, row))
+        params = dict(zip(names, values))
+        assert line == canonical_json(
+            {"check": check, "params": params, "holds": holds, "margin": margin}
+        )
+
+
+def holds_by_rule(check, margin):
+    # The holds of a row with this margin: at margin >= 0 (an "inf" margin
+    # holds), except that a witness holds at margin 0 and a vp3-probe row at
+    # a negative margin, where C(p) misses p^4 N! Z_p.
+    if check == "witness":
+        return margin == 0
+    if check == "vp3-probe":
+        return margin < 0
+    return margin == "inf" or margin >= 0
+
+
+class TestHoldsMargin:
+    @pytest.mark.parametrize("check,params", SMALL_GRIDS + LINE_EDGE_GRIDS)
+    def test_holds_follows_the_margin(self, check, params):
+        for row in sweep(check, **params):
+            holds, margin = row["holds"], row["margin"]
+            assert holds is True or holds is False, row
+            if check == "decomposition":
+                assert margin is None, row
+            else:
+                assert holds == holds_by_rule(check, margin), row
+
+    def test_vp3_probe_holds_at_a_negative_margin(self):
+        (row,) = sweep("vp3-probe", p=[11], N=848)
+        assert (row["holds"], row["margin"]) == (True, -1)
