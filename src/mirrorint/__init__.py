@@ -41,7 +41,6 @@ from .series import (
     integrality_check,
     ps_exp,
     ps_log,
-    ps_substitute_power,
 )
 from .sieve import (
     CheckpointError,
@@ -78,7 +77,6 @@ __all__ = [
     "primes_upto",
     "ps_exp",
     "ps_log",
-    "ps_substitute_power",
     "t_conjectured",
     "theta",
     "u_conjectured",

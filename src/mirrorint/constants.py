@@ -1,7 +1,9 @@
 """The arithmetic constants governing maximal integral roots of the maps:
 the harmonic denominator theta(L), the capped valuation products xi(N) and
-omega(N) with their indicator functions, and the conjectured maximal-root
-sequences t_N = xi(N) * N!^k and u_N = omega(N) * N!.
+omega(N) with their indicator functions, and the sequences
+t_N = xi(N) * N!^k and u_N = omega(N) * N!, the conjectured maximal roots
+for k = 1. For k >= 2, t_N divides every computed maximal root and can be
+a proper divisor of it.
 """
 
 from __future__ import annotations

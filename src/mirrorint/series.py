@@ -390,10 +390,12 @@ class RootPrime:
 class RootCertificate:
     """Maximal integral root search outcome, valid to the stated order.
 
-    For each prime, s^(1/p^e) is p-integral to the order while the witness
-    index carries a coefficient of s^(1/p^(e+1)) with negative valuation; the
-    integrality half is a truncation certificate, each witness is an
-    unconditional fact.
+    For each listed prime, s^(1/p^e) is p-integral to the order while the
+    witness index carries a coefficient of s^(1/p^(e+1)) with negative
+    valuation; the integrality half is a truncation certificate, each
+    witness is an unconditional fact. max_root lists the primes up to the
+    order that divide the first nonzero non-constant coefficient, and the
+    primes above the order that divide V.
     """
 
     order: int
@@ -415,12 +417,11 @@ class RootCertificate:
 
 
 def max_root(s: PSeries) -> RootCertificate:
-    """Largest V (to the truncation order) with s^(1/V) integral.
+    """Largest V (to the truncation order M) with s^(1/V) integral.
 
-    Only primes p dividing the first nonzero non-constant coefficient c, at
-    index ``first``, can divide V. With h = log s and D = h(z^p) - p h(z),
-    the exponent of p is e = max(0, min_{i>=1} v_p(D_i) - 1), and the
-    witness is the first i with v_p(D_i) < e + 2:
+    With h = log s and D = h(z^p) - p h(z), the exponent of p is
+    e = max(0, min_{1<=i<=M} v_p(D_i) - 1), and the witness is the first i
+    with v_p(D_i) < e + 2:
 
     - That i is the first non-p-integral index of F = exp(h / tau) with
       tau = p^(e+1). By the Dieudonne-Dwork lemma truncated at n,
@@ -428,8 +429,26 @@ def max_root(s: PSeries) -> RootCertificate:
       exp(D / tau) lie in p Z_p; exp and log keep p z Z_p[[z]] order by
       order, so iff those of D lie in p tau Z_p = p^(e+2) Z_p. This is
       dwork_criterion(1, h, tau, p), and e is the least exponent failing it.
-    - The minimum is finite: h(z^p) vanishes below index p * first, so
-      D[first] = -p c.
+    - D is read in place, D_i = [p | i] h_{i/p} - p h_i, so each prime
+      costs O(M) coefficients and h(z^p) is never built.
+
+    The candidate primes are those of gcd(c, Gamma M!), with c the first
+    nonzero non-constant coefficient, at index ``first``, and Gamma =
+    gcd(i h_i : 1 <= i <= M); c itself is never factored:
+
+    - s is a unit of Z[[z]], so every i h_i, a coefficient of z s' / s, is
+      an integer. Gamma is not 0, because h_first = c.
+    - h(z^p) vanishes below index p * first, so D_first = -p c for every
+      p: e <= v_p(c), and a prime with e >= 1 divides c.
+    - For p > M no index in 1..M is divisible by p, so D_i = -p h_i,
+      v_p(h_i) = v_p(i h_i) and e = v_p(Gamma): such a prime is a candidate
+      iff it divides V. The primes <= M that divide c divide M!, so they
+      are all candidates.
+
+    So prime_divisors of the gcd strips the primes <= M within M trial
+    divisors, and what is left divides V. Each listed prime is a prime
+    <= M dividing c, or a prime above M dividing V; a prime above M with
+    e = 0 is not listed.
     """
     if s[0] != 1:
         raise ValueError("max_root requires constant term 1")
@@ -441,12 +460,13 @@ def max_root(s: PSeries) -> RootCertificate:
         return RootCertificate(
             order=s.order, primes=(), V=1, status=STATUS_CERTIFIED, degenerate=True
         )
-    log_s = ps_log(s)
+    h, M = ps_log(s).coefficients, s.order
+    gamma = math.gcd(*(int(i * x) for i, x in enumerate(h[1:], 1)))
     primes = []
     V = 1
-    for p in prime_divisors(int(s[first])):
-        D = ps_substitute_power(log_s, p) - p * log_s
-        v = [vp_int(x.numerator, p) - vp_int(x.denominator, p) for x in D.coefficients[1:]]
+    for p in prime_divisors(math.gcd(int(s[first]), gamma * math.factorial(M))):
+        D = ((h[i // p] if i % p == 0 else 0) - p * h[i] for i in range(1, M + 1))
+        v = [vp_int(x.numerator, p) - vp_int(x.denominator, p) for x in D]
         e = max(0, min(v) - 1)
         witness = 1 + next(i for i, vi in enumerate(v) if vi < e + 2)
         primes.append(RootPrime(p, e, witness))

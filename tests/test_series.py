@@ -1,8 +1,12 @@
+import dataclasses
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +43,8 @@ from mirrorint.series import (
     verify_truemap_identity,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 small_series = st.builds(
     lambda coeffs: PSeries(coeffs, order=8),
     st.lists(
@@ -65,6 +71,14 @@ def exp_scan_root(s):
         primes.append(RootPrime(p, e, witness))
         V *= p**e
     return RootCertificate(s.order, tuple(primes), V, "certified")
+
+
+def listed(cert):
+    """cert without its primes above the order whose exponent is 0, which
+    exp_scan_root lists because they divide the first coefficient and
+    max_root does not."""
+    primes = tuple(rp for rp in cert.primes if rp.p <= cert.order or rp.exponent)
+    return dataclasses.replace(cert, primes=primes)
 
 
 def compose(outer, inner):
@@ -516,7 +530,7 @@ class TestMaxRoot:
         # Integral series, and k-th powers, whose roots reach deeper exponents.
         base = PSeries([1] + tail)
         s = ps_pow(base, k) if powered else base
-        assert max_root(s) == exp_scan_root(s)
+        assert max_root(s) == listed(exp_scan_root(s))
 
     def test_canonical_maps_match_exp_scan_oracle(self):
         # All 104 maps are integral; max_root raises on any that is not.
@@ -525,7 +539,66 @@ class TestMaxRoot:
                 for kind in CANONICAL_KINDS:
                     for L in range(1, N + 1) if kind == "qLN" else (None,):
                         s = canonical_q(kind, N, k, L=L, order=30 if k == 1 else 20)
-                        assert max_root(s) == exp_scan_root(s), (kind, N, k, L)
+                        assert max_root(s) == listed(exp_scan_root(s)), (kind, N, k, L)
+
+    def test_never_substitutes_or_factors_the_first_coefficient(self, monkeypatch):
+        # s[1] of qLN N = 17 has the prime factor 1138979, which is above the
+        # order and does not divide V.
+        s = canonical_q("qLN", 17, 1, L=17, order=30)
+        assert s[1] % 1138979 == 0
+
+        def refuse(*args):
+            raise AssertionError("max_root built h(z^p)")
+
+        def divisors(n):
+            if n % 1138979 == 0:
+                raise AssertionError(f"factored {n}")
+            return prime_divisors(n)
+
+        monkeypatch.setattr(series, "ps_substitute_power", refuse)
+        monkeypatch.setattr(series, "prime_divisors", divisors)
+        assert max_root(s).V == 29030400
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_large_first_coefficient_primes_peak_under_40_mb(self):
+        # The first coefficients of qLN N = 17 and qtilde N = 19 have the
+        # prime factors 1138979 and 197698279, which do not divide V. The
+        # child caps its address space at 512 MB, so a route whose memory
+        # grows with such a prime fails fast with MemoryError rather than
+        # exhausting the host, and it reads its own peak, VmHWM.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from mirrorint.series import canonical_q, max_root\n"
+            "assert max_root(canonical_q('qLN', 17, 1, L=17, order=30)).V == 29030400\n"
+            "assert max_root(canonical_q('qtilde', 19, 1, order=30)).V == 1567641600\n"
+            "peak = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+            "print(peak[0].split()[1])\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 40 * 1024, done.stdout
+
+    def test_t_conjectured_divides_the_root_for_k_at_least_2(self):
+        # Each V is a certificate to order 40 only; a longer order can only
+        # make it a divisor. t_N = xi(N) N!^k divides every one. The
+        # quotients above 1 are powers of primes in (N, 2N) that divide the
+        # numerator of H_N, times 3 at N = 7, where the pin xi(7) = 1/140
+        # drops a factor 3 (acceptance 05).
+        quotients = {
+            (2, 2): 3, (2, 3): 3, (4, 2): 5, (4, 3): 25, (6, 2): 7, (6, 3): 49,
+            (7, 2): 33, (7, 3): 33, (10, 2): 11, (10, 3): 121, (12, 2): 13,
+            (12, 3): 169, (15, 2): 29, (15, 3): 29, (16, 2): 17, (16, 3): 289,
+        }
+        for N in range(2, 17):
+            for k in (2, 3):
+                V = max_root(canonical_q("qLN", N, k, L=N, order=40)).V
+                quotient = V / t_conjectured(N, k)[0]
+                assert quotient == quotients.get((N, k), 1), (N, k, quotient)
 
     def test_json_schema(self):
         cert = max_root(ps_pow(PSeries([1, 1], order=6), 2))
