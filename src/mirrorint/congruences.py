@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from operator import add, mul
 from typing import Callable, Iterable, Iterator
@@ -132,8 +131,7 @@ def coeff_C_valuations(
 
 
 # v_p(xi(N) N!^k), or of omega(N) N!^k: what every membership check below is
-# measured against. A sweep asks for the same few hundred keys in every row.
-@lru_cache(maxsize=1024)
+# measured against.
 def _required_vp(which: str, N: int, k: int, p: int) -> int:
     if which not in (WHICH_XI, WHICH_OMEGA):
         raise ValueError(f"which must be {WHICH_XI!r} or {WHICH_OMEGA!r}")
@@ -281,16 +279,16 @@ def check_lemma12(
             raise ValueError("the a=1, j=0 variant requires K >= 1")
     else:
         K = 0  # only the variant reads K
-    return _lemma12(harmonic_scaled(N * j + N * a // p)[0], p, N, k, a, j, K)
-
-
-def _lemma12(h: list[int], p: int, N: int, k: int, a: int, j: int, K: int = 0) -> Membership:
-    # check_lemma12 off a table h that reaches N j + floor(N a / p). The
-    # variant is the general term times B(K), so K = 0 (B(0) = 1) gives the
-    # general term.
-    gap = vp_scaled(h[N * j + N * a // p] - h[N * j], p, len(h) - 1)
-    achieved = vp_big_B(N, k, a + p * j, p) + vp_big_B(N, k, K, p) + gap
+    achieved = _lemma12(harmonic_scaled(N * j + N * a // p)[0], p, N, k, a, j, K)
     return Membership(achieved, 1 + _required_vp(WHICH_XI, N, k, p))
+
+
+def _lemma12(h: list[int], p: int, N: int, k: int, a: int, j: int, K: int = 0) -> int | float:
+    # check_lemma12's achieved valuation, off a table h that reaches
+    # N j + floor(N a / p). The variant is the general term times B(K), so
+    # K = 0 (B(0) = 1) gives the general term.
+    gap = vp_scaled(h[N * j + N * a // p] - h[N * j], p, len(h) - 1)
+    return vp_big_B(N, k, a + p * j, p) + vp_big_B(N, k, K, p) + gap
 
 
 def check_lemma11(
@@ -312,10 +310,11 @@ def _lemma11(
     # check_lemma11 at each (m, s) of `ms`, off one table up to the largest
     # N m p^s.
     h, _ = harmonic_scaled(N * max((m * p**s for m, s in ms), default=0))
+    required = _required_vp(which, N, k, p)
     for m, s in ms:
         gap = _level_gap(h, N, p, m, s, which == WHICH_OMEGA)
         achieved = vp_big_B(N, k, m, p) + vp_scaled(gap, p, len(h) - 1)
-        yield Membership(achieved=achieved, required=-s + _required_vp(which, N, k, p))
+        yield Membership(achieved=achieved, required=required - s)
 
 
 def optimality_witness(N: int, p: int, shifted: bool = False) -> tuple[int, int]:
@@ -545,10 +544,11 @@ def _lemma12_block(grid: dict, p: int, N: int, k: int) -> Iterator[Row]:
     # them and () on the others.
     jmax = grid["jmax"]
     h, _ = harmonic_scaled(max(N * jmax + N * (p - 1) // p, N // p))
+    required = 1 + _required_vp(WHICH_XI, N, k, p)
     for a in range(p):
         cells = [((K,), 0) for K in range(1, grid["Kmax"] + 1)] if a == 1 else []
         for head, j in cells + [((), j) for j in range(a == 1, jmax + 1)]:
-            yield *_verdict(_lemma12(h, p, N, k, a, j, *head).margin), *head, N, a, j, k, p
+            yield *_verdict(_lemma12(h, p, N, k, a, j, *head) - required), *head, N, a, j, k, p
 
 
 def _wolstenholme_block(grid: dict) -> Iterator[Row]:

@@ -28,7 +28,6 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 
 from .padic import primes_upto, require_prime, vp_int
@@ -338,7 +337,6 @@ def _wolstenholme_pairing(p: int, cap: int) -> int:
     return min(1 + vp_int(t, p), cap)
 
 
-@lru_cache(maxsize=4096)
 def is_wolstenholme(p: int) -> bool:
     """True iff v_p(H_{p-1}) >= 3. Only 16843 and 2124679 are known."""
     return wolstenholme_valuation(p, cap=3) >= 3

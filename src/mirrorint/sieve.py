@@ -29,7 +29,6 @@ import json
 from collections import deque
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterator
 
 from .harmonic import TARGET_H, TARGET_H1, ModularHarmonicSum
@@ -45,29 +44,11 @@ BACKENDS = (BACKEND_EXACT, BACKEND_MODULAR)
 VALUATION_CAP = 4
 CHECKPOINT_FORMAT_VERSION = 4
 
-# The one JSON encoding of records, checkpoints and CLI documents: sorted
-# keys and no spaces. Sweep lines do not go through it: the CLI writes them
-# through one template per check, in the same bytes. JSONEncoder.encode sets
-# up a new C encoder on every call; here the C encoder is built once, with
-# the arguments encode() would pass it, and every call reuses it. Its
-# circular-reference markers are cleared first, because a call that raised
-# (on a set, say) leaves its ids behind. Sharing them is safe because the C
-# encoder runs no Python code but `default`, which only raises, so no call
-# can start inside another. Without the C encoder, encode() is the only path.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-if c_make_encoder is None:
-    canonical_json = _ENCODER.encode
-else:
-    _MARKERS: dict = {}
-    _c_encode = c_make_encoder(
-        _MARKERS, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
-        _ENCODER.key_separator, _ENCODER.item_separator,
-        _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
-    )
-
-    def canonical_json(o) -> str:
-        _MARKERS.clear()
-        return "".join(_c_encode(o, 0))
+def canonical_json(o) -> str:
+    """The one JSON encoding of records, checkpoints and CLI documents:
+    sorted keys and no spaces. Sweep lines do not go through it: the CLI
+    writes them through one template per check, in the same bytes."""
+    return json.dumps(o, sort_keys=True, separators=(",", ":"))
 
 
 class CheckpointError(Exception):

@@ -5,9 +5,9 @@ public callable that takes a prime p rejects a non-prime with ValueError. A
 sweep checks its grid's primes once; the checks it runs per row, and every
 private kernel, take p on trust.
 
-No table outlives a call. No module keeps state that a call grows without
-bound, so no result depends on the calls before it. A sweep block builds
-each table it reads once, not once per row.
+No table outlives a call. No module keeps state between calls, so no
+result depends on the calls before it. A sweep block builds each table it
+reads, and its required valuation, once, not once per row.
 """
 
 import ast
@@ -97,16 +97,31 @@ def _names(node, name):
     )
 
 
-def unbounded_state(source):
-    """(line, what) for each global statement, functools.cache and
-    lru_cache without an integer maxsize in one module's source."""
+def _empty(node):
+    # {}, [] or set().
+    return (
+        (isinstance(node, ast.Dict) and not node.keys)
+        or (isinstance(node, ast.List) and not node.elts)
+        or (isinstance(node, ast.Call) and _names(node.func, "set") and not node.args)
+    )
+
+
+def _module_statements(body):
+    # The statements a module runs at import, through if/try/with/loops,
+    # and the bodies of its classes; function bodies run per call.
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _module_statements(getattr(node, field, []))
+
+
+def module_state(source):
+    """(line, what) for each global statement, functools.cache, lru_cache
+    (whatever its maxsize) and name bound to an empty dict, list or set at
+    module or class level in one module's source."""
     tree = ast.parse(source)
-    bounded = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _names(node.func, "lru_cache"):
-            sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
-            if any(isinstance(v, ast.Constant) and type(v.value) is int for v in sizes):
-                bounded.add(node.func)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Global):
@@ -115,8 +130,11 @@ def unbounded_state(source):
             found += [(node.lineno, "functools.cache") for a in node.names if a.name == "cache"]
         elif _names(node, "cache") and _names(getattr(node, "value", None), "functools"):
             found.append((node.lineno, "functools.cache"))
-        elif _names(node, "lru_cache") and node not in bounded:
+        elif _names(node, "lru_cache"):
             found.append((node.lineno, "lru_cache"))
+    for node in _module_statements(tree.body):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _empty(node.value):
+            found.append((node.lineno, "empty container"))
     return found
 
 
@@ -130,19 +148,25 @@ def unbounded_state(source):
         ("@lru_cache()\ndef f(): pass\n", ["lru_cache"]),
         ("@lru_cache(maxsize=None)\ndef f(): pass\n", ["lru_cache"]),
         ("@functools.lru_cache(None)\ndef f(): pass\n", ["lru_cache"]),
-        ("@lru_cache(maxsize=64)\ndef f(): pass\n", []),
-        ("@functools.lru_cache(64)\ndef f(): pass\n", []),
+        ("@lru_cache(maxsize=64)\ndef f(): pass\n", ["lru_cache"]),
+        ("@functools.lru_cache(64)\ndef f(): pass\n", ["lru_cache"]),
+        ("_MEMO = {}\n", ["empty container"]),
+        ("_SEEN: list = []\n", ["empty container"]),
+        ("if x:\n    _SEEN = set()\nelse:\n    _MEMO: dict = {}\n", ["empty container"] * 2),
+        ("class C:\n    rows = []\n", ["empty container"]),
+        ("def f():\n    seen = set()\n    rows = []\n", []),
+        ("KEYS = {'a': 1}\nROW = [0]\nPRIMES = set((2, 3))\n", []),
     ],
 )
 def test_unbounded_state_scan(source, found):
-    assert [what for _, what in unbounded_state(source)] == found
+    assert [what for _, what in module_state(source)] == found
 
 
 @pytest.mark.parametrize(
     "path", sorted(Path(mirrorint.__file__).parent.glob("*.py")), ids=lambda p: p.name
 )
 def test_no_module_keeps_a_growing_table(path):
-    assert unbounded_state(path.read_text()) == []
+    assert module_state(path.read_text()) == []
 
 
 @given(st.integers(0, 120), st.integers(0, 120), st.data())
@@ -184,9 +208,10 @@ def test_mutated_B_row_leaves_the_next_call_exact(N, k, m_max, m_max2, data):
     ],
 )
 def test_one_table_per_block(monkeypatch, check, params):
-    # harmonic_scaled and big_B_sequence, called through congruences, run
-    # at most once per block each; j-mod-p is one block with one table.
-    calls = {"harmonic_scaled": 0, "big_B_sequence": 0}
+    # harmonic_scaled, big_B_sequence and _required_vp, called through
+    # congruences, run at most once per block each; j-mod-p is one block
+    # with one table.
+    calls = {"harmonic_scaled": 0, "big_B_sequence": 0, "_required_vp": 0}
     for name in calls:
         def counting(*args, name=name, build=getattr(congruences, name)):
             calls[name] += 1

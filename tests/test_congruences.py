@@ -674,10 +674,7 @@ class TestBlockKernels:
         assert margins == ["inf"]
 
 
-class TestConstantMemo:
-    def test_bounded(self):
-        assert _required_vp.cache_info().maxsize is not None
-
+class TestRequiredValuation:
     def test_values_match_the_exponents(self):
         # v_p(xi(N) N!^k) and v_p(omega(N) N!^k), recomputed from the exact
         # rationals: min(2 + indicator, v_p(w)) with w = H_N or H_N - 1, the
@@ -700,14 +697,9 @@ class TestConstantMemo:
                     if p <= N:
                         omega_vp = min(2 + omega_indicator(p, N), vp_rational(h - 1, p))
                 for k in range(4):
-                    # The second call of each pair is answered by the memo.
-                    expected = xi_vp + k * fact_vp
-                    assert _required_vp(WHICH_XI, N, k, p) == expected
-                    assert _required_vp(WHICH_XI, N, k, p) == expected
+                    assert _required_vp(WHICH_XI, N, k, p) == xi_vp + k * fact_vp
                     if omega_vp is not None:
-                        expected = omega_vp + k * fact_vp
-                        assert _required_vp(WHICH_OMEGA, N, k, p) == expected
-                        assert _required_vp(WHICH_OMEGA, N, k, p) == expected
+                        assert _required_vp(WHICH_OMEGA, N, k, p) == omega_vp + k * fact_vp
 
     def test_xi_7_is_pinned(self):
         xi_7 = math.prod(F(p) ** _required_vp(WHICH_XI, 7, 0, p) for p in primes_upto(41))
@@ -715,7 +707,7 @@ class TestConstantMemo:
         xi_7_fact = math.prod(F(p) ** _required_vp(WHICH_XI, 7, 1, p) for p in primes_upto(41))
         assert xi_7_fact == F(5040, 140)
 
-    def test_bad_variant_still_raises(self):
+    def test_bad_variant_raises(self):
         with pytest.raises(ValueError):
             _required_vp("foo", 5, 1, 3)
 
