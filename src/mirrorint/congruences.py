@@ -22,9 +22,9 @@ from typing import Callable, Iterable, Iterator
 from .constants import omega, xi
 from .harmonic import (
     ModularHarmonicSum,
+    _wolstenholme_pairing,
     _wolstenholme_scan,
     harmonic_scaled,
-    is_wolstenholme,
     scaled_weight,
     vp_scaled,
 )
@@ -35,7 +35,6 @@ from .padic import (
     primes_upto,
     require_prime,
     vp_big_B,
-    vp_factorial,
     vp_int,
 )
 from .series import _dwork_difference, _weighted_row
@@ -77,7 +76,7 @@ def coeff_C(N: int, k: int, p: int, a: int, K: int, shifted: bool = False) -> Fr
     G_L(z) with L = N, or of the same with Gt in place of G_L when shifted.
     """
     # S C(a+Kp) is series._dwork_difference of the B row and the B w list,
-    # read at index a + Kp: the theorem-congruence block reads every a and K
+    # read at index a + Kp: the theorem-congruence sweep reads every a and K
     # off one pair of lists.
     _validate_core(N, k, p, a, K)
     b, bw, S = _weighted_row(N, N, k, a + K * p, shifted)
@@ -136,7 +135,7 @@ def _required_vp(which: str, N: int, k: int, p: int) -> int:
     if which not in (WHICH_XI, WHICH_OMEGA):
         raise ValueError(f"which must be {WHICH_XI!r} or {WHICH_OMEGA!r}")
     breakdown = xi(N) if which == WHICH_XI else omega(N)
-    return breakdown.exponent_of(p) + k * vp_factorial(N, p)
+    return breakdown.exponent_of(p) + k * vp_big_B(N, 1, 1, p)  # B(1) = N!
 
 
 def check_theorem_congruence(
@@ -301,20 +300,15 @@ def check_lemma11(
         raise ValueError("invalid parameters")
     if which == WHICH_OMEGA and N < 2:
         raise ValueError("the shifted variant requires N >= 2")
-    return next(_lemma11(which, p, N, k, [(m, s)]))
+    required = _required_vp(which, N, k, p) - s
+    h, _ = harmonic_scaled(N * m * p**s)
+    return Membership(_lemma11(h, p, N, k, m, s, which == WHICH_OMEGA), required)
 
 
-def _lemma11(
-    which: str, p: int, N: int, k: int, ms: list[tuple[int, int]]
-) -> Iterator[Membership]:
-    # check_lemma11 at each (m, s) of `ms`, off one table up to the largest
-    # N m p^s.
-    h, _ = harmonic_scaled(N * max((m * p**s for m, s in ms), default=0))
-    required = _required_vp(which, N, k, p)
-    for m, s in ms:
-        gap = _level_gap(h, N, p, m, s, which == WHICH_OMEGA)
-        achieved = vp_big_B(N, k, m, p) + vp_scaled(gap, p, len(h) - 1)
-        yield Membership(achieved=achieved, required=required - s)
+def _lemma11(h: list[int], p: int, N: int, k: int, m: int, s: int, shifted: bool) -> int | float:
+    # check_lemma11's achieved valuation, off a table h that covers N m p^s.
+    gap = _level_gap(h, N, p, m, s, shifted)
+    return vp_big_B(N, k, m, p) + vp_scaled(gap, p, len(h) - 1)
 
 
 def optimality_witness(N: int, p: int, shifted: bool = False) -> tuple[int, int]:
@@ -375,10 +369,9 @@ def vp3_probe(p: int, N: int) -> RootSharpnessProbe:
         raise ValueError("requires p <= N")
     if N % p == 0:
         raise ValueError("requires p not dividing N")
-    if is_wolstenholme(p):
+    acc = ModularHarmonicSum(p, cap=4)  # checks p before the pairing reads it
+    if _wolstenholme_pairing(p, 3) >= 3:
         raise ValueError("requires a non-Wolstenholme prime")
-
-    acc = ModularHarmonicSum(p, cap=4)
     acc.advance_to(N)
     v_h, capped = acc.valuation()
     if capped:
@@ -390,7 +383,7 @@ def vp3_probe(p: int, N: int) -> RootSharpnessProbe:
         raise ValueError(f"requires v_p(H_N) = 3, found {v_h}")
     ((achieved, _),) = coeff_C_valuations(N, p, [p], 5)
     return RootSharpnessProbe(
-        p=p, N=N, harmonic_valuation=v_h, achieved=achieved, required=4 + vp_factorial(N, p)
+        p=p, N=N, harmonic_valuation=v_h, achieved=achieved, required=4 + vp_big_B(N, 1, 1, p)
     )
 
 
@@ -398,32 +391,25 @@ def vp3_probe(p: int, N: int) -> RootSharpnessProbe:
 # Sweeps: a check run over a bounded parameter grid, one JSONL row per grid
 # point. SWEEPS is the one table behind `sweep` and the CLI.
 
-# An axis is (name, values): values(grid, point) gives the values `name`
-# takes, from the grid parameters and the axes bound before it.
-Axis = tuple[str, Callable[[dict, dict], Iterable]]
 # A row is the flat tuple (holds, margin, *values), the values under the
 # last len(values) of its check's keys: `sweep` zips them into its dicts, and
 # the CLI writes rows through one template per check and row length.
 Row = tuple
-# A block is a check below one point of its outer axes: block(grid, **point)
-# yields the rows of the inner axes, in order.
-Block = Callable[..., Iterable[Row]]
 
 
 @dataclass(frozen=True)
 class Sweep:
     """One check as a grid: `keys`, the parameter names of its rows, sorted
-    and space-separated; its optional parameters with their defaults; the
-    outer axes in nesting order (outermost first); and `run`, the block that
-    yields the rows below each outer point. A row with fewer values than
-    `keys` lacks the leading ones (lemma12's rows without K). A check with
-    `variants` also takes `which`, defaulting to the first variant;
-    `required` parameters have no default."""
+    and space-separated; its optional parameters with their defaults; and
+    `rows`, the generator that walks the grid, outermost parameter first,
+    and yields every row in order. A row with fewer values than `keys` lacks
+    the leading ones (lemma12's rows without K). A check with `variants`
+    also takes `which`, defaulting to the first variant; `required`
+    parameters have no default."""
 
     keys: str
     defaults: dict
-    axes: tuple[Axis, ...]
-    run: Block
+    rows: Callable[[dict], Iterator[Row]]
     variants: tuple[str, ...] = ()
     required: tuple[str, ...] = ()
     validate: Callable[[dict], None] | None = None
@@ -434,23 +420,45 @@ def _verdict(margin: int | float) -> tuple[bool, int | str]:
     return margin >= 0, "inf" if margin == INFINITE else margin
 
 
-# The kernels below read v_p(x / S), for x off a harmonic table of scale
-# S = lcm(1..T), as v_p(x) plus v_p(1 / S) = vp_scaled(1, p, T), once per
-# block.
+def _Ns(grid: dict) -> range:
+    # N <= Nmax, from 1, or from 2 under the shifted variants (Omega, u).
+    return range(2 if grid.get("which") in (WHICH_OMEGA, "u") else 1, grid["Nmax"] + 1)
 
 
-def _theorem_block(grid: dict, which: str, p: int, N: int, k: int) -> Iterator[Row]:
-    # check_theorem_congruence at every a < p and K with a + Kp <= summax,
-    # off one B row and one B w list up to summax.
-    top = max(grid["summax"], 0)
-    b, bw, _ = _weighted_row(N, N, k, top, which == WHICH_OMEGA)
-    required = 1 + _required_vp(which, N, k, p) - vp_scaled(1, p, N * top)
-    for a in range(p):
-        for K, value in enumerate(_dwork_difference(b, bw, p, range(a, grid["summax"] + 1, p))):
-            yield *_verdict(vp_int(value, p) - required), K, N, a, k, p, which
+def _pNk(grid: dict) -> Iterator[tuple[int, int, range]]:
+    # (p, N, ks) at every prime of the grid, then every N, with ks the k
+    # axis 1..kmax: the outer loops of the six checks that run per
+    # (p, N, k). None when ks is empty, so no table is built for no row.
+    ks = range(1, grid["kmax"] + 1)
+    for p in grid["p"] if ks else ():
+        for N in _Ns(grid):
+            yield p, N, ks
 
 
-def _S_block(
+# The rows below are generators, so the CLI can take the first row before
+# it opens --out. Each builds a table per outer point and drops it (`del`)
+# before the next point builds its own, so no two tables of a kind are live
+# at once. A valuation v_p(x / S), for x off a harmonic table of scale
+# S = lcm(1..T), is read as v_p(x) plus v_p(1 / S) = vp_scaled(1, p, T),
+# once per point.
+
+
+def _theorem_rows(grid: dict) -> Iterator[Row]:
+    # check_theorem_congruence at every (p, N, k), then a < p and K with
+    # a + Kp <= summax, off one B row and one B w list up to summax.
+    which, summax = grid["which"], grid["summax"]
+    top = max(summax, 0)
+    for p, N, ks in _pNk(grid):
+        for k in ks:
+            b, bw, _ = _weighted_row(N, N, k, top, which == WHICH_OMEGA)
+            required = 1 + _required_vp(which, N, k, p) - vp_scaled(1, p, N * top)
+            for a in range(p):
+                for K, value in enumerate(_dwork_difference(b, bw, p, range(a, summax + 1, p))):
+                    yield *_verdict(vp_int(value, p) - required), K, N, a, k, p, which
+            del b, bw
+
+
+def _S_rows_at(
     grid: dict, p: int, N: int, k: int, required: Callable[[int, int], int | float]
 ) -> Iterator[Row]:
     # Rows at a < p, K <= Kmax, s <= smax and m <= K/p^s + 1 with margin
@@ -469,26 +477,84 @@ def _S_block(
                     yield *_verdict(margin), K, N, a, k, m, p, s
 
 
-def _dwork_block(grid: dict, p: int, N: int, k: int) -> Iterator[Row]:
-    # check_dwork_S at every (a, K, s, m): the S-sum in p^(s+1) B(m) Z_p.
-    vB = [vp_big_B(N, k, m, p) for m in range(grid["Kmax"] + 1)]
-    return _S_block(grid, p, N, k, lambda s, m: s + 1 + vB[m])
+def _dwork_rows(grid: dict) -> Iterator[Row]:
+    # check_dwork_S at every (p, N, k, a, K, s, m): the S-sum in
+    # p^(s+1) B(m) Z_p.
+    for p, N, ks in _pNk(grid):
+        for k in ks:
+            vB = [vp_big_B(N, k, m, p) for m in range(grid["Kmax"] + 1)]
+            yield from _S_rows_at(grid, p, N, k, lambda s, m: s + 1 + vB[m])
 
 
-def _yms_block(grid: dict, p: int, N: int, k: int) -> Iterator[Row]:
-    # check_Y at every (a, K, s, m). A nonzero S-sum has m p^s <= K, so its
-    # level gap reads one table up to N Kmax.
-    top = N * max(grid["Kmax"], 0)
-    h, _ = harmonic_scaled(top)
-    required = 1 + _required_vp(WHICH_XI, N, k, p) - vp_scaled(1, p, top)
-    return _S_block(
-        grid, p, N, k, lambda s, m: required - vp_int(_level_gap(h, N, p, m, s, False), p)
-    )
+def _yms_rows(grid: dict) -> Iterator[Row]:
+    # check_Y at every (p, N, k, a, K, s, m). A nonzero S-sum has
+    # m p^s <= K, so its level gap reads one table per (p, N) up to N Kmax.
+    for p, N, ks in _pNk(grid):
+        top = N * max(grid["Kmax"], 0)
+        h, _ = harmonic_scaled(top)
+        for k in ks:
+            required = 1 + _required_vp(WHICH_XI, N, k, p) - vp_scaled(1, p, top)
+            yield from _S_rows_at(
+                grid, p, N, k, lambda s, m: required - vp_int(_level_gap(h, N, p, m, s, False), p)
+            )
+        del h
 
 
-def _j_mod_p_block(grid: dict) -> Iterator[Row]:
-    # check_harmonic_congruence("J_mod_p", p, J=J) at every prime p <= pmax
-    # and 1 <= J <= Jmax, off one table.
+def _decomposition_rows(grid: dict) -> Iterator[Row]:
+    # check_decomposition at every (p, N, k), then a < p, then K <= Kmax (or
+    # K = --K), off one table per (p, N) and one B row per (p, N, k), each
+    # up to the largest K.
+    Ks = range(grid["Kmax"] + 1) if grid["K"] is None else (grid["K"],)
+    top = max(Ks, default=0)
+    for p, N, ks in _pNk(grid):
+        _validate_core(N, ks[0], p, 0, top)  # --K may be negative
+        h, S = harmonic_scaled(N * top)
+        for k in ks:
+            b = big_B_sequence(N, k, p - 1 + top * p)
+            for a in range(p):
+                for K in Ks:
+                    r = _depth(p, K)
+                    yield _decomposition(b, h, S, N, p, a, K, r).equal, None, K, N, a, k, p, r
+            del b
+        del h
+
+
+def _lemma11_rows(grid: dict) -> Iterator[Row]:
+    # check_lemma11 at every (p, N, k), then m <= mmax, then s <= smax, off
+    # one table per (p, N) up to the largest N m p^s.
+    which = grid["which"]
+    ms = [(m, s) for m in range(grid["mmax"] + 1) for s in range(grid["smax"] + 1)]
+    for p, N, ks in _pNk(grid):
+        h, _ = harmonic_scaled(N * max((m * p**s for m, s in ms), default=0))
+        for k in ks:
+            required = _required_vp(which, N, k, p)
+            for m, s in ms:
+                margin = _lemma11(h, p, N, k, m, s, which == WHICH_OMEGA) - required + s
+                yield *_verdict(margin), N, k, m, p, s, which
+        del h
+
+
+def _lemma12_rows(grid: dict) -> Iterator[Row]:
+    # check_lemma12 at every (p, N, k), then a < p, then j <= jmax, off one
+    # table per (p, N). At a = 1 the rows of the j = 0 variant, one per
+    # 1 <= K <= Kmax, come first and replace j = 0; only they have K in
+    # their params, so `head` is (K,) on them and () on the others.
+    jmax = grid["jmax"]
+    for p, N, ks in _pNk(grid):
+        h, _ = harmonic_scaled(max(N * jmax + N * (p - 1) // p, N // p))
+        for k in ks:
+            required = 1 + _required_vp(WHICH_XI, N, k, p)
+            for a in range(p):
+                cells = [((K,), 0) for K in range(1, grid["Kmax"] + 1)] if a == 1 else []
+                for head, j in cells + [((), j) for j in range(a == 1, jmax + 1)]:
+                    achieved = _lemma12(h, p, N, k, a, j, *head)
+                    yield *_verdict(achieved - required), *head, N, a, j, k, p
+        del h
+
+
+def _j_mod_p_rows(grid: dict) -> Iterator[Row]:
+    # check_harmonic_congruence("J_mod_p", p, J=J) at every prime p <= pmax,
+    # then 1 <= J <= Jmax, off one table.
     Jmax = grid["Jmax"]
     if Jmax < 1:
         return
@@ -499,66 +565,26 @@ def _j_mod_p_block(grid: dict) -> Iterator[Row]:
             yield *_verdict(vp_int(p * h[J] - h[J // p], p) - required), J, p
 
 
-def _coeff_c_block(grid: dict, p: int, N: int) -> Iterator[Row]:
-    # v_p(C(m)) for m = 1..mmax (k = 1) off one coeff_C_valuations generator,
-    # against theorem-congruence's bound at k = 1, Xi. The cap is bound + 1,
-    # so a failing v is exact, and a capped row's margin (>= 1) a lower bound.
-    bound = 1 + _required_vp(WHICH_XI, N, 1, p)
-    ms = range(1, grid["mmax"] + 1)
-    for m, (val, capped) in zip(ms, coeff_C_valuations(N, p, ms, bound + 1)):
-        yield *_verdict(val - bound), N, capped, m, p
+def _witness_rows(grid: dict) -> Iterator[Row]:
+    # optimality_witness at every N, then every prime N < p <= pmax, off one
+    # table per N.
+    which = grid["which"]
+    for N in _Ns(grid):
+        primes = [p for p in primes_upto(grid["pmax"]) if p > N]
+        for p, (a, val) in zip(primes, _witnesses(N, primes, which == "u")):
+            yield val == 0, val, N, a, p, which
 
 
-def _lemma11_block(grid: dict, which: str, p: int, N: int, k: int) -> Iterator[Row]:
-    # check_lemma11 at every m <= mmax, then s <= smax.
-    ms = [(m, s) for m in range(grid["mmax"] + 1) for s in range(grid["smax"] + 1)]
-    for (m, s), rep in zip(ms, _lemma11(which, p, N, k, ms)):
-        yield *_verdict(rep.margin), N, k, m, p, s, which
-
-
-def _witness_block(grid: dict, which: str, N: int) -> Iterator[Row]:
-    # optimality_witness at every prime N < p <= pmax.
-    primes = [p for p in primes_upto(grid["pmax"]) if p > N]
-    for p, (a, val) in zip(primes, _witnesses(N, primes, which == "u")):
-        yield val == 0, val, N, a, p, which
-
-
-def _decomposition_block(grid: dict, p: int, N: int, k: int) -> Iterator[Row]:
-    # check_decomposition at every a < p, then K <= Kmax (or K = --K), off
-    # one B row and one table up to the largest K.
-    Ks = range(grid["Kmax"] + 1) if grid["K"] is None else (grid["K"],)
-    top = max(Ks, default=0)
-    _validate_core(N, k, p, 0, top)  # --K may be negative
-    b = big_B_sequence(N, k, p - 1 + top * p)
-    h, S = harmonic_scaled(N * top)
-    for a in range(p):
-        for K in Ks:
-            r = _depth(p, K)
-            yield _decomposition(b, h, S, N, p, a, K, r).equal, None, K, N, a, k, p, r
-
-
-def _lemma12_block(grid: dict, p: int, N: int, k: int) -> Iterator[Row]:
-    # check_lemma12 at every a < p, then j <= jmax, off one table. At a = 1
-    # the rows of the j = 0 variant, one per 1 <= K <= Kmax, come first and
-    # replace j = 0; only they have K in their params, so `head` is (K,) on
-    # them and () on the others.
-    jmax = grid["jmax"]
-    h, _ = harmonic_scaled(max(N * jmax + N * (p - 1) // p, N // p))
-    required = 1 + _required_vp(WHICH_XI, N, k, p)
-    for a in range(p):
-        cells = [((K,), 0) for K in range(1, grid["Kmax"] + 1)] if a == 1 else []
-        for head, j in cells + [((), j) for j in range(a == 1, jmax + 1)]:
-            yield *_verdict(_lemma12(h, p, N, k, a, j, *head) - required), *head, N, a, j, k, p
-
-
-def _wolstenholme_block(grid: dict) -> Iterator[Row]:
+def _wolstenholme_rows(grid: dict) -> Iterator[Row]:
+    # The primes max(5, pmin) <= p <= pmax.
     for p, val in _wolstenholme_scan(grid["pmin"], grid["pmax"], 3):
         yield *_verdict(val - 2), p, val
 
 
-def _vp3_block(grid: dict, p: int, N: int) -> Iterator[Row]:
-    probe = vp3_probe(p, N)
-    yield probe.outside, probe.margin, N, p
+def _vp3_rows(grid: dict) -> Iterator[Row]:
+    (p,) = grid["p"]
+    probe = vp3_probe(p, grid["N"])
+    yield probe.outside, probe.margin, grid["N"], p
 
 
 def _one_prime(grid: dict) -> None:
@@ -566,77 +592,58 @@ def _one_prime(grid: dict) -> None:
         raise ValueError("vp3-probe takes exactly one prime")
 
 
-_WHICH: Axis = ("which", lambda g, v: (g["which"],))
-_P: Axis = ("p", lambda g, v: g["p"])
-_ONE_N: Axis = ("N", lambda g, v: (g["N"],))
-# The shifted variants (Omega, and u for the witness) start at N = 2.
-_N: Axis = (
-    "N",
-    lambda g, v: range(2 if v.get("which") in (WHICH_OMEGA, "u") else 1, g["Nmax"] + 1),
-)
-_PNk = (_P, _N, ("k", lambda g, v: range(1, g["kmax"] + 1)))
+def _coeff_c_rows(grid: dict) -> Iterator[Row]:
+    # v_p(C(m)) at every p, then m = 1..mmax (k = 1), off one
+    # coeff_C_valuations generator per p, against theorem-congruence's
+    # bound at k = 1, Xi. The cap is bound + 1, so a failing v is exact, and
+    # a capped row's margin (>= 1) a lower bound.
+    N, ms = grid["N"], range(1, grid["mmax"] + 1)
+    for p in grid["p"]:
+        bound = 1 + _required_vp(WHICH_XI, N, 1, p)
+        for m, (val, capped) in zip(ms, coeff_C_valuations(N, p, ms, bound + 1)):
+            yield *_verdict(val - bound), N, capped, m, p
+
+
 _DWORK = {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "Kmax": 8, "smax": 2}
 
 SWEEPS: dict[str, Sweep] = {
     "theorem-congruence": Sweep(
         "K N a k p which",
         {"p": (2, 3, 5, 7), "Nmax": 8, "kmax": 2, "summax": 25},
-        (_WHICH, *_PNk),  # inner axes: a < p, K with a + Kp <= summax
-        _theorem_block,
+        _theorem_rows,
         variants=(WHICH_XI, WHICH_OMEGA),
     ),
-    # The inner axes a < p, K <= Kmax, s <= smax and m <= K/p^s + 1 are
-    # _S_block's.
-    "dworkS": Sweep("K N a k m p s", _DWORK, _PNk, _dwork_block),
-    "yms": Sweep("K N a k m p s", _DWORK, _PNk, _yms_block),
+    "dworkS": Sweep("K N a k m p s", _DWORK, _dwork_rows),
+    "yms": Sweep("K N a k m p s", _DWORK, _yms_rows),
     "decomposition": Sweep(
         "K N a k p r",
         {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "Kmax": 8, "K": None},  # None: K <= Kmax
-        _PNk,  # inner axes: a < p, then K
-        _decomposition_block,
+        _decomposition_rows,
     ),
     "lemma11": Sweep(
         "N k m p s which",
         {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "mmax": 9, "smax": 2},
-        (_WHICH, *_PNk),  # inner axes: m <= mmax, then s <= smax
-        _lemma11_block,
+        _lemma11_rows,
         variants=(WHICH_XI, WHICH_OMEGA),
     ),
     "lemma12": Sweep(
         "K N a j k p",  # only the a = 1, j = 0 rows have K
         {"p": (2, 3, 5), "Nmax": 5, "kmax": 2, "jmax": 6, "Kmax": 8},
-        _PNk,  # inner axes: a < p, then K (a = 1, j = 0 only), then j
-        _lemma12_block,
+        _lemma12_rows,
     ),
-    # Inner axes: the primes p <= pmax, then 1 <= J <= Jmax.
-    "j-mod-p": Sweep("J p", {"pmax": 13, "Jmax": 500}, (), _j_mod_p_block),
-    "witness": Sweep(
-        "N a p which",
-        {"Nmax": 7, "pmax": 31},
-        (_WHICH, _N),  # inner axis: primes N < p <= pmax
-        _witness_block,
-        variants=("t", "u"),
-    ),
-    # Inner axis: the primes max(5, pmin) <= p <= pmax.
-    "wolstenholme": Sweep(
-        "p v_capped", {"pmin": 5}, (), _wolstenholme_block, required=("pmax",)
-    ),
-    "vp3-probe": Sweep(
-        "N p", {}, (_P, _ONE_N), _vp3_block, required=("p", "N"), validate=_one_prime
-    ),
-    "coeff-c": Sweep(
-        "N capped m p",
-        {"p": (3,), "N": 7, "mmax": 2500},
-        (_P, _ONE_N),  # inner axis: 1 <= m <= mmax
-        _coeff_c_block,
-    ),
+    "j-mod-p": Sweep("J p", {"pmax": 13, "Jmax": 500}, _j_mod_p_rows),
+    "witness": Sweep("N a p which", {"Nmax": 7, "pmax": 31}, _witness_rows, variants=("t", "u")),
+    "wolstenholme": Sweep("p v_capped", {"pmin": 5}, _wolstenholme_rows, required=("pmax",)),
+    "vp3-probe": Sweep("N p", {}, _vp3_rows, required=("p", "N"), validate=_one_prime),
+    "coeff-c": Sweep("N capped m p", {"p": (3,), "N": 7, "mmax": 2500}, _coeff_c_rows),
 }
 
 
 def sweep(check: str, **params) -> Iterator[dict]:
     """Rows {"check", "params", "holds", "margin"} of `check` at every point
-    of its grid, the first axis outermost. Parameters not given take the
-    table's defaults. Every parameter is validated here, before any row."""
+    of its grid, the first parameter outermost. Parameters not given take
+    the table's defaults. Every parameter is validated here, before any
+    row."""
     rows = _sweep_rows(check, **params)
     keys = SWEEPS[check].keys.split()
     return (
@@ -647,7 +654,8 @@ def sweep(check: str, **params) -> Iterator[dict]:
 
 
 def _sweep_rows(check: str, **params) -> Iterator[Row]:
-    # sweep's rows as tuples, read by `sweep` and the CLI.
+    # sweep's rows as tuples, read by `sweep` and the CLI: the check's rows
+    # generator, validated and not yet started.
     spec = SWEEPS.get(check)
     if spec is None:
         raise ValueError(f"unknown check {check!r}")
@@ -667,23 +675,4 @@ def _sweep_rows(check: str, **params) -> Iterator[Row]:
         require_prime(p)
     if spec.validate is not None:
         spec.validate(grid)
-    return _rows(spec, grid)
-
-
-def _rows(spec: Sweep, grid: dict) -> Iterator[Row]:
-    # The outer axes are bound outermost first, each reading the values of
-    # the axes outside it from `point`; below each outer point, `run` yields
-    # the rows of its block. So the walk costs a step per outer point, not
-    # per row.
-    point: dict = {}
-
-    def outer_points(depth: int) -> Iterator[None]:
-        if depth == len(spec.axes):
-            yield
-            return
-        name, values = spec.axes[depth]
-        for point[name] in values(grid, point):
-            yield from outer_points(depth + 1)
-
-    for _ in outer_points(0):
-        yield from spec.run(grid, **point)
+    return spec.rows(grid)

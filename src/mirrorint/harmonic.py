@@ -17,9 +17,9 @@ S = lcm(1..T), built afresh by each call for the indices it reads. Every
 harmonic weight H_a - c H_b is then the integer h[a] - c h[b] over S, and
 its valuation is v_p(h[a] - c h[b]) - v_p(S) with v_p(S) = floor(log_p T):
 no Fraction is added and no gcd runs per term. A caller that reads many
-indices builds one table up to the largest. xi, omega, theta, vp_harmonic
-and a wide Wolstenholme sweep walk the same recurrence in one running sum
-S * H_n instead and keep no table (_walk).
+indices builds one table up to the largest. harmonic, harmonic_weight,
+xi, omega, theta, vp_harmonic and a wide Wolstenholme sweep walk the same
+recurrence in one running sum S * H_n instead and keep no table (_walk).
 """
 
 from __future__ import annotations
@@ -59,9 +59,11 @@ def vp_scaled(x: int, p: int, top: int) -> int | float:
 
 
 def harmonic(n: int) -> Fraction:
-    """Exact H_n = 1 + 1/2 + ... + 1/n (H_0 = 0)."""
-    h, S = harmonic_scaled(n)
-    return Fraction(h[n], S)
+    """Exact H_n = 1 + 1/2 + ... + 1/n (H_0 = 0), off one _walk to n."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    ((_, S, x),) = _walk([n])
+    return Fraction(x, S)
 
 
 def harmonic_power(n: int, alpha: int) -> Fraction:
@@ -85,9 +87,11 @@ def scaled_weight(h: list[int], N: int, n: int, shifted: bool = False) -> int:
 def harmonic_weight(N: int, n: int, shifted: bool = False) -> Fraction:
     """The harmonic weight of B(n) in the maps: H_{Nn} for the q_L maps (at
     L = N), or H_{Nn} - H_n for the Dwork-Kontsevich maps when shifted. At
-    n = 1 these are H_N and H_N - 1."""
-    h, S = harmonic_scaled(N * n)
-    return Fraction(scaled_weight(h, N, n, shifted), S)
+    n = 1 these are H_N and H_N - 1. One _walk stops at n and at N n."""
+    if N < 1 or n < 0:
+        raise ValueError("requires N >= 1 and n >= 0")
+    (_, s, y), (_, S, x) = _walk([n, N * n])
+    return Fraction(x - y * (S // s) if shifted else x, S)
 
 
 def vp_harmonic(N: int, p: int, shifted: bool = False) -> int:

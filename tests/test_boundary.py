@@ -2,16 +2,18 @@
 
 p is checked where it enters the program, and nowhere below that. Every
 public callable that takes a prime p rejects a non-prime with ValueError. A
-sweep checks its grid's primes once; the checks it runs per row, and every
-private kernel, take p on trust.
+sweep checks its grid's primes once; the rows below, and every private
+kernel, take p on trust. The only checks left under a sweep are those of
+the checked constructors (ModularHarmonicSum, big_B_units) that vp3-probe
+and coeff-c call once per prime, none per row.
 
 No table outlives a call. No module keeps state between calls, so no
-result depends on the calls before it. A sweep block builds each table it
-reads, and its required valuation, once, not once per row.
+result depends on the calls before it. A sweep builds each harmonic table
+once per (p, N), and each B row and required valuation once per (p, N, k),
+not once per row.
 """
 
 import ast
-import dataclasses
 import inspect
 from fractions import Fraction as F
 from itertools import accumulate
@@ -76,6 +78,14 @@ def test_nonprime_rejected(name, p):
         # Rows read H_{p-1} off one walked sum, or unchecked per prime.
         ("wolstenholme", {"pmax": 200}, 0),
         ("wolstenholme", {"pmin": 195, "pmax": 200}, 0),
+        # k v_p(N!) is read as k v_p(B(1)), unchecked: one check per prime.
+        ("theorem-congruence", {"p": (2, 3), "Nmax": 3, "kmax": 1, "summax": 8}, 2),
+        ("yms", {"p": (3,), "Nmax": 2, "kmax": 2, "Kmax": 3, "smax": 1}, 1),
+        ("lemma11", {"p": (2, 3), "Nmax": 3, "kmax": 1, "mmax": 3, "smax": 1}, 2),
+        ("lemma12", {"p": (2, 3), "Nmax": 2, "kmax": 1, "jmax": 2, "Kmax": 2}, 2),
+        # The sweep's check, then ModularHarmonicSum in vp3_probe, and
+        # ModularHarmonicSum and big_B_units in coeff_C_valuations.
+        ("vp3-probe", {"p": (11,), "N": 848}, 4),
     ],
 )
 def test_sweep_checks_primes_once(monkeypatch, check, params, calls):
@@ -208,9 +218,9 @@ def test_mutated_B_row_leaves_the_next_call_exact(N, k, m_max, m_max2, data):
     ],
 )
 def test_one_table_per_block(monkeypatch, check, params):
-    # harmonic_scaled, big_B_sequence and _required_vp, called through
-    # congruences, run at most once per block each; j-mod-p is one block
-    # with one table.
+    # Counted through congruences: harmonic_scaled runs at most once per
+    # (p, N) point of the grid, and exactly once for j-mod-p; big_B_sequence
+    # and _required_vp at most once per (p, N, k) point.
     calls = {"harmonic_scaled": 0, "big_B_sequence": 0, "_required_vp": 0}
     for name in calls:
         def counting(*args, name=name, build=getattr(congruences, name)):
@@ -218,15 +228,20 @@ def test_one_table_per_block(monkeypatch, check, params):
             return build(*args)
 
         monkeypatch.setattr(congruences, name, counting)
-    spec = SWEEPS[check]
-    blocks = []
-
-    def run(grid, **point):
-        blocks.append(point)
-        return spec.run(grid, **point)
-
-    monkeypatch.setitem(SWEEPS, check, dataclasses.replace(spec, run=run))
     assert list(sweep(check, **params))
-    assert max(calls.values()) <= len(blocks), (calls, len(blocks))
+    pN, pNk = outer_points(check, params)
+    assert calls["harmonic_scaled"] <= pN, (calls, pN)
+    assert max(calls["big_B_sequence"], calls["_required_vp"]) <= pNk, (calls, pNk)
     if check == "j-mod-p":
         assert calls["harmonic_scaled"] == 1
+
+
+def outer_points(check, params):
+    """The numbers of (p, N) and of (p, N, k) points of a sweep's grid. A
+    grid without p, N or k counts one value for it; N starts at 2 under the
+    shifted variants."""
+    grid = {**SWEEPS[check].defaults, **params}
+    start = 2 if grid.get("which") in ("Omega", "u") else 1
+    Ns = max(grid["Nmax"] - start + 1, 0) if "Nmax" in grid else 1
+    pN = len(grid.get("p", (None,))) * Ns
+    return pN, pN * grid.get("kmax", 1)

@@ -1,14 +1,17 @@
 import contextlib
-import dataclasses
+import inspect
 import io
 import json
 import math
+import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorint import congruences
 from mirrorint.cli import _json_field, _row_formats, main
 from mirrorint.congruences import (
     SWEEPS,
@@ -418,54 +421,64 @@ def decomposition_K(g, v):
     return range(g["Kmax"] + 1) if g["K"] is None else (g["K"],)
 
 
+WHICH_AXIS = ("which", lambda g, v: (g["which"],))
+P_AXIS = ("p", lambda g, v: g["p"])
+ONE_N_AXIS = ("N", lambda g, v: (g["N"],))
+# N starts at 2 under the shifted variants, Omega and u.
+N_AXIS = ("N", lambda g, v: range(2 if v.get("which") in (WHICH_OMEGA, "u") else 1, g["Nmax"] + 1))
+PNK_AXES = (P_AXIS, N_AXIS, ("k", upto("kmax", 1)))
 A_AXIS = ("a", lambda g, v: range(v["p"]))
 S_AXES = (
+    *PNK_AXES,
     A_AXIS,
     ("K", upto("Kmax")),
     ("s", upto("smax")),
     ("m", lambda g, v: range(v["K"] // v["p"] ** v["s"] + 2)),
 )
 
-# Per check: the axes inside SWEEPS' outer ones, and the row at one point
-# from the check's public per-point function.
+# Per check: every axis of its grid, outermost first, and the row at one
+# point from the check's public per-point function.
 ORACLES = {
     "theorem-congruence": (
-        (A_AXIS, ("K", lambda g, v: range((g["summax"] - v["a"]) // v["p"] + 1))),
+        (
+            WHICH_AXIS,
+            *PNK_AXES,
+            A_AXIS,
+            ("K", lambda g, v: range((g["summax"] - v["a"]) // v["p"] + 1)),
+        ),
         lambda v: member_row(v, check_theorem_congruence(**v)),
     ),
     "dworkS": (S_AXES, lambda v: member_row(v, check_dwork_S(**v))),
     "yms": (S_AXES, lambda v: member_row(v, check_Y(**v))),
-    "decomposition": ((A_AXIS, ("K", decomposition_K)), decomposition_row),
+    "decomposition": ((*PNK_AXES, A_AXIS, ("K", decomposition_K)), decomposition_row),
     "lemma11": (
-        (("m", upto("mmax")), ("s", upto("smax"))),
+        (WHICH_AXIS, *PNK_AXES, ("m", upto("mmax")), ("s", upto("smax"))),
         lambda v: member_row(v, check_lemma11(**v)),
     ),
-    "lemma12": ((A_AXIS, ("K", lemma12_K), ("j", lemma12_j)), lemma12_row),
+    "lemma12": ((*PNK_AXES, A_AXIS, ("K", lemma12_K), ("j", lemma12_j)), lemma12_row),
     "j-mod-p": (
         (("p", lambda g, v: primes_upto(g["pmax"])), ("J", upto("Jmax", 1))),
         j_mod_p_row,
     ),
     "witness": (
-        (("p", lambda g, v: [p for p in primes_upto(g["pmax"]) if p > v["N"]]),),
+        (WHICH_AXIS, N_AXIS, ("p", lambda g, v: [p for p in primes_upto(g["pmax"]) if p > v["N"]])),
         witness_row,
     ),
     "wolstenholme": (
         (("p", lambda g, v: [p for p in primes_upto(g["pmax"]) if p >= max(5, g["pmin"])]),),
         wolstenholme_row,
     ),
-    "vp3-probe": ((), vp3_row),
-    "coeff-c": ((("m", upto("mmax", 1)),), coeff_c_row),
+    "vp3-probe": ((P_AXIS, ONE_N_AXIS), vp3_row),
+    "coeff-c": ((P_AXIS, ONE_N_AXIS, ("m", upto("mmax", 1))), coeff_c_row),
 }
 
 
 def reference_rows(check, **params):
-    """The full sweep grid walked by plain recursion, the first axis
-    outermost: SWEEPS' outer axes, then the oracle's inner ones, with each
-    row from the check's public per-point function. `sweep` must yield
-    exactly these rows."""
+    """The full sweep grid walked by plain recursion over the oracle's
+    axes, the first axis outermost, with each row from the check's public
+    per-point function. `sweep` must yield exactly these rows."""
     spec = SWEEPS[check]
-    inner, row = ORACLES[check]
-    axes = (*spec.axes, *inner)
+    axes, row = ORACLES[check]
     grid = dict(spec.defaults)
     if spec.variants:
         grid["which"] = spec.variants[0]
@@ -528,43 +541,85 @@ class TestSweepWalk:
     def test_first_row_evaluates_one_block(self, monkeypatch):
         # The CLI takes the first row before it opens --out, so that a
         # failed precondition leaves the file untouched: that row must cost
-        # one block, the rows below one outer point, and no more.
-        spec = SWEEPS["dworkS"]
-        calls = []
+        # the tables of one outer point, and no more.
+        builds = []
+        build = congruences.big_B_sequence
 
-        def run(grid, **point):
-            calls.append(point)
-            return spec.run(grid, **point)
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
 
-        monkeypatch.setitem(SWEEPS, "dworkS", dataclasses.replace(spec, run=run))
+        monkeypatch.setattr(congruences, "big_B_sequence", counting)
         rows = sweep("dworkS", p=[3], Nmax=2, kmax=1, Kmax=2, smax=1)
-        assert calls == []
+        assert builds == []
         first = next(rows)
-        assert calls == [{"p": 3, "N": 1, "k": 1}]
+        assert builds == [(1, 1, 8)]
         assert first["params"] == {"p": 3, "N": 1, "k": 1, "a": 0, "K": 0, "s": 0, "m": 0}
-        assert len(list(rows)) > 1 and len(calls) > 1
+        assert len(list(rows)) > 1 and builds == [(1, 1, 8), (2, 1, 8)]
+
+    @pytest.mark.parametrize("check", sorted(SWEEPS))
+    def test_rows_is_a_generator_function(self, check):
+        # So calling it runs nothing: _sweep_rows validates, and the first
+        # row is computed only when the CLI asks for it.
+        assert inspect.isgeneratorfunction(SWEEPS[check].rows)
+
+    @pytest.mark.parametrize("which", [WHICH_XI, WHICH_OMEGA])
+    def test_one_table_live_at_a_time(self, monkeypatch, which):
+        # Each (p, N) drops its table before the next one builds its own,
+        # so the sweep peaks near its largest table, not near two.
+        sizes = []
+        build = congruences.harmonic_scaled
+
+        def measuring(n):
+            h, S = build(n)
+            sizes.append(sys.getsizeof(h) + sum(map(sys.getsizeof, h)))
+            return h, S
+
+        monkeypatch.setattr(congruences, "harmonic_scaled", measuring)
+        rows = sweep("lemma11", mmax=20, which=which)
+        tracemalloc.start()
+        try:
+            for _ in rows:
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * max(sizes), (peak, max(sizes))
 
 
 SMALL_PRIMES = st.sampled_from((2, 3, 5, 7))
 
 
 def as_tuple(row):
-    # A (params, holds, margin) row as a block yields it: the flat tuple
-    # (holds, margin, *values), the values in the sorted order of the keys.
+    # A (params, holds, margin) row as a rows generator yields it: the flat
+    # tuple (holds, margin, *values), the values in the sorted order of the
+    # keys.
     params, holds, margin = row
     return (holds, margin, *(params[key] for key in sorted(params)))
 
 
+def rows_at(check, rows, **point):
+    # The rows of `check` whose params agree with `point`.
+    keys = SWEEPS[check].keys.split()
+    return [
+        row
+        for row in rows
+        if all(dict(zip(keys[2 - len(row):], row[2:]))[name] == value for name, value in point.items())
+    ]
+
+
 class TestBlockKernels:
-    """Each block kernel at one outer point against its public per-point
-    check, row for row, on random small grids: K <= 10 and smax <= 3, so
-    m p^s > K occurs and gives zero S-sums (margin "inf")."""
+    """Each check's rows on a grid with one prime that ends at one point
+    (p = (p,), Nmax = N, kmax = k), read at (N, k), against its public
+    per-point check, row for row, on random small grids: K <= 10 and
+    smax <= 3, so m p^s > K occurs and gives zero S-sums (margin "inf")."""
 
     @given(SMALL_PRIMES, st.integers(1, 4), st.integers(1, 2), st.integers(0, 10),
            st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
     def test_dwork_S_and_Y(self, p, N, k, Kmax, smax):
         point = {"p": p, "N": N, "k": k}
+        grid = {"p": (p,), "Nmax": N, "kmax": k, "Kmax": Kmax, "smax": smax}
         cells = [
             {**point, "a": a, "K": K, "s": s, "m": m}
             for a in range(p)
@@ -573,7 +628,7 @@ class TestBlockKernels:
             for m in range(K // p**s + 2)
         ]
         for check, per_point in (("dworkS", check_dwork_S), ("yms", check_Y)):
-            got = list(SWEEPS[check].run({"Kmax": Kmax, "smax": smax}, **point))
+            got = rows_at(check, SWEEPS[check].rows(grid), N=N, k=k)
             assert got == [as_tuple(member_row(v, per_point(**v))) for v in cells], check
             assert got[-1][1] == "inf"  # m = Kmax // p^smax + 1: past K
 
@@ -584,7 +639,8 @@ class TestBlockKernels:
         if which == WHICH_OMEGA:
             N = max(N, 2)
         point = {"which": which, "p": p, "N": N, "k": k}
-        got = list(SWEEPS["theorem-congruence"].run({"summax": summax}, **point))
+        grid = {"which": which, "p": (p,), "Nmax": N, "kmax": k, "summax": summax}
+        got = rows_at("theorem-congruence", SWEEPS["theorem-congruence"].rows(grid), N=N, k=k)
         expected = [
             as_tuple(member_row(v, check_theorem_congruence(**v)))
             for a in range(p)
@@ -599,7 +655,8 @@ class TestBlockKernels:
         if which == WHICH_OMEGA:
             N = max(N, 2)
         point = {"which": which, "p": p, "N": N, "k": k}
-        got = list(SWEEPS["lemma11"].run({"mmax": mmax, "smax": smax}, **point))
+        grid = {"which": which, "p": (p,), "Nmax": N, "kmax": k, "mmax": mmax, "smax": smax}
+        got = rows_at("lemma11", SWEEPS["lemma11"].rows(grid), N=N, k=k)
         expected = [
             as_tuple(member_row(v, check_lemma11(**v)))
             for m in range(mmax + 1)
@@ -613,7 +670,8 @@ class TestBlockKernels:
         if which == "u":
             N = max(N, 2)
         point = {"which": which, "N": N}
-        got = list(SWEEPS["witness"].run({"pmax": pmax}, **point))
+        grid = {"which": which, "Nmax": N, "pmax": pmax}
+        got = rows_at("witness", SWEEPS["witness"].rows(grid), N=N)
         primes = [p for p in primes_upto(pmax) if p > N]
         assert got == [as_tuple(witness_row({**point, "p": p})) for p in primes]
 
@@ -622,10 +680,11 @@ class TestBlockKernels:
     @settings(max_examples=60, deadline=None)
     def test_decomposition(self, p, N, k, Kmax, K):
         point = {"p": p, "N": N, "k": k}
-        rows = SWEEPS["decomposition"].run({"Kmax": Kmax, "K": K}, **point)
+        grid = {"p": (p,), "Nmax": N, "kmax": k, "Kmax": Kmax, "K": K}
+        rows = SWEEPS["decomposition"].rows(grid)
         if K is not None and K < 0:
             with pytest.raises(ValueError, match="K must be non-negative"):
-                next(iter(rows))
+                next(rows)
             with pytest.raises(ValueError, match="K must be non-negative"):
                 check_decomposition(N, k, p, 0, K)
             return
@@ -633,14 +692,15 @@ class TestBlockKernels:
         expected = [
             as_tuple(decomposition_row({**point, "a": a, "K": K})) for a in range(p) for K in Ks
         ]
-        assert list(rows) == expected
+        assert rows_at("decomposition", rows, N=N, k=k) == expected
 
     @given(SMALL_PRIMES, st.integers(1, 5), st.integers(1, 2), st.integers(-2, 8),
            st.integers(-2, 6))
     @settings(max_examples=60, deadline=None)
     def test_lemma12(self, p, N, k, jmax, Kmax):
         point = {"p": p, "N": N, "k": k}
-        got = list(SWEEPS["lemma12"].run({"jmax": jmax, "Kmax": Kmax}, **point))
+        grid = {"p": (p,), "Nmax": N, "kmax": k, "jmax": jmax, "Kmax": Kmax}
+        got = rows_at("lemma12", SWEEPS["lemma12"].rows(grid), N=N, k=k)
         expected = []
         for a in range(p):
             if a == 1:
@@ -656,8 +716,8 @@ class TestBlockKernels:
     @given(st.integers(-2, 40), st.integers(-2, 120))
     @settings(max_examples=40, deadline=None)
     def test_j_mod_p(self, pmax, Jmax):
-        # One block: every prime p <= pmax, then every J.
-        got = list(SWEEPS["j-mod-p"].run({"pmax": pmax, "Jmax": Jmax}))
+        # No outer loop: every prime p <= pmax, then every J.
+        got = list(SWEEPS["j-mod-p"].rows({"pmax": pmax, "Jmax": Jmax}))
         assert got == [
             as_tuple(j_mod_p_row({"p": p, "J": J}))
             for p in primes_upto(pmax)
@@ -667,9 +727,9 @@ class TestBlockKernels:
     def test_zero_S_sums_inside_the_range(self):
         # S(2, 1, 3, 1, 2, 0, 1) cancels to 0 with m p^s <= K: "inf" rows
         # come from cancellation too, not only from m p^s > K.
-        rows = SWEEPS["yms"].run({"Kmax": 2, "smax": 0}, p=3, N=2, k=1)
+        rows = SWEEPS["yms"].rows({"p": (3,), "Nmax": 2, "kmax": 1, "Kmax": 2, "smax": 0})
         margins = [
-            margin for _, margin, K, N, a, k, m, p, s in rows if (a, K, m) == (1, 2, 1)
+            margin for _, margin, K, N, a, k, m, p, s in rows if (N, a, K, m) == (2, 1, 2, 1)
         ]
         assert margins == ["inf"]
 

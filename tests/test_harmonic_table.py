@@ -228,6 +228,27 @@ class TestWalk:
         assert code == 0
         assert max_rss_kb < 30 * 1024, max_rss_kb
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_harmonic_at_20000_grows_under_10_mb(self):
+        # harmonic(n) reads one walk to n: a table up to 20000 would hold
+        # about 70 MB of integers to read one entry.
+        code = (
+            "from mirrorint.harmonic import harmonic\n"
+            "def peak():\n"
+            "    line = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+            "    return int(line[0].split()[1])\n"
+            "before = peak()\n"
+            "assert harmonic(20000).denominator % 19997 == 0\n"
+            "print(peak() - before)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 10 * 1024, done.stdout
+
 
 SMALL = [(N, k, p) for N in (1, 2, 3, 4) for k in (1, 2) for p in (2, 3, 5)]
 
