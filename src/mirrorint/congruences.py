@@ -22,11 +22,11 @@ from typing import Callable, Iterable, Iterator
 from .constants import omega, xi
 from .harmonic import (
     ModularHarmonicSum,
+    _weight_stops,
     _wolstenholme_pairing,
     _wolstenholme_scan,
     harmonic_scaled,
     scaled_weight,
-    vp_scaled,
 )
 from .padic import (
     INFINITE,
@@ -183,13 +183,17 @@ def check_dwork_S(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Mem
     return Membership(achieved=vp_int(value, p), required=required)
 
 
-def _level_gap(h: list[int], N: int, p: int, m: int, s: int, shifted: bool) -> int:
+def _levels(p: int, m: int, s: int) -> tuple[int, int]:
+    # The two weight indices of a level gap: m p^s and floor(m/p) p^(s+1).
+    return m * p**s, (m // p) * p ** (s + 1)
+
+
+def _level_gap(h: dict[int, int], N: int, p: int, m: int, s: int, shifted: bool) -> int:
     """S (w(m p^s) - w(floor(m/p) p^(s+1))) for the harmonic weight w of
-    harmonic_weight(N, ., shifted), read off a table h of scale S that
-    covers N m p^s."""
-    return scaled_weight(h, N, m * p**s, shifted) - scaled_weight(
-        h, N, (m // p) * p ** (s + 1), shifted
-    )
+    harmonic_weight(N, ., shifted), read off a table h of scale S that holds
+    _weight_stops(N, _levels(p, m, s), shifted)."""
+    hi, lo = _levels(p, m, s)
+    return scaled_weight(h, N, hi, shifted) - scaled_weight(h, N, lo, shifted)
 
 
 def Y_term(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Fraction:
@@ -197,7 +201,7 @@ def Y_term(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Fraction:
     value = S_sum(N, k, p, a, K, s, m)
     if value == 0:
         return Fraction(0)
-    h, S = harmonic_scaled(N * m * p**s)
+    h, S = harmonic_scaled(_weight_stops(N, _levels(p, m, s), False))
     return Fraction(_level_gap(h, N, p, m, s, False) * value, S)
 
 
@@ -234,16 +238,16 @@ def check_decomposition(
         r = _depth(p, K)
     elif K >= p**r:
         raise ValueError(f"r must satisfy K < p^r (minimal r is {_depth(p, K)})")
-    h, S = harmonic_scaled(N * K)
+    h, S = harmonic_scaled(_weight_stops(N, range(K + 1), False))
     return _decomposition(big_B_sequence(N, k, a + K * p), h, S, N, p, a, K, r)
 
 
 def _decomposition(
-    b: list[int], h: list[int], S: int, N: int, p: int, a: int, K: int, r: int
+    b: list[int], h: dict[int, int], S: int, N: int, p: int, a: int, K: int, r: int
 ) -> DecompositionCheck:
     # check_decomposition at depth r, off a B row b that reaches a + K p
-    # and a table h of scale S that reaches N K: an S-sum vanishes for
-    # m p^s > K, so no index read is larger.
+    # and a table h of scale S that holds N j for j <= K: an S-sum vanishes
+    # for m p^s > K, so no index read is larger.
     P = _S_prefix(b, p, a, K)
     sums = [Fraction(sum(h[N * j] * (P[j + 1] - P[j]) for j in range(K + 1)), S)]
     for depth in (r, r + 1):
@@ -278,15 +282,16 @@ def check_lemma12(
             raise ValueError("the a=1, j=0 variant requires K >= 1")
     else:
         K = 0  # only the variant reads K
-    achieved = _lemma12(harmonic_scaled(N * j + N * a // p)[0], p, N, k, a, j, K)
+    h, S = harmonic_scaled([N * j + N * a // p, N * j])
+    achieved = _lemma12(h, p, N, k, a, j, K) - vp_int(S, p)
     return Membership(achieved, 1 + _required_vp(WHICH_XI, N, k, p))
 
 
-def _lemma12(h: list[int], p: int, N: int, k: int, a: int, j: int, K: int = 0) -> int | float:
-    # check_lemma12's achieved valuation, off a table h that reaches
-    # N j + floor(N a / p). The variant is the general term times B(K), so
-    # K = 0 (B(0) = 1) gives the general term.
-    gap = vp_scaled(h[N * j + N * a // p] - h[N * j], p, len(h) - 1)
+def _lemma12(h: dict[int, int], p: int, N: int, k: int, a: int, j: int, K: int = 0) -> int | float:
+    # check_lemma12's achieved valuation plus v_p(S), off a table h of scale
+    # S that holds N j + floor(N a / p) and N j. The variant is the general
+    # term times B(K), so K = 0 (B(0) = 1) gives the general term.
+    gap = vp_int(h[N * j + N * a // p] - h[N * j], p)
     return vp_big_B(N, k, a + p * j, p) + vp_big_B(N, k, K, p) + gap
 
 
@@ -296,19 +301,22 @@ def check_lemma11(
     """Membership of B(m) (H_{N m p^s} - H_{N floor(m/p) p^(s+1)}) in
     p^(-s) * xi(N) * N!^k * Z_p; the shifted variant subtracts the plain
     harmonic differences and uses omega(N)."""
-    if N < 1 or k < 1 or m < 0 or s < 0:
-        raise ValueError("invalid parameters")
-    if which == WHICH_OMEGA and N < 2:
+    if N < 1 or k < 1:
+        raise ValueError("N and k must be positive integers")
+    if m < 0 or s < 0:
+        raise ValueError("m and s must be non-negative")
+    shifted = which == WHICH_OMEGA
+    if shifted and N < 2:
         raise ValueError("the shifted variant requires N >= 2")
     required = _required_vp(which, N, k, p) - s
-    h, _ = harmonic_scaled(N * m * p**s)
-    return Membership(_lemma11(h, p, N, k, m, s, which == WHICH_OMEGA), required)
+    h, S = harmonic_scaled(_weight_stops(N, _levels(p, m, s), shifted))
+    return Membership(_lemma11(h, p, N, k, m, s, shifted) - vp_int(S, p), required)
 
 
-def _lemma11(h: list[int], p: int, N: int, k: int, m: int, s: int, shifted: bool) -> int | float:
-    # check_lemma11's achieved valuation, off a table h that covers N m p^s.
-    gap = _level_gap(h, N, p, m, s, shifted)
-    return vp_big_B(N, k, m, p) + vp_scaled(gap, p, len(h) - 1)
+def _lemma11(h: dict[int, int], p: int, N: int, k: int, m: int, s: int, shifted: bool) -> int | float:
+    # check_lemma11's achieved valuation plus v_p(S), off a table h of scale
+    # S that holds the entries _level_gap reads.
+    return vp_big_B(N, k, m, p) + vp_int(_level_gap(h, N, p, m, s, shifted), p)
 
 
 def optimality_witness(N: int, p: int, shifted: bool = False) -> tuple[int, int]:
@@ -326,11 +334,11 @@ def optimality_witness(N: int, p: int, shifted: bool = False) -> tuple[int, int]
 
 def _witnesses(N: int, primes: list[int], shifted: bool) -> Iterator[tuple[int, int]]:
     # optimality_witness at each prime of the ascending list `primes`, off
-    # one table up to N a at the last.
+    # one table holding the entries of every witness index.
     indices = [1 if N == 1 else -(-p // N) for p in primes]
-    h, _ = harmonic_scaled(N * max(indices, default=0))
+    h, S = harmonic_scaled(_weight_stops(N, indices, shifted))
     for p, a in zip(primes, indices):
-        yield a, vp_big_B(N, 1, a, p) + vp_scaled(scaled_weight(h, N, a, shifted), p, len(h) - 1)
+        yield a, vp_big_B(N, 1, a, p) + vp_int(scaled_weight(h, N, a, shifted), p) - vp_int(S, p)
 
 
 @dataclass(frozen=True)
@@ -438,9 +446,9 @@ def _pNk(grid: dict) -> Iterator[tuple[int, int, range]]:
 # The rows below are generators, so the CLI can take the first row before
 # it opens --out. Each builds a table per outer point and drops it (`del`)
 # before the next point builds its own, so no two tables of a kind are live
-# at once. A valuation v_p(x / S), for x off a harmonic table of scale
-# S = lcm(1..T), is read as v_p(x) plus v_p(1 / S) = vp_scaled(1, p, T),
-# once per point.
+# at once. A harmonic table holds the entries its rows read: a range for the
+# dense readers, the entries each row names for lemma11 and witness. Each
+# v_p(x / S) of an entry x is v_p(x) - v_p(S), with v_p(S) read per prime.
 
 
 def _theorem_rows(grid: dict) -> Iterator[Row]:
@@ -450,8 +458,8 @@ def _theorem_rows(grid: dict) -> Iterator[Row]:
     top = max(summax, 0)
     for p, N, ks in _pNk(grid):
         for k in ks:
-            b, bw, _ = _weighted_row(N, N, k, top, which == WHICH_OMEGA)
-            required = 1 + _required_vp(which, N, k, p) - vp_scaled(1, p, N * top)
+            b, bw, S = _weighted_row(N, N, k, top, which == WHICH_OMEGA)
+            required = 1 + _required_vp(which, N, k, p) + vp_int(S, p)
             for a in range(p):
                 for K, value in enumerate(_dwork_difference(b, bw, p, range(a, summax + 1, p))):
                     yield *_verdict(vp_int(value, p) - required), K, N, a, k, p, which
@@ -490,10 +498,9 @@ def _yms_rows(grid: dict) -> Iterator[Row]:
     # check_Y at every (p, N, k, a, K, s, m). A nonzero S-sum has
     # m p^s <= K, so its level gap reads one table per (p, N) up to N Kmax.
     for p, N, ks in _pNk(grid):
-        top = N * max(grid["Kmax"], 0)
-        h, _ = harmonic_scaled(top)
+        h, S = harmonic_scaled(_weight_stops(N, range(grid["Kmax"] + 1), False))
         for k in ks:
-            required = 1 + _required_vp(WHICH_XI, N, k, p) - vp_scaled(1, p, top)
+            required = 1 + _required_vp(WHICH_XI, N, k, p) + vp_int(S, p)
             yield from _S_rows_at(
                 grid, p, N, k, lambda s, m: required - vp_int(_level_gap(h, N, p, m, s, False), p)
             )
@@ -508,7 +515,7 @@ def _decomposition_rows(grid: dict) -> Iterator[Row]:
     top = max(Ks, default=0)
     for p, N, ks in _pNk(grid):
         _validate_core(N, ks[0], p, 0, top)  # --K may be negative
-        h, S = harmonic_scaled(N * top)
+        h, S = harmonic_scaled(_weight_stops(N, range(top + 1), False))
         for k in ks:
             b = big_B_sequence(N, k, p - 1 + top * p)
             for a in range(p):
@@ -521,15 +528,17 @@ def _decomposition_rows(grid: dict) -> Iterator[Row]:
 
 def _lemma11_rows(grid: dict) -> Iterator[Row]:
     # check_lemma11 at every (p, N, k), then m <= mmax, then s <= smax, off
-    # one table per (p, N) up to the largest N m p^s.
+    # one table per (p, N) holding the entries of every (m, s).
     which = grid["which"]
+    shifted = which == WHICH_OMEGA
     ms = [(m, s) for m in range(grid["mmax"] + 1) for s in range(grid["smax"] + 1)]
     for p, N, ks in _pNk(grid):
-        h, _ = harmonic_scaled(N * max((m * p**s for m, s in ms), default=0))
+        ns = [n for m, s in ms for n in _levels(p, m, s)]
+        h, S = harmonic_scaled(_weight_stops(N, ns, shifted))
         for k in ks:
-            required = _required_vp(which, N, k, p)
+            required = _required_vp(which, N, k, p) + vp_int(S, p)
             for m, s in ms:
-                margin = _lemma11(h, p, N, k, m, s, which == WHICH_OMEGA) - required + s
+                margin = _lemma11(h, p, N, k, m, s, shifted) - required + s
                 yield *_verdict(margin), N, k, m, p, s, which
         del h
 
@@ -541,9 +550,9 @@ def _lemma12_rows(grid: dict) -> Iterator[Row]:
     # their params, so `head` is (K,) on them and () on the others.
     jmax = grid["jmax"]
     for p, N, ks in _pNk(grid):
-        h, _ = harmonic_scaled(max(N * jmax + N * (p - 1) // p, N // p))
+        h, S = harmonic_scaled(range(max(N * jmax + N * (p - 1) // p, N // p) + 1))
         for k in ks:
-            required = 1 + _required_vp(WHICH_XI, N, k, p)
+            required = 1 + _required_vp(WHICH_XI, N, k, p) + vp_int(S, p)
             for a in range(p):
                 cells = [((K,), 0) for K in range(1, grid["Kmax"] + 1)] if a == 1 else []
                 for head, j in cells + [((), j) for j in range(a == 1, jmax + 1)]:
@@ -556,11 +565,9 @@ def _j_mod_p_rows(grid: dict) -> Iterator[Row]:
     # check_harmonic_congruence("J_mod_p", p, J=J) at every prime p <= pmax,
     # then 1 <= J <= Jmax, off one table.
     Jmax = grid["Jmax"]
-    if Jmax < 1:
-        return
-    h, _ = harmonic_scaled(Jmax)
-    for p in primes_upto(grid["pmax"]):
-        required = 1 - vp_scaled(1, p, Jmax)
+    h, S = harmonic_scaled(range(Jmax + 1))
+    for p in primes_upto(grid["pmax"]) if Jmax > 0 else ():
+        required = 1 + vp_int(S, p)
         for J in range(1, Jmax + 1):
             yield *_verdict(vp_int(p * h[J] - h[J // p], p) - required), J, p
 

@@ -13,8 +13,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .harmonic import _indicator, _walk, vp_scaled
-from .padic import primes_upto, require_prime
+from .harmonic import _indicator, _walk
+from .padic import primes_upto, require_prime, vp_int
 from .series import _int_str_digits
 
 BRANCH_CAP = "cap"
@@ -106,7 +106,7 @@ def _breakdown(N: int, shifted: bool) -> Breakdown:
     weight = x - S if shifted else x
     factors = []
     for p, ind in zip(primes, indicators):
-        v = vp_scaled(weight, p, N)
+        v = vp_int(weight, p) - vp_int(S, p)
         branch = BRANCH_CAP if 2 + ind <= v else BRANCH_VALUATION
         factors.append(PrimeFactor(p, min(2 + ind, v), ind, branch))
     product = _product((f.p, f.exponent) for f in factors)
@@ -191,7 +191,7 @@ def theta(L: int) -> int:
     den = S // math.gcd(x, S)
     product = 1
     for p in primes_upto(L):
-        v = vp_scaled(x, p, L)
+        v = vp_int(x, p) - vp_int(S, p)
         if v < 0:
             product *= p ** (-v)
     if product != den:

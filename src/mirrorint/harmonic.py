@@ -12,14 +12,14 @@ modular sum of inverses (a block sum, a jump's tail, the Wolstenholme
 pairing) goes through one kernel, _inverse_sum: the terms over one common
 denominator, and one modular inverse for the whole sum.
 
-The exact route is a table of integers, h[i] = S * H_i for i <= T with
-S = lcm(1..T), built afresh by each call for the indices it reads. Every
-harmonic weight H_a - c H_b is then the integer h[a] - c h[b] over S, and
-its valuation is v_p(h[a] - c h[b]) - v_p(S) with v_p(S) = floor(log_p T):
-no Fraction is added and no gcd runs per term. A caller that reads many
-indices builds one table up to the largest. harmonic, harmonic_weight,
-xi, omega, theta, vp_harmonic and a wide Wolstenholme sweep walk the same
-recurrence in one running sum S * H_n instead and keep no table (_walk).
+The exact route is a table of integers, h[n] = S * H_n with
+S = lcm(1..T), built afresh by each call and holding only the indices n
+its caller names, T the largest. Every harmonic weight H_a - c H_b is then
+the integer h[a] - c h[b] over S, and its valuation is
+v_p(h[a] - c h[b]) - v_p(S): no Fraction is added and no gcd runs per
+term. harmonic, harmonic_weight, xi, omega, theta, vp_harmonic and a wide
+Wolstenholme sweep walk the same recurrence in one running sum S * H_n
+whose S grows with n instead (_walk).
 """
 
 from __future__ import annotations
@@ -37,25 +37,18 @@ TARGET_H = "H"
 TARGET_H1 = "H1"
 
 
-def harmonic_scaled(n: int) -> tuple[list[int], int]:
-    """(h, S): a new list with h[i] = S * H_i for i <= n, and S = lcm(1..n)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    # Every i <= n/2 divides 2i, so the upper half of 1..n has the same lcm.
-    S = math.lcm(*range(n // 2 + 1, n + 1))
-    return list(accumulate((S // i for i in range(1, n + 1)), initial=0)), S
-
-
-def vp_scaled(x: int, p: int, top: int) -> int | float:
-    """v_p(x / S) with S = lcm(1..top): v_p(x) - floor(log_p top), INFINITE
-    for x = 0. x is read off _walk at n = top, or off a table h from
-    harmonic_scaled with top = len(h) - 1. Assumes p prime."""
-    v = vp_int(x, p)
-    q = p
-    while q <= top:
-        q *= p
-        v -= 1
-    return v
+def harmonic_scaled(stops: Iterable[int]) -> tuple[dict[int, int], int]:
+    """(h, S): a new dict with h[n] = S * H_n for exactly the n of
+    ``stops``, and S = lcm(1..T) with T the largest (S = 1 for none), off
+    one running sum of S / i to T that keeps only those entries."""
+    keep = set(stops)
+    if min(keep, default=0) < 0:
+        raise ValueError("stops must be non-negative")
+    top = max(keep, default=0)
+    # Every i <= top/2 divides 2i, so the upper half of 1..top has the same lcm.
+    S = math.lcm(*range(top // 2 + 1, top + 1))
+    sums = accumulate(map(S.__floordiv__, range(1, top + 1)), initial=0)
+    return {n: x for n, x in enumerate(sums) if n in keep}, S
 
 
 def harmonic(n: int) -> Fraction:
@@ -77,11 +70,16 @@ def harmonic_power(n: int, alpha: int) -> Fraction:
     return sum((Fraction(1, i**alpha) for i in range(1, n + 1)), Fraction(0))
 
 
-def scaled_weight(h: list[int], N: int, n: int, shifted: bool = False) -> int:
+def scaled_weight(h: dict[int, int], N: int, n: int, shifted: bool = False) -> int:
     """S times harmonic_weight(N, n, shifted), read off a table h from
-    harmonic_scaled that covers N n."""
+    harmonic_scaled that holds _weight_stops(N, [n], shifted)."""
     x = h[N * n]
     return x - h[n] if shifted else x
+
+
+def _weight_stops(N: int, ns: Iterable[int], shifted: bool) -> list[int]:
+    """The entries scaled_weight reads at each n of ``ns``: N n, and n when shifted."""
+    return [i for n in ns for i in ((N * n, n) if shifted else (N * n,))]
 
 
 def harmonic_weight(N: int, n: int, shifted: bool = False) -> Fraction:
@@ -106,7 +104,7 @@ def vp_harmonic(N: int, p: int, shifted: bool = False) -> int:
     if shifted and N == 1:
         raise ValueError("H_1 - 1 = 0; shifted valuation requires N >= 2")
     ((_, S, x),) = _walk([N])
-    return vp_scaled(x - S if shifted else x, p, N)
+    return vp_int(x - S if shifted else x, p) - vp_int(S, p)
 
 
 class ModularHarmonicSum:
@@ -413,7 +411,7 @@ def check_harmonic_congruence(
             if J is None or J < 1 or J % p**2:
                 raise ValueError("W3 requires J divisible by p^2")
             required = 5
-        h, _ = harmonic_scaled(J)
+        h, S = harmonic_scaled([J, J // p])
         value = p * h[J] - h[J // p]
         params = {"J": J}
     elif kind == "W1":
@@ -421,7 +419,7 @@ def check_harmonic_congruence(
             raise ValueError("W1 requires p >= 5")
         if r is None or r < 1:
             raise ValueError("W1 requires r >= 1")
-        h, _ = harmonic_scaled(r * p - 1)
+        h, S = harmonic_scaled([r * p - 1, r * p - p])
         value = h[r * p - 1] - h[r * p - p]
         required = 2
         params = {"r": r}
@@ -431,7 +429,7 @@ def check_harmonic_congruence(
         if N is None or N < 1:
             raise ValueError(f"{kind} requires N >= 1")
         shifted = kind == "congH2"
-        h, _ = harmonic_scaled(N * p)
+        h, S = harmonic_scaled(_weight_stops(N, [p, 1], shifted))
         value = p * scaled_weight(h, N, p, shifted) - scaled_weight(h, N, 1, shifted)
         required = 4
         predicted = bool(_indicator(p, N, shifted))
@@ -439,7 +437,7 @@ def check_harmonic_congruence(
     else:
         raise ValueError(f"unknown congruence kind {kind!r}")
 
-    achieved = vp_scaled(value, p, len(h) - 1)
+    achieved = vp_int(value, p) - vp_int(S, p)
     holds = achieved >= required
     matches = None if predicted is None else (holds == predicted)
     return HarmonicCongruence(

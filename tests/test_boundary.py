@@ -182,12 +182,12 @@ def test_no_module_keeps_a_growing_table(path):
 @given(st.integers(0, 120), st.integers(0, 120), st.data())
 @settings(max_examples=30, deadline=None)
 def test_mutated_harmonic_table_leaves_the_next_call_exact(n, n2, data):
-    h, _ = harmonic_scaled(n)
+    h, _ = harmonic_scaled(range(n + 1))
     h[data.draw(st.integers(0, n))] += 1
-    h.append(1)
-    h, S = harmonic_scaled(n2)
+    h[n + 1] = 1
+    h, S = harmonic_scaled(range(n2 + 1))
     H = accumulate((F(1, i) for i in range(1, n2 + 1)), initial=F(0))
-    assert [F(x, S) for x in h] == list(H)
+    assert [F(h[i], S) for i in range(n2 + 1)] == list(H) and len(h) == n2 + 1
 
 
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 15), st.integers(0, 15), st.data())
@@ -215,17 +215,23 @@ def test_mutated_B_row_leaves_the_next_call_exact(N, k, m_max, m_max2, data):
         ("wolstenholme", {"pmin": 3, "pmax": 60}),
         ("vp3-probe", {"p": (11,), "N": 848}),
         ("coeff-c", {"p": (3, 5), "N": 7, "mmax": 30}),
+        ("lemma11", {"p": (5,), "Nmax": 5, "kmax": 1, "mmax": 20, "smax": 2, "which": "Omega"}),
     ],
 )
 def test_one_table_per_block(monkeypatch, check, params):
     # Counted through congruences: harmonic_scaled runs at most once per
     # (p, N) point of the grid, and exactly once for j-mod-p; big_B_sequence
-    # and _required_vp at most once per (p, N, k) point.
+    # and _required_vp at most once per (p, N, k) point. A lemma11 table
+    # holds at most the four entries of each (m, s).
     calls = {"harmonic_scaled": 0, "big_B_sequence": 0, "_required_vp": 0}
+    entries = []
     for name in calls:
         def counting(*args, name=name, build=getattr(congruences, name)):
             calls[name] += 1
-            return build(*args)
+            built = build(*args)
+            if name == "harmonic_scaled":
+                entries.append(len(built[0]))
+            return built
 
         monkeypatch.setattr(congruences, name, counting)
     assert list(sweep(check, **params))
@@ -234,6 +240,8 @@ def test_one_table_per_block(monkeypatch, check, params):
     assert max(calls["big_B_sequence"], calls["_required_vp"]) <= pNk, (calls, pNk)
     if check == "j-mod-p":
         assert calls["harmonic_scaled"] == 1
+    if check == "lemma11":
+        assert max(entries) <= 4 * (params["mmax"] + 1) * (params["smax"] + 1), entries
 
 
 def outer_points(check, params):

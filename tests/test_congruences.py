@@ -3,7 +3,6 @@ import inspect
 import io
 import json
 import math
-import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -231,6 +230,19 @@ class TestLemma11:
     def test_omega_variant_requires_n2(self):
         with pytest.raises(ValueError):
             check_lemma11(1, 1, 3, 1, 0, "Omega")
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((0, 1, 3, 1, 0), "N and k must be positive integers"),
+            ((2, 0, 3, 1, 0), "N and k must be positive integers"),
+            ((2, 1, 3, -1, 0), "m and s must be non-negative"),
+            ((2, 1, 3, 1, -1), "m and s must be non-negative"),
+        ],
+    )
+    def test_bad_parameters_name_the_condition(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            check_lemma11(*args)
 
     def test_sweep_both_variants(self):
         for p in (2, 3, 5):
@@ -565,17 +577,19 @@ class TestSweepWalk:
 
     @pytest.mark.parametrize("which", [WHICH_XI, WHICH_OMEGA])
     def test_one_table_live_at_a_time(self, monkeypatch, which):
-        # Each (p, N) drops its table before the next one builds its own,
-        # so the sweep peaks near its largest table, not near two.
-        sizes = []
+        # Each (p, N) builds a table of the entries its rows read, at most
+        # 53 (Xi) or 92 (Omega) of them where every index up to
+        # N mmax p^smax = 2500 would be 2501, and drops it before the next
+        # one builds its own. So the whole sweep peaks under 256 KB.
+        entries = []
         build = congruences.harmonic_scaled
 
-        def measuring(n):
-            h, S = build(n)
-            sizes.append(sys.getsizeof(h) + sum(map(sys.getsizeof, h)))
+        def counting(stops):
+            h, S = build(stops)
+            entries.append(len(h))
             return h, S
 
-        monkeypatch.setattr(congruences, "harmonic_scaled", measuring)
+        monkeypatch.setattr(congruences, "harmonic_scaled", counting)
         rows = sweep("lemma11", mmax=20, which=which)
         tracemalloc.start()
         try:
@@ -584,7 +598,8 @@ class TestSweepWalk:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.3 * max(sizes), (peak, max(sizes))
+        assert max(entries) <= {WHICH_XI: 53, WHICH_OMEGA: 92}[which], entries
+        assert peak < 256 * 1024, peak
 
 
 SMALL_PRIMES = st.sampled_from((2, 3, 5, 7))

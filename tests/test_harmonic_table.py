@@ -45,10 +45,9 @@ from mirrorint.harmonic import (
     harmonic,
     harmonic_scaled,
     vp_harmonic,
-    vp_scaled,
     wolstenholme_valuation,
 )
-from mirrorint.padic import big_B, primes_upto, vp_rational
+from mirrorint.padic import big_B, primes_upto, vp_int, vp_rational
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -71,8 +70,8 @@ def w(N, n, shifted=False):
 def no_table(monkeypatch):
     """harmonic_scaled raises, from every module that calls it."""
 
-    def refuse(n):
-        raise AssertionError(f"harmonic_scaled({n}) was called")
+    def refuse(stops):
+        raise AssertionError(f"harmonic_scaled({stops}) was called")
 
     for module in (harmonic_module, congruences, series):
         monkeypatch.setattr(module, "harmonic_scaled", refuse)
@@ -82,23 +81,39 @@ class TestTableGrowth:
     @given(st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=10))
     @settings(max_examples=40, deadline=None)
     def test_any_request_order(self, requests):
-        # Each call's table covers its own n, whatever came before it.
+        # Each call's table of 0..n is exact, whatever came before it.
         for n in requests:
-            h, S = harmonic_scaled(n)
-            assert len(h) == n + 1
+            h, S = harmonic_scaled(range(n + 1))
+            assert sorted(h) == list(range(n + 1))
             assert S == math.lcm(*range(1, n + 1))
             assert all(h[i] == S * H(i) for i in range(n + 1))
             assert harmonic(n) == H(n)
 
+    @given(st.lists(st.integers(min_value=0, max_value=300), max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_holds_exactly_the_stops(self, stops):
+        # Any stops, empty, with 0, repeated or unsorted: exactly those
+        # keys, on the scale of the largest.
+        h, S = harmonic_scaled(stops)
+        assert set(h) == set(stops)
+        assert S == math.lcm(*range(1, max(stops, default=0) + 1))
+        assert all(h[n] == S * H(n) for n in stops)
+
+    def test_stops_may_be_any_iterable(self):
+        h, S = harmonic_scaled(n for n in (40, 6, 40, 0))
+        assert h == {0: 0, 6: S * H(6), 40: S * H(40)}
+        assert harmonic_scaled([]) == ({}, 1)
+        assert harmonic_scaled(range(0)) == ({}, 1)
+
     def test_entries_are_ints(self):
-        # bench/tracer.py reads .numerator and .denominator off the entries.
-        h, S = harmonic_scaled(40)
-        assert all(type(x) is int for x in h)
+        h, S = harmonic_scaled(range(41))
+        assert all(type(n) is int and type(x) is int for n, x in h.items())
         assert S == math.lcm(*range(1, 41))
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            harmonic_scaled(-1)
+        for stops in ([-1], [5, -1, 7], range(-3, 2)):
+            with pytest.raises(ValueError, match="stops must be non-negative"):
+                harmonic_scaled(stops)
 
     def test_vp_harmonic(self):
         for N in range(1, 60):
@@ -124,10 +139,10 @@ class TestWolstenholmeRoutes:
     # A single prime pairs, and no route reads a harmonic table.
     def test_grown_table_still_pairs_every_prime(self, no_table, pairing_calls):
         primes = [p for p in primes_upto(3000) if p >= 5]
-        h, _ = harmonic_scaled(3000)
+        h, S = harmonic_scaled([p - 1 for p in primes] + [3000])
         for p in primes:
             for cap in range(2, 6):
-                table = min(vp_scaled(h[p - 1], p, 3000), cap)
+                table = min(vp_int(h[p - 1], p) - vp_int(S, p), cap)
                 assert wolstenholme_valuation(p, cap) == table, (p, cap)
         assert pairing_calls == [p for p in primes for _ in range(2, 6)]
 
@@ -239,6 +254,38 @@ class TestWalk:
             "    return int(line[0].split()[1])\n"
             "before = peak()\n"
             "assert harmonic(20000).denominator % 19997 == 0\n"
+            "print(peak() - before)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 10 * 1024, done.stdout
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "congruences.check_lemma11(5, 1, 5, 160, 2)",
+            "congruences.check_lemma12(5, 1, 3, 2, 4000)",
+            "congruences.optimality_witness(5, 19997)",
+            "harmonic.check_harmonic_congruence('J_mod_p', 3, J=20000)",
+        ],
+    )
+    def test_per_point_check_at_20000_grows_under_10_mb(self, call):
+        # Each reads two to four entries of H_n up to n = 20000; a table of
+        # every entry would hold about 70 MB of integers.
+        code = (
+            "from mirrorint import congruences\n"
+            "import importlib\n"
+            "harmonic = importlib.import_module('mirrorint.harmonic')\n"
+            "def peak():\n"
+            "    line = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+            "    return int(line[0].split()[1])\n"
+            "before = peak()\n"
+            f"{call}\n"
             "print(peak() - before)\n"
         )
         env = dict(os.environ)
