@@ -22,11 +22,10 @@ from typing import Callable, Iterable, Iterator
 from .constants import omega, xi
 from .harmonic import (
     ModularHarmonicSum,
-    _weight_stops,
     _wolstenholme_pairing,
     _wolstenholme_scan,
     harmonic_scaled,
-    scaled_weight,
+    scaled_weights,
 )
 from .padic import (
     INFINITE,
@@ -188,12 +187,11 @@ def _levels(p: int, m: int, s: int) -> tuple[int, int]:
     return m * p**s, (m // p) * p ** (s + 1)
 
 
-def _level_gap(h: dict[int, int], N: int, p: int, m: int, s: int, shifted: bool) -> int:
-    """S (w(m p^s) - w(floor(m/p) p^(s+1))) for the harmonic weight w of
-    harmonic_weight(N, ., shifted), read off a table h of scale S that holds
-    _weight_stops(N, _levels(p, m, s), shifted)."""
+def _level_gap(w: dict[int, int], p: int, m: int, s: int) -> int:
+    """w[m p^s] - w[floor(m/p) p^(s+1)], off weights w from scaled_weights
+    that hold _levels(p, m, s)."""
     hi, lo = _levels(p, m, s)
-    return scaled_weight(h, N, hi, shifted) - scaled_weight(h, N, lo, shifted)
+    return w[hi] - w[lo]
 
 
 def Y_term(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Fraction:
@@ -201,8 +199,8 @@ def Y_term(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Fraction:
     value = S_sum(N, k, p, a, K, s, m)
     if value == 0:
         return Fraction(0)
-    h, S = harmonic_scaled(_weight_stops(N, _levels(p, m, s), False))
-    return Fraction(_level_gap(h, N, p, m, s, False) * value, S)
+    w, S = scaled_weights(N, _levels(p, m, s))
+    return Fraction(_level_gap(w, p, m, s) * value, S)
 
 
 def check_Y(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Membership:
@@ -238,21 +236,21 @@ def check_decomposition(
         r = _depth(p, K)
     elif K >= p**r:
         raise ValueError(f"r must satisfy K < p^r (minimal r is {_depth(p, K)})")
-    h, S = harmonic_scaled(_weight_stops(N, range(K + 1), False))
-    return _decomposition(big_B_sequence(N, k, a + K * p), h, S, N, p, a, K, r)
+    w, S = scaled_weights(N, range(K + 1))
+    return _decomposition(big_B_sequence(N, k, a + K * p), w, S, p, a, K, r)
 
 
 def _decomposition(
-    b: list[int], h: dict[int, int], S: int, N: int, p: int, a: int, K: int, r: int
+    b: list[int], w: dict[int, int], S: int, p: int, a: int, K: int, r: int
 ) -> DecompositionCheck:
     # check_decomposition at depth r, off a B row b that reaches a + K p
-    # and a table h of scale S that holds N j for j <= K: an S-sum vanishes
+    # and weights w of scale S that hold every j <= K: an S-sum vanishes
     # for m p^s > K, so no index read is larger.
     P = _S_prefix(b, p, a, K)
-    sums = [Fraction(sum(h[N * j] * (P[j + 1] - P[j]) for j in range(K + 1)), S)]
+    sums = [Fraction(sum(w[j] * (P[j + 1] - P[j]) for j in range(K + 1)), S)]
     for depth in (r, r + 1):
         total = sum(
-            _level_gap(h, N, p, m, s, False) * _S_read(P, p**s, m)
+            _level_gap(w, p, m, s) * _S_read(P, p**s, m)
             for s in range(depth + 1)
             for m in range(min(p ** (depth + 1 - s), K // p**s + 1))
         )
@@ -309,14 +307,14 @@ def check_lemma11(
     if shifted and N < 2:
         raise ValueError("the shifted variant requires N >= 2")
     required = _required_vp(which, N, k, p) - s
-    h, S = harmonic_scaled(_weight_stops(N, _levels(p, m, s), shifted))
-    return Membership(_lemma11(h, p, N, k, m, s, shifted) - vp_int(S, p), required)
+    w, S = scaled_weights(N, _levels(p, m, s), shifted)
+    return Membership(_lemma11(w, p, N, k, m, s) - vp_int(S, p), required)
 
 
-def _lemma11(h: dict[int, int], p: int, N: int, k: int, m: int, s: int, shifted: bool) -> int | float:
-    # check_lemma11's achieved valuation plus v_p(S), off a table h of scale
-    # S that holds the entries _level_gap reads.
-    return vp_big_B(N, k, m, p) + vp_int(_level_gap(h, N, p, m, s, shifted), p)
+def _lemma11(w: dict[int, int], p: int, N: int, k: int, m: int, s: int) -> int | float:
+    # check_lemma11's achieved valuation plus v_p(S), off weights w of
+    # scale S that hold the indices _level_gap reads.
+    return vp_big_B(N, k, m, p) + vp_int(_level_gap(w, p, m, s), p)
 
 
 def optimality_witness(N: int, p: int, shifted: bool = False) -> tuple[int, int]:
@@ -334,11 +332,11 @@ def optimality_witness(N: int, p: int, shifted: bool = False) -> tuple[int, int]
 
 def _witnesses(N: int, primes: list[int], shifted: bool) -> Iterator[tuple[int, int]]:
     # optimality_witness at each prime of the ascending list `primes`, off
-    # one table holding the entries of every witness index.
+    # the weights of every witness index.
     indices = [1 if N == 1 else -(-p // N) for p in primes]
-    h, S = harmonic_scaled(_weight_stops(N, indices, shifted))
+    w, S = scaled_weights(N, indices, shifted)
     for p, a in zip(primes, indices):
-        yield a, vp_big_B(N, 1, a, p) + vp_int(scaled_weight(h, N, a, shifted), p) - vp_int(S, p)
+        yield a, vp_big_B(N, 1, a, p) + vp_int(w[a], p) - vp_int(S, p)
 
 
 @dataclass(frozen=True)
@@ -446,8 +444,8 @@ def _pNk(grid: dict) -> Iterator[tuple[int, int, range]]:
 # The rows below are generators, so the CLI can take the first row before
 # it opens --out. Each builds a table per outer point and drops it (`del`)
 # before the next point builds its own, so no two tables of a kind are live
-# at once. A harmonic table holds the entries its rows read: a range for the
-# dense readers, the entries each row names for lemma11 and witness. Each
+# at once. The weight readers read w[n] off scaled_weights at the n their
+# rows name; lemma12 and j-mod-p read plain H_n off harmonic_scaled. Each
 # v_p(x / S) of an entry x is v_p(x) - v_p(S), with v_p(S) read per prime.
 
 
@@ -496,51 +494,50 @@ def _dwork_rows(grid: dict) -> Iterator[Row]:
 
 def _yms_rows(grid: dict) -> Iterator[Row]:
     # check_Y at every (p, N, k, a, K, s, m). A nonzero S-sum has
-    # m p^s <= K, so its level gap reads one table per (p, N) up to N Kmax.
+    # m p^s <= K, so its level gap reads the weights of one (p, N) to Kmax.
     for p, N, ks in _pNk(grid):
-        h, S = harmonic_scaled(_weight_stops(N, range(grid["Kmax"] + 1), False))
+        w, S = scaled_weights(N, range(grid["Kmax"] + 1))
         for k in ks:
             required = 1 + _required_vp(WHICH_XI, N, k, p) + vp_int(S, p)
             yield from _S_rows_at(
-                grid, p, N, k, lambda s, m: required - vp_int(_level_gap(h, N, p, m, s, False), p)
+                grid, p, N, k, lambda s, m: required - vp_int(_level_gap(w, p, m, s), p)
             )
-        del h
+        del w
 
 
 def _decomposition_rows(grid: dict) -> Iterator[Row]:
     # check_decomposition at every (p, N, k), then a < p, then K <= Kmax (or
-    # K = --K), off one table per (p, N) and one B row per (p, N, k), each
-    # up to the largest K.
+    # K = --K), off the weights of one (p, N) and one B row per (p, N, k),
+    # each up to the largest K.
     Ks = range(grid["Kmax"] + 1) if grid["K"] is None else (grid["K"],)
     top = max(Ks, default=0)
     for p, N, ks in _pNk(grid):
         _validate_core(N, ks[0], p, 0, top)  # --K may be negative
-        h, S = harmonic_scaled(_weight_stops(N, range(top + 1), False))
+        w, S = scaled_weights(N, range(top + 1))
         for k in ks:
             b = big_B_sequence(N, k, p - 1 + top * p)
             for a in range(p):
                 for K in Ks:
                     r = _depth(p, K)
-                    yield _decomposition(b, h, S, N, p, a, K, r).equal, None, K, N, a, k, p, r
+                    yield _decomposition(b, w, S, p, a, K, r).equal, None, K, N, a, k, p, r
             del b
-        del h
+        del w
 
 
 def _lemma11_rows(grid: dict) -> Iterator[Row]:
     # check_lemma11 at every (p, N, k), then m <= mmax, then s <= smax, off
-    # one table per (p, N) holding the entries of every (m, s).
+    # the weights of one (p, N) at both levels of every (m, s).
     which = grid["which"]
     shifted = which == WHICH_OMEGA
     ms = [(m, s) for m in range(grid["mmax"] + 1) for s in range(grid["smax"] + 1)]
     for p, N, ks in _pNk(grid):
-        ns = [n for m, s in ms for n in _levels(p, m, s)]
-        h, S = harmonic_scaled(_weight_stops(N, ns, shifted))
+        w, S = scaled_weights(N, (n for m, s in ms for n in _levels(p, m, s)), shifted)
         for k in ks:
             required = _required_vp(which, N, k, p) + vp_int(S, p)
             for m, s in ms:
-                margin = _lemma11(h, p, N, k, m, s, shifted) - required + s
+                margin = _lemma11(w, p, N, k, m, s) - required + s
                 yield *_verdict(margin), N, k, m, p, s, which
-        del h
+        del w
 
 
 def _lemma12_rows(grid: dict) -> Iterator[Row]:
@@ -573,8 +570,8 @@ def _j_mod_p_rows(grid: dict) -> Iterator[Row]:
 
 
 def _witness_rows(grid: dict) -> Iterator[Row]:
-    # optimality_witness at every N, then every prime N < p <= pmax, off one
-    # table per N.
+    # optimality_witness at every N, then every prime N < p <= pmax, off the
+    # weights of one N.
     which = grid["which"]
     for N in _Ns(grid):
         primes = [p for p in primes_upto(grid["pmax"]) if p > N]

@@ -14,12 +14,12 @@ denominator, and one modular inverse for the whole sum.
 
 The exact route is a table of integers, h[n] = S * H_n with
 S = lcm(1..T), built afresh by each call and holding only the indices n
-its caller names, T the largest. Every harmonic weight H_a - c H_b is then
-the integer h[a] - c h[b] over S, and its valuation is
-v_p(h[a] - c h[b]) - v_p(S): no Fraction is added and no gcd runs per
-term. harmonic, harmonic_weight, xi, omega, theta, vp_harmonic and a wide
-Wolstenholme sweep walk the same recurrence in one running sum S * H_n
-whose S grows with n instead (_walk).
+its caller names, T the largest. Every H_a - c H_b is then the integer
+h[a] - c h[b] over S, of valuation v_p(h[a] - c h[b]) - v_p(S): no
+Fraction is added and no gcd runs per term. scaled_weights alone reads the
+maps' weight H_{Nn} (- H_n when shifted) off it, keyed by n. harmonic,
+harmonic_weight, xi, omega, theta, vp_harmonic and a wide Wolstenholme
+sweep walk one running sum S * H_n whose S grows with n instead (_walk).
 """
 
 from __future__ import annotations
@@ -70,16 +70,13 @@ def harmonic_power(n: int, alpha: int) -> Fraction:
     return sum((Fraction(1, i**alpha) for i in range(1, n + 1)), Fraction(0))
 
 
-def scaled_weight(h: dict[int, int], N: int, n: int, shifted: bool = False) -> int:
-    """S times harmonic_weight(N, n, shifted), read off a table h from
-    harmonic_scaled that holds _weight_stops(N, [n], shifted)."""
-    x = h[N * n]
-    return x - h[n] if shifted else x
-
-
-def _weight_stops(N: int, ns: Iterable[int], shifted: bool) -> list[int]:
-    """The entries scaled_weight reads at each n of ``ns``: N n, and n when shifted."""
-    return [i for n in ns for i in ((N * n, n) if shifted else (N * n,))]
+def scaled_weights(N: int, ns: Iterable[int], shifted: bool = False) -> tuple[dict[int, int], int]:
+    """(w, S): a new dict with w[n] = S * harmonic_weight(N, n, shifted)
+    for exactly the n of ``ns``, off one harmonic_scaled table of the
+    entries N n (and n when shifted), S its scale."""
+    ns = set(ns)
+    h, S = harmonic_scaled([i for n in ns for i in ((N * n, n) if shifted else (N * n,))])
+    return {n: h[N * n] - h[n] if shifted else h[N * n] for n in ns}, S
 
 
 def harmonic_weight(N: int, n: int, shifted: bool = False) -> Fraction:
@@ -429,8 +426,8 @@ def check_harmonic_congruence(
         if N is None or N < 1:
             raise ValueError(f"{kind} requires N >= 1")
         shifted = kind == "congH2"
-        h, S = harmonic_scaled(_weight_stops(N, [p, 1], shifted))
-        value = p * scaled_weight(h, N, p, shifted) - scaled_weight(h, N, 1, shifted)
+        w, S = scaled_weights(N, [p, 1], shifted)
+        value = p * w[p] - w[1]
         required = 4
         predicted = bool(_indicator(p, N, shifted))
         params = {"N": N}

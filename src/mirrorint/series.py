@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
-from .harmonic import _weight_stops, harmonic_scaled, scaled_weight
+from .harmonic import scaled_weights
 from .padic import big_B_sequence, prime_divisors, require_prime, vp_int
 
 Coeff = Union[int, Fraction]
@@ -331,11 +331,11 @@ def _weighted_row(
 ) -> tuple[list[int], list[int], int]:
     """(b, bw, S): b[m] = ((Nm)!/m!^N)^k and bw[m] = S b[m] w(m) for
     m <= order, with w = harmonic_weight(L, ., shifted) and S = lcm(1..L
-    order) the scale of the harmonic table read. big_B_sequence checks N,
-    k and order before any table is built."""
+    order) the scale of scaled_weights. big_B_sequence checks N, k and
+    order before any weight is built."""
     b = big_B_sequence(N, k, order)
-    h, S = harmonic_scaled(_weight_stops(L, range(order + 1), shifted))
-    return b, [x * scaled_weight(h, L, m, shifted) for m, x in enumerate(b)], S
+    w, S = scaled_weights(L, range(order + 1), shifted)
+    return b, [x * w[m] for m, x in enumerate(b)], S
 
 
 def canonical_parts(
@@ -440,9 +440,10 @@ def max_root(s: PSeries) -> RootCertificate:
     So prime_divisors of the gcd strips the primes <= M within M trial
     divisors, and what is left divides V. Each listed prime is a prime
     <= M dividing c, or a prime above M dividing V; a prime above M with
-    e = 0 is not listed. Such a prime is found by trial division up to the
-    square root of V's part above M; canonical maps at order M >= 2N have
-    no such part (checked for N <= 8, k <= 3, M <= 20).
+    e = 0 is not listed. Trial division stops at a prime cofactor: V's part
+    above M costs one is_prime if it is a prime in [2^20, is_prime's limit),
+    and trial division at most to its square root otherwise. Canonical maps
+    at order M >= 2N have no such part (checked for N <= 8, k <= 3, M <= 20).
     """
     if s[0] != 1:
         raise ValueError("max_root requires constant term 1")

@@ -219,29 +219,33 @@ def test_mutated_B_row_leaves_the_next_call_exact(N, k, m_max, m_max2, data):
     ],
 )
 def test_one_table_per_block(monkeypatch, check, params):
-    # Counted through congruences: harmonic_scaled runs at most once per
-    # (p, N) point of the grid, and exactly once for j-mod-p; big_B_sequence
-    # and _required_vp at most once per (p, N, k) point. A lemma11 table
-    # holds at most the four entries of each (m, s).
-    calls = {"harmonic_scaled": 0, "big_B_sequence": 0, "_required_vp": 0}
+    # Counted through congruences: a harmonic table, by harmonic_scaled or
+    # under scaled_weights, is built at most once per (p, N) point of the
+    # grid, and exactly once for j-mod-p; big_B_sequence and _required_vp
+    # at most once per (p, N, k) point. Lemma11's weights hold at most the
+    # two levels of each (m, s).
+    calls = {
+        "harmonic_scaled": 0, "scaled_weights": 0, "big_B_sequence": 0, "_required_vp": 0
+    }
     entries = []
     for name in calls:
         def counting(*args, name=name, build=getattr(congruences, name)):
             calls[name] += 1
             built = build(*args)
-            if name == "harmonic_scaled":
+            if name == "scaled_weights":
                 entries.append(len(built[0]))
             return built
 
         monkeypatch.setattr(congruences, name, counting)
     assert list(sweep(check, **params))
     pN, pNk = outer_points(check, params)
-    assert calls["harmonic_scaled"] <= pN, (calls, pN)
+    tables = calls["harmonic_scaled"] + calls["scaled_weights"]
+    assert tables <= pN, (calls, pN)
     assert max(calls["big_B_sequence"], calls["_required_vp"]) <= pNk, (calls, pNk)
     if check == "j-mod-p":
-        assert calls["harmonic_scaled"] == 1
+        assert tables == 1
     if check == "lemma11":
-        assert max(entries) <= 4 * (params["mmax"] + 1) * (params["smax"] + 1), entries
+        assert max(entries) <= 2 * (params["mmax"] + 1) * (params["smax"] + 1), entries
 
 
 def outer_points(check, params):

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import inspect
 import io
 import json
@@ -42,6 +43,8 @@ from mirrorint.padic import INFINITE, big_B, primes_upto, vp_big_B, vp_rational
 from mirrorint.series import build_F, build_G, build_GL, build_Gtilde, ps_substitute_power
 from mirrorint.sieve import canonical_json
 
+# The package re-exports the function harmonic under the module's name.
+harmonic_module = importlib.import_module("mirrorint.harmonic")
 
 def series_coefficient_C(N, k, p, index, shifted=False):
     """Oracle: the coefficient of F(z) G(z^p) - p F(z^p) G(z) computed by
@@ -580,16 +583,17 @@ class TestSweepWalk:
         # Each (p, N) builds a table of the entries its rows read, at most
         # 53 (Xi) or 92 (Omega) of them where every index up to
         # N mmax p^smax = 2500 would be 2501, and drops it before the next
-        # one builds its own. So the whole sweep peaks under 256 KB.
+        # one builds its own. So the whole sweep peaks under 256 KB. The
+        # table is built under scaled_weights, so it is counted in harmonic.
         entries = []
-        build = congruences.harmonic_scaled
+        build = harmonic_module.harmonic_scaled
 
         def counting(stops):
             h, S = build(stops)
             entries.append(len(h))
             return h, S
 
-        monkeypatch.setattr(congruences, "harmonic_scaled", counting)
+        monkeypatch.setattr(harmonic_module, "harmonic_scaled", counting)
         rows = sweep("lemma11", mmax=20, which=which)
         tracemalloc.start()
         try:

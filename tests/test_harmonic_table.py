@@ -14,11 +14,12 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirrorint.congruences import (
     S_sum,
+    Y_term,
     check_decomposition,
     check_lemma11,
     check_lemma12,
@@ -44,10 +45,13 @@ from mirrorint.harmonic import (
     check_harmonic_congruence,
     harmonic,
     harmonic_scaled,
+    harmonic_weight,
+    scaled_weights,
     vp_harmonic,
     wolstenholme_valuation,
 )
 from mirrorint.padic import big_B, primes_upto, vp_int, vp_rational
+from mirrorint.series import build_G, build_GL, build_Gtilde, canonical_parts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -68,12 +72,13 @@ def w(N, n, shifted=False):
 
 @pytest.fixture
 def no_table(monkeypatch):
-    """harmonic_scaled raises, from every module that calls it."""
+    """harmonic_scaled raises, from every module that calls it: series
+    reads its table only under harmonic.scaled_weights."""
 
     def refuse(stops):
         raise AssertionError(f"harmonic_scaled({stops}) was called")
 
-    for module in (harmonic_module, congruences, series):
+    for module in (harmonic_module, congruences):
         monkeypatch.setattr(module, "harmonic_scaled", refuse)
 
 
@@ -121,6 +126,74 @@ class TestTableGrowth:
                 assert vp_harmonic(N, p) == vp_rational(H(N), p)
                 if N > 1:
                     assert vp_harmonic(N, p, shifted=True) == vp_rational(H(N) - 1, p)
+
+
+class TestScaledWeights:
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.booleans(),
+        st.lists(st.integers(min_value=0, max_value=40), max_size=8),
+        st.booleans(),
+    )
+    @example(3, False, [], False)
+    @example(3, True, [], True)
+    @settings(max_examples=80, deadline=None)
+    def test_weights_keyed_by_n(self, N, shifted, ns, as_generator):
+        # Any ns, empty, with 0, repeated or unsorted, list or generator:
+        # exactly those keys, on the scale of the table to N max(ns).
+        weights, S = scaled_weights(N, (n for n in ns) if as_generator else ns, shifted)
+        assert set(weights) == set(ns)
+        assert S == math.lcm(*range(1, N * max(ns, default=0) + 1))
+        for n in ns:
+            assert F(weights[n], S) == w(N, n, shifted) == harmonic_weight(N, n, shifted)
+
+    def test_negative_rejected(self):
+        for ns in ([-1], [5, -1, 7], range(-3, 2)):
+            for shifted in (False, True):
+                with pytest.raises(ValueError):
+                    scaled_weights(2, ns, shifted)
+
+    def test_every_weight_reader_takes_the_one_route(self, monkeypatch):
+        # A second read of the weight off a table would leave one of these
+        # running.
+        def refuse(*args):
+            raise AssertionError("scaled_weights was called")
+
+        for module in (harmonic_module, congruences, series):
+            monkeypatch.setattr(module, "scaled_weights", refuse)
+        readers = [
+            lambda: build_GL(3, 3, 1, 6),
+            lambda: build_G(3, 1, 6),
+            lambda: build_Gtilde(3, 1, 6),
+            lambda: canonical_parts("qLN", 3, 1, L=3, order=6),
+            lambda: canonical_parts("qN", 3, 1, order=6),
+            lambda: canonical_parts("qtilde", 3, 1, order=6),
+            lambda: coeff_C(4, 1, 3, 1, 2),
+            lambda: check_theorem_congruence(4, 1, 3, 1, 2, "Omega"),
+            lambda: Y_term(2, 1, 3, 1, 3, 0, 1),
+            lambda: check_decomposition(2, 1, 3, 1, 2),
+            lambda: check_lemma11(3, 1, 3, 6, 1, "Xi"),
+            lambda: check_lemma11(3, 1, 3, 6, 1, "Omega"),
+            lambda: optimality_witness(3, 7),
+            lambda: optimality_witness(3, 7, shifted=True),
+            lambda: check_harmonic_congruence("congH", 5, N=7),
+            lambda: check_harmonic_congruence("congH2", 5, N=7),
+            lambda: next(sweep("theorem-congruence")),
+            lambda: next(sweep("yms")),
+            lambda: next(sweep("decomposition")),
+            lambda: next(sweep("lemma11")),
+            lambda: next(sweep("lemma11", which="Omega")),
+            lambda: next(sweep("witness")),
+            lambda: next(sweep("witness", which="u")),
+        ]
+        for read in readers:
+            with pytest.raises(AssertionError, match="scaled_weights was called"):
+                read()
+        # The plain-H readers never take it.
+        check_lemma12(3, 1, 3, 2, 4)
+        check_lemma12(3, 1, 3, 1, 0, K=2)
+        check_harmonic_congruence("J_mod_p", 3, J=20)
+        assert list(sweep("lemma12", jmax=3)) and list(sweep("j-mod-p", pmax=7, Jmax=30))
 
 
 @pytest.fixture
