@@ -59,19 +59,19 @@ def primes_upto(n: int) -> list[int]:
 def prime_divisors(n: int) -> list[int]:
     """The distinct primes dividing n, ascending, by trial division that stops
     once the cofactor is prime: is_prime tests it whenever it changes, if it
-    is at least 2^20 (trial division is cheaper below) and below _MR_LIMIT."""
+    is below _MR_LIMIT."""
     if n == 0:
         raise ValueError("every prime divides 0")
     n = abs(n)
     primes = []
     d = 2
-    done = 1 << 20 <= n < _MR_LIMIT and is_prime(n)
+    done = n < _MR_LIMIT and is_prime(n)
     while not done and d * d <= n:
         if n % d == 0:
             primes.append(d)
             while n % d == 0:
                 n //= d
-            done = 1 << 20 <= n < _MR_LIMIT and is_prime(n)
+            done = n < _MR_LIMIT and is_prime(n)
         d += 1
     if n > 1:
         primes.append(n)

@@ -441,7 +441,7 @@ def max_root(s: PSeries) -> RootCertificate:
     divisors, and what is left divides V. Each listed prime is a prime
     <= M dividing c, or a prime above M dividing V; a prime above M with
     e = 0 is not listed. Trial division stops at a prime cofactor: V's part
-    above M costs one is_prime if it is a prime in [2^20, is_prime's limit),
+    above M costs one is_prime if it is a prime below is_prime's limit,
     and trial division at most to its square root otherwise. Canonical maps
     at order M >= 2N have no such part (checked for N <= 8, k <= 3, M <= 20).
     """

@@ -14,6 +14,7 @@ not once per row.
 """
 
 import ast
+import importlib
 import inspect
 from fractions import Fraction as F
 from itertools import accumulate
@@ -29,6 +30,8 @@ from mirrorint.congruences import SWEEPS, sweep
 from mirrorint.harmonic import harmonic_scaled
 from mirrorint.padic import big_B, big_B_sequence
 from mirrorint.series import PSeries
+
+harmonic_module = importlib.import_module("mirrorint.harmonic")
 
 # Valid arguments besides p, for every name in __all__ that takes p.
 VALID = {
@@ -219,33 +222,44 @@ def test_mutated_B_row_leaves_the_next_call_exact(N, k, m_max, m_max2, data):
     ],
 )
 def test_one_table_per_block(monkeypatch, check, params):
-    # Counted through congruences: a harmonic table, by harmonic_scaled or
-    # under scaled_weights, is built at most once per (p, N) point of the
-    # grid, and exactly once for j-mod-p; big_B_sequence and _required_vp
-    # at most once per (p, N, k) point. Lemma11's weights hold at most the
-    # two levels of each (m, s).
+    # Tables are counted at congruences.harmonic_scaled and, for those built
+    # under scaled_weights (through congruences or series), at
+    # harmonic.harmonic_scaled: at most one per (p, N) point of the grid,
+    # and exactly one for j-mod-p. big_B_sequence and _required_vp run at
+    # most once per (p, N, k) point. A lemma11 table holds at most the four
+    # entries of each (m, s), and its weights the two levels.
     calls = {
         "harmonic_scaled": 0, "scaled_weights": 0, "big_B_sequence": 0, "_required_vp": 0
     }
-    entries = []
+    tables, weights = [], []
     for name in calls:
         def counting(*args, name=name, build=getattr(congruences, name)):
             calls[name] += 1
             built = build(*args)
+            if name == "harmonic_scaled":
+                tables.append(len(built[0]))
             if name == "scaled_weights":
-                entries.append(len(built[0]))
+                weights.append(len(built[0]))
             return built
 
         monkeypatch.setattr(congruences, name, counting)
+
+    def counting_under_weights(stops):
+        built = harmonic_scaled(stops)
+        tables.append(len(built[0]))
+        return built
+
+    monkeypatch.setattr(harmonic_module, "harmonic_scaled", counting_under_weights)
     assert list(sweep(check, **params))
     pN, pNk = outer_points(check, params)
-    tables = calls["harmonic_scaled"] + calls["scaled_weights"]
-    assert tables <= pN, (calls, pN)
+    assert len(tables) <= pN, (calls, tables, pN)
     assert max(calls["big_B_sequence"], calls["_required_vp"]) <= pNk, (calls, pNk)
     if check == "j-mod-p":
-        assert tables == 1
+        assert len(tables) == 1
     if check == "lemma11":
-        assert max(entries) <= 2 * (params["mmax"] + 1) * (params["smax"] + 1), entries
+        points = (params["mmax"] + 1) * (params["smax"] + 1)
+        assert max(tables) <= 4 * points, tables
+        assert max(weights) <= 2 * points, weights
 
 
 def outer_points(check, params):

