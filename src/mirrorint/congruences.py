@@ -1,11 +1,11 @@
 """Coefficient-level congruences behind the integral-root theorems: the
 convolution sums C and C-tilde, Dwork's decomposition of their harmonic part
-into S-sums and Y-terms, per-lemma membership checks with explicit valuation
-margins, and the optimality witnesses showing the root constants are sharp.
+into S-sums and Y-terms, the lemma memberships, and the optimality witnesses
+showing the root constants are sharp, each read as a sweep over a grid.
 
-Membership checks never return a bare boolean: they carry the achieved and
-required valuations, because sharpness arguments are precisely about the
-margin (e.g. failure at exactly one extra power of p).
+A row never carries a bare boolean: it carries the margin of the achieved
+over the required valuation, because sharpness arguments are precisely about
+the margin (e.g. failure at exactly one extra power of p).
 
 p is checked where it enters: `sweep` checks each prime of its grid once,
 before any row, and every other function here takes p on trust.
@@ -42,22 +42,6 @@ WHICH_XI = "Xi"
 WHICH_OMEGA = "Omega"
 
 
-@dataclass(frozen=True)
-class Membership:
-    """v_p membership report: value in p^required * Z_p, with margin."""
-
-    achieved: int | float
-    required: int
-
-    @property
-    def margin(self) -> int | float:
-        return self.achieved - self.required
-
-    @property
-    def holds(self) -> bool:
-        return self.achieved >= self.required
-
-
 def _validate_core(N: int, k: int, p: int, a: int, K: int) -> None:
     if N < 1 or k < 1:
         raise ValueError("N and k must be positive integers")
@@ -80,12 +64,6 @@ def coeff_C(N: int, k: int, p: int, a: int, K: int, shifted: bool = False) -> Fr
     _validate_core(N, k, p, a, K)
     b, bw, S = _weighted_row(N, N, k, a + K * p, shifted)
     return Fraction(next(_dwork_difference(b, bw, p, [a + K * p])), S)
-
-
-def coeff_C_tilde(N: int, k: int, p: int, a: int, K: int) -> Fraction:
-    """Shifted analogue of coeff_C, with harmonic differences H_{Nm} - H_m;
-    the (a+Kp)-th coefficient of F(z) Gt(z^p) - p F(z^p) Gt(z)."""
-    return coeff_C(N, k, p, a, K, shifted=True)
 
 
 def coeff_C_valuations(
@@ -128,27 +106,13 @@ def coeff_C_valuations(
         yield (v - W, False) if v < W + v0 + cap else (v0 + cap, True)
 
 
-# v_p(xi(N) N!^k), or of omega(N) N!^k: what every membership check below is
+# v_p(xi(N) N!^k), or of omega(N) N!^k: what every membership row below is
 # measured against.
 def _required_vp(which: str, N: int, k: int, p: int) -> int:
     if which not in (WHICH_XI, WHICH_OMEGA):
         raise ValueError(f"which must be {WHICH_XI!r} or {WHICH_OMEGA!r}")
     breakdown = xi(N) if which == WHICH_XI else omega(N)
     return breakdown.exponent_of(p) + k * vp_big_B(N, 1, 1, p)  # B(1) = N!
-
-
-def check_theorem_congruence(
-    N: int, k: int, p: int, a: int, K: int, which: str = WHICH_XI
-) -> Membership:
-    """Membership of C(a+Kp) in p * xi(N) * N!^k * Z_p (or of the shifted sum
-    in p * omega(N) * N!^k * Z_p)."""
-    shifted = which == WHICH_OMEGA
-    if shifted and N < 2:
-        raise ValueError("the shifted variant requires N >= 2")
-    required = 1 + _required_vp(which, N, k, p)
-    c = coeff_C(N, k, p, a, K, shifted)
-    achieved = vp_int(c.numerator, p) - vp_int(c.denominator, p)
-    return Membership(achieved=achieved, required=required)
 
 
 def _S_prefix(b: list[int], p: int, a: int, K: int) -> list[int]:
@@ -165,23 +129,6 @@ def _S_read(P: list[int], q: int, m: int) -> int:
     return P[min((m + 1) * q, end)] - P[min(m * q, end)]
 
 
-def S_sum(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> int:
-    """sum_{j = m p^s .. (m+1) p^s - 1} of
-    B(a+jp) B(K-j) - B(j) B(a+(K-j)p), coefficients vanishing at negative
-    indices."""
-    _validate_core(N, k, p, a, K)
-    if s < 0 or m < 0:
-        raise ValueError("s and m must be non-negative")
-    return _S_read(_S_prefix(big_B_sequence(N, k, a + K * p), p, a, K), p**s, m)
-
-
-def check_dwork_S(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Membership:
-    """Membership of the S-sum in p^(s+1) B(m) Z_p."""
-    value = S_sum(N, k, p, a, K, s, m)
-    required = s + 1 + vp_big_B(N, k, m, p)
-    return Membership(achieved=vp_int(value, p), required=required)
-
-
 def _levels(p: int, m: int, s: int) -> tuple[int, int]:
     # The two weight indices of a level gap: m p^s and floor(m/p) p^(s+1).
     return m * p**s, (m // p) * p ** (s + 1)
@@ -192,23 +139,6 @@ def _level_gap(w: dict[int, int], p: int, m: int, s: int) -> int:
     that hold _levels(p, m, s)."""
     hi, lo = _levels(p, m, s)
     return w[hi] - w[lo]
-
-
-def Y_term(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Fraction:
-    """(H_{N m p^s} - H_{N floor(m/p) p^(s+1)}) * S(a, K, s, p, m)."""
-    value = S_sum(N, k, p, a, K, s, m)
-    if value == 0:
-        return Fraction(0)
-    w, S = scaled_weights(N, _levels(p, m, s))
-    return Fraction(_level_gap(w, p, m, s) * value, S)
-
-
-def check_Y(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Membership:
-    """Membership of the Y-term in p * xi(N) * N!^k * Z_p."""
-    y = Y_term(N, k, p, a, K, s, m)
-    required = 1 + _required_vp(WHICH_XI, N, k, p)
-    achieved = vp_int(y.numerator, p) - vp_int(y.denominator, p)
-    return Membership(achieved=achieved, required=required)
 
 
 @dataclass(frozen=True)
@@ -225,27 +155,14 @@ class DecompositionCheck:
         return self.lhs == self.rhs == self.rhs_next
 
 
-def check_decomposition(
-    N: int, k: int, p: int, a: int, K: int, r: int | None = None
-) -> DecompositionCheck:
-    """Identity between sum_j H_{Nj} (B(a+jp)B(K-j) - B(j)B(a+(K-j)p)) and
-    the double sum of Y-terms over s <= r, m < p^(r+1-s), for any r with
-    K < p^r; verified at r and again at r + 1."""
-    _validate_core(N, k, p, a, K)
-    if r is None:
-        r = _depth(p, K)
-    elif K >= p**r:
-        raise ValueError(f"r must satisfy K < p^r (minimal r is {_depth(p, K)})")
-    w, S = scaled_weights(N, range(K + 1))
-    return _decomposition(big_B_sequence(N, k, a + K * p), w, S, p, a, K, r)
-
-
 def _decomposition(
     b: list[int], w: dict[int, int], S: int, p: int, a: int, K: int, r: int
 ) -> DecompositionCheck:
-    # check_decomposition at depth r, off a B row b that reaches a + K p
-    # and weights w of scale S that hold every j <= K: an S-sum vanishes
-    # for m p^s > K, so no index read is larger.
+    # sum_j H_{Nj} (B(a+jp) B(K-j) - B(j) B(a+(K-j)p)) against the double
+    # sum of Y-terms over s <= depth, m < p^(depth+1-s), at depth r and
+    # r + 1 (any r with K < p^r). Off a B row b that reaches a + K p and
+    # weights w of scale S that hold every j <= K: an S-sum vanishes for
+    # m p^s > K, so no index read is larger.
     P = _S_prefix(b, p, a, K)
     sums = [Fraction(sum(w[j] * (P[j + 1] - P[j]) for j in range(K + 1)), S)]
     for depth in (r, r + 1):
@@ -266,73 +183,26 @@ def _depth(p: int, K: int) -> int:
     return r
 
 
-def check_lemma12(
-    N: int, k: int, p: int, a: int, j: int, K: int | None = None
-) -> Membership:
-    """Membership of B(a+pj) (H_{Nj + floor(Na/p)} - H_{Nj}) in
-    p * xi(N) * N!^k * Z_p; the (a=1, j=0) variant instead checks
-    B(1) B(K) H_{floor(N/p)} and requires K >= 1."""
-    _validate_core(N, k, p, a, max(K or 0, 0))
-    if j < 0:
-        raise ValueError("j must be non-negative")
-    if a == 1 and j == 0:
-        if K is None or K < 1:
-            raise ValueError("the a=1, j=0 variant requires K >= 1")
-    else:
-        K = 0  # only the variant reads K
-    h, S = harmonic_scaled([N * j + N * a // p, N * j])
-    achieved = _lemma12(h, p, N, k, a, j, K) - vp_int(S, p)
-    return Membership(achieved, 1 + _required_vp(WHICH_XI, N, k, p))
-
-
 def _lemma12(h: dict[int, int], p: int, N: int, k: int, a: int, j: int, K: int = 0) -> int | float:
-    # check_lemma12's achieved valuation plus v_p(S), off a table h of scale
-    # S that holds N j + floor(N a / p) and N j. The variant is the general
-    # term times B(K), so K = 0 (B(0) = 1) gives the general term.
+    # v_p(B(a+pj) (H_{Nj + floor(Na/p)} - H_{Nj})) plus v_p(S), off a table
+    # h of scale S that holds N j + floor(N a / p) and N j. The a = 1, j = 0
+    # variant is that term times B(K), so K = 0 (B(0) = 1) gives the
+    # general term.
     gap = vp_int(h[N * j + N * a // p] - h[N * j], p)
     return vp_big_B(N, k, a + p * j, p) + vp_big_B(N, k, K, p) + gap
 
 
-def check_lemma11(
-    N: int, k: int, p: int, m: int, s: int, which: str = WHICH_XI
-) -> Membership:
-    """Membership of B(m) (H_{N m p^s} - H_{N floor(m/p) p^(s+1)}) in
-    p^(-s) * xi(N) * N!^k * Z_p; the shifted variant subtracts the plain
-    harmonic differences and uses omega(N)."""
-    if N < 1 or k < 1:
-        raise ValueError("N and k must be positive integers")
-    if m < 0 or s < 0:
-        raise ValueError("m and s must be non-negative")
-    shifted = which == WHICH_OMEGA
-    if shifted and N < 2:
-        raise ValueError("the shifted variant requires N >= 2")
-    required = _required_vp(which, N, k, p) - s
-    w, S = scaled_weights(N, _levels(p, m, s), shifted)
-    return Membership(_lemma11(w, p, N, k, m, s) - vp_int(S, p), required)
-
-
 def _lemma11(w: dict[int, int], p: int, N: int, k: int, m: int, s: int) -> int | float:
-    # check_lemma11's achieved valuation plus v_p(S), off weights w of
-    # scale S that hold the indices _level_gap reads.
+    # v_p(B(m) (w(m p^s) - w(floor(m/p) p^(s+1)))) plus v_p(S), off
+    # weights w of scale S that hold the indices _level_gap reads.
     return vp_big_B(N, k, m, p) + vp_int(_level_gap(w, p, m, s), p)
 
 
-def optimality_witness(N: int, p: int, shifted: bool = False) -> tuple[int, int]:
-    """The witness a showing primes p > N cannot divide the maximal root:
-    a is minimal with a*N >= p (a = 1 when N = 1), and
-    v_p(B_N(a) * H_{Na}) = 0 (shifted: with H_{Na} - H_a). Returns (a, v)."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if p <= N:
-        raise ValueError("the witness construction requires p > N")
-    if shifted and N < 2:
-        raise ValueError("the shifted witness requires N >= 2")
-    return next(_witnesses(N, [p], shifted))
-
-
 def _witnesses(N: int, primes: list[int], shifted: bool) -> Iterator[tuple[int, int]]:
-    # optimality_witness at each prime of the ascending list `primes`, off
-    # the weights of every witness index.
+    # (a, v_p(B(a) w(a))) at each prime p > N of the ascending list
+    # `primes`, off the weights of every witness index: a is the least with
+    # a N >= p (a = 1 when N = 1), and v = 0 shows that p cannot divide the
+    # maximal root.
     indices = [1 if N == 1 else -(-p // N) for p in primes]
     w, S = scaled_weights(N, indices, shifted)
     for p, a in zip(primes, indices):
@@ -450,8 +320,9 @@ def _pNk(grid: dict) -> Iterator[tuple[int, int, range]]:
 
 
 def _theorem_rows(grid: dict) -> Iterator[Row]:
-    # check_theorem_congruence at every (p, N, k), then a < p and K with
-    # a + Kp <= summax, off one B row and one B w list up to summax.
+    # C(a+Kp) in p xi(N) N!^k Z_p (the shifted sum in p omega(N) N!^k Z_p)
+    # at every (p, N, k), then a < p and K with a + Kp <= summax, off one
+    # B row and one B w list up to summax.
     which, summax = grid["which"], grid["summax"]
     top = max(summax, 0)
     for p, N, ks in _pNk(grid):
@@ -484,8 +355,7 @@ def _S_rows_at(
 
 
 def _dwork_rows(grid: dict) -> Iterator[Row]:
-    # check_dwork_S at every (p, N, k, a, K, s, m): the S-sum in
-    # p^(s+1) B(m) Z_p.
+    # The S-sum in p^(s+1) B(m) Z_p at every (p, N, k, a, K, s, m).
     for p, N, ks in _pNk(grid):
         for k in ks:
             vB = [vp_big_B(N, k, m, p) for m in range(grid["Kmax"] + 1)]
@@ -493,8 +363,9 @@ def _dwork_rows(grid: dict) -> Iterator[Row]:
 
 
 def _yms_rows(grid: dict) -> Iterator[Row]:
-    # check_Y at every (p, N, k, a, K, s, m). A nonzero S-sum has
-    # m p^s <= K, so its level gap reads the weights of one (p, N) to Kmax.
+    # The Y-term, the S-sum times its level gap, in p xi(N) N!^k Z_p at
+    # every (p, N, k, a, K, s, m). A nonzero S-sum has m p^s <= K, so its
+    # level gap reads the weights of one (p, N) to Kmax.
     for p, N, ks in _pNk(grid):
         w, S = scaled_weights(N, range(grid["Kmax"] + 1))
         for k in ks:
@@ -506,7 +377,7 @@ def _yms_rows(grid: dict) -> Iterator[Row]:
 
 
 def _decomposition_rows(grid: dict) -> Iterator[Row]:
-    # check_decomposition at every (p, N, k), then a < p, then K <= Kmax (or
+    # _decomposition at every (p, N, k), then a < p, then K <= Kmax (or
     # K = --K), off the weights of one (p, N) and one B row per (p, N, k),
     # each up to the largest K.
     Ks = range(grid["Kmax"] + 1) if grid["K"] is None else (grid["K"],)
@@ -525,8 +396,10 @@ def _decomposition_rows(grid: dict) -> Iterator[Row]:
 
 
 def _lemma11_rows(grid: dict) -> Iterator[Row]:
-    # check_lemma11 at every (p, N, k), then m <= mmax, then s <= smax, off
-    # the weights of one (p, N) at both levels of every (m, s).
+    # B(m) (H_{N m p^s} - H_{N floor(m/p) p^(s+1)}) in p^(-s) xi(N) N!^k Z_p
+    # (shifted: less the plain harmonic differences, against omega(N)) at
+    # every (p, N, k), then m <= mmax, then s <= smax, off the weights of
+    # one (p, N) at both levels of every (m, s).
     which = grid["which"]
     shifted = which == WHICH_OMEGA
     ms = [(m, s) for m in range(grid["mmax"] + 1) for s in range(grid["smax"] + 1)]
@@ -541,10 +414,11 @@ def _lemma11_rows(grid: dict) -> Iterator[Row]:
 
 
 def _lemma12_rows(grid: dict) -> Iterator[Row]:
-    # check_lemma12 at every (p, N, k), then a < p, then j <= jmax, off one
-    # table per (p, N). At a = 1 the rows of the j = 0 variant, one per
-    # 1 <= K <= Kmax, come first and replace j = 0; only they have K in
-    # their params, so `head` is (K,) on them and () on the others.
+    # Lemma 12's term in p xi(N) N!^k Z_p at every (p, N, k), then a < p,
+    # then j <= jmax, off one table per (p, N). At a = 1 the rows of the
+    # j = 0 variant, B(1) B(K) H_{floor(N/p)}, one per 1 <= K <= Kmax, come
+    # first and replace j = 0; only they have K in their params, so `head`
+    # is (K,) on them and () on the others.
     jmax = grid["jmax"]
     for p, N, ks in _pNk(grid):
         h, S = harmonic_scaled(range(max(N * jmax + N * (p - 1) // p, N // p) + 1))
@@ -559,8 +433,8 @@ def _lemma12_rows(grid: dict) -> Iterator[Row]:
 
 
 def _j_mod_p_rows(grid: dict) -> Iterator[Row]:
-    # check_harmonic_congruence("J_mod_p", p, J=J) at every prime p <= pmax,
-    # then 1 <= J <= Jmax, off one table.
+    # v_p(p H_J - H_{floor(J/p)}) >= 1 at every prime p <= pmax, then
+    # 1 <= J <= Jmax, off one table.
     Jmax = grid["Jmax"]
     h, S = harmonic_scaled(range(Jmax + 1))
     for p in primes_upto(grid["pmax"]) if Jmax > 0 else ():
@@ -570,7 +444,7 @@ def _j_mod_p_rows(grid: dict) -> Iterator[Row]:
 
 
 def _witness_rows(grid: dict) -> Iterator[Row]:
-    # optimality_witness at every N, then every prime N < p <= pmax, off the
+    # The witness at every N, then every prime N < p <= pmax, off the
     # weights of one N.
     which = grid["which"]
     for N in _Ns(grid):

@@ -1,5 +1,5 @@
-"""Harmonic numbers H_n (and H_n^(a)), their p-adic valuations, Wolstenholme
-primes, and congruences relating p*H_J to H_{J/p}.
+"""Harmonic numbers H_n, their p-adic valuations, the maps' harmonic
+weights, and Wolstenholme primes.
 
 Two evaluation routes are provided on purpose: exact rationals (the oracle)
 and a modular route that tracks H_n in Z_p with just enough precision to
@@ -18,15 +18,14 @@ its caller names, T the largest. Every H_a - c H_b is then the integer
 h[a] - c h[b] over S, of valuation v_p(h[a] - c h[b]) - v_p(S): no
 Fraction is added and no gcd runs per term. scaled_weights alone reads the
 maps' weight H_{Nn} (- H_n when shifted) off it, keyed by n. harmonic,
-harmonic_weight, xi, omega, theta, vp_harmonic and a wide Wolstenholme
-sweep walk one running sum S * H_n whose S grows with n instead (_walk).
+xi, omega, theta, vp_harmonic and a wide Wolstenholme sweep walk one
+running sum S * H_n whose S grows with n instead (_walk).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
@@ -59,34 +58,15 @@ def harmonic(n: int) -> Fraction:
     return Fraction(x, S)
 
 
-def harmonic_power(n: int, alpha: int) -> Fraction:
-    """Exact H_n^(alpha) = sum_{i=1..n} 1/i^alpha."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if alpha < 1:
-        raise ValueError("alpha must be a positive integer")
-    if alpha == 1:
-        return harmonic(n)
-    return sum((Fraction(1, i**alpha) for i in range(1, n + 1)), Fraction(0))
-
-
 def scaled_weights(N: int, ns: Iterable[int], shifted: bool = False) -> tuple[dict[int, int], int]:
-    """(w, S): a new dict with w[n] = S * harmonic_weight(N, n, shifted)
-    for exactly the n of ``ns``, off one harmonic_scaled table of the
-    entries N n (and n when shifted), S its scale."""
+    """(w, S): a new dict with w[n] = S times the harmonic weight of B(n)
+    in the maps, for exactly the n of ``ns``: H_{Nn} for the q_L maps (at
+    L = N), or H_{Nn} - H_n for the Dwork-Kontsevich maps when shifted (at
+    n = 1, H_N and H_N - 1). Off one harmonic_scaled table of the entries
+    N n (and n when shifted), S its scale."""
     ns = set(ns)
     h, S = harmonic_scaled([i for n in ns for i in ((N * n, n) if shifted else (N * n,))])
     return {n: h[N * n] - h[n] if shifted else h[N * n] for n in ns}, S
-
-
-def harmonic_weight(N: int, n: int, shifted: bool = False) -> Fraction:
-    """The harmonic weight of B(n) in the maps: H_{Nn} for the q_L maps (at
-    L = N), or H_{Nn} - H_n for the Dwork-Kontsevich maps when shifted. At
-    n = 1 these are H_N and H_N - 1. One _walk stops at n and at N n."""
-    if N < 1 or n < 0:
-        raise ValueError("requires N >= 1 and n >= 0")
-    (_, s, y), (_, S, x) = _walk([n, N * n])
-    return Fraction(x - y * (S // s) if shifted else x, S)
 
 
 def vp_harmonic(N: int, p: int, shifted: bool = False) -> int:
@@ -352,98 +332,3 @@ def _indicator(p: int, N: int, shifted: bool, walked: int | None = None) -> int:
     if walked is not None:
         return 1 if _walked_valuation(walked, p, 3) >= 3 else 0
     return 1 if p >= 5 and _wolstenholme_pairing(p, 3) >= 3 else 0
-
-
-@dataclass(frozen=True)
-class HarmonicCongruence:
-    """Outcome of one congruence check, with the achieved valuation."""
-
-    kind: str
-    p: int
-    params: dict = field(compare=False)
-    achieved: int | float
-    required: int
-    holds: bool
-    predicted: bool | None = None
-    prediction_matches: bool | None = None
-
-
-def check_harmonic_congruence(
-    kind: str,
-    p: int,
-    *,
-    J: int | None = None,
-    r: int | None = None,
-    N: int | None = None,
-) -> HarmonicCongruence:
-    """Evaluate one of the p*H_J vs H_{J/p} congruence statements exactly.
-
-    Kinds:
-      J_mod_p  v_p(p*H_J - H_{floor(J/p)}) >= 1, any J >= 1
-      W1       v_p(H_{rp-1} - H_{rp-p}) >= 2, p >= 5
-      W2       p | J: >= 3 for p >= 5, >= 2 for p = 3
-      W3       p^2 | J, p >= 5: >= 5
-      congH    p >= 5: v_p(p*H_{pN} - H_N) >= 4 iff Wolstenholme or p | N
-      congH2   p >= 5: v_p(p*(H_{pN} - H_p) - (H_N - 1)) >= 4 iff
-               Wolstenholme or N = +-1 mod p
-
-    For congH/congH2 the report also carries the iff-criterion's prediction
-    and whether it matches the computed outcome. Assumes p prime.
-    """
-    predicted: bool | None = None
-    if kind in ("J_mod_p", "W2", "W3"):
-        if kind == "J_mod_p":
-            if J is None or J < 1:
-                raise ValueError("J_mod_p requires J >= 1")
-            required = 1
-        elif kind == "W2":
-            if p < 3:
-                raise ValueError("W2 requires p >= 3")
-            if J is None or J < 1 or J % p:
-                raise ValueError("W2 requires J divisible by p")
-            required = 3 if p >= 5 else 2
-        else:
-            if p < 5:
-                raise ValueError("W3 requires p >= 5")
-            if J is None or J < 1 or J % p**2:
-                raise ValueError("W3 requires J divisible by p^2")
-            required = 5
-        h, S = harmonic_scaled([J, J // p])
-        value = p * h[J] - h[J // p]
-        params = {"J": J}
-    elif kind == "W1":
-        if p < 5:
-            raise ValueError("W1 requires p >= 5")
-        if r is None or r < 1:
-            raise ValueError("W1 requires r >= 1")
-        h, S = harmonic_scaled([r * p - 1, r * p - p])
-        value = h[r * p - 1] - h[r * p - p]
-        required = 2
-        params = {"r": r}
-    elif kind in ("congH", "congH2"):
-        if p < 5:
-            raise ValueError(f"{kind} requires p >= 5")
-        if N is None or N < 1:
-            raise ValueError(f"{kind} requires N >= 1")
-        shifted = kind == "congH2"
-        w, S = scaled_weights(N, [p, 1], shifted)
-        value = p * w[p] - w[1]
-        required = 4
-        predicted = bool(_indicator(p, N, shifted))
-        params = {"N": N}
-    else:
-        raise ValueError(f"unknown congruence kind {kind!r}")
-
-    achieved = vp_int(value, p) - vp_int(S, p)
-    holds = achieved >= required
-    matches = None if predicted is None else (holds == predicted)
-    return HarmonicCongruence(
-        kind=kind,
-        p=p,
-        params=params,
-        achieved=achieved,
-        required=required,
-        holds=holds,
-        predicted=predicted,
-        prediction_matches=matches,
-    )

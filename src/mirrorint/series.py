@@ -65,20 +65,6 @@ class PSeries:
             raise ValueError("cannot extend a truncated series")
         return PSeries(self._c[: order + 1])
 
-    def shift_up(self, n: int = 1) -> "PSeries":
-        """Multiply by z^n (knowledge extends to order + n)."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        return PSeries((Fraction(0),) * n + self._c)
-
-    def shift_down(self, n: int = 1) -> "PSeries":
-        """Divide by z^n; the lowest n coefficients must vanish."""
-        if any(self._c[i] for i in range(min(n, len(self._c)))):
-            raise ValueError("series is not divisible by z^n")
-        if n > self.order:
-            raise ValueError("shift exceeds the truncation order")
-        return PSeries(self._c[n:])
-
     def _coerce(self, other) -> "PSeries | None":
         if isinstance(other, PSeries):
             return other
@@ -253,18 +239,6 @@ def ps_pow(s: PSeries, exponent: Coeff) -> PSeries:
     return ps_exp(ps_log(s) * Fraction(exponent))
 
 
-def ps_substitute_power(s: PSeries, m: int) -> PSeries:
-    """s(z^m). Knowing s to order M determines the result to order
-    (M+1)*m - 1: intermediate indices are exactly zero."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    new_order = (s.order + 1) * m - 1
-    out = [Fraction(0)] * (new_order + 1)
-    for i, x in enumerate(s.coefficients):
-        out[i * m] = x
-    return PSeries(out)
-
-
 def ps_revert(s: PSeries) -> PSeries:
     """Compositional inverse of s = z + O(z^2) with unit linear coefficient,
     by Lagrange inversion: [q^n] inverse = (1/n) [z^(n-1)] (z/s)^n."""
@@ -285,15 +259,6 @@ def integrality_check(s: PSeries) -> int | None:
     coefficient up to the order is an integer."""
     for i, x in enumerate(s.coefficients):
         if x.denominator != 1:
-            return i
-    return None
-
-
-def p_integral_violation(s: PSeries, p: int) -> int | None:
-    """Index of the first coefficient with v_p < 0, or None; assumes p
-    prime. The tests' oracle for p-integrality of a root."""
-    for i, x in enumerate(s.coefficients):
-        if x.denominator % p == 0:
             return i
     return None
 
@@ -321,7 +286,7 @@ def build_Gtilde(N: int, k: int, order: int) -> PSeries:
 
 
 def _build_weighted(L: int, N: int, k: int, order: int, shifted: bool) -> PSeries:
-    # sum_{m>=1} harmonic_weight(L, m, shifted) ((Nm)!/m!^N)^k z^m
+    # sum_{m>=1} w(m) ((Nm)!/m!^N)^k z^m, w(m) from scaled_weights(L, ., shifted)
     _, bw, S = _weighted_row(L, N, k, order, shifted)
     return PSeries([Fraction(x, S) for x in bw])
 
@@ -330,9 +295,9 @@ def _weighted_row(
     L: int, N: int, k: int, order: int, shifted: bool
 ) -> tuple[list[int], list[int], int]:
     """(b, bw, S): b[m] = ((Nm)!/m!^N)^k and bw[m] = S b[m] w(m) for
-    m <= order, with w = harmonic_weight(L, ., shifted) and S = lcm(1..L
-    order) the scale of scaled_weights. big_B_sequence checks N, k and
-    order before any weight is built."""
+    m <= order, with S w the weights of scaled_weights(L, ., shifted) and
+    S = lcm(1..L order) their scale. big_B_sequence checks N, k and order
+    before any weight is built."""
     b = big_B_sequence(N, k, order)
     w, S = scaled_weights(L, range(order + 1), shifted)
     return b, [x * w[m] for m, x in enumerate(b)], S
@@ -346,11 +311,15 @@ def canonical_parts(
     qLN     G_L / F = log q_L, requires L
     qN      G / F = log(z^{-1} q(z))
     qtilde  G-tilde / F = log((z^{-1} q(z))^{1/kN})
+
+    Only qLN reads L, so the other kinds reject one.
     """
     if kind == KIND_QLN:
         if L is None:
             raise ValueError("qLN requires L")
         g = build_GL(L, N, k, order)
+    elif L is not None and kind in CANONICAL_KINDS:
+        raise ValueError(f"{kind} takes no L; only qLN reads it")
     elif kind == KIND_QN:
         g = build_G(N, k, order)
     elif kind == KIND_QTILDE:
@@ -562,13 +531,3 @@ def dwork_criterion(
     values = enumerate(_dwork_difference(fq, Gq, p, range(1, m + 1)), 1)
     i = next((i for i, x in values if x % q), None)
     return i is None, i
-
-
-def verify_truemap_identity(N: int, k: int, order: int) -> bool:
-    """Coefficientwise check that z^{-1} q(z) equals
-    (q_{L=N} / q_{L=1})^{kN} up to the truncation order."""
-    lhs = canonical_q(KIND_QN, N, k, order=order)
-    q_nn = canonical_q(KIND_QLN, N, k, L=N, order=order)
-    q_1n = canonical_q(KIND_QLN, N, k, L=1, order=order)
-    rhs = ps_pow(q_nn, k * N) * ps_pow(q_1n, -k * N)
-    return lhs == rhs

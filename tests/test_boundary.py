@@ -1,4 +1,4 @@
-"""Two boundaries of the package.
+"""Three boundaries of the package.
 
 p is checked where it enters the program, and nowhere below that. Every
 public callable that takes a prime p rejects a non-prime with ValueError. A
@@ -11,6 +11,11 @@ No table outlives a call. No module keeps state between calls, so no
 result depends on the calls before it. A sweep builds each harmonic table
 once per (p, N), and each B row and required valuation once per (p, N, k),
 not once per row.
+
+No code without a caller. Every function, class and method in the package
+is reached from the CLI, a module-level statement, mirrorint.__all__ or a
+name kept on purpose (KEEP); code that only tests use lives in
+tests/oracles.py.
 """
 
 import ast
@@ -180,6 +185,107 @@ def test_unbounded_state_scan(source, found):
 )
 def test_no_module_keeps_a_growing_table(path):
     assert module_state(path.read_text()) == []
+
+
+def _reads(nodes):
+    # The names that nodes read: Name ids and Attribute attrs. A docstring is
+    # a string, so a name that appears only in one is not read.
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for root in nodes
+        for node in ast.walk(root)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreached(sources, roots):
+    """The top-level functions and classes, and non-dunder methods, of
+    ``sources`` (module name -> source) that nothing reaches from the names
+    ``roots`` and the module-level statements.
+
+    Names resolve by name alone: a name read by a reached definition reaches
+    every definition of that name, in any module, and a method is reached
+    once its class is. A class reads its bases, decorators, class-level
+    statements and dunder methods, which run without being named."""
+    defs = {}  # key -> (name, class key or None, the names it reads)
+    read = set(roots)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+                read |= _reads([node])
+                continue
+            key = f"{module}.{node.name}"
+            if not isinstance(node, ast.ClassDef):
+                defs[key] = node.name, None, _reads([node])
+                continue
+            own = [*node.decorator_list, *node.bases, *node.keywords]
+            for item in node.body:
+                if isinstance(item, _FUNCTIONS) and not _dunder(item.name):
+                    defs[f"{key}.{item.name}"] = item.name, key, _reads([item])
+                else:
+                    own.append(item)
+            defs[key] = node.name, None, _reads(own)
+    reached = set()
+    while True:
+        new = {
+            key
+            for key, (name, owner, _) in defs.items()
+            if key not in reached and name in read and (owner is None or owner in reached)
+        }
+        if not new:
+            return sorted(defs.keys() - reached)
+        reached |= new
+        for key in new:
+            read |= defs[key][2]
+
+
+@pytest.mark.parametrize(
+    "source,roots,flagged",
+    [
+        ("def main():\n    helper()\ndef helper(): pass\ndef orphan(): pass\n",
+         ("main",), ["m.orphan"]),
+        # Reached only through a method of a reached class.
+        ("class C:\n    def run(self):\n        return helper()\ndef helper(): pass\nC().run()\n",
+         (), []),
+        # Reached only through a module-level table.
+        ("def row(): pass\nTABLE = {'row': row}\n", (), []),
+        # A name in a docstring, or in a string, is not read.
+        ('def f():\n    """Calls g, like h."""\n    return "h"\n'
+         "def g(): pass\ndef h(): pass\nf()\n", (), ["m.g", "m.h"]),
+        # A method of a class nothing reaches is unreached, whoever reads its name.
+        ("class C:\n    def run(self): pass\nx.run()\n", (), ["m.C", "m.C.run"]),
+        # A method nothing names is unreached; a dunder method runs unnamed.
+        ("class C:\n    def __mul__(self, o):\n        return helper()\n"
+         "    def unused(self): pass\ndef helper(): pass\nC()\n", (), ["m.C.unused"]),
+    ],
+)
+def test_reachability_scan(source, roots, flagged):
+    assert unreached({"m": source}, roots) == flagged
+
+
+# Reached by tests only, and kept in the package by name.
+KEEP = (
+    "coeff_C",  # the exact reader of series._dwork_difference
+    "sweep",  # the library's generator of sweep rows, as the README shows
+    "max_root",  # the maximal root of a canonical map, for certify --root max
+    "ps_pow",  # a public helper for roots s^(1/V), and the tests' oracle
+    "ps_revert",  # the inverse mirror map z(q), for the instanton numbers
+)
+
+
+def test_every_definition_has_a_caller():
+    # A check the tests compare against lives in tests/oracles.py.
+    package = Path(mirrorint.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    roots = ("main", "console_main", *mirrorint.__all__, *KEEP)
+    assert unreached(sources, roots) == []
 
 
 @given(st.integers(0, 120), st.integers(0, 120), st.data())

@@ -139,6 +139,15 @@ class TestCertifyCommand:
         )
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("kind", ["qN", "qtilde"])
+    def test_L_rejected_where_unread(self, capsys, kind):
+        # Only qLN reads --L: another map exits 2 before any output, as a
+        # sweep does on a flag its check does not read.
+        code, out, err = run_cli(
+            capsys, "certify", "--map", kind, "--N", "3", "--L", "5", "--order", "10"
+        )
+        assert (code, out) == (2, "") and f"{kind} takes no L" in err
+
     def test_never_factors_the_root(self, capsys, monkeypatch):
         # A trial-division factoring of a 25-digit prime root would not end.
         def refuse(n):
@@ -236,8 +245,8 @@ class TestCertifyGolden:
 
 # The benchmark's constants commands, the xi(7) special case, the degenerate
 # u at N = 1, t with k = 2 and one --table command, with the exit code and
-# the SHA-256 of stdout recorded before both harmonic weights came from
-# harmonic_weight.
+# the SHA-256 of stdout recorded before the constants first read their
+# harmonic weight off a shared helper.
 CONSTANTS_GOLDEN = [
     ("--which xi --N 2500", 0, "5e0d2c4d5ef31b8143726122ba20d1deff8c076b7515c8f10cf67ee6eadee890"),
     ("--which omega --N 2500", 0, "fc7ba414170b27caba07b9cb7133efb29c1c5a5a6a2c816b19da973f1b05239c"),

@@ -17,31 +17,30 @@ from mirrorint.congruences import (
     SWEEPS,
     WHICH_OMEGA,
     WHICH_XI,
-    S_sum,
-    Y_term,
     _required_vp,
-    check_decomposition,
-    check_dwork_S,
-    check_lemma11,
-    check_lemma12,
-    check_theorem_congruence,
-    check_Y,
     coeff_C,
-    coeff_C_tilde,
     coeff_C_valuations,
-    optimality_witness,
     sweep,
     vp3_probe,
 )
 from mirrorint.constants import omega_indicator, xi_indicator
-from mirrorint.harmonic import (
-    check_harmonic_congruence,
-    harmonic,
-    wolstenholme_valuation,
-)
+from mirrorint.harmonic import harmonic, wolstenholme_valuation
 from mirrorint.padic import INFINITE, big_B, primes_upto, vp_big_B, vp_rational
-from mirrorint.series import build_F, build_G, build_GL, build_Gtilde, ps_substitute_power
+from mirrorint.series import build_F, build_G, build_GL, build_Gtilde
 from mirrorint.sieve import canonical_json
+from oracles import (
+    S_sum,
+    Y_term,
+    check_decomposition,
+    check_dwork_S,
+    check_harmonic_congruence,
+    check_lemma11,
+    check_lemma12,
+    check_theorem_congruence,
+    check_Y,
+    optimality_witness,
+    ps_substitute_power,
+)
 
 # The package re-exports the function harmonic under the module's name.
 harmonic_module = importlib.import_module("mirrorint.harmonic")
@@ -60,7 +59,7 @@ class TestCoefficientSums:
     def test_zero_at_origin(self):
         for N, k, p in [(2, 1, 3), (5, 2, 7), (1, 1, 2)]:
             assert coeff_C(N, k, p, 0, 0) == 0
-            assert coeff_C_tilde(N, k, p, 0, 0) == 0
+            assert coeff_C(N, k, p, 0, 0, shifted=True) == 0
 
     def test_first_coefficient(self):
         # C(1) = -p * N!^k * H_N
@@ -69,7 +68,7 @@ class TestCoefficientSums:
 
     def test_tilde_vanishes_for_n1(self):
         for p, a, K in [(3, 1, 2), (2, 0, 3), (5, 4, 1)]:
-            assert coeff_C_tilde(1, 2, p, a, K) == 0
+            assert coeff_C(1, 2, p, a, K, shifted=True) == 0
 
     def test_against_series_expansion(self):
         # Every coefficient sum is literally a coefficient of the two-series
@@ -82,7 +81,7 @@ class TestCoefficientSums:
                         assert coeff_C(N, k, p, a, K) == series_coefficient_C(
                             N, k, p, index
                         ), (p, N, k, index)
-                        assert coeff_C_tilde(N, k, p, a, K) == series_coefficient_C(
+                        assert coeff_C(N, k, p, a, K, shifted=True) == series_coefficient_C(
                             N, k, p, index, shifted=True
                         ), (p, N, k, index)
 
@@ -452,7 +451,7 @@ S_AXES = (
 )
 
 # Per check: every axis of its grid, outermost first, and the row at one
-# point from the check's public per-point function.
+# point from the check's per-point oracle (tests/oracles.py).
 ORACLES = {
     "theorem-congruence": (
         (
@@ -490,8 +489,8 @@ ORACLES = {
 
 def reference_rows(check, **params):
     """The full sweep grid walked by plain recursion over the oracle's
-    axes, the first axis outermost, with each row from the check's public
-    per-point function. `sweep` must yield exactly these rows."""
+    axes, the first axis outermost, with each row from the check's
+    per-point oracle. `sweep` must yield exactly these rows."""
     spec = SWEEPS[check]
     axes, row = ORACLES[check]
     grid = dict(spec.defaults)
@@ -629,8 +628,8 @@ def rows_at(check, rows, **point):
 
 class TestBlockKernels:
     """Each check's rows on a grid with one prime that ends at one point
-    (p = (p,), Nmax = N, kmax = k), read at (N, k), against its public
-    per-point check, row for row, on random small grids: K <= 10 and
+    (p = (p,), Nmax = N, kmax = k), read at (N, k), against its
+    per-point oracle, row for row, on random small grids: K <= 10 and
     smax <= 3, so m p^s > K occurs and gives zero S-sums (margin "inf")."""
 
     @given(SMALL_PRIMES, st.integers(1, 4), st.integers(1, 2), st.integers(0, 10),

@@ -17,18 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mirrorint.congruences import (
-    S_sum,
-    Y_term,
-    check_decomposition,
-    check_lemma11,
-    check_lemma12,
-    check_theorem_congruence,
-    check_Y,
-    coeff_C,
-    optimality_witness,
-    sweep,
-)
+from mirrorint.congruences import coeff_C, sweep
 from mirrorint.constants import (
     omega,
     omega_indicator,
@@ -42,16 +31,26 @@ from mirrorint.harmonic import (
     _walk,
     _wolstenholme_pairing,
     _wolstenholme_scan,
-    check_harmonic_congruence,
     harmonic,
     harmonic_scaled,
-    harmonic_weight,
     scaled_weights,
     vp_harmonic,
     wolstenholme_valuation,
 )
 from mirrorint.padic import big_B, primes_upto, vp_int, vp_rational
 from mirrorint.series import build_G, build_GL, build_Gtilde, canonical_parts
+import oracles
+from oracles import (
+    S_sum,
+    Y_term,
+    check_decomposition,
+    check_harmonic_congruence,
+    check_lemma11,
+    check_lemma12,
+    check_theorem_congruence,
+    check_Y,
+    optimality_witness,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -72,13 +71,14 @@ def w(N, n, shifted=False):
 
 @pytest.fixture
 def no_table(monkeypatch):
-    """harmonic_scaled raises, from every module that calls it: series
-    reads its table only under harmonic.scaled_weights."""
+    """harmonic_scaled raises, from every module that calls it, the test
+    oracles included: series reads its table only under
+    harmonic.scaled_weights."""
 
     def refuse(stops):
         raise AssertionError(f"harmonic_scaled({stops}) was called")
 
-    for module in (harmonic_module, congruences):
+    for module in (harmonic_module, congruences, oracles):
         monkeypatch.setattr(module, "harmonic_scaled", refuse)
 
 
@@ -145,7 +145,7 @@ class TestScaledWeights:
         assert set(weights) == set(ns)
         assert S == math.lcm(*range(1, N * max(ns, default=0) + 1))
         for n in ns:
-            assert F(weights[n], S) == w(N, n, shifted) == harmonic_weight(N, n, shifted)
+            assert F(weights[n], S) == w(N, n, shifted)
 
     def test_negative_rejected(self):
         for ns in ([-1], [5, -1, 7], range(-3, 2)):
@@ -159,7 +159,7 @@ class TestScaledWeights:
         def refuse(*args):
             raise AssertionError("scaled_weights was called")
 
-        for module in (harmonic_module, congruences, series):
+        for module in (harmonic_module, congruences, series, oracles):
             monkeypatch.setattr(module, "scaled_weights", refuse)
         readers = [
             lambda: build_GL(3, 3, 1, 6),
@@ -341,19 +341,21 @@ class TestWalk:
     @pytest.mark.parametrize(
         "call",
         [
-            "congruences.check_lemma11(5, 1, 5, 160, 2)",
-            "congruences.check_lemma12(5, 1, 3, 2, 4000)",
-            "congruences.optimality_witness(5, 19997)",
-            "harmonic.check_harmonic_congruence('J_mod_p', 3, J=20000)",
+            # Each id names the module of the sweep whose oracle the call runs.
+            pytest.param(call, id=f"{module}.{call}")
+            for module, call in [
+                ("congruences", "check_lemma11(5, 1, 5, 160, 2)"),
+                ("congruences", "check_lemma12(5, 1, 3, 2, 4000)"),
+                ("congruences", "optimality_witness(5, 19997)"),
+                ("harmonic", "check_harmonic_congruence('J_mod_p', 3, J=20000)"),
+            ]
         ],
     )
     def test_per_point_check_at_20000_grows_under_10_mb(self, call):
         # Each reads two to four entries of H_n up to n = 20000; a table of
         # every entry would hold about 70 MB of integers.
         code = (
-            "from mirrorint import congruences\n"
-            "import importlib\n"
-            "harmonic = importlib.import_module('mirrorint.harmonic')\n"
+            "from oracles import *\n"
             "def peak():\n"
             "    line = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
             "    return int(line[0].split()[1])\n"
@@ -362,7 +364,8 @@ class TestWalk:
             "print(peak() - before)\n"
         )
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        paths = [str(SRC), str(Path(__file__).resolve().parent), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
