@@ -104,73 +104,73 @@ def _csv_ints(text: str) -> list[int]:
     return values
 
 
-def _add_constants(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--which", required=True, choices=("theta", "xi", "omega", "t", "u"))
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--table", action="store_true")
-    p.set_defaults(func=_cmd_constants)
+def _add_constants(add):
+    add("--which", required=True, choices=("theta", "xi", "omega", "t", "u"))
+    add("--N", type=int, required=True)
+    add("--k", type=int, default=1)
+    add("--table", action="store_true")
+    return _cmd_constants
 
 
-def _add_certify(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--map", required=True, choices=CANONICAL_KINDS)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument(
+def _add_certify(add):
+    add("--map", required=True, choices=CANONICAL_KINDS)
+    add("--N", type=int, required=True)
+    add("--k", type=int, default=1)
+    add("--L", type=int, default=None)
+    add(
         "--order",
         type=int,
         default=None,
         help=f"truncation order (default: ${ORDER_ENV}, else 25); a pass is a "
         "certificate only up to this order",
     )
-    p.add_argument(
+    add(
         "--root",
         default="auto",
         help="'auto' for the prescribed root, or an explicit positive integer",
     )
-    p.add_argument(
+    add(
         "--root-scale",
         type=int,
         default=1,
         help="extra integer factor applied to the root (use to probe maximality)",
     )
-    p.add_argument("--table", action="store_true")
-    p.set_defaults(func=_cmd_certify)
+    add("--table", action="store_true")
+    return _cmd_certify
 
 
-def _add_sieve(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--target", choices=TARGETS, default=TARGET_H)
-    p.add_argument("--backend", choices=BACKENDS, default=BACKEND_MODULAR)
-    p.add_argument("--out", default="-", help="JSONL destination ('-' = stdout)")
-    p.add_argument(
+def _add_sieve(add):
+    add("--p", type=int, required=True)
+    add("--max", type=int, required=True)
+    add("--target", choices=TARGETS, default=TARGET_H)
+    add("--backend", choices=BACKENDS, default=BACKEND_MODULAR)
+    add("--out", default="-", help="JSONL destination ('-' = stdout)")
+    add(
         "--checkpoint",
         default=None,
         help="checkpoint path; loaded when present, written on exit/interrupt",
     )
-    p.add_argument("--progress", action="store_true")
-    p.set_defaults(func=_cmd_sieve)
+    add("--progress", action="store_true")
+    return _cmd_sieve
 
 
-def _add_sweep(p: argparse.ArgumentParser) -> None:
+def _add_sweep(add):
     # One grid flag per parameter named in congruences.SWEEPS, --p a csv of
     # primes and every other an int. Flags absent from the command line stay
     # unset, so the check's defaults apply (and an explicit 0 is kept).
-    p.argument_default = argparse.SUPPRESS
-    p.add_argument("--check", required=True, choices=tuple(SWEEPS))
+    unset = argparse.SUPPRESS
+    add("--check", required=True, choices=tuple(SWEEPS), default=unset)
     grid_params = dict.fromkeys(
         name for spec in SWEEPS.values() for name in (*spec.defaults, *spec.required)
     )
     for name in grid_params:
-        p.add_argument(f"--{name}", type=_csv_ints if name == "p" else int)
-    p.add_argument("--which")
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_sweep)
+        add(f"--{name}", type=_csv_ints if name == "p" else int, default=unset)
+    add("--which", default=unset)
+    add("--out", default="-")
+    return _cmd_sweep
 
 
-# Each subcommand: its line in the top-level help, and what adds its flags.
+# Each subcommand: its line in the top-level help, and what declares its flags.
 _COMMANDS = {
     "constants": ("theta / xi / omega / t / u values", _add_constants),
     "certify": ("integrality certificate for a root of a canonical map", _add_certify),
@@ -182,7 +182,8 @@ _COMMANDS = {
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with every subcommand, and the flags of `command` only;
     of every subcommand when `command` is None. Each add_argument builds a
-    HelpFormatter, so a run builds just the flags it can parse."""
+    HelpFormatter, so a run builds just the flags it can parse. It parses
+    only what _parse_plain leaves: help and every malformed command line."""
     parser = argparse.ArgumentParser(
         prog="mirrorint",
         description="exact verification of harmonic-valuation and "
@@ -192,11 +193,48 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, (help_text, add_flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if command is None or command == name:
-            add_flags(p)
+            p.set_defaults(func=add_flags(p.add_argument))
     return parser
 
 
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """argparse's Namespace for a well-formed argv, read from the declarations:
+    a command, then distinct exact flags, each valued one followed by a value
+    not starting with "-" that passes its type and choices. None for any other
+    argv (help, usage errors, abbreviations, --flag=value, values like "-1")."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = {}
+    func = _COMMANDS[argv[0]][1](lambda flag, **spec: flags.setdefault(flag, spec))
+    # argparse's order: command, the defaults, func, then the flags with none.
+    values = {"command": argv[0]}
+    for flag, spec in flags.items():
+        default = spec.get("default", False if "action" in spec else None)
+        if default is not argparse.SUPPRESS:
+            values[flag[2:].replace("-", "_")] = default
+    values["func"] = func
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = flags.pop(flag, None)
+        switch = spec is not None and "action" in spec
+        text = "" if switch else next(tokens, "-")
+        if spec is None or text.startswith("-"):
+            return None
+        try:
+            value = switch or spec.get("type", str)(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        values[flag[2:].replace("-", "_")] = value
+    if any(spec.get("required") for spec in flags.values()):
+        return None
+    return argparse.Namespace(**values)
+
+
 def _cmd_constants(args) -> int:
+    if args.k != 1 and args.which != "t":
+        raise ValueError(f"{args.which} takes no k; only t reads it")
     params = {"which": args.which, "N": args.N, "k": args.k}
     try:
         if args.which == "theta":
@@ -360,6 +398,8 @@ def _cmd_sieve(args) -> int:
     if args.checkpoint and os.path.exists(args.checkpoint):
         with open(args.checkpoint, "r", encoding="utf-8") as fh:
             checkpoint = SieveCheckpoint.load(fh.read())
+    elif args.checkpoint and not os.path.isdir(os.path.dirname(args.checkpoint) or "."):
+        raise CheckpointError(f"no directory for the checkpoint {args.checkpoint}")
     run = SieveRun(
         args.p, args.max, target=args.target, backend=args.backend, checkpoint=checkpoint
     )
@@ -477,9 +517,9 @@ def main(argv: list[str] | None = None) -> int:
 def _run(argv: list[str] | None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = _parse_plain(argv) or _build_parser(command).parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

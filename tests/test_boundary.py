@@ -1,4 +1,4 @@
-"""Three boundaries of the package.
+"""Three boundaries of the package, and one rule for every module.
 
 p is checked where it enters the program, and nowhere below that. Every
 public callable that takes a prime p rejects a non-prime with ValueError. A
@@ -16,6 +16,9 @@ No code without a caller. Every function, class and method in the package
 is reached from the CLI, a module-level statement, mirrorint.__all__ or a
 name kept on purpose (KEEP); code that only tests use lives in
 tests/oracles.py.
+
+No import without a reader. Every name a module of the package or of the
+tests imports is read in that module.
 """
 
 import ast
@@ -286,6 +289,60 @@ def test_every_definition_has_a_caller():
     sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
     roots = ("main", "console_main", *mirrorint.__all__, *KEEP)
     assert unreached(sources, roots) == []
+
+
+def unused_imports(source):
+    """The names one module's source imports and never reads as a name. A
+    `from __future__` import binds nothing to read, and a name listed in
+    the module's __all__ is read by every `import *`."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(_names(t, "__all__") for t in node.targets):
+            read |= {elt.value for elt in node.value.elts}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        ("import os\nimport sys\nsys.exit()\n", ["os"]),
+        ("import os.path\nos.path.join()\n", []),
+        ("import numpy as np\n", ["np"]),
+        ("from a import b, c as d\nd()\n", ["b"]),
+        ("from __future__ import annotations\n", []),
+        # Listed in __all__: read by every `import *`.
+        ("from .m import f, g\n__all__ = ['f']\n", ["g"]),
+        # Read in a function, a default or an annotation.
+        ("from m import f, g, T\ndef h(x: T = g):\n    return f\n", []),
+        # An attribute, a string or a docstring is not a read, nor is a store.
+        ('"""Uses f."""\nfrom m import f, g\nx.f\ny = "g"\n', ["f", "g"]),
+        ("from m import f\nf = 1\n", ["f"]),
+        # An import inside a function counts too.
+        ("def h():\n    import json\n", ["json"]),
+    ],
+)
+def test_unused_import_scan(source, flagged):
+    assert unused_imports(source) == flagged
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*Path(mirrorint.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_every_import_is_read(path):
+    assert unused_imports(path.read_text()) == []
 
 
 @given(st.integers(0, 120), st.integers(0, 120), st.data())

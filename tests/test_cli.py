@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorint import cli, padic, series
 from mirrorint.cli import _build_parser, _int_str_digits, main
@@ -21,6 +24,7 @@ from mirrorint.sieve import SieveCheckpoint, canonical_json
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 BIG_PRIME_ROOT = 10**24 + 7
 
 
@@ -85,6 +89,24 @@ class TestConstantsCommand:
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "constants", "--which", "zeta", "--N", "7")
         assert code == 2
+
+    @pytest.mark.parametrize("k", ["0", "3"])
+    @pytest.mark.parametrize("which", ["theta", "xi", "omega", "u"])
+    def test_k_rejected_where_unread(self, capsys, which, k):
+        got = run_cli(capsys, "constants", "--which", which, "--N", "7", "--k", k)
+        assert got == (2, "", f"error: {which} takes no k; only t reads it\n")
+
+    @pytest.mark.parametrize("which", ["theta", "xi", "omega", "u"])
+    def test_k_one_is_the_default(self, capsys, which):
+        argv = ["constants", "--which", which, "--N", "7"]
+        code, out, _ = run_cli(capsys, *argv, "--k", "1")
+        assert code == 0 and json.loads(out)["params"]["k"] == 1
+        assert run_cli(capsys, *argv) == (0, out, "")
+
+    def test_k_read_by_t(self, capsys):
+        code, out, _ = run_cli(capsys, "constants", "--which", "t", "--N", "7", "--k", "2")
+        assert code == 0 and json.loads(out)["payload"]["value"] == "181440"
+        assert run_cli(capsys, "constants", "--which", "t", "--N", "7", "--k", "0")[0] == 2
 
 
 class TestCertifyCommand:
@@ -454,6 +476,23 @@ class TestSieveCommand:
         assert code == 3 and "format_version" in err
         assert out.read_bytes() == before
 
+    def test_checkpoint_into_a_missing_directory(self, capsys, tmp_path):
+        # Refused before the first record, and before --out is opened.
+        out = tmp_path / "keep.jsonl"
+        out.write_text("keep\n")
+        ckpt = tmp_path / "nodir" / "c.ckpt"
+        code, stdout, err = run_cli(
+            capsys,
+            "sieve", "--p", "3", "--max", "100", "--checkpoint", str(ckpt),
+        )
+        assert (code, stdout) == (3, "") and err.startswith("error: ")
+        code, _, _ = run_cli(
+            capsys,
+            "sieve", "--p", "3", "--max", "100", "--out", str(out), "--checkpoint", str(ckpt),
+        )
+        assert code == 3 and out.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.jsonl"]
+
     @pytest.mark.parametrize("backend", ["exact", "modular"])
     @pytest.mark.parametrize("bad", [-5, 2.5, True])
     def test_bad_last_N_io_error(self, capsys, tmp_path, backend, bad):
@@ -671,18 +710,22 @@ class TestHelpGolden:
 
 
 class TestParserBuild:
+    # Each id names the command the argv invokes, as it did when every run
+    # built a parser.
     @pytest.mark.parametrize(
-        "argv,command",
+        "argv,expected",
         [
-            (["sieve", "--p", "3", "--max", "10"], "sieve"),
-            (["sweep", "--help"], "sweep"),
-            (["--help"], None),
-            ([], None),
-            (["bogus"], None),
-            (["-h", "sieve"], None),
+            # Well-formed: parsed from the declarations, with no parser.
+            pytest.param(["sieve", "--p", "3", "--max", "10"], [], id="argv0-sieve"),
+            pytest.param(["sweep", "--help"], ["sweep"], id="argv1-sweep"),
+            pytest.param(["--help"], [None], id="argv2-None"),
+            pytest.param([], [None], id="argv3-None"),
+            pytest.param(["bogus"], [None], id="argv4-None"),
+            pytest.param(["-h", "sieve"], [None], id="argv5-None"),
+            pytest.param(["sieve", "--p", "3", "--ma", "10"], ["sieve"], id="argv6-sieve"),
         ],
     )
-    def test_only_the_invoked_flags(self, capsys, monkeypatch, argv, command):
+    def test_only_the_invoked_flags(self, capsys, monkeypatch, argv, expected):
         built = []
 
         def build(name=None):
@@ -691,7 +734,7 @@ class TestParserBuild:
 
         monkeypatch.setattr(cli, "_build_parser", build)
         run_cli(capsys, *argv)
-        assert built == [command]
+        assert built == expected
 
     def test_other_subcommands_have_no_flags(self):
         sub = next(
@@ -702,6 +745,121 @@ class TestParserBuild:
         flags = {name: {a.dest for a in p._actions} for name, p in sub.choices.items()}
         assert flags["sweep"] == flags["constants"] == flags["certify"] == {"help"}
         assert {"p", "max", "checkpoint"} <= flags["sieve"]
+
+
+def declarations(command):
+    # Each flag of `command` and the keywords it passes to add_argument.
+    flags = {}
+    cli._COMMANDS[command][1](lambda flag, **spec: flags.setdefault(flag, spec))
+    return flags
+
+
+DECLARATIONS = {command: declarations(command) for command in cli._COMMANDS}
+ALL_FLAGS = sorted({flag for flags in DECLARATIONS.values() for flag in flags})
+NEAR_MISSES = ["--ord", "--ma", "--N=3", "--bogus", "-h", "--help", "--"]
+CHOICES = sorted(
+    {
+        choice
+        for flags in DECLARATIONS.values()
+        for spec in flags.values()
+        for choice in spec.get("choices", ())
+    }
+)
+VALUES = ["-1", "-", "2,3,5", "2,,3", "x", "", " 5", "1_0", "+4", "a=b", *CHOICES]
+
+
+def readme_commands():
+    # The `mirrorint ...` lines of the README's command-line block.
+    section = README.read_text().split("## Command-line interface", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line.split("#")[0])[1:]
+        for line in block.splitlines()
+        if line.startswith("mirrorint ")
+    ]
+
+
+def argparse_namespace(argv):
+    return vars(_build_parser(argv[0]).parse_args(argv))
+
+
+def well_typed(flag, spec):
+    # `flag` with a value of the kind it declares, or alone if it takes none.
+    if "action" in spec:
+        return st.just((flag,))
+    if "choices" in spec:
+        values = st.sampled_from(spec["choices"])
+    elif spec.get("type") is int:
+        values = st.sampled_from(["0", "2", "3", "10", "+4", "1_0", " 5"])
+    elif "type" in spec:
+        values = st.sampled_from(["3", "2,3,5", "2,,3", "7,"])
+    else:
+        values = st.sampled_from(["x", "a=b", "out.jsonl", ""])
+    return st.tuples(st.just(flag), values)
+
+
+@st.composite
+def command_lines(draw):
+    # A command, then distinct flags of its own, most of its required ones
+    # among them, each with a value of its kind; then up to two tokens or
+    # pairs of noise: any flag, near-miss or value.
+    command = draw(st.sampled_from(list(DECLARATIONS)))
+    flags = DECLARATIONS[command]
+    required = [name for name, spec in flags.items() if spec.get("required")]
+    names = draw(st.lists(st.sampled_from(list(flags)), unique=True, max_size=5))
+    names = dict.fromkeys([*(n for n in required if draw(st.integers(0, 5))), *names])
+    items = [draw(well_typed(name, flags[name])) for name in names]
+    other = st.sampled_from([*flags, *ALL_FLAGS, *NEAR_MISSES])
+    value = st.one_of(st.integers(-2, 40).map(str), st.sampled_from(VALUES))
+    noise = st.one_of(st.tuples(other, value), st.tuples(other), st.tuples(value))
+    items += draw(st.lists(noise, max_size=2))
+    return [command, *(token for item in draw(st.permutations(items)) for token in item)]
+
+
+class TestPlainParse:
+    @given(command_lines())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_argparse(self, argv):
+        plain = cli._parse_plain(argv)
+        if plain is not None:
+            # The same names, values and order as argparse's Namespace.
+            assert list(vars(plain).items()) == list(argparse_namespace(argv).items())
+
+    def test_readme_lines_take_the_plain_path(self):
+        commands = readme_commands()
+        assert len(commands) == 15
+        for argv in commands:
+            plain = cli._parse_plain(argv)
+            assert plain is not None, argv
+            assert list(vars(plain).items()) == list(argparse_namespace(argv).items())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "sieve --p 3 --ma 10",
+            "sieve --p 3 --max=10",
+            "sieve --p 3",
+            "sieve --p 3 --max 10 --out -",
+            "sieve --p 3 --max 10 --p 5",
+            "sieve --p 3 --max 10 extra",
+            "sieve --p x --max 10",
+            "sweep --check decomposition --K -1",
+            "sweep --check nonsense",
+            "constants --which xi --N 7 --table --",
+            "constants --help",
+        ],
+    )
+    def test_everything_else_goes_to_argparse(self, argv):
+        assert cli._parse_plain(argv.split()) is None
+
+    @pytest.mark.parametrize("command", list(DECLARATIONS))
+    def test_no_typed_string_default(self, command):
+        # argparse runs a str default through the flag's type (SUPPRESS sets
+        # nothing); the plain path takes every default as declared.
+        for flag, spec in DECLARATIONS[command].items():
+            default = spec.get("default")
+            string = isinstance(default, str) and default != argparse.SUPPRESS
+            assert not (string and "type" in spec), flag
 
 
 class TestSweepChunks:

@@ -26,7 +26,7 @@ from mirrorint.congruences import (
 from mirrorint.constants import omega_indicator, xi_indicator
 from mirrorint.harmonic import harmonic, wolstenholme_valuation
 from mirrorint.padic import INFINITE, big_B, primes_upto, vp_big_B, vp_rational
-from mirrorint.series import build_F, build_G, build_GL, build_Gtilde
+from mirrorint.series import build_F, build_GL, build_Gtilde
 from mirrorint.sieve import canonical_json
 from oracles import (
     S_sum,

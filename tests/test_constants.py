@@ -21,7 +21,7 @@ from mirrorint.constants import (
     xi_indicator,
     xi_simplified,
 )
-from mirrorint.harmonic import harmonic, vp_harmonic
+from mirrorint.harmonic import harmonic
 from mirrorint.padic import primes_upto, vp_rational
 from mirrorint.series import _int_str_digits
 

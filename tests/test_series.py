@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorint import congruences, padic, series
-from mirrorint.constants import t_conjectured, theta, u_conjectured, xi
+from mirrorint.constants import t_conjectured, u_conjectured
 from mirrorint.harmonic import harmonic
 from mirrorint.padic import big_B, prime_divisors
 from mirrorint.series import (

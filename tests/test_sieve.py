@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import json
-from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
