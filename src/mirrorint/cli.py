@@ -41,8 +41,6 @@ from .series import (
     first_nonintegral,
 )
 from .sieve import (
-    BACKEND_MODULAR,
-    BACKENDS,
     TARGET_H,
     TARGETS,
     CheckpointError,
@@ -52,24 +50,12 @@ from .sieve import (
 )
 
 FORMAT_VERSION = 1
-ORDER_ENV = "MIRRORINT_ORDER"
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERRUPT = 130
-
-
-def _default_order() -> int:
-    raw = os.environ.get(ORDER_ENV, "25")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ORDER_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{ORDER_ENV} must be positive")
-    return value
 
 
 def _outcome(command: str, params: dict, status: str, payload: dict) -> dict:
@@ -96,12 +82,9 @@ def _print_outcome(doc: dict, table: bool) -> None:
 
 def _csv_ints(text: str) -> list[int]:
     try:
-        values = [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
 
 
 def _add_constants(add):
@@ -120,9 +103,9 @@ def _add_certify(add):
     add(
         "--order",
         type=int,
-        default=None,
-        help=f"truncation order (default: ${ORDER_ENV}, else 25); a pass is a "
-        "certificate only up to this order",
+        default=25,
+        help="truncation order (default: 25); a pass is a certificate only "
+        "up to this order",
     )
     add(
         "--root",
@@ -143,7 +126,6 @@ def _add_sieve(add):
     add("--p", type=int, required=True)
     add("--max", type=int, required=True)
     add("--target", choices=TARGETS, default=TARGET_H)
-    add("--backend", choices=BACKENDS, default=BACKEND_MODULAR)
     add("--out", default="-", help="JSONL destination ('-' = stdout)")
     add(
         "--checkpoint",
@@ -277,7 +259,7 @@ def _auto_root(map_kind: str, N: int, k: int, L: int | None) -> Fraction:
 
 
 def _cmd_certify(args) -> int:
-    order = args.order if args.order is not None else _default_order()
+    order = args.order
     if order < 1:
         raise ValueError("--order must be positive")
     if args.root_scale < 1:
@@ -400,9 +382,7 @@ def _cmd_sieve(args) -> int:
             checkpoint = SieveCheckpoint.load(fh.read())
     elif args.checkpoint and not os.path.isdir(os.path.dirname(args.checkpoint) or "."):
         raise CheckpointError(f"no directory for the checkpoint {args.checkpoint}")
-    run = SieveRun(
-        args.p, args.max, target=args.target, backend=args.backend, checkpoint=checkpoint
-    )
+    run = SieveRun(args.p, args.max, target=args.target, checkpoint=checkpoint)
     out = _open_sieve_out(args.out, checkpoint)
     conjecture_hits = 0
     emitted = 0

@@ -417,15 +417,17 @@ def _lemma12_rows(grid: dict) -> Iterator[Row]:
     # Lemma 12's term in p xi(N) N!^k Z_p at every (p, N, k), then a < p,
     # then j <= jmax, off one table per (p, N). At a = 1 the rows of the
     # j = 0 variant, B(1) B(K) H_{floor(N/p)}, one per 1 <= K <= Kmax, come
-    # first and replace j = 0; only they have K in their params, so `head`
-    # is (K,) on them and () on the others.
+    # first and replace j = 0, so they run only when j = 0 is in the grid;
+    # only they have K in their params, so `head` is (K,) on them and ()
+    # on the others.
     jmax = grid["jmax"]
+    Ks = range(1, grid["Kmax"] + 1) if jmax >= 0 else ()
     for p, N, ks in _pNk(grid):
-        h, S = harmonic_scaled(range(max(N * jmax + N * (p - 1) // p, N // p) + 1))
+        h, S = harmonic_scaled(range(N * jmax + N * (p - 1) // p + 1))
         for k in ks:
             required = 1 + _required_vp(WHICH_XI, N, k, p) + vp_int(S, p)
             for a in range(p):
-                cells = [((K,), 0) for K in range(1, grid["Kmax"] + 1)] if a == 1 else []
+                cells = [((K,), 0) for K in Ks] if a == 1 else []
                 for head, j in cells + [((), j) for j in range(a == 1, jmax + 1)]:
                     achieved = _lemma12(h, p, N, k, a, j, *head)
                     yield *_verdict(achieved - required), *head, N, a, j, k, p
@@ -549,7 +551,10 @@ def _sweep_rows(check: str, **params) -> Iterator[Row]:
     grid.update(params)
     if spec.variants and grid["which"] not in spec.variants:
         raise ValueError(f"{check}: which must be one of {', '.join(spec.variants)}")
-    for p in grid.get("p", ()):
+    primes = grid.get("p", ())
+    if len(set(primes)) != len(primes):
+        raise ValueError(f"{check}: p must not repeat a prime")
+    for p in primes:
         require_prime(p)
     if spec.validate is not None:
         spec.validate(grid)

@@ -1,25 +1,23 @@
 """Streaming search for indices N with v_p(H_N) > 0 (or v_p(H_N - 1) > 0).
 
-Two backends: ``exact`` keeps a running Fraction and is the correctness
-oracle and pays for every N up to the bound; ``modular`` keeps the p-adic
-state of ModularHarmonicSum and prunes candidates with the recursion "a
-positive valuation at N forces a positive valuation at floor(N/p)" (Boyd's
-tree). It visits only the candidate blocks [1, p - 1] and [x p, x p + p - 1]
-for each positive x, with one advance_to per index it reads: a closed-form
-jump into each block, then one inverse per index. So its work grows with
-the number of candidate blocks, not with the bound. Both
-emit identical record streams, valuations capped at 4 (a hit at or beyond
-the cap is a conjecture-level event and is flagged).
+The run keeps the p-adic state of ModularHarmonicSum and prunes candidates
+with the recursion "a positive valuation at N forces a positive valuation
+at floor(N/p)" (Boyd's tree). It visits only the candidate blocks
+[1, p - 1] and [x p, x p + p - 1] for each positive x, with one advance_to
+per index it reads: a closed-form jump into each block, then one inverse
+per index. So its work grows with the number of candidate blocks, not with
+the bound. Valuations are capped at 4 (a hit at or beyond the cap is a
+conjecture-level event and is flagged). At p = 2 there is nothing to find,
+v_2(H_N) = -floor(log2 N) <= 0: the run reads the block [1, 1] and stops.
 
 Runs save a checkpoint and resume deterministically: a run to N,
 checkpoint, resume to M yields record for record what a single run to M
 yields. A checkpoint keeps only what cannot be recomputed cheaply from its
-last index ``last_N``: the running H_N of the exact backend, and the
-modular backend's whole state, the queue of parents whose blocks are not
-finished; it is empty once the records hold every positive N, for all N.
-Its p-adic state is a function of the index alone, rebuilt by one jump.
-A run asked to ``stop()`` ends at the next index boundary, so a checkpoint
-taken then covers exactly the records already yielded.
+last index ``last_N``: the queue of parents whose blocks are not finished;
+it is empty once the records hold every positive N, for all N. Its p-adic
+state is a function of the index alone, rebuilt by one jump. A run asked to
+``stop()`` ends at the next index boundary, so a checkpoint taken then
+covers exactly the records already yielded.
 """
 
 from __future__ import annotations
@@ -28,18 +26,16 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .harmonic import TARGET_H, TARGET_H1, ModularHarmonicSum
-from .padic import require_prime, vp_int
-from .series import _int_str_digits
+from .padic import require_prime
 
 TARGETS = (TARGET_H, TARGET_H1)
 
-BACKEND_EXACT = "exact"
+# Every checkpoint's `backend`. Format 4 keeps the field, so a checkpoint
+# that names another backend ("exact") is refused as another run's.
 BACKEND_MODULAR = "modular"
-BACKENDS = (BACKEND_EXACT, BACKEND_MODULAR)
 
 VALUATION_CAP = 4
 CHECKPOINT_FORMAT_VERSION = 4
@@ -76,8 +72,8 @@ def _state_digest(core: dict) -> str:
 
 @dataclass(frozen=True)
 class SieveCheckpoint:
-    """The processed prefix of a run; ``state`` holds H_N (exact) or the queue
-    (modular). ``out_offset`` is the byte length of the --out file so far
+    """The processed prefix of a run; ``state`` holds the queue.
+    ``out_offset`` is the byte length of the --out file so far
     (None for stdout); the run ignores it, and a resumed CLI run truncates
     the file to it before appending."""
 
@@ -136,7 +132,8 @@ class SieveCheckpoint:
 
 
 class SieveRun:
-    """One resumable sieve pass; iterate it to stream SieveRecords.
+    """One resumable sieve pass over Boyd's tree; iterate it to stream
+    SieveRecords. A run passed a ``checkpoint`` (by keyword) resumes it.
 
     ``checkpoint()`` is valid at any point between yielded records and after
     exhaustion, captures exactly the processed prefix and depends on
@@ -149,7 +146,7 @@ class SieveRun:
         p: int,
         max_N: int,
         target: str = TARGET_H,
-        backend: str = BACKEND_MODULAR,
+        *,
         checkpoint: SieveCheckpoint | None = None,
     ):
         require_prime(p)
@@ -157,63 +154,42 @@ class SieveRun:
             raise ValueError("max_N must be at least 1")
         if target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}")
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
-        if backend == BACKEND_MODULAR and p == 2:
-            raise ValueError(
-                "modular backend rejects p = 2: v_2(H_N) = -floor(log2 N) <= 0, "
-                "there is nothing to find"
-            )
         self.p = p
         self.max_N = max_N
         self.target = target
-        self.backend = backend
-        # The last index processed, for both backends.
+        # The last index processed.
         self.last_N = 0
-        self._exact_h = Fraction(0)
         self._queue = deque([0])  # see _iter_modular
         self.stopped = False
         if checkpoint is not None:
             self._restore(checkpoint)
 
     def _restore(self, cp: SieveCheckpoint) -> None:
-        if (cp.p, cp.target, cp.backend) != (self.p, self.target, self.backend):
+        if (cp.p, cp.target, cp.backend) != (self.p, self.target, BACKEND_MODULAR):
             raise CheckpointError(
                 "checkpoint was produced by a different run "
                 f"(p={cp.p}, target={cp.target}, backend={cp.backend})"
             )
         if cp.last_N > self.max_N:
             raise CheckpointError("checkpoint is already past the requested max_N")
-        state = cp.state
         try:
-            if self.backend == BACKEND_EXACT:
-                with _int_str_digits(0):
-                    self._exact_h = Fraction(int(state["num"]), int(state["den"]))
-            else:
-                queue, p = deque(state["queue"]), self.p
-                if list(queue) != sorted(set(queue)) or not all(
-                    type(x) is int and 0 <= x <= cp.last_N < x * p + p - 1 for x in queue
-                ):
-                    raise ValueError("queue must ascend through parents of unfinished blocks")
-                self._queue = queue
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            queue, p = deque(cp.state["queue"]), self.p
+            if list(queue) != sorted(set(queue)) or not all(
+                type(x) is int and 0 <= x <= cp.last_N < x * p + p - 1 for x in queue
+            ):
+                raise ValueError("queue must ascend through parents of unfinished blocks")
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"checkpoint state is invalid: {exc}") from exc
+        self._queue = queue
         self.last_N = cp.last_N
 
     def checkpoint(self) -> SieveCheckpoint:
-        if self.backend == BACKEND_EXACT:
-            with _int_str_digits(0):
-                state = {
-                    "num": str(self._exact_h.numerator),
-                    "den": str(self._exact_h.denominator),
-                }
-        else:
-            # Leaves out a head that was stopped at the end of its block.
-            state = {"queue": [x for x in self._queue if (x + 1) * self.p > self.last_N + 1]}
+        # Leaves out a head that was stopped at the end of its block.
+        state = {"queue": [x for x in self._queue if (x + 1) * self.p > self.last_N + 1]}
         return SieveCheckpoint(
             p=self.p,
             target=self.target,
-            backend=self.backend,
+            backend=BACKEND_MODULAR,
             last_N=self.last_N,
             state=state,
         )
@@ -222,32 +198,10 @@ class SieveRun:
         self.stopped = True
 
     def __iter__(self) -> Iterator[SieveRecord]:
-        if self.backend == BACKEND_EXACT:
-            return self._iter_exact()
         return self._iter_modular()
 
     def _record(self, n: int, v: int, at_least: bool) -> SieveRecord:
         return SieveRecord(self.p, n, v, at_least, self.target)
-
-    def _iter_exact(self) -> Iterator[SieveRecord]:
-        p = self.p
-        cap = VALUATION_CAP
-        while self.last_N < self.max_N and not self.stopped:
-            self.last_N += 1
-            n = self.last_N
-            self._exact_h += Fraction(1, n)
-            x = self._exact_h
-            if self.target == TARGET_H1:
-                if n == 1:
-                    continue
-                x = x - 1
-            if x.denominator % p == 0 or x.numerator % p:
-                continue
-            v = vp_int(x.numerator, p)
-            if v >= cap:
-                yield self._record(n, cap, True)
-            else:
-                yield self._record(n, v, False)
 
     def _iter_modular(self) -> Iterator[SieveRecord]:
         p = self.p

@@ -1,12 +1,13 @@
-"""Per-point reference checks: the oracles the sweeps and series kernels
-are tested against.
+"""Per-point reference checks: the oracles the sweeps, series kernels and
+sieve are tested against.
 
 Each congruence check evaluates one grid point on its own tables, through
 the same private readers as its sweep (`_lemma11`, `_lemma12`,
 `_decomposition`, `_witnesses`, `_S_prefix`, `_S_read`, `_level_gap`), and
 returns the achieved and required valuations, because sharpness arguments
 are precisely about the margin (e.g. failure at exactly one extra power of
-p). p is taken on trust throughout.
+p). The sieve's oracle walks every index with a running Fraction. p is
+taken on trust throughout.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from mirrorint.congruences import (
     _witnesses,
     coeff_C,
 )
-from mirrorint.harmonic import _indicator, harmonic_scaled, scaled_weights
+from mirrorint.harmonic import TARGET_H1, _indicator, harmonic_scaled, scaled_weights
 from mirrorint.padic import big_B_sequence, vp_big_B, vp_int
 from mirrorint.series import KIND_QLN, KIND_QN, PSeries, canonical_q, ps_pow
+from mirrorint.sieve import VALUATION_CAP, SieveRecord
 
 
 @dataclass(frozen=True)
@@ -288,3 +290,26 @@ def verify_truemap_identity(N: int, k: int, order: int) -> bool:
     q_1n = canonical_q(KIND_QLN, N, k, L=1, order=order)
     rhs = ps_pow(q_nn, k * N) * ps_pow(q_1n, -k * N)
     return lhs == rhs
+
+
+def exact_sieve(p: int, max_N: int, target: str) -> list[SieveRecord]:
+    """SieveRun's records, off a running Fraction H_N at every N <= max_N:
+    its work grows with max_N, where SieveRun reads only the candidate
+    blocks of Boyd's tree."""
+    records = []
+    h = Fraction(0)
+    for n in range(1, max_N + 1):
+        h += Fraction(1, n)
+        x = h
+        if target == TARGET_H1:
+            if n == 1:
+                continue
+            x = x - 1
+        if x.denominator % p == 0 or x.numerator % p:
+            continue
+        v = vp_int(x.numerator, p)
+        if v >= VALUATION_CAP:
+            records.append(SieveRecord(p, n, VALUATION_CAP, True, target))
+        else:
+            records.append(SieveRecord(p, n, v, False, target))
+    return records

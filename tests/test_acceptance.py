@@ -27,18 +27,13 @@ from mirrorint.series import (
     ps_revert,
     PSeries,
 )
-from mirrorint.sieve import (
-    BACKEND_EXACT,
-    BACKEND_MODULAR,
-    TARGET_H,
-    TARGET_H1,
-    SieveRun,
-)
+from mirrorint.sieve import TARGET_H, TARGET_H1, SieveRun
 from oracles import (
     check_decomposition,
     check_dwork_S,
     check_theorem_congruence,
     check_Y,
+    exact_sieve,
     optimality_witness,
     p_integral_violation,
     ps_substitute_power,
@@ -53,21 +48,22 @@ def report(number, description, ok, detail=""):
     assert ok, f"criterion {number}: {description}{suffix}"
 
 
-def sieve_hits(p, max_N, target, backend=BACKEND_MODULAR):
-    return list(SieveRun(p, max_N, target, backend))
+def sieve_hits(p, max_N, target):
+    return list(SieveRun(p, max_N, target))
 
 
 def test_criterion_01_harmonic_valuation_tables():
     ok = True
     detail = []
-    for backend in (BACKEND_EXACT, BACKEND_MODULAR):
-        got = [(r.N, r.v) for r in sieve_hits(3, 1000, TARGET_H, backend)]
+    # The exact oracle's sets and SieveRun's.
+    for sieve in (exact_sieve, sieve_hits):
+        got = [(r.N, r.v) for r in sieve(3, 1000, TARGET_H)]
         ok &= got == [(2, 1), (7, 1), (22, 1)]
-        got = [(r.N, r.v) for r in sieve_hits(5, 1000, TARGET_H, backend)]
+        got = [(r.N, r.v) for r in sieve(5, 1000, TARGET_H)]
         ok &= got == [(4, 2), (20, 1), (24, 1)]
-        got = [(r.N, r.v) for r in sieve_hits(3, 1000, TARGET_H1, backend)]
+        got = [(r.N, r.v) for r in sieve(3, 1000, TARGET_H1)]
         ok &= got == [(66, 1), (68, 1)]
-        got = [(r.N, r.v) for r in sieve_hits(5, 1000, TARGET_H1, backend)]
+        got = [(r.N, r.v) for r in sieve(5, 1000, TARGET_H1)]
         ok &= got == [(3, 1), (21, 1), (23, 1)]
     if not ok:
         detail.append("positive-valuation sets differ")
@@ -82,7 +78,7 @@ def test_criterion_01_harmonic_valuation_tables():
 
 
 def test_criterion_02_boyd_hits():
-    records = sieve_hits(11, 20_000, TARGET_H, BACKEND_MODULAR)
+    records = sieve_hits(11, 20_000, TARGET_H)
     level3 = [r.N for r in records if r.v == 3 and not r.v_at_least]
     beyond = [r.N for r in records if r.v_at_least]
     ok = level3 == [848, 9338, 10583] and beyond == []

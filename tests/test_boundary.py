@@ -1,4 +1,4 @@
-"""Three boundaries of the package, and one rule for every module.
+"""Three boundaries of the package, and two rules for every module.
 
 p is checked where it enters the program, and nowhere below that. Every
 public callable that takes a prime p rejects a non-prime with ValueError. A
@@ -15,7 +15,8 @@ not once per row.
 No code without a caller. Every function, class and method in the package
 is reached from the CLI, a module-level statement, mirrorint.__all__ or a
 name kept on purpose (KEEP); code that only tests use lives in
-tests/oracles.py.
+tests/oracles.py. Every name a module binds at module level by assignment
+is read somewhere in the package or listed in mirrorint.__all__.
 
 No import without a reader. Every name a module of the package or of the
 tests imports is read in that module.
@@ -291,6 +292,69 @@ def test_every_definition_has_a_caller():
     assert unreached(sources, roots) == []
 
 
+def _module_bindings(body):
+    # The names a module's statements bind by assignment, through
+    # if/try/with/loops; class and function bodies bind their own names.
+    for node in body:
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            continue
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _module_bindings(getattr(node, field, []))
+
+
+def unread_constants(sources, roots):
+    """The names each module of ``sources`` (module name -> source) binds at
+    module level by assignment that no module reads, as a name or an
+    attribute, and ``roots`` does not list. Dunders are exempt."""
+    bound = set()
+    read = set(roots)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        bound |= {
+            (module, name) for name in _module_bindings(tree.body) if not _dunder(name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}.{name}" for module, name in bound if name not in read)
+
+
+@pytest.mark.parametrize(
+    "source,roots,flagged",
+    [
+        ("X = 1\nY = 2\nprint(X)\n", (), ["m.Y"]),
+        ("X: int = 1\nA, (B, C) = 1, (2, 3)\nf(A, C)\n", (), ["m.B", "m.X"]),
+        # Listed in the roots (mirrorint.__all__); a dunder runs unnamed.
+        ("X = 1\n__version__ = '1'\n", ("X",), []),
+        # Read in a function, as an attribute, or by the next assignment.
+        ("X = 1\ndef f():\n    return X\n", (), []),
+        ("X = 1\nm.X\n", (), []),
+        ("X = 1\nY = (X,)\nf(Y)\n", (), []),
+        # A store, an augmented one included, is not a read, nor is a
+        # string or a docstring.
+        ("X = 1\nX = 2\nY = 0\nY += 1\n", (), ["m.X", "m.Y"]),
+        ('"""Uses X."""\nX = 1\ny = "X"\n', (), ["m.X", "m.y"]),
+        # Bound under if/try at module level; not in a function or class.
+        ("try:\n    X = 1\nexcept E:\n    X = 2\nif c:\n    Y = 1\n", (), ["m.X", "m.Y"]),
+        ("def f():\n    x = 1\nclass C:\n    y = 1\nf(C)\n", (), []),
+    ],
+)
+def test_unread_constant_scan(source, roots, flagged):
+    assert unread_constants({"m": source}, roots) == flagged
+
+
+def test_every_constant_has_a_reader():
+    package = Path(mirrorint.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert unread_constants(sources, mirrorint.__all__) == []
+
+
 def unused_imports(source):
     """The names one module's source imports and never reads as a name. A
     `from __future__` import binds nothing to read, and a name listed in
@@ -375,7 +439,7 @@ def test_mutated_B_row_leaves_the_next_call_exact(N, k, m_max, m_max2, data):
         ("decomposition", {"p": (3,), "K": 2, "Nmax": 3}),
         ("lemma11", {"p": (2, 3), "Nmax": 3, "kmax": 1, "mmax": 3, "smax": 1}),
         ("lemma12", {"p": (2, 3), "Nmax": 2, "kmax": 1, "jmax": 2, "Kmax": 2}),
-        ("lemma12", {"p": (3,), "Nmax": 2, "kmax": 1, "jmax": -2, "Kmax": 3}),
+        ("lemma12", {"p": (3,), "Nmax": 2, "kmax": 1, "jmax": 0, "Kmax": 3}),
         ("j-mod-p", {"pmax": 13, "Jmax": 40}),
         ("witness", {"Nmax": 4, "pmax": 13, "which": "u"}),
         ("wolstenholme", {"pmin": 3, "pmax": 60}),

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -148,12 +149,15 @@ class TestCertifyCommand:
         assert code == 0
 
     def test_order_env_default(self, capsys, monkeypatch):
+        # The order is --order's, 25 by default: no environment variable
+        # sets it, so the same flags print the same bytes.
+        argv = ["certify", "--map", "qLN", "--L", "2", "--N", "2", "--root", "auto"]
+        monkeypatch.delenv("MIRRORINT_ORDER", raising=False)
+        expected = run_cli(capsys, *argv)
         monkeypatch.setenv("MIRRORINT_ORDER", "10")
-        code, out, _ = run_cli(
-            capsys, "certify", "--map", "qLN", "--L", "2", "--N", "2", "--root", "auto"
-        )
-        assert code == 0
-        assert json.loads(out)["params"]["order"] == 10
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == expected and code == 0
+        assert '"order":25' in out
 
     def test_bad_root(self, capsys):
         code, _, err = run_cli(
@@ -259,8 +263,7 @@ CERTIFY_GOLDEN = [
 
 class TestCertifyGolden:
     @pytest.mark.parametrize("argv,code,sha256", CERTIFY_GOLDEN)
-    def test_byte_identical(self, capsys, monkeypatch, argv, code, sha256):
-        monkeypatch.delenv("MIRRORINT_ORDER", raising=False)
+    def test_byte_identical(self, capsys, argv, code, sha256):
         got, out, _ = run_cli(capsys, "certify", *argv.split())
         assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha256)
 
@@ -303,15 +306,20 @@ class TestSieveCommand:
         assert all(not r["v_at_least"] for r in records)
         assert "sieve complete" in err
 
-    def test_p2_modular_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "sieve", "--p", "2", "--max", "1000")
-        assert code == 2
-
-    def test_p2_exact_empty(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "sieve", "--p", "2", "--max", "1000", "--backend", "exact"
+    @pytest.mark.parametrize("target", ["H", "H1"])
+    def test_p2_is_empty(self, capsys, target):
+        # v_2(H_N) = -floor(log2 N) <= 0: the tree ends at the block [1, 1].
+        code, out, err = run_cli(
+            capsys, "sieve", "--p", "2", "--max", "1000", "--target", target
         )
-        assert code == 0 and parse_jsonl(out) == []
+        assert (code, out) == (0, "") and err.endswith(", 0 records\n")
+
+    @pytest.mark.parametrize("backend", ["exact", "modular"])
+    def test_backend_is_a_usage_error(self, capsys, backend):
+        code, out, err = run_cli(
+            capsys, "sieve", "--p", "3", "--max", "100", "--backend", backend
+        )
+        assert (code, out) == (2, "") and "unrecognized arguments: --backend" in err
 
     def test_shifted_records(self, capsys):
         code, out, _ = run_cli(
@@ -377,11 +385,11 @@ class TestSieveCommand:
 
     def test_sigterm_then_resume(self, capsys, tmp_path):
         # SIGTERM mid-run flushes --out, writes the checkpoint and exits 130;
-        # the resumed run completes --out byte for byte. The exact backend is
-        # slow enough (about 1 s to 30000) to be caught mid-run, and p = 29
-        # has hits on both sides of where the signal usually lands.
+        # the resumed run completes --out byte for byte. Boyd's tree for
+        # p = 83 up to 10^80 is long enough (about 1.5 s, 858 records) to be
+        # caught mid-run, with hits on both sides of where the signal lands.
         out, ckpt, direct = tmp_path / "r.jsonl", tmp_path / "r.ckpt", tmp_path / "d.jsonl"
-        argv = ["sieve", "--p", "29", "--max", "30000", "--backend", "exact", "--target", "H"]
+        argv = ["sieve", "--p", "83", "--max", str(10**80), "--target", "H"]
         files = ["--out", str(out), "--checkpoint", str(ckpt)]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -399,7 +407,7 @@ class TestSieveCommand:
         assert proc.returncode == 130, err
         assert "interrupted at N=" in err
         cp = json.loads(ckpt.read_text())
-        assert 0 < cp["last_N"] < 30000
+        assert 0 < cp["last_N"] < 10**80
         assert cp["out_offset"] == out.stat().st_size
         assert run_cli(capsys, *argv, *files)[0] == 0
         assert run_cli(capsys, *argv, "--out", str(direct))[0] == 0
@@ -493,12 +501,11 @@ class TestSieveCommand:
         assert code == 3 and out.read_text() == "keep\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.jsonl"]
 
-    @pytest.mark.parametrize("backend", ["exact", "modular"])
     @pytest.mark.parametrize("bad", [-5, 2.5, True])
-    def test_bad_last_N_io_error(self, capsys, tmp_path, backend, bad):
+    def test_bad_last_N_io_error(self, capsys, tmp_path, bad):
         # The file's digest is right, so only the last_N check can reject it.
         ckpt = tmp_path / "c.ckpt"
-        argv = ["sieve", "--p", "5", "--backend", backend, "--checkpoint", str(ckpt)]
+        argv = ["sieve", "--p", "5", "--checkpoint", str(ckpt)]
         assert run_cli(capsys, *argv, "--max", "50")[0] == 0
         cp = SieveCheckpoint.load(ckpt.read_text())
         ckpt.write_text(dataclasses.replace(cp, last_N=bad).dump() + "\n")
@@ -506,6 +513,22 @@ class TestSieveCommand:
         lines = err.splitlines()
         assert code == 3 and len(lines) == 1 and lines[0].startswith("error:")
         assert "last_N" in lines[0]
+
+    def test_exact_backend_checkpoint_io_error(self, capsys, tmp_path):
+        # A format 4 checkpoint of the exact backend the sieve once had:
+        # H_50 as {"num", "den"}. It is another run's, refused before --out
+        # is opened.
+        h = sum(Fraction(1, n) for n in range(1, 51))
+        state = {"num": str(h.numerator), "den": str(h.denominator)}
+        ckpt, out = tmp_path / "e.ckpt", tmp_path / "e.jsonl"
+        ckpt.write_text(SieveCheckpoint(5, "H", "exact", 50, state).dump() + "\n")
+        out.write_text("keep\n")
+        code, stdout, err = run_cli(
+            capsys,
+            "sieve", "--p", "5", "--max", "100", "--out", str(out), "--checkpoint", str(ckpt),
+        )
+        assert (code, stdout) == (3, "") and "different run" in err and "backend=exact" in err
+        assert out.read_text() == "keep\n"
 
 
 class TestSweepCommand:
@@ -679,19 +702,22 @@ class TestSweepGolden:
 # of stderr at 80 columns, recorded while every run built all 40 flags. The
 # last is reported by the top-level parser, whose usage lists every
 # subcommand. `sweep --help` and `sweep --check nonsense` were re-recorded
-# when `coeff-c` joined the --check choices, the only line that changed.
+# when `coeff-c` joined the --check choices, the only line that changed;
+# `certify --help`, `sieve --help` and `sieve --p 3` when the sieve's
+# `--backend` and certify's order from the environment went, the only
+# lines that changed.
 EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 HELP_GOLDEN = [
     ("--help", 0, "33c7e8e725694edea8e63aa0661ececbd0f1bd31176e005f906efb69063f85ff", EMPTY_SHA),
     ("constants --help", 0, "8bfab027ecf1e9f66125b52deaaebd14e1c88d439db3156a8d57df49783d5a4e", EMPTY_SHA),
-    ("certify --help", 0, "41b57c84bff426428f7aba72a2287b0cd698438cf00553317bc5725d2e4c50f8", EMPTY_SHA),
-    ("sieve --help", 0, "2756a9d919c986fd243e443bf70d81478d1f8d73b593c67dcab8ded2efbbf92a", EMPTY_SHA),
+    ("certify --help", 0, "db1e7818983006f827be8887789e3224446d434f66b67c5527c3dcdf88ee1308", EMPTY_SHA),
+    ("sieve --help", 0, "dafdf10dc9f0047870b36a1bf2add81da967749fc115f2e48c93b5dc19e2c009", EMPTY_SHA),
     ("sweep --help", 0, "1fc98ab24432304552537d6b124353beba4569dfbf2de8c317982492670188f5", EMPTY_SHA),
     ("", 2, EMPTY_SHA, "67f576c07f4fd25f18da425e36a93c4a007054e9da9e9ac230c7b9dc5bfe7baf"),
     ("bogus", 2, EMPTY_SHA, "464d1d3f8daa0f2ff1618393907991c6d1dfc5a4084e70f575a2f5640f87e681"),
     ("constants --which xi", 2, EMPTY_SHA, "1839c03e1ed5a7ec393cc3f0cd19bdd36d52dedb2e3699f57b662bf0bee74527"),
     ("certify --map qN --N 3 --bogus 1", 2, EMPTY_SHA, "b0f7917eec8b8e893b2d4d71e25f84ef0b98afeb1f46c26b72b2853a820952c7"),
-    ("sieve --p 3", 2, EMPTY_SHA, "4ae3d25ef9ebfe41abb9ee0299c741bb6430a142eb98c4ebeb17c63f2d035228"),
+    ("sieve --p 3", 2, EMPTY_SHA, "416180e63c25eb82953f71863c2783e75dc541e769d916d17e63373374d31407"),
     ("sweep --check nonsense", 2, EMPTY_SHA, "d3fea6a9fd45cb7ff5c66eb151a3cdfc48a3c1e89ec03829fa91815e7939a641"),
     ("sieve --p 3 --max 10 extra", 2, EMPTY_SHA, "17d73f4bc229dc224ce259fee0dbe9d8e7410569cc5ec690c2a45c8d148f44e4"),
 ]
@@ -935,14 +961,14 @@ class TestSweepArguments:
             assert code == 0 and out == "", argv
             assert "0 tuples" in err, argv
 
-    def test_negative_jmax_keeps_the_variant_rows(self, capsys):
-        # jmax < 0 empties lemma12's j axis, but its a = 1, j = 0 variant
-        # still runs at each 1 <= K <= Kmax: 8 rows per (N, k).
-        argv = "--check lemma12 --jmax -2 --p 3 --Nmax 2 --kmax 1"
-        code, out, _ = run_cli(capsys, "sweep", *argv.split())
-        assert (code, len(out.splitlines()), sha256(out)) == (
-            0, 16, "39f186e8e95db602b46c4837c411bf9c7a14a5cc548047a6f9ac71a208e48ced"
-        )
+    @pytest.mark.parametrize("jmax", ["-1", "-2"])
+    def test_negative_jmax_has_no_rows(self, capsys, jmax):
+        # jmax < 0 empties lemma12's j axis, and with it the a = 1, j = 0
+        # variant rows, which stand in for j = 0.
+        for grid in ("", " --p 3 --Nmax 2 --kmax 1"):
+            argv = f"--check lemma12 --jmax {jmax}{grid}"
+            code, out, err = run_cli(capsys, "sweep", *argv.split())
+            assert (code, out) == (0, "") and "0 tuples" in err, argv
 
     def test_negative_K_is_a_usage_error(self, capsys):
         got = run_cli(capsys, "sweep", "--check", "decomposition", "--K", "-1")
@@ -962,6 +988,23 @@ class TestSweepArguments:
     def test_bad_argument_is_a_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, "sweep", *argv)
         assert code == 2 and out == "" and "error" in err
+
+    def test_repeated_prime_is_a_usage_error(self, capsys):
+        # Each row would come out once per repeat.
+        for argv in (
+            "--check dworkS --p 3,3 --Nmax 1 --kmax 1 --Kmax 1 --smax 0",
+            "--check lemma12 --p 2,3,2",
+            "--check vp3-probe --p 11,11 --N 848",
+        ):
+            got = run_cli(capsys, "sweep", *argv.split())
+            check = argv.split()[1]
+            assert got == (2, "", f"error: {check}: p must not repeat a prime\n"), argv
+
+    @pytest.mark.parametrize("p", ["2,,3", "2,3,", ",3", "", "2, ,3"])
+    def test_empty_prime_entry_is_a_usage_error(self, capsys, p):
+        code, out, err = run_cli(capsys, "sweep", "--check", "dworkS", "--p", p)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --p: expected comma-separated integers: {p!r}\n")
 
     @pytest.mark.parametrize(
         "argv",

@@ -551,6 +551,14 @@ class TestSweepWalk:
         assert [(r["params"]["a"], r["params"]["j"]) for r in lemma12] == [
             (0, 0), (0, 1), (1, 1), (2, 0), (2, 1)
         ]
+        # j = 0 outside the grid takes the a = 1, j = 0 variant rows along.
+        assert list(sweep("lemma12", jmax=-1)) == []
+
+    @pytest.mark.parametrize("p", [(3, 3), [2, 3, 2]])
+    def test_repeated_prime_rejected(self, p):
+        # Each of its rows would come out once per repeat.
+        with pytest.raises(ValueError, match="repeat"):
+            sweep("dworkS", p=p, Nmax=1, kmax=1, Kmax=1, smax=0)
 
     def test_first_row_evaluates_one_block(self, monkeypatch):
         # The CLI takes the first row before it opens --out, so that a
@@ -721,7 +729,8 @@ class TestBlockKernels:
         got = rows_at("lemma12", SWEEPS["lemma12"].rows(grid), N=N, k=k)
         expected = []
         for a in range(p):
-            if a == 1:
+            # The K rows stand in for j = 0, so they need j = 0 in the grid.
+            if a == 1 and jmax >= 0:
                 expected += [
                     lemma12_row({**point, "a": 1, "K": K, "j": 0}) for K in range(1, Kmax + 1)
                 ]
@@ -792,13 +801,13 @@ class TestRequiredValuation:
 
 # Grids whose lines hold every form in which the CLI's templates write a
 # field: "inf" margins, decomposition's null margin, coeff-c's capped true
-# and false, lemma12 with K-bearing rows only (jmax < 0) and mixed, both
+# and false, lemma12 with only K-bearing rows at a = 1 (jmax 0) and mixed, both
 # variants of witness and theorem-congruence, and empty grids.
 LINE_EDGE_GRIDS = [
     ("yms", {"p": [3], "Nmax": 1, "kmax": 1, "Kmax": 1, "smax": 0}),
     ("decomposition", {"p": [5], "Nmax": 1, "kmax": 1, "K": 0}),
     ("coeff-c", {"p": [3], "N": 7, "mmax": 40}),
-    ("lemma12", {"p": [3], "Nmax": 1, "kmax": 1, "jmax": -1, "Kmax": 3}),
+    ("lemma12", {"p": [3], "Nmax": 1, "kmax": 1, "jmax": 0, "Kmax": 3}),
     ("lemma12", {"p": [5], "Nmax": 2, "kmax": 1, "jmax": 1, "Kmax": 1}),
     ("witness", {"Nmax": 3, "pmax": 11, "which": "t"}),
     ("witness", {"Nmax": 3, "pmax": 11, "which": "u"}),

@@ -11,7 +11,6 @@ from mirrorint.harmonic import ModularHarmonicSum
 from mirrorint.padic import primes_upto
 from mirrorint.series import _int_str_digits
 from mirrorint.sieve import (
-    BACKEND_EXACT,
     BACKEND_MODULAR,
     TARGET_H,
     TARGET_H1,
@@ -22,16 +21,26 @@ from mirrorint.sieve import (
     SieveRun,
     canonical_json,
 )
+from oracles import exact_sieve
 
 
-def run(p, max_N, target=TARGET_H, backend=BACKEND_MODULAR, checkpoint=None):
-    r = SieveRun(p, max_N, target, backend, checkpoint)
+def run(p, max_N, target=TARGET_H, checkpoint=None):
+    r = SieveRun(p, max_N, target, checkpoint=checkpoint)
     return list(r), r
 
 
+def modular_sieve(p, max_N, target):
+    return run(p, max_N, target)[0]
+
+
+# The two sieves each known set is read off: the exact oracle, which sums
+# every H_N as a Fraction, and SieveRun.
+SIEVES = [pytest.param(exact_sieve, id="exact"), pytest.param(modular_sieve, id="modular")]
+
+
 def per_index_sieve(p, max_N, target):
-    """The modular backend as one move per index: every N up to max_N is
-    visited, and the state is read where the parent N // p is positive."""
+    """SieveRun as one move per index: every N up to max_N is visited, and
+    the state is read where the parent N // p is positive."""
     state = ModularHarmonicSum(p, cap=VALUATION_CAP)
     positive = set()
     records = []
@@ -61,46 +70,45 @@ def per_index_sieve(p, max_N, target):
 
 
 class TestKnownSets:
-    @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_MODULAR])
-    def test_p3_H(self, backend):
-        records, _ = run(3, 1000, TARGET_H, backend)
+    @pytest.mark.parametrize("sieve", SIEVES)
+    def test_p3_H(self, sieve):
+        records = sieve(3, 1000, TARGET_H)
         assert [r.N for r in records] == [2, 7, 22]
         assert all(r.v == 1 and not r.v_at_least for r in records)
 
-    @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_MODULAR])
-    def test_p5_H(self, backend):
-        records, _ = run(5, 1000, TARGET_H, backend)
+    @pytest.mark.parametrize("sieve", SIEVES)
+    def test_p5_H(self, sieve):
+        records = sieve(5, 1000, TARGET_H)
         assert [(r.N, r.v) for r in records] == [(4, 2), (20, 1), (24, 1)]
 
-    @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_MODULAR])
-    def test_p3_shifted(self, backend):
-        records, _ = run(3, 1000, TARGET_H1, backend)
+    @pytest.mark.parametrize("sieve", SIEVES)
+    def test_p3_shifted(self, sieve):
+        records = sieve(3, 1000, TARGET_H1)
         assert [(r.N, r.v) for r in records] == [(66, 1), (68, 1)]
 
-    @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_MODULAR])
-    def test_p5_shifted(self, backend):
-        records, _ = run(5, 1000, TARGET_H1, backend)
+    @pytest.mark.parametrize("sieve", SIEVES)
+    def test_p5_shifted(self, sieve):
+        records = sieve(5, 1000, TARGET_H1)
         assert [(r.N, r.v) for r in records] == [(3, 1), (21, 1), (23, 1)]
 
     def test_p2_exact_is_empty(self):
         # v_2(H_N) = -floor(log2 N) <= 0: nothing to find.
-        records, _ = run(2, 1000, TARGET_H, BACKEND_EXACT)
-        assert records == []
-        records, _ = run(2, 1000, TARGET_H1, BACKEND_EXACT)
-        assert records == []
+        assert exact_sieve(2, 1000, TARGET_H) == []
+        assert exact_sieve(2, 1000, TARGET_H1) == []
 
-    def test_p2_modular_rejected(self):
-        with pytest.raises(ValueError):
-            SieveRun(2, 100, TARGET_H, BACKEND_MODULAR)
+    @pytest.mark.parametrize("target", [TARGET_H, TARGET_H1])
+    def test_p2_modular_is_empty(self, target):
+        # The block [1, 1] has no hit, so the tree ends there.
+        records, r = run(2, 1000, target)
+        assert records == [] and not r.stopped
+        assert r.checkpoint().state == {"queue": []} and r.last_N == 1000
 
 
 class TestBackendAgreement:
     @pytest.mark.parametrize("target", [TARGET_H, TARGET_H1])
     def test_streams_identical(self, target):
         for p in [q for q in primes_upto(31) if q >= 3]:
-            exact, _ = run(p, 10_000, target, BACKEND_EXACT)
-            modular, _ = run(p, 10_000, target, BACKEND_MODULAR)
-            assert exact == modular, p
+            assert exact_sieve(p, 10_000, target) == run(p, 10_000, target)[0], p
 
 
 class TestCandidateBlocks:
@@ -125,11 +133,14 @@ class TestCandidateBlocks:
             assert first + rest == direct, last
             assert r2.checkpoint() == final
 
-    @pytest.mark.parametrize("backend,max_N", [(BACKEND_EXACT, 3000), (BACKEND_MODULAR, 20_000)])
-    def test_stop_after_each_record(self, backend, max_N):
-        direct, _ = run(11, max_N, TARGET_H, backend)
+    # The stream every stopped and resumed run is compared with comes from
+    # the exact oracle up to 3000, and from one uninterrupted run to 20000.
+    @pytest.mark.parametrize("sieve,max_N", [(exact_sieve, 3000), (modular_sieve, 20_000)],
+                             ids=["exact-3000", "modular-20000"])
+    def test_stop_after_each_record(self, sieve, max_N):
+        direct = sieve(11, max_N, TARGET_H)
         for k in range(1, len(direct) + 1):
-            runner = SieveRun(11, max_N, TARGET_H, backend)
+            runner = SieveRun(11, max_N, TARGET_H)
             first = []
             for record in runner:
                 first.append(record)
@@ -138,7 +149,7 @@ class TestCandidateBlocks:
             assert runner.stopped and first == direct[:k]
             cp = runner.checkpoint()
             assert cp.last_N == direct[k - 1].N
-            rest, _ = run(11, max_N, TARGET_H, backend, cp)
+            rest, _ = run(11, max_N, TARGET_H, cp)
             assert first + rest == direct
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -178,7 +189,7 @@ def sha256(text):
 
 
 class TestDeepTrees:
-    """Whole Boyd trees far past the range the exact backend can check,
+    """Whole Boyd trees far past the range the exact oracle can check,
     pinned by the SHA-256 of their records (one to_line() per line) and of
     their final checkpoint."""
 
@@ -222,24 +233,12 @@ class TestDeepTrees:
             assert resumed.checkpoint() == final
 
 
-class TestExactCheckpointDigits:
-    def test_beyond_the_int_str_digit_limit(self):
-        # H_2500 has a numerator of about 1080 digits, above Python's lowest
-        # settable limit of 640.
-        direct, _ = run(11, 4000, TARGET_H, BACKEND_EXACT)
-        with _int_str_digits(640):
-            first, r = run(11, 2500, TARGET_H, BACKEND_EXACT)
-            cp = SieveCheckpoint.load(r.checkpoint().dump())
-            rest, _ = run(11, 4000, TARGET_H, BACKEND_EXACT, cp)
-        assert first + rest == direct
-
-
 class TestHitGrowthBounds:
     def test_unshifted_bounds(self):
         # Hits with p <= N satisfy N >= 2p; >= 3p unless p = 3; >= 5p unless
         # p in {3, 5, 11}; >= 6p when the valuation exceeds 2.
         for p in [q for q in primes_upto(31) if q >= 3]:
-            for r in run(p, 10_000, TARGET_H, BACKEND_MODULAR)[0]:
+            for r in run(p, 10_000, TARGET_H)[0]:
                 if r.N < p:
                     continue
                 assert r.N >= 2 * p
@@ -253,7 +252,7 @@ class TestHitGrowthBounds:
     def test_shifted_bounds(self):
         # Shifted hits with p <= N satisfy N >= 4p; >= 6p unless p = 5.
         for p in [q for q in primes_upto(31) if q >= 3]:
-            for r in run(p, 10_000, TARGET_H1, BACKEND_MODULAR)[0]:
+            for r in run(p, 10_000, TARGET_H1)[0]:
                 if r.N < p:
                     continue
                 assert r.N >= 4 * p
@@ -262,26 +261,26 @@ class TestHitGrowthBounds:
 
 
 class TestCheckpointing:
-    @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_MODULAR])
+    @pytest.mark.parametrize("sieve", SIEVES)
     @pytest.mark.parametrize("target", [TARGET_H, TARGET_H1])
-    def test_resume_is_deterministic(self, backend, target):
-        direct, _ = run(3, 1000, target, backend)
-        first, r1 = run(3, 500, target, backend)
+    def test_resume_is_deterministic(self, sieve, target):
+        direct = sieve(3, 1000, target)
+        first, r1 = run(3, 500, target)
         cp = r1.checkpoint()
         assert cp.last_N == 500
-        rest, r2 = run(3, 1000, target, backend, checkpoint=cp)
+        rest, r2 = run(3, 1000, target, checkpoint=cp)
         assert first + rest == direct
 
     def test_checkpoint_survives_serialization(self):
-        _, r1 = run(5, 300, TARGET_H, BACKEND_MODULAR)
+        _, r1 = run(5, 300, TARGET_H)
         text = r1.checkpoint().dump()
         cp = SieveCheckpoint.load(text)
-        rest, _ = run(5, 1000, TARGET_H, BACKEND_MODULAR, checkpoint=cp)
-        direct, _ = run(5, 1000, TARGET_H, BACKEND_MODULAR)
+        rest, _ = run(5, 1000, TARGET_H, checkpoint=cp)
+        direct, _ = run(5, 1000, TARGET_H)
         assert rest == [r for r in direct if r.N > 300]
 
     def test_corrupt_checkpoint_detected(self):
-        _, r = run(5, 100, TARGET_H, BACKEND_MODULAR)
+        _, r = run(5, 100, TARGET_H)
         doc = r.checkpoint().to_json()
         doc["last_N"] = 99  # tamper
         with pytest.raises(CheckpointError, match="digest"):
@@ -294,7 +293,7 @@ class TestCheckpointing:
             SieveCheckpoint.load(json.dumps({"format_version": 99}))
 
     def test_old_format_and_bad_offset_detected(self):
-        _, r = run(5, 100, TARGET_H, BACKEND_MODULAR)
+        _, r = run(5, 100, TARGET_H)
         doc = r.checkpoint().to_json()
         for old in (1, 2, 3):
             with pytest.raises(CheckpointError, match="format_version"):
@@ -307,12 +306,14 @@ class TestCheckpointing:
             with pytest.raises(CheckpointError, match="byte count"):
                 SieveCheckpoint.load(cp.dump())
 
-    @pytest.mark.parametrize("backend", [BACKEND_EXACT, BACKEND_MODULAR])
+    # The backend a checkpoint names, "exact" as written when the sieve had
+    # an exact backend: load checks last_N before a run compares it.
+    @pytest.mark.parametrize("backend", ["exact", BACKEND_MODULAR])
     @pytest.mark.parametrize("bad", [-5, 2.5, True])
     def test_bad_last_N_detected(self, backend, bad):
         # The digest is right, so only the last_N check can catch it.
-        _, r = run(5, 100, TARGET_H, backend)
-        cp = dataclasses.replace(r.checkpoint(), last_N=bad)
+        _, r = run(5, 100, TARGET_H)
+        cp = dataclasses.replace(r.checkpoint(), backend=backend, last_N=bad)
         with pytest.raises(CheckpointError, match="last_N"):
             SieveCheckpoint.load(cp.dump())
 
@@ -322,37 +323,40 @@ class TestCheckpointing:
         "queue", [[0], [20, 101], [-1, 20], ["7"], 7, [24, 20], [20, 20], {"20": 1}]
     )
     def test_bad_queue_detected(self, queue):
-        _, r = run(5, 100, TARGET_H, BACKEND_MODULAR)
+        _, r = run(5, 100, TARGET_H)
         assert r.checkpoint().state == {"queue": [20, 24]}
         cp = dataclasses.replace(r.checkpoint(), state={"queue": queue})
         with pytest.raises(CheckpointError, match="state is invalid"):
-            SieveRun(5, 200, TARGET_H, BACKEND_MODULAR, SieveCheckpoint.load(cp.dump()))
+            SieveRun(5, 200, TARGET_H, checkpoint=SieveCheckpoint.load(cp.dump()))
 
     def test_zero_denominator_detected(self):
-        _, r = run(3, 10, TARGET_H, BACKEND_EXACT)
+        # The exact backend's state, H_N as {"num", "den"}, is no queue.
+        _, r = run(3, 10, TARGET_H)
         cp = dataclasses.replace(r.checkpoint(), state={"num": "1", "den": "0"})
         with pytest.raises(CheckpointError, match="state is invalid"):
-            SieveRun(3, 20, TARGET_H, BACKEND_EXACT, SieveCheckpoint.load(cp.dump()))
+            SieveRun(3, 20, TARGET_H, checkpoint=SieveCheckpoint.load(cp.dump()))
 
     def test_mismatched_run_detected(self):
-        _, r = run(5, 100, TARGET_H, BACKEND_MODULAR)
+        _, r = run(5, 100, TARGET_H)
         cp = r.checkpoint()
         with pytest.raises(CheckpointError, match="different run"):
-            SieveRun(7, 200, TARGET_H, BACKEND_MODULAR, cp)
+            SieveRun(7, 200, TARGET_H, checkpoint=cp)
         with pytest.raises(CheckpointError, match="past"):
-            SieveRun(5, 50, TARGET_H, BACKEND_MODULAR, cp)
+            SieveRun(5, 50, TARGET_H, checkpoint=cp)
+        # The exact backend's checkpoints, state {"num", "den"}, are another run's.
+        exact = dataclasses.replace(cp, backend="exact", state={"num": "1", "den": "1"})
+        with pytest.raises(CheckpointError, match="different run"):
+            SieveRun(5, 200, TARGET_H, checkpoint=SieveCheckpoint.load(exact.dump()))
 
     def test_checkpoint_midstream(self):
-        runner = SieveRun(3, 1000, TARGET_H, BACKEND_MODULAR)
+        runner = SieveRun(3, 1000, TARGET_H)
         it = iter(runner)
         first = next(it)
         assert first.N == 2
         cp = runner.checkpoint()
         assert cp.last_N == 2
-        resumed = SieveRun(3, 1000, TARGET_H, BACKEND_MODULAR, cp)
-        assert [first] + list(resumed) == list(
-            SieveRun(3, 1000, TARGET_H, BACKEND_MODULAR)
-        )
+        resumed = SieveRun(3, 1000, TARGET_H, checkpoint=cp)
+        assert [first] + list(resumed) == list(SieveRun(3, 1000, TARGET_H))
 
 
 def dumps(o):
@@ -407,12 +411,12 @@ class TestRecordSchema:
     @pytest.mark.parametrize(
         "backend,sha256",
         [
-            (BACKEND_EXACT, "d13cd00bed3de507f4cfc8202e270432b9815d588409403a15abd7d546a80c88"),
             (BACKEND_MODULAR, "d22341721d67cd806fe8e6a7c20fb6990bd9eb1c2f147c53d2c721c2c43f9b7b"),
         ],
     )
     def test_checkpoint_bytes_are_pinned(self, backend, sha256):
-        records, r = run(11, 3000, TARGET_H, backend)
+        records, r = run(11, 3000, TARGET_H)
+        assert r.checkpoint().backend == backend
         assert records[-1].to_line() == (
             '{"N":1293,"p":11,"target":"H","v":1,"v_at_least":false}'
         )
@@ -430,12 +434,11 @@ class TestRecordSchema:
         assert example == doc
 
     def test_checkpoint_format_version(self):
-        for backend, state in ((BACKEND_EXACT, {"num", "den"}), (BACKEND_MODULAR, {"queue"})):
-            _, r = run(3, 10, TARGET_H, backend)
-            doc = r.checkpoint().to_json()
-            assert doc["format_version"] == 4
-            assert {"p", "target", "backend", "last_N", "state", "out_offset", "digest"} <= set(doc)
-            assert set(doc["state"]) == state
+        _, r = run(3, 10, TARGET_H)
+        doc = r.checkpoint().to_json()
+        assert doc["format_version"] == 4
+        assert {"p", "target", "backend", "last_N", "state", "out_offset", "digest"} <= set(doc)
+        assert doc["backend"] == BACKEND_MODULAR and set(doc["state"]) == {"queue"}
 
 
 class TestValidation:
@@ -446,5 +449,9 @@ class TestValidation:
             SieveRun(3, 0)
         with pytest.raises(ValueError):
             SieveRun(3, 10, target="X")
-        with pytest.raises(ValueError):
-            SieveRun(3, 10, backend="quantum")
+        # No backend to choose: the checkpoint is the one argument after
+        # the target, by keyword only.
+        with pytest.raises(TypeError):
+            SieveRun(3, 10, backend="modular")
+        with pytest.raises(TypeError):
+            SieveRun(3, 10, TARGET_H, BACKEND_MODULAR)
