@@ -6,7 +6,8 @@ object, streaming commands print JSONL, and a human table sits behind
 
 Exit codes: 0 pass, 1 mathematical violation found, 2 usage error,
 3 environment/IO error (130 when a sieve is interrupted by SIGINT or SIGTERM;
-its --out file is flushed and its checkpoint written first).
+its --out file is flushed and its checkpoint written first). A document's
+status sets its exit code: pass and degenerate exit 0, violation exits 1.
 """
 
 from __future__ import annotations
@@ -58,26 +59,39 @@ EXIT_IO = 3
 EXIT_INTERRUPT = 130
 
 
-def _outcome(command: str, params: dict, status: str, payload: dict) -> dict:
+# The exit code of each status a single-document command can report.
+_EXIT = {"pass": EXIT_PASS, "degenerate": EXIT_PASS, "violation": EXIT_VIOLATION}
+
+
+def _flags(args, *skip) -> dict:
+    # The command's flags as parsed, less those named in `skip`.
     return {
-        "format_version": FORMAT_VERSION,
-        "command": command,
-        "params": params,
-        "status": status,
-        "payload": payload,
+        name: value
+        for name, value in vars(args).items()
+        if name not in ("command", "func", *skip)
     }
 
 
-def _print_outcome(doc: dict, table: bool) -> None:
-    if not table:
+def _emit(args, status: str, payload: dict) -> int:
+    """Print the command's document, as JSON or in the --table layout, and
+    return the exit code its status sets. Its params are the command's
+    flags less --table."""
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "command": args.command,
+        "params": _flags(args, "table"),
+        "status": status,
+        "payload": payload,
+    }
+    if not args.table:
         print(canonical_json(doc))
-        return
-    print(f"command : {doc['command']}")
-    print(f"status  : {doc['status']}")
-    for key in sorted(doc["params"]):
-        print(f"  {key:<10} {doc['params'][key]}")
-    for key in sorted(doc["payload"]):
-        print(f"  {key:<10} {doc['payload'][key]}")
+    else:
+        print(f"command : {args.command}")
+        print(f"status  : {status}")
+        for part in (doc["params"], payload):
+            for key in sorted(part):
+                print(f"  {key:<10} {part[key]}")
+    return _EXIT[status]
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -161,11 +175,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, and the flags of `command` only;
-    of every subcommand when `command` is None. Each add_argument builds a
-    HelpFormatter, so a run builds just the flags it can parse. It parses
-    only what _parse_plain leaves: help and every malformed command line."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand and its flags. It parses only what
+    _parse_plain leaves: help and every malformed command line."""
     parser = argparse.ArgumentParser(
         prog="mirrorint",
         description="exact verification of harmonic-valuation and "
@@ -174,8 +186,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
-            p.set_defaults(func=add_flags(p.add_argument))
+        p.set_defaults(func=add_flags(p.add_argument))
     return parser
 
 
@@ -217,37 +228,26 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
 def _cmd_constants(args) -> int:
     if args.k != 1 and args.which != "t":
         raise ValueError(f"{args.which} takes no k; only t reads it")
-    params = {"which": args.which, "N": args.N, "k": args.k}
     try:
         if args.which == "theta":
             payload = {"value": str(theta(args.N))}
-        elif args.which == "xi":
-            b = xi(args.N)
+        elif args.which in ("xi", "omega"):
+            b = (xi if args.which == "xi" else omega)(args.N)
             payload = {"value": str(b.product), "breakdown": b.to_json()}
-        elif args.which == "omega":
-            b = omega(args.N)
-            payload = {"value": str(b.product), "breakdown": b.to_json()}
-        elif args.which == "t":
-            value, integral = t_conjectured(args.N, args.k)
-            payload = {"value": str(value), "integral": integral}
         else:
-            value, integral = u_conjectured(args.N)
+            value, integral = (
+                t_conjectured(args.N, args.k) if args.which == "t" else u_conjectured(args.N)
+            )
             payload = {"value": str(value), "integral": integral}
     except DegenerateCase as exc:
-        _print_outcome(
-            _outcome("constants", params, "degenerate", {"reason": str(exc)}),
-            args.table,
-        )
-        return EXIT_PASS
-    _print_outcome(_outcome("constants", params, "pass", payload), args.table)
-    return EXIT_PASS
+        return _emit(args, "degenerate", {"reason": str(exc)})
+    return _emit(args, "pass", payload)
 
 
 def _auto_root(map_kind: str, N: int, k: int, L: int | None) -> Fraction:
     fact_k = Fraction(math.factorial(N)) ** k
     if map_kind == KIND_QLN:
-        if L is None:
-            raise ValueError("qLN requires --L")
+        # canonical_parts has already rejected a qLN without L.
         if L == N:
             return xi(N).product * fact_k
         if L > N:
@@ -264,21 +264,11 @@ def _cmd_certify(args) -> int:
         raise ValueError("--order must be positive")
     if args.root_scale < 1:
         raise ValueError("--root-scale must be a positive integer")
-    params = {
-        "map": args.map,
-        "N": args.N,
-        "k": args.k,
-        "L": args.L,
-        "order": order,
-        "root": args.root,
-        "root_scale": args.root_scale,
-    }
     g, f = canonical_parts(args.map, args.N, args.k, L=args.L, order=order)
     # F[0] = 1, so log q = G/F vanishes to the order exactly when G does.
     if not any(g.coefficients):
         payload = {"reason": "the map reduces to z: every root is trivially integral"}
-        _print_outcome(_outcome("certify", params, "degenerate", payload), args.table)
-        return EXIT_PASS
+        return _emit(args, "degenerate", payload)
 
     if args.root == "auto":
         base = _auto_root(args.map, args.N, args.k, args.L)
@@ -287,10 +277,7 @@ def _cmd_certify(args) -> int:
                 "reason": "prescribed root is not a positive integer",
                 "root": str(base),
             }
-            _print_outcome(
-                _outcome("certify", params, "violation", payload), args.table
-            )
-            return EXIT_VIOLATION
+            return _emit(args, "violation", payload)
         root = int(base)
     else:
         try:
@@ -305,9 +292,7 @@ def _cmd_certify(args) -> int:
     # exp(G/(V·F)) runs only to a violation's witness, to print it.
     index = first_nonintegral(g, f, root)
     if index is None:
-        payload = {"root": str(root), "certified_to_order": order}
-        _print_outcome(_outcome("certify", params, "pass", payload), args.table)
-        return EXIT_PASS
+        return _emit(args, "pass", {"root": str(root), "certified_to_order": order})
     witness = next(itertools.islice(exp_quotient(g, f, root), index, None))
     if witness.denominator == 1:
         raise RuntimeError(
@@ -318,8 +303,7 @@ def _cmd_certify(args) -> int:
         "witness_index": index,
         "witness_coefficient": str(witness),
     }
-    _print_outcome(_outcome("certify", params, "violation", payload), args.table)
-    return EXIT_VIOLATION
+    return _emit(args, "violation", payload)
 
 
 @contextlib.contextmanager
@@ -343,10 +327,10 @@ def _stop_on_signals(run):
             signal.signal(sig, old)
 
 
-def _open_sieve_out(path: str, checkpoint: SieveCheckpoint | None):
-    """--out for a sieve run. Resuming with an existing file cuts it back
-    to the checkpoint's offset and appends; a new file, or a checkpoint
-    whose records went to stdout, starts empty."""
+def _open_out(path: str, checkpoint: SieveCheckpoint | None = None):
+    """--out, '-' for stdout. A sieve resuming with an existing file cuts
+    it back to the checkpoint's offset and appends; a new file, or a
+    checkpoint whose records went to stdout, starts empty."""
     if path == "-":
         return sys.stdout
     offset = checkpoint.out_offset if checkpoint else None
@@ -383,7 +367,7 @@ def _cmd_sieve(args) -> int:
     elif args.checkpoint and not os.path.isdir(os.path.dirname(args.checkpoint) or "."):
         raise CheckpointError(f"no directory for the checkpoint {args.checkpoint}")
     run = SieveRun(args.p, args.max, target=args.target, checkpoint=checkpoint)
-    out = _open_sieve_out(args.out, checkpoint)
+    out = _open_out(args.out, checkpoint)
     conjecture_hits = 0
     emitted = 0
     try:
@@ -448,16 +432,11 @@ def _row_formats(check: str, keys: list[str]) -> dict[int, str]:
 
 
 def _cmd_sweep(args) -> int:
-    params = {
-        name: value
-        for name, value in vars(args).items()
-        if name not in ("command", "func", "check", "out")
-    }
-    rows = _sweep_rows(args.check, **params)
+    rows = _sweep_rows(args.check, **_flags(args, "check", "out"))
     # Run the first grid point before --out is opened, so that a failed
     # precondition (vp3-probe's, say) leaves an existing file untouched.
     first = list(itertools.islice(rows, 1))
-    out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
+    out = _open_out(args.out)
     formats = _row_formats(args.check, SWEEPS[args.check].keys.split())
     failures = 0
     total = 0
@@ -497,9 +476,8 @@ def main(argv: list[str] | None = None) -> int:
 def _run(argv: list[str] | None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _parse_plain(argv) or _build_parser(command).parse_args(argv)
+        args = _parse_plain(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

@@ -522,8 +522,9 @@ SWEEPS: dict[str, Sweep] = {
 def sweep(check: str, **params) -> Iterator[dict]:
     """Rows {"check", "params", "holds", "margin"} of `check` at every point
     of its grid, the first parameter outermost. Parameters not given take
-    the table's defaults. Every parameter is validated here, before any
-    row."""
+    the table's defaults. The call checks the names, the required ones,
+    `which`, the primes and vp3-probe's single prime; the check's own
+    preconditions (vp3-probe's v_p(H_N) = 3, say) raise at the first row."""
     rows = _sweep_rows(check, **params)
     keys = SWEEPS[check].keys.split()
     return (
@@ -535,7 +536,7 @@ def sweep(check: str, **params) -> Iterator[dict]:
 
 def _sweep_rows(check: str, **params) -> Iterator[Row]:
     # sweep's rows as tuples, read by `sweep` and the CLI: the check's rows
-    # generator, validated and not yet started.
+    # generator, its grid checked and not yet started.
     spec = SWEEPS.get(check)
     if spec is None:
         raise ValueError(f"unknown check {check!r}")

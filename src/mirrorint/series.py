@@ -60,11 +60,6 @@ class PSeries:
             raise IndexError(f"coefficient {i} is beyond the truncation order")
         return self._c[i]
 
-    def truncate(self, order: int) -> "PSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return PSeries(self._c[: order + 1])
-
     def _coerce(self, other) -> "PSeries | None":
         if isinstance(other, PSeries):
             return other

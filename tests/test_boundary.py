@@ -191,14 +191,28 @@ def test_no_module_keeps_a_growing_table(path):
     assert module_state(path.read_text()) == []
 
 
-def _reads(nodes):
-    # The names that nodes read: Name ids and Attribute attrs. A docstring is
-    # a string, so a name that appears only in one is not read.
+def _imported_modules(tree):
+    # The names that `import x` and `import x as y` bind anywhere in tree.
+    return {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+
+
+def _reads(nodes, modules=frozenset()):
+    # The names that nodes read: Name ids and Attribute attrs, less the
+    # attributes read off a name in `modules` (os.truncate is no method of
+    # the package). A docstring is a string, so a name that appears only in
+    # one is not read.
     return {
         node.id if isinstance(node, ast.Name) else node.attr
         for root in nodes
         for node in ast.walk(root)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, ast.Name)
+        or isinstance(node, ast.Attribute)
+        and not (isinstance(node.value, ast.Name) and node.value.id in modules)
     }
 
 
@@ -216,26 +230,29 @@ def unreached(sources, roots):
 
     Names resolve by name alone: a name read by a reached definition reaches
     every definition of that name, in any module, and a method is reached
-    once its class is. A class reads its bases, decorators, class-level
-    statements and dunder methods, which run without being named."""
+    once its class is. An attribute of a module bound by `import` reaches
+    nothing. A class reads its bases, decorators, class-level statements and
+    dunder methods, which run without being named."""
     defs = {}  # key -> (name, class key or None, the names it reads)
     read = set(roots)
     for module, source in sources.items():
-        for node in ast.parse(source).body:
+        tree = ast.parse(source)
+        modules = _imported_modules(tree)
+        for node in tree.body:
             if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
-                read |= _reads([node])
+                read |= _reads([node], modules)
                 continue
             key = f"{module}.{node.name}"
             if not isinstance(node, ast.ClassDef):
-                defs[key] = node.name, None, _reads([node])
+                defs[key] = node.name, None, _reads([node], modules)
                 continue
             own = [*node.decorator_list, *node.bases, *node.keywords]
             for item in node.body:
                 if isinstance(item, _FUNCTIONS) and not _dunder(item.name):
-                    defs[f"{key}.{item.name}"] = item.name, key, _reads([item])
+                    defs[f"{key}.{item.name}"] = item.name, key, _reads([item], modules)
                 else:
                     own.append(item)
-            defs[key] = node.name, None, _reads(own)
+            defs[key] = node.name, None, _reads(own, modules)
     reached = set()
     while True:
         new = {
@@ -268,6 +285,9 @@ def unreached(sources, roots):
         # A method nothing names is unreached; a dunder method runs unnamed.
         ("class C:\n    def __mul__(self, o):\n        return helper()\n"
          "    def unused(self): pass\ndef helper(): pass\nC()\n", (), ["m.C.unused"]),
+        # An attribute of an imported module reaches no method of that name.
+        ("import os\nclass C:\n    def truncate(self): pass\nC()\nos.truncate('f', 0)\n",
+         (), ["m.C.truncate"]),
     ],
 )
 def test_reachability_scan(source, roots, flagged):

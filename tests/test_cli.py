@@ -736,41 +736,42 @@ class TestHelpGolden:
 
 
 class TestParserBuild:
-    # Each id names the command the argv invokes, as it did when every run
-    # built a parser.
+    # Each id names the command the argv invokes, as it did when a run built
+    # the flags of that command only.
     @pytest.mark.parametrize(
-        "argv,expected",
+        "argv,builds",
         [
             # Well-formed: parsed from the declarations, with no parser.
-            pytest.param(["sieve", "--p", "3", "--max", "10"], [], id="argv0-sieve"),
-            pytest.param(["sweep", "--help"], ["sweep"], id="argv1-sweep"),
-            pytest.param(["--help"], [None], id="argv2-None"),
-            pytest.param([], [None], id="argv3-None"),
-            pytest.param(["bogus"], [None], id="argv4-None"),
-            pytest.param(["-h", "sieve"], [None], id="argv5-None"),
-            pytest.param(["sieve", "--p", "3", "--ma", "10"], ["sieve"], id="argv6-sieve"),
+            pytest.param(["sieve", "--p", "3", "--max", "10"], 0, id="argv0-sieve"),
+            pytest.param(["sweep", "--help"], 1, id="argv1-sweep"),
+            pytest.param(["--help"], 1, id="argv2-None"),
+            pytest.param([], 1, id="argv3-None"),
+            pytest.param(["bogus"], 1, id="argv4-None"),
+            pytest.param(["-h", "sieve"], 1, id="argv5-None"),
+            pytest.param(["sieve", "--p", "3", "--ma", "10"], 1, id="argv6-sieve"),
         ],
     )
-    def test_only_the_invoked_flags(self, capsys, monkeypatch, argv, expected):
+    def test_only_the_invoked_flags(self, capsys, monkeypatch, argv, builds):
+        # A well-formed argv builds no parser; any other builds exactly one.
         built = []
 
-        def build(name=None):
-            built.append(name)
-            return _build_parser(name)
+        def build():
+            built.append(argv)
+            return _build_parser()
 
         monkeypatch.setattr(cli, "_build_parser", build)
         run_cli(capsys, *argv)
-        assert built == expected
+        assert len(built) == builds
 
-    def test_other_subcommands_have_no_flags(self):
+    def test_one_parser_carries_every_subcommands_flags(self):
         sub = next(
-            a for a in _build_parser("sieve")._actions
+            a for a in _build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
         )
-        assert list(sub.choices) == ["constants", "certify", "sieve", "sweep"]
-        flags = {name: {a.dest for a in p._actions} for name, p in sub.choices.items()}
-        assert flags["sweep"] == flags["constants"] == flags["certify"] == {"help"}
-        assert {"p", "max", "checkpoint"} <= flags["sieve"]
+        assert list(sub.choices) == list(DECLARATIONS)
+        for name, p in sub.choices.items():
+            flags = {s for a in p._actions for s in a.option_strings}
+            assert flags == {"-h", "--help", *DECLARATIONS[name]}, name
 
 
 def declarations(command):
@@ -806,7 +807,7 @@ def readme_commands():
 
 
 def argparse_namespace(argv):
-    return vars(_build_parser(argv[0]).parse_args(argv))
+    return vars(_build_parser().parse_args(argv))
 
 
 def well_typed(flag, spec):
@@ -886,6 +887,25 @@ class TestPlainParse:
             default = spec.get("default")
             string = isinstance(default, str) and default != argparse.SUPPRESS
             assert not (string and "type" in spec), flag
+
+
+DOCUMENT_LINES = [argv for argv in readme_commands() if argv[0] in ("constants", "certify")]
+
+
+class TestDocumentParams:
+    @pytest.mark.parametrize("argv", DOCUMENT_LINES, ids=" ".join)
+    def test_params_are_the_declared_flags(self, capsys, argv):
+        # A document's params are its command's flags less --table, so a
+        # flag declared later shows up in them with no second edit.
+        declared = {flag[2:].replace("-", "_") for flag in DECLARATIONS[argv[0]]}
+        params = declared - {"table"}
+        _, out, _ = run_cli(capsys, *argv)
+        doc = json.loads(out)
+        assert doc["params"].keys() == params
+        # The --table form lists the same params, then the payload.
+        _, out, _ = run_cli(capsys, *argv, "--table")
+        keys = [line.split()[0] for line in out.splitlines()[2:]]
+        assert keys == [*sorted(params), *sorted(doc["payload"])]
 
 
 class TestSweepChunks:

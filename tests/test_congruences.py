@@ -579,6 +579,29 @@ class TestSweepWalk:
         assert first["params"] == {"p": 3, "N": 1, "k": 1, "a": 0, "K": 0, "s": 0, "m": 0}
         assert len(list(rows)) > 1 and builds == [(1, 1, 8), (2, 1, 8)]
 
+    @pytest.mark.parametrize(
+        "params,at_call,at_first_row",
+        [
+            ({"check": "decomposition", "K": -1}, None, "K must be non-negative"),
+            ({"check": "vp3-probe", "p": [11], "N": 849}, None, "requires v_p"),
+            ({"check": "vp3-probe", "p": [11, 13], "N": 849}, "exactly one prime", None),
+            ({"check": "dworkS", "p": [4]}, "must be prime", None),
+            ({"check": "dworkS", "Q": 1}, "does not take Q", None),
+            ({"check": "vp3-probe", "p": [11]}, "requires N", None),
+            ({"check": "theorem-congruence", "which": "Z"}, "which must be", None),
+        ],
+    )
+    def test_when_each_precondition_raises(self, params, at_call, at_first_row):
+        # The grid is checked at the call; a check's own preconditions only
+        # when its first row is computed.
+        if at_call:
+            with pytest.raises(ValueError, match=at_call):
+                sweep(**params)
+            return
+        rows = sweep(**params)
+        with pytest.raises(ValueError, match=at_first_row):
+            next(rows)
+
     @pytest.mark.parametrize("check", sorted(SWEEPS))
     def test_rows_is_a_generator_function(self, check):
         # So calling it runs nothing: _sweep_rows validates, and the first
