@@ -4,30 +4,18 @@ integral roots of hypergeometric mirror-type maps."""
 from .constants import (
     DegenerateCase,
     omega,
-    omega_indicator,
-    omega_simplified,
     t_conjectured,
     theta,
     u_conjectured,
     xi,
-    xi_indicator,
-    xi_simplified,
 )
-from .harmonic import (
-    ModularHarmonicSum,
-    harmonic,
-    is_wolstenholme,
-    vp_harmonic,
-    wolstenholme_valuation,
-)
+from .harmonic import ModularHarmonicSum
 from .padic import (
     INFINITE,
-    big_B,
     big_B_sequence,
     big_B_units,
     is_prime,
     primes_upto,
-    vp_factorial,
     vp_rational,
 )
 from .series import (
@@ -58,7 +46,6 @@ __all__ = [
     "PSeries",
     "SieveCheckpoint",
     "SieveRun",
-    "big_B",
     "big_B_sequence",
     "big_B_units",
     "build_F",
@@ -67,24 +54,15 @@ __all__ = [
     "build_Gtilde",
     "canonical_q",
     "dwork_criterion",
-    "harmonic",
     "integrality_check",
     "is_prime",
-    "is_wolstenholme",
     "omega",
-    "omega_indicator",
-    "omega_simplified",
     "primes_upto",
     "ps_exp",
     "ps_log",
     "t_conjectured",
     "theta",
     "u_conjectured",
-    "vp_factorial",
-    "vp_harmonic",
     "vp_rational",
-    "wolstenholme_valuation",
     "xi",
-    "xi_indicator",
-    "xi_simplified",
 ]

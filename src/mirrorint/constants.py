@@ -1,6 +1,6 @@
 """The arithmetic constants governing maximal integral roots of the maps:
-the harmonic denominator theta(L), the capped valuation products xi(N) and
-omega(N) with their indicator functions, and the sequences
+the harmonic denominator theta(N), the capped valuation products xi(N) and
+omega(N), each prime's indicator in their breakdowns, and the sequences
 t_N = xi(N) * N!^k and u_N = omega(N) * N!, the conjectured maximal roots
 for k = 1. For k >= 2, t_N divides every computed maximal root and can be
 a proper divisor of it.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .harmonic import _indicator, _walk
-from .padic import primes_upto, require_prime, vp_int
+from .padic import primes_upto, vp_int
 from .series import _int_str_digits
 
 BRANCH_CAP = "cap"
@@ -73,28 +73,6 @@ class Breakdown:
         }
 
 
-def xi_indicator(p: int, N: int) -> int:
-    """1 iff p is a Wolstenholme prime or p divides N; requires p <= N."""
-    require_prime(p)
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if p > N:
-        raise ValueError("indicator is defined for primes p <= N only")
-    return _indicator(p, N, False)
-
-
-def omega_indicator(p: int, N: int) -> int:
-    """1 iff p is a Wolstenholme prime or N = +-1 mod p.
-
-    The condition is total in N (the valuation product consults it only for
-    p <= N, but N = +-1 mod p is meaningful for any prime).
-    """
-    require_prime(p)
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    return _indicator(p, N, True)
-
-
 def _breakdown(N: int, shifted: bool) -> Breakdown:
     # One _walk gives each prime p <= N its Wolstenholme flag at p - 1,
     # then the weight x = S H_N, or x - S when shifted, at N.
@@ -130,7 +108,7 @@ _XI_7_EXPONENTS = {2: -2, 3: 0, 5: -1, 7: -1}
 
 
 def xi(N: int) -> Breakdown:
-    """The product over primes p <= N of p^min(2 + xi_indicator, v_p(H_N)),
+    """The product over primes p <= N of p^min(2 + indicator, v_p(H_N)),
     with the hard-coded special values xi(1) = 1 and xi(7) = 1/140."""
     if N < 1:
         raise ValueError("N must be a positive integer")
@@ -146,51 +124,25 @@ def xi(N: int) -> Breakdown:
 
 
 def omega(N: int) -> Breakdown:
-    """The product over primes p <= N of p^min(2 + omega_indicator,
+    """The product over primes p <= N of p^min(2 + indicator,
     v_p(H_N - 1)); defined for N >= 2."""
     if N < 2:
         raise ValueError("N must be at least 2")
     return _breakdown(N, True)
 
 
-def xi_simplified(N: int) -> tuple[Fraction, bool]:
-    """The indicator-free product with exponents capped at 2, plus a flag
-    telling whether it agrees with the full xi(N).
-
-    A disagreement would exhibit a prime with v_p(H_N) >= 3 and indicator 1;
-    no such pair is known.
-    """
-    if N in (1, 7):
-        raise ValueError("the simplified product is defined for N outside {1, 7}")
-    return _capped_at_2(xi(N))
-
-
-def omega_simplified(N: int) -> tuple[Fraction, bool]:
-    """Capped-at-2 analogue of omega(N), plus agreement flag."""
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    return _capped_at_2(omega(N))
-
-
-def _capped_at_2(b: Breakdown) -> tuple[Fraction, bool]:
-    # Each exponent is min(2 + indicator, v), so min(2, exponent) is
-    # min(2, v): the simplified product is read off the full breakdown.
-    value = _product((f.p, min(2, f.exponent)) for f in b.factors)
-    return value, value == b.product
-
-
-def theta(L: int) -> int:
-    """Denominator of H_L in lowest terms.
+def theta(N: int) -> int:
+    """Denominator of H_N in lowest terms.
 
     Cross-checked on every call against the valuation product
-    prod_{p <= L} p^(-min(0, v_p(H_L))).
+    prod_{p <= N} p^(-min(0, v_p(H_N))).
     """
-    if L < 1:
-        raise ValueError("L must be a positive integer")
-    ((_, S, x),) = _walk([L])
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    ((_, S, x),) = _walk([N])
     den = S // math.gcd(x, S)
     product = 1
-    for p in primes_upto(L):
+    for p in primes_upto(N):
         v = vp_int(x, p) - vp_int(S, p)
         if v < 0:
             product *= p ** (-v)

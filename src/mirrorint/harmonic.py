@@ -1,5 +1,5 @@
-"""Harmonic numbers H_n, their p-adic valuations, the maps' harmonic
-weights, and Wolstenholme primes.
+"""Harmonic numbers H_n as scaled integers and p-adic residues: the maps'
+harmonic weights, the sieve's valuations and the Wolstenholme indicator.
 
 Two evaluation routes are provided on purpose: exact rationals (the oracle)
 and a modular route that tracks H_n in Z_p with just enough precision to
@@ -17,16 +17,15 @@ S = lcm(1..T), built afresh by each call and holding only the indices n
 its caller names, T the largest. Every H_a - c H_b is then the integer
 h[a] - c h[b] over S, of valuation v_p(h[a] - c h[b]) - v_p(S): no
 Fraction is added and no gcd runs per term. scaled_weights alone reads the
-maps' weight H_{Nn} (- H_n when shifted) off it, keyed by n. harmonic,
-xi, omega, theta, vp_harmonic and a wide Wolstenholme sweep walk one
-running sum S * H_n whose S grows with n instead (_walk).
+maps' weight H_{Nn} (- H_n when shifted) off it, keyed by n. xi, omega,
+theta and a wide Wolstenholme sweep walk one running sum S * H_n whose S
+grows with n instead (_walk).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 from itertools import accumulate
 
 from .padic import primes_upto, require_prime, vp_int
@@ -50,14 +49,6 @@ def harmonic_scaled(stops: Iterable[int]) -> tuple[dict[int, int], int]:
     return {n: x for n, x in enumerate(sums) if n in keep}, S
 
 
-def harmonic(n: int) -> Fraction:
-    """Exact H_n = 1 + 1/2 + ... + 1/n (H_0 = 0), off one _walk to n."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    ((_, S, x),) = _walk([n])
-    return Fraction(x, S)
-
-
 def scaled_weights(N: int, ns: Iterable[int], shifted: bool = False) -> tuple[dict[int, int], int]:
     """(w, S): a new dict with w[n] = S times the harmonic weight of B(n)
     in the maps, for exactly the n of ``ns``: H_{Nn} for the q_L maps (at
@@ -67,21 +58,6 @@ def scaled_weights(N: int, ns: Iterable[int], shifted: bool = False) -> tuple[di
     ns = set(ns)
     h, S = harmonic_scaled([i for n in ns for i in ((N * n, n) if shifted else (N * n,))])
     return {n: h[N * n] - h[n] if shifted else h[N * n] for n in ns}, S
-
-
-def vp_harmonic(N: int, p: int, shifted: bool = False) -> int:
-    """v_p(H_N), or v_p(H_N - 1) when shifted.
-
-    N = 1 with shifted is rejected: H_1 - 1 = 0 has infinite valuation and
-    sits outside every statement this toolkit checks.
-    """
-    require_prime(p)
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if shifted and N == 1:
-        raise ValueError("H_1 - 1 = 0; shifted valuation requires N >= 2")
-    ((_, S, x),) = _walk([N])
-    return vp_int(x - S if shifted else x, p) - vp_int(S, p)
 
 
 class ModularHarmonicSum:
@@ -233,17 +209,6 @@ def _inverse_sum(units: Iterable[int], mod: int) -> int:
     return num * pow(den, -1, mod) % mod
 
 
-def wolstenholme_valuation(p: int, cap: int = 3) -> int:
-    """min(v_p(H_{p-1}), cap) for a prime p >= 5, by the modular
-    _wolstenholme_pairing."""
-    require_prime(p)
-    if p < 5:
-        raise ValueError("defined for primes p >= 5")
-    if cap < 2:
-        raise ValueError("cap must be at least 2")
-    return _wolstenholme_pairing(p, cap)
-
-
 def _walk(stops: list[int]) -> Iterator[tuple[int, int, int]]:
     """(n, S, x) at each n of the ascending list ``stops``: S = lcm(1..n)
     and x = S H_n. One running sum goes from n = 0 to the last stop; a step
@@ -314,11 +279,6 @@ def _wolstenholme_pairing(p: int, cap: int) -> int:
     if t == 0:
         return cap
     return min(1 + vp_int(t, p), cap)
-
-
-def is_wolstenholme(p: int) -> bool:
-    """True iff v_p(H_{p-1}) >= 3. Only 16843 and 2124679 are known."""
-    return wolstenholme_valuation(p, cap=3) >= 3
 
 
 def _indicator(p: int, N: int, shifted: bool, walked: int | None = None) -> int:

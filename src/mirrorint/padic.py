@@ -117,19 +117,6 @@ def vp_rational(x: Fraction | int, p: int) -> int | float:
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 
-def vp_factorial(n: int, p: int) -> int:
-    """v_p(n!) = sum_{l>=1} floor(n / p^l)."""
-    require_prime(p)
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    total = 0
-    q = p
-    while q <= n:
-        total += n // q
-        q *= p
-    return total
-
-
 def _validate_b_params(N: int, k: int, m: int) -> None:
     if N < 1:
         raise ValueError("N must be a positive integer")
@@ -137,17 +124,6 @@ def _validate_b_params(N: int, k: int, m: int) -> None:
         raise ValueError("k must be a positive integer")
     if m < 0:
         raise ValueError("m must be non-negative")
-
-
-def big_B(N: int, k: int, m: int) -> int:
-    """The integer ((Nm)! / m!^N)^k; equals 1 for m = 0."""
-    _validate_b_params(N, k, m)
-    if m == 0:
-        return 1
-    base, rem = divmod(math.factorial(N * m), math.factorial(m) ** N)
-    if rem:
-        raise ArithmeticError("multinomial coefficient is not an integer")
-    return base**k
 
 
 def big_B_sequence(N: int, k: int, m_max: int) -> list[int]:

@@ -6,12 +6,15 @@ the same private readers as its sweep (`_lemma11`, `_lemma12`,
 `_decomposition`, `_witnesses`, `_S_prefix`, `_S_read`, `_level_gap`), and
 returns the achieved and required valuations, because sharpness arguments
 are precisely about the margin (e.g. failure at exactly one extra power of
-p). The sieve's oracle walks every index with a running Fraction. p is
-taken on trust throughout.
+p). The sieve's oracle walks every index with a running Fraction. The
+exact readers at the end (harmonic, vp_harmonic, vp_factorial, big_B) are
+the references for H_n, its valuations, v_p(n!) and B(m). p is taken on
+trust throughout, except by vp_harmonic and vp_factorial, which check it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,8 +35,14 @@ from mirrorint.congruences import (
     _witnesses,
     coeff_C,
 )
-from mirrorint.harmonic import TARGET_H1, _indicator, harmonic_scaled, scaled_weights
-from mirrorint.padic import big_B_sequence, vp_big_B, vp_int
+from mirrorint.harmonic import TARGET_H1, _indicator, _walk, harmonic_scaled, scaled_weights
+from mirrorint.padic import (
+    _validate_b_params,
+    big_B_sequence,
+    require_prime,
+    vp_big_B,
+    vp_int,
+)
 from mirrorint.series import KIND_QLN, KIND_QN, PSeries, canonical_q, ps_pow
 from mirrorint.sieve import VALUATION_CAP, SieveRecord
 
@@ -313,3 +322,50 @@ def exact_sieve(p: int, max_N: int, target: str) -> list[SieveRecord]:
         else:
             records.append(SieveRecord(p, n, v, False, target))
     return records
+
+
+def harmonic(n: int) -> Fraction:
+    """Exact H_n = 1 + 1/2 + ... + 1/n (H_0 = 0), off one _walk to n."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    ((_, S, x),) = _walk([n])
+    return Fraction(x, S)
+
+
+def vp_harmonic(N: int, p: int, shifted: bool = False) -> int:
+    """v_p(H_N), or v_p(H_N - 1) when shifted.
+
+    N = 1 with shifted is rejected: H_1 - 1 = 0 has infinite valuation and
+    sits outside every statement this toolkit checks.
+    """
+    require_prime(p)
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    if shifted and N == 1:
+        raise ValueError("H_1 - 1 = 0; shifted valuation requires N >= 2")
+    ((_, S, x),) = _walk([N])
+    return vp_int(x - S if shifted else x, p) - vp_int(S, p)
+
+
+def vp_factorial(n: int, p: int) -> int:
+    """v_p(n!) = sum_{l>=1} floor(n / p^l)."""
+    require_prime(p)
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    total = 0
+    q = p
+    while q <= n:
+        total += n // q
+        q *= p
+    return total
+
+
+def big_B(N: int, k: int, m: int) -> int:
+    """The integer ((Nm)! / m!^N)^k; equals 1 for m = 0."""
+    _validate_b_params(N, k, m)
+    if m == 0:
+        return 1
+    base, rem = divmod(math.factorial(N * m), math.factorial(m) ** N)
+    if rem:
+        raise ArithmeticError("multinomial coefficient is not an integer")
+    return base**k

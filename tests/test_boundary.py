@@ -13,8 +13,8 @@ once per (p, N), and each B row and required valuation once per (p, N, k),
 not once per row.
 
 No code without a caller. Every function, class and method in the package
-is reached from the CLI, a module-level statement, mirrorint.__all__ or a
-name kept on purpose (KEEP); code that only tests use lives in
+is reached from the CLI's main, a module-level statement or a name kept on
+purpose, with its reason (KEEP); code that only tests use lives in
 tests/oracles.py. Every name a module binds at module level by assignment
 is read somewhere in the package or listed in mirrorint.__all__.
 
@@ -23,7 +23,6 @@ tests imports is read in that module.
 """
 
 import ast
-import importlib
 import inspect
 from fractions import Fraction as F
 from itertools import accumulate
@@ -34,13 +33,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mirrorint
+import mirrorint.harmonic as harmonic_module
 from mirrorint import congruences, padic
 from mirrorint.congruences import SWEEPS, sweep
 from mirrorint.harmonic import harmonic_scaled
-from mirrorint.padic import big_B, big_B_sequence
+from mirrorint.padic import big_B_sequence
 from mirrorint.series import PSeries
-
-harmonic_module = importlib.import_module("mirrorint.harmonic")
+from oracles import big_B
 
 # Valid arguments besides p, for every name in __all__ that takes p.
 VALID = {
@@ -48,13 +47,7 @@ VALID = {
     "SieveRun": {"max_N": 10},
     "big_B_units": {"N": 3, "k": 1, "m_max": 5, "exponent": 2},
     "dwork_criterion": {"f": PSeries([1, 1]), "g": PSeries([0, 1]), "tau": 1},
-    "is_wolstenholme": {},
-    "omega_indicator": {"N": 10},
-    "vp_factorial": {"n": 10},
-    "vp_harmonic": {"N": 10},
     "vp_rational": {"x": F(1, 2)},
-    "wolstenholme_valuation": {},
-    "xi_indicator": {"N": 10},
 }
 # A record of a run, not an entry point: its p was checked by the SieveRun
 # that wrote it, and is checked again when a run resumes from it.
@@ -294,22 +287,38 @@ def test_reachability_scan(source, roots, flagged):
     assert unreached({"m": source}, roots) == flagged
 
 
-# Reached by tests only, and kept in the package by name.
+# Not reached from the CLI, and kept in the package by name.
 KEEP = (
     "coeff_C",  # the exact reader of series._dwork_difference
     "sweep",  # the library's generator of sweep rows, as the README shows
     "max_root",  # the maximal root of a canonical map, for certify --root max
     "ps_pow",  # a public helper for roots s^(1/V), and the tests' oracle
     "ps_revert",  # the inverse mirror map z(q), for the instanton numbers
+    "dwork_criterion",  # Dwork's criterion at one prime, public by the north star
+    "vp_rational",  # the valuation of an exact rational, public by the north star
+    "canonical_q",  # the map max_root reads, until certify --root max reads it
 )
+CLI = ("main", "console_main")
+
+
+def package_sources():
+    package = Path(mirrorint.__file__).parent
+    return {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
 
 
 def test_every_definition_has_a_caller():
     # A check the tests compare against lives in tests/oracles.py.
-    package = Path(mirrorint.__file__).parent
-    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
-    roots = ("main", "console_main", *mirrorint.__all__, *KEEP)
-    assert unreached(sources, roots) == []
+    assert unreached(package_sources(), (*CLI, *KEEP)) == []
+
+
+def test_keep_holds_only_what_the_cli_does_not_reach():
+    names = {key.rpartition(".")[2] for key in unreached(package_sources(), CLI)}
+    assert set(KEEP) <= names, set(KEEP) - names
+
+
+def test_harmonic_submodule_is_the_module():
+    # The package binds no function over the submodule's name.
+    assert harmonic_module.__name__ == "mirrorint.harmonic"
 
 
 def _module_bindings(body):
@@ -370,9 +379,7 @@ def test_unread_constant_scan(source, roots, flagged):
 
 
 def test_every_constant_has_a_reader():
-    package = Path(mirrorint.__file__).parent
-    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
-    assert unread_constants(sources, mirrorint.__all__) == []
+    assert unread_constants(package_sources(), mirrorint.__all__) == []
 
 
 def unused_imports(source):

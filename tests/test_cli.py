@@ -91,6 +91,11 @@ class TestConstantsCommand:
         code, _, _ = run_cli(capsys, "constants", "--which", "zeta", "--N", "7")
         assert code == 2
 
+    @pytest.mark.parametrize("which", ["theta", "xi"])
+    def test_n_below_one_names_the_flag(self, capsys, which):
+        got = run_cli(capsys, "constants", "--which", which, "--N", "0")
+        assert got == (2, "", "error: N must be a positive integer\n")
+
     @pytest.mark.parametrize("k", ["0", "3"])
     @pytest.mark.parametrize("which", ["theta", "xi", "omega", "u"])
     def test_k_rejected_where_unread(self, capsys, which, k):

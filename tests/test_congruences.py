@@ -1,5 +1,4 @@
 import contextlib
-import importlib
 import inspect
 import io
 import json
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mirrorint.harmonic as harmonic_module
 from mirrorint import congruences
 from mirrorint.cli import _json_field, _row_formats, main
 from mirrorint.congruences import (
@@ -23,14 +23,14 @@ from mirrorint.congruences import (
     sweep,
     vp3_probe,
 )
-from mirrorint.constants import omega_indicator, xi_indicator
-from mirrorint.harmonic import harmonic, wolstenholme_valuation
-from mirrorint.padic import INFINITE, big_B, primes_upto, vp_big_B, vp_rational
+from mirrorint.harmonic import _indicator, _wolstenholme_pairing
+from mirrorint.padic import INFINITE, primes_upto, vp_big_B, vp_rational
 from mirrorint.series import build_F, build_GL, build_Gtilde
 from mirrorint.sieve import canonical_json
 from oracles import (
     S_sum,
     Y_term,
+    big_B,
     check_decomposition,
     check_dwork_S,
     check_harmonic_congruence,
@@ -38,12 +38,11 @@ from oracles import (
     check_lemma12,
     check_theorem_congruence,
     check_Y,
+    harmonic,
     optimality_witness,
     ps_substitute_power,
 )
 
-# The package re-exports the function harmonic under the module's name.
-harmonic_module = importlib.import_module("mirrorint.harmonic")
 
 def series_coefficient_C(N, k, p, index, shifted=False):
     """Oracle: the coefficient of F(z) G(z^p) - p F(z^p) G(z) computed by
@@ -393,7 +392,7 @@ def witness_row(point):
 
 
 def wolstenholme_row(point):
-    v = wolstenholme_valuation(point["p"], 3)
+    v = _wolstenholme_pairing(point["p"], 3)
     return {"p": point["p"], "v_capped": v}, v >= 2, v - 2
 
 
@@ -800,12 +799,12 @@ class TestRequiredValuation:
                 elif N == 1 or p > N:
                     xi_vp = 0
                 else:
-                    xi_vp = min(2 + xi_indicator(p, N), vp_rational(h, p))
+                    xi_vp = min(2 + _indicator(p, N, False), vp_rational(h, p))
                 omega_vp = None
                 if N >= 2:
                     omega_vp = 0
                     if p <= N:
-                        omega_vp = min(2 + omega_indicator(p, N), vp_rational(h - 1, p))
+                        omega_vp = min(2 + _indicator(p, N, True), vp_rational(h - 1, p))
                 for k in range(4):
                     assert _required_vp(WHICH_XI, N, k, p) == xi_vp + k * fact_vp
                     if omega_vp is not None:

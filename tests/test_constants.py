@@ -6,24 +6,17 @@ from fractions import Fraction as F
 import pytest
 
 from mirrorint.constants import (
-    BRANCH_CAP,
-    Breakdown,
     DegenerateCase,
-    PrimeFactor,
-    _capped_at_2,
     omega,
-    omega_indicator,
-    omega_simplified,
     t_conjectured,
     theta,
     u_conjectured,
     xi,
-    xi_indicator,
-    xi_simplified,
 )
-from mirrorint.harmonic import harmonic
+from mirrorint.harmonic import _indicator
 from mirrorint.padic import primes_upto, vp_rational
 from mirrorint.series import _int_str_digits
+from oracles import harmonic
 
 
 class TestTheta:
@@ -47,28 +40,22 @@ class TestTheta:
 
 class TestIndicators:
     def test_xi_examples(self):
-        assert xi_indicator(5, 20) == 1  # divisibility branch
-        assert xi_indicator(11, 848) == 0  # 848 = 77*11 + 1
-        assert xi_indicator(16843, 16843) == 1
-        assert xi_indicator(16843, 16844) == 1  # Wolstenholme branch
+        assert _indicator(5, 20, False) == 1  # divisibility branch
+        assert _indicator(11, 848, False) == 0  # 848 = 77*11 + 1
+        assert _indicator(16843, 16843, False) == 1
+        assert _indicator(16843, 16844, False) == 1  # Wolstenholme branch
 
     def test_xi_wolstenholme_convention(self):
         # For p in {2, 3} only the divisibility branch can fire.
-        assert xi_indicator(2, 5_000) == 1  # 2 | 5000
-        assert xi_indicator(3, 5_000) == 0
-        assert xi_indicator(2, 999) == 0
-
-    def test_xi_range_enforced(self):
-        with pytest.raises(ValueError):
-            xi_indicator(7, 5)
-        with pytest.raises(ValueError):
-            xi_indicator(4, 10)
+        assert _indicator(2, 5_000, False) == 1  # 2 | 5000
+        assert _indicator(3, 5_000, False) == 0
+        assert _indicator(2, 999, False) == 0
 
     def test_omega_examples(self):
-        assert omega_indicator(5, 4) == 1  # 4 = -1 mod 5
-        assert omega_indicator(5, 22) == 0
-        assert omega_indicator(3, 7) == 1  # 7 = 1 mod 3
-        assert omega_indicator(16843, 5) == 1  # Wolstenholme branch
+        assert _indicator(5, 4, True) == 1  # 4 = -1 mod 5
+        assert _indicator(5, 22, True) == 0
+        assert _indicator(3, 7, True) == 1  # 7 = 1 mod 3
+        assert _indicator(16843, 5, True) == 1  # Wolstenholme branch
 
 
 class TestXi:
@@ -102,7 +89,7 @@ class TestXi:
                 assert f.exponent == min(2 + f.indicator, v)
                 assert f.exponent <= 2 + f.indicator
                 assert f.exponent <= v
-                assert f.indicator == xi_indicator(f.p, N)
+                assert f.indicator == _indicator(f.p, N, False)
                 product *= F(f.p) ** f.exponent
             assert product == b.product
             assert {f.p for f in b.factors} == set(primes_upto(N))
@@ -154,28 +141,16 @@ class TestOmega:
 
 
 class TestSimplifiedForms:
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            xi_simplified(7)
-        with pytest.raises(ValueError):
-            xi_simplified(1)
-        with pytest.raises(ValueError):
-            omega_simplified(1)
+    # The indicator-free product, with every exponent capped at 2, equals
+    # the full one exactly when no exponent of the breakdown exceeds 2.
 
     def test_agreement_up_to_1000(self):
-        # A disagreement would exhibit v_p >= 3 together with indicator 1;
+        # An exponent of 3 would need v_p >= 3 together with indicator 1;
         # no such pair exists in this range.
         for N in range(2, 1001):
             if N != 7:
-                value, agrees = xi_simplified(N)
-                assert agrees, N
-            value, agrees = omega_simplified(N)
-            assert agrees, N
-
-    def test_an_exponent_of_3_is_capped(self):
-        # No known N has one (v_p >= 3 with indicator 1), so build it.
-        b = Breakdown(N=5, factors=(PrimeFactor(5, 3, 1, BRANCH_CAP),), product=F(125))
-        assert _capped_at_2(b) == (F(25), False)
+                assert all(f.exponent <= 2 for f in xi(N).factors), N
+            assert all(f.exponent <= 2 for f in omega(N).factors), N
 
     def test_values_up_to_300(self):
         # prod_{p <= N} p^min(2, v_p(h)), with h = H_N or H_N - 1.
@@ -187,8 +162,8 @@ class TestSimplifiedForms:
 
         for N in range(2, 301):
             if N != 7:
-                assert xi_simplified(N)[0] == capped(N, harmonic(N)), N
-            assert omega_simplified(N)[0] == capped(N, harmonic(N) - 1), N
+                assert xi(N).product == capped(N, harmonic(N)), N
+            assert omega(N).product == capped(N, harmonic(N) - 1), N
 
 
 class TestConjecturedSequences:

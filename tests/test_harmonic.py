@@ -9,15 +9,11 @@ from mirrorint.harmonic import (
     ModularHarmonicSum,
     _inverse_sum,
     _wolstenholme_pairing,
-    harmonic,
-    is_wolstenholme,
     scaled_weights,
-    vp_harmonic,
-    wolstenholme_valuation,
 )
-from mirrorint.padic import INFINITE, big_B, primes_upto, vp_rational
+from mirrorint.padic import INFINITE, primes_upto, vp_rational
 from mirrorint.series import build_GL
-from oracles import check_harmonic_congruence
+from oracles import big_B, check_harmonic_congruence, harmonic, vp_harmonic
 
 
 def step(acc):
@@ -334,33 +330,23 @@ class TestAdvanceTo:
 
 class TestWolstenholme:
     def test_known_wolstenholme_prime(self):
-        assert is_wolstenholme(16843)
+        assert _wolstenholme_pairing(16843, 3) == 3
 
     def test_ordinary_primes(self):
-        assert not is_wolstenholme(7)  # v_7(H_6) = v_7(49/20) = 2
-        assert not is_wolstenholme(5)  # v_5(H_4) = 2
-        assert not is_wolstenholme(13)
-
-    def test_small_primes_rejected(self):
-        for p in (2, 3):
-            with pytest.raises(ValueError):
-                is_wolstenholme(p)
-        with pytest.raises(ValueError):
-            wolstenholme_valuation(9)
+        assert _wolstenholme_pairing(7, 3) == 2  # v_7(H_6) = v_7(49/20) = 2
+        assert _wolstenholme_pairing(5, 3) == 2  # v_5(H_4) = 2
+        assert _wolstenholme_pairing(13, 3) == 2
 
     def test_valuation_matches_exact(self):
+        # The modular pairing sum against the exact walk to p - 1.
         for p in primes_upto(120):
             if p < 5:
                 continue
-            assert wolstenholme_valuation(p) == min(vp_harmonic(p - 1, p), 3)
-            # Once the table covers p - 1 both sides above read it; the
-            # modular pairing sum is the independent route.
             assert _wolstenholme_pairing(p, 3) == min(vp_harmonic(p - 1, p), 3)
 
     def test_agrees_with_the_valuation(self):
         for p in [q for q in primes_upto(3000) if q >= 5] + [16843]:
-            assert is_wolstenholme(p) == (wolstenholme_valuation(p, 3) >= 3), p
-            assert is_wolstenholme(p) == (p == 16843)
+            assert (_wolstenholme_pairing(p, 3) >= 3) == (p == 16843), p
 
     def test_pairing_at_the_known_wolstenholme_primes(self):
         # v_16843(H_16842) = 3 exactly, below a cap of 5.

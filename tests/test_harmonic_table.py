@@ -4,7 +4,6 @@ Every oracle here is a test-local sum of Fractions: the formula each check
 evaluated before it read its harmonic weights off the table.
 """
 
-import importlib
 import math
 import os
 import subprocess
@@ -17,47 +16,37 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mirrorint.harmonic as harmonic_module
+from mirrorint import congruences, series
 from mirrorint.congruences import coeff_C, sweep
-from mirrorint.constants import (
-    omega,
-    omega_indicator,
-    t_conjectured,
-    theta,
-    u_conjectured,
-    xi,
-    xi_indicator,
-)
+from mirrorint.constants import omega, t_conjectured, theta, u_conjectured, xi
 from mirrorint.harmonic import (
+    _indicator,
     _walk,
     _wolstenholme_pairing,
     _wolstenholme_scan,
-    harmonic,
     harmonic_scaled,
     scaled_weights,
-    vp_harmonic,
-    wolstenholme_valuation,
 )
-from mirrorint.padic import big_B, primes_upto, vp_int, vp_rational
+from mirrorint.padic import primes_upto, vp_int, vp_rational
 from mirrorint.series import build_G, build_GL, build_Gtilde, canonical_parts
 import oracles
 from oracles import (
     S_sum,
     Y_term,
+    big_B,
     check_decomposition,
     check_harmonic_congruence,
     check_lemma11,
     check_lemma12,
     check_theorem_congruence,
     check_Y,
+    harmonic,
     optimality_witness,
+    vp_harmonic,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-# The package re-exports the function harmonic under the module's name.
-harmonic_module = importlib.import_module("mirrorint.harmonic")
-congruences = importlib.import_module("mirrorint.congruences")
-series = importlib.import_module("mirrorint.series")
 
 
 @lru_cache(maxsize=None)
@@ -209,19 +198,20 @@ def pairing_calls(monkeypatch):
 
 
 class TestWolstenholmeRoutes:
-    # A single prime pairs, and no route reads a harmonic table.
+    # A one-prime window pairs, and no route reads a harmonic table.
     def test_grown_table_still_pairs_every_prime(self, no_table, pairing_calls):
         primes = [p for p in primes_upto(3000) if p >= 5]
         h, S = harmonic_scaled([p - 1 for p in primes] + [3000])
         for p in primes:
             for cap in range(2, 6):
                 table = min(vp_int(h[p - 1], p) - vp_int(S, p), cap)
-                assert wolstenholme_valuation(p, cap) == table, (p, cap)
+                assert list(_wolstenholme_scan(p, p, cap)) == [(p, table)], (p, cap)
         assert pairing_calls == [p for p in primes for _ in range(2, 6)]
 
     def test_single_prime_pairs_whatever_the_table_covers(self, no_table, pairing_calls):
-        assert wolstenholme_valuation(101, 3) == 2 and pairing_calls == [101]
-        assert wolstenholme_valuation(103, 3) == 2 and pairing_calls == [101, 103]
+        assert list(_wolstenholme_scan(101, 101, 3)) == [(101, 2)] and pairing_calls == [101]
+        assert list(_wolstenholme_scan(103, 103, 3)) == [(103, 2)]
+        assert pairing_calls == [101, 103]
 
     def test_walk_matches_the_pairing_sum(self, no_table):
         # Every step to a prime power below 3000 rescales S and x.
@@ -285,11 +275,11 @@ class TestWalk:
         # 16844 = 1 and 16845 = 2 mod 16843: neither divisibility branch
         # holds, so indicator 1 at p = 16843 is the Wolstenholme flag, read
         # off the walk at n = 16842 without pairing.
-        for breakdown, indicator in ((xi(16844), xi_indicator), (omega(16845), omega_indicator)):
+        for breakdown, shifted in ((xi(16844), False), (omega(16845), True)):
             f = breakdown.factors[-1]
             assert (f.p, f.indicator) == (16843, 1)
             assert pairing_calls == []
-            assert f.indicator == indicator(16843, breakdown.N)
+            assert f.indicator == _indicator(16843, breakdown.N, shifted)
             pairing_calls.clear()
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
@@ -318,15 +308,16 @@ class TestWalk:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_harmonic_at_20000_grows_under_10_mb(self):
-        # harmonic(n) reads one walk to n: a table up to 20000 would hold
+        # One walk to n keeps no table: a table up to 20000 would hold
         # about 70 MB of integers to read one entry.
         code = (
-            "from mirrorint.harmonic import harmonic\n"
+            "from mirrorint.harmonic import _walk\n"
             "def peak():\n"
             "    line = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
             "    return int(line[0].split()[1])\n"
             "before = peak()\n"
-            "assert harmonic(20000).denominator % 19997 == 0\n"
+            "((_, S, x),) = _walk([20000])\n"
+            "assert S % 19997 == 0 and x % 19997\n"
             "print(peak() - before)\n"
         )
         env = dict(os.environ)

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from mirrorint import congruences, padic, series
 from mirrorint.constants import t_conjectured, u_conjectured
-from mirrorint.harmonic import harmonic
-from mirrorint.padic import big_B, prime_divisors
+from mirrorint.padic import prime_divisors
 from mirrorint.series import (
     CANONICAL_KINDS,
     PSeries,
@@ -40,7 +39,9 @@ from mirrorint.series import (
     ps_revert,
 )
 from oracles import (
+    big_B,
     check_theorem_congruence,
+    harmonic,
     p_integral_violation,
     ps_substitute_power,
     verify_truemap_identity,
