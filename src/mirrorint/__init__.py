@@ -20,10 +20,6 @@ from .padic import (
 )
 from .series import (
     PSeries,
-    build_F,
-    build_G,
-    build_GL,
-    build_Gtilde,
     canonical_q,
     dwork_criterion,
     integrality_check,
@@ -48,10 +44,6 @@ __all__ = [
     "SieveRun",
     "big_B_sequence",
     "big_B_units",
-    "build_F",
-    "build_G",
-    "build_GL",
-    "build_Gtilde",
     "canonical_q",
     "dwork_criterion",
     "integrality_check",

@@ -264,9 +264,9 @@ def _cmd_certify(args) -> int:
         raise ValueError("--order must be positive")
     if args.root_scale < 1:
         raise ValueError("--root-scale must be a positive integer")
-    g, f = canonical_parts(args.map, args.N, args.k, L=args.L, order=order)
-    # F[0] = 1, so log q = G/F vanishes to the order exactly when G does.
-    if not any(g.coefficients):
+    G, F, d = canonical_parts(args.map, args.N, args.k, L=args.L, order=order)
+    # F[0] = 1, so log q = G/(d·F) vanishes to the order exactly when G does.
+    if not any(G):
         payload = {"reason": "the map reduces to z: every root is trivially integral"}
         return _emit(args, "degenerate", payload)
 
@@ -289,11 +289,11 @@ def _cmd_certify(args) -> int:
     root *= args.root_scale
 
     # Dwork's criterion decides on residues mod p^e; the exact stream of
-    # exp(G/(V·F)) runs only to a violation's witness, to print it.
-    index = first_nonintegral(g, f, root)
+    # exp(G/(d·V·F)) runs only to a violation's witness, to print it.
+    index = first_nonintegral(G, F, d * root)
     if index is None:
         return _emit(args, "pass", {"root": str(root), "certified_to_order": order})
-    witness = next(itertools.islice(exp_quotient(g, f, root), index, None))
+    witness = next(itertools.islice(exp_quotient(G, F, d * root), index, None))
     if witness.denominator == 1:
         raise RuntimeError(
             f"Dwork's criterion and the exact stream disagree at index {index}"

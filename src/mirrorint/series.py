@@ -1,6 +1,6 @@
-"""Truncated formal power series over exact rationals, the hypergeometric
-series F, G, G_L, G-tilde built from the coefficients ((Nm)!/m!^N)^k, their
-canonical coordinates exp(G/F), and certification of maximal integral roots.
+"""Truncated formal power series over exact rationals, the integer rows of
+the hypergeometric series F, G, G_L, G-tilde, their canonical coordinates
+exp(G/F), and certification of maximal integral roots.
 
 Every series carries an explicit truncation order M: coefficients 0..M are
 exact and nothing is claimed beyond. Arithmetic propagates the tightest
@@ -203,18 +203,21 @@ def _exp(h: Iterable[Fraction], m: int, r: int) -> Iterator[Fraction]:
     return _solve([1] + [0] * m, w, [1] + [n * r for n in range(1, m + 1)])
 
 
-def exp_quotient(g: PSeries, f: PSeries, r: int) -> Iterator[Fraction]:
-    """Coefficients of exp(g / (r f)) to the common order, one at a time: step
-    n of the quotient g / f feeds step n of exp, so a caller that stops at
-    index n has paid for coefficients 0..n of each and nothing beyond."""
+def exp_quotient(
+    g: Sequence[Coeff], f: Sequence[Coeff], r: int
+) -> Iterator[Fraction]:
+    """Coefficients of exp(g / (r f)) to the common order, one at a time, for
+    sequences g and f of ints or Fractions: step n of the quotient g / f
+    feeds step n of exp, so a caller that stops at index n has paid for
+    coefficients 0..n of each and nothing beyond."""
     if g[0] != 0:
         raise ValueError("exp_quotient requires g with zero constant term")
     if f[0] == 0:
         raise ValueError("division requires a nonzero constant term")
     if r == 0:
         raise ValueError("exp_quotient requires a nonzero r")
-    m = min(g.order, f.order)
-    return _exp(_solve(g.coefficients[: m + 1], f.coefficients, [f[0]] * (m + 1)), m, r)
+    m = min(len(g), len(f)) - 1
+    return _exp(_solve(g[: m + 1], f, [f[0]] * (m + 1)), m, r)
 
 
 def ps_log(s: PSeries) -> PSeries:
@@ -258,34 +261,6 @@ def integrality_check(s: PSeries) -> int | None:
     return None
 
 
-def build_F(N: int, k: int, order: int) -> PSeries:
-    """sum_m ((Nm)!/m!^N)^k z^m."""
-    return PSeries(big_B_sequence(N, k, order))
-
-
-def build_G(N: int, k: int, order: int) -> PSeries:
-    """sum_{m>=1} kN (H_{Nm} - H_m) ((Nm)!/m!^N)^k z^m, i.e. kN G-tilde."""
-    return _build_weighted(N, N, k, order, shifted=True) * (k * N)
-
-
-def build_GL(L: int, N: int, k: int, order: int) -> PSeries:
-    """sum_{m>=1} H_{Lm} ((Nm)!/m!^N)^k z^m."""
-    if L < 1:
-        raise ValueError("L must be a positive integer")
-    return _build_weighted(L, N, k, order, shifted=False)
-
-
-def build_Gtilde(N: int, k: int, order: int) -> PSeries:
-    """sum_{m>=1} (H_{Nm} - H_m) ((Nm)!/m!^N)^k z^m."""
-    return _build_weighted(N, N, k, order, shifted=True)
-
-
-def _build_weighted(L: int, N: int, k: int, order: int, shifted: bool) -> PSeries:
-    # sum_{m>=1} w(m) ((Nm)!/m!^N)^k z^m, w(m) from scaled_weights(L, ., shifted)
-    _, bw, S = _weighted_row(L, N, k, order, shifted)
-    return PSeries([Fraction(x, S) for x in bw])
-
-
 def _weighted_row(
     L: int, N: int, k: int, order: int, shifted: bool
 ) -> tuple[list[int], list[int], int]:
@@ -300,36 +275,41 @@ def _weighted_row(
 
 def canonical_parts(
     kind: str, N: int, k: int = 1, L: int | None = None, order: int = 25
-) -> tuple[PSeries, PSeries]:
-    """(G, F) with G / F the logarithm of the canonical coordinate:
+) -> tuple[list[int], list[int], int]:
+    """Integer rows (G, F) to the order and their scale d, with G / (d F) the
+    logarithm of the canonical coordinate:
 
-    qLN     G_L / F = log q_L, requires L
-    qN      G / F = log(z^{-1} q(z))
-    qtilde  G-tilde / F = log((z^{-1} q(z))^{1/kN})
+    qLN     G / d = G_L, requires L
+    qN      G / d = G = kN G-tilde, the log of z^{-1} q(z)
+    qtilde  G / d = G-tilde, the log of (z^{-1} q(z))^{1/kN}
 
-    Only qLN reads L, so the other kinds reject one.
+    F[m] = ((Nm)!/m!^N)^k, and G is F weighted by the harmonic weights of
+    scaled_weights on their scale d = lcm(1..L order), L = N for qN and
+    qtilde. Only qLN reads L, so the other kinds reject one.
     """
     if kind == KIND_QLN:
         if L is None:
             raise ValueError("qLN requires L")
-        g = build_GL(L, N, k, order)
+        if L < 1:
+            raise ValueError("L must be a positive integer")
+        F, G, d = _weighted_row(L, N, k, order, shifted=False)
     elif L is not None and kind in CANONICAL_KINDS:
         raise ValueError(f"{kind} takes no L; only qLN reads it")
-    elif kind == KIND_QN:
-        g = build_G(N, k, order)
-    elif kind == KIND_QTILDE:
-        g = build_Gtilde(N, k, order)
+    elif kind in (KIND_QN, KIND_QTILDE):
+        F, G, d = _weighted_row(N, N, k, order, shifted=True)
+        if kind == KIND_QN:
+            G = [k * N * x for x in G]
     else:
         raise ValueError(f"kind must be one of {CANONICAL_KINDS}")
-    return g, build_F(N, k, order)
+    return G, F, d
 
 
 def canonical_q(
     kind: str, N: int, k: int = 1, L: int | None = None, order: int = 25
 ) -> PSeries:
-    """Canonical coordinates exp(G / F) of canonical_parts(...), constant
+    """Canonical coordinates exp(G / (d F)) of canonical_parts(...), constant
     term 1."""
-    return PSeries(exp_quotient(*canonical_parts(kind, N, k, L, order), 1))
+    return PSeries(exp_quotient(*canonical_parts(kind, N, k, L, order)))
 
 
 @dataclass(frozen=True)
@@ -435,20 +415,8 @@ def max_root(s: PSeries) -> RootCertificate:
     )
 
 
-def _require_dwork_inputs(f: PSeries, g: PSeries, r: int, name: str) -> None:
-    if r < 1:
-        raise ValueError(f"{name} must be a positive integer")
-    if f[0] != 1:
-        raise ValueError("f must have constant term 1")
-    bad = integrality_check(f)
-    if bad is not None:
-        raise ValueError(f"f must have integral coefficients (index {bad})")
-    if g[0] != 0:
-        raise ValueError("g must have zero constant term")
-
-
-def _dwork_modulus(p: int, d: int, r: int) -> int:
-    return p ** (1 + vp_int(r, p) + vp_int(d, p))
+def _dwork_modulus(p: int, r: int) -> int:
+    return p ** (1 + vp_int(r, p))
 
 
 def _dwork_difference(
@@ -456,49 +424,54 @@ def _dwork_difference(
 ) -> Iterator[int]:
     """(f G(z^p) - p f(z^p) G)[i] for each i of indices, in order, for
     integer lists f and G that reach every i: two dot products over stride-p
-    slices. With G = d*g, it is read mod q = _dwork_modulus(p, d, r) for
-    Dwork's criterion for exp(g / (r f)) at p, on f and G reduced mod q."""
+    slices. With g = G/d and r = d tau, it is read mod q = _dwork_modulus(p, r)
+    for Dwork's criterion for exp(g / (tau f)) at p, on f and G reduced mod q."""
     for i in indices:
         yield sum(map(mul, G, f[i::-p])) - p * sum(map(mul, f, G[i::-p]))
 
 
-def first_nonintegral(g: PSeries, f: PSeries, r: int) -> int | None:
-    """Index of the first non-integral coefficient of exp(g / (r f)) to the
-    common order M, or None; f in 1 + z Z[[z]], g in z Q[[z]], r >= 1.
+def first_nonintegral(G: Sequence[int], F: Sequence[int], r: int) -> int | None:
+    """Index of the first non-integral coefficient of exp(G / (r F)) to the
+    common order M, or None; G and F integer rows, F[0] = 1, G[0] = 0, r >= 1.
+    Any common scale serves: g = G/d gives exp(g / (tau F)) at r = d tau.
 
-    The index is the least over primes p of dwork_criterion(f, g, r, p)'s
-    violating index, and nothing is expanded:
+    The index is the least over primes p of Dwork's criterion's violating
+    index, and nothing is expanded:
 
-    - For p > i, f(z^p) = 1 and g(z^p) = 0 to order i, so the difference is
-      -p g[i] and the criterion reads v_p(g[i] / r) >= 0. One pass finds the
-      first i whose g[i] / r keeps a denominator factor once the primes
+    - For p > i, F(z^p) = 1 and G(z^p) = 0 to order i, so the difference is
+      -p G[i] and the criterion reads v_p(G[i] / r) >= 0. One pass finds the
+      first i whose G[i] / r keeps a denominator factor once the primes
       <= i are stripped from it by gcds with their product. Neither r nor a
       denominator is ever factored, which is how primes above M are handled.
     - Each p below the best index so far reads _dwork_difference on
-      residues mod p^(1 + v_p(r) + v_p(d)), from index p up to that index.
+      residues mod p^(1 + v_p(r)), from index p up to that index.
     """
-    _require_dwork_inputs(f, g, r, "r")
-    m = min(g.order, f.order)
+    if r < 1:
+        raise ValueError("r must be a positive integer")
+    if F[0] != 1:
+        raise ValueError("F must have constant term 1")
+    if G[0] != 0:
+        raise ValueError("G must have zero constant term")
+    m = min(len(G), len(F)) - 1
     best, primes, primorial = m + 1, [], 1
-    for i, x in enumerate(g.coefficients[1 : m + 1], 1):
+    for i in range(1, m + 1):
         # primorial is the product of the primes below i.
         if i > 1 and math.gcd(i, primorial) == 1:
             primes.append(i)
             primorial *= i
-        # The denominator of x / r, as x is in lowest terms.
-        den = x.denominator * (r // math.gcd(x.numerator, r))
+        # The denominator of G[i] / r.
+        den = r // math.gcd(G[i], r)
         while (c := math.gcd(den, primorial)) > 1:
             den //= c
         if den > 1:
             best = i
             break
-    G, d = _over_lcm(g.coefficients[:best])
-    moduli = {p: _dwork_modulus(p, d, r) for p in primes if p < best}
+    moduli = {p: _dwork_modulus(p, r) for p in primes if p < best}
     # One reduction mod the product of all moduli shrinks the coefficients
     # that every prime reduces again.
     Q = math.prod(moduli.values())
-    fi = [x.numerator % Q for x in f.coefficients[:best]]
-    G = [x % Q for x in G]
+    fi = [x % Q for x in F[:best]]
+    G = [x % Q for x in G[:best]]
     for p, q in moduli.items():
         fq, Gq = [x % q for x in fi[:best]], [x % q for x in G[:best]]
         values = zip(range(p, best), _dwork_difference(fq, Gq, p, range(p, best)))
@@ -518,10 +491,18 @@ def dwork_criterion(
     is read off _dwork_difference on residues.
     """
     require_prime(p)
-    _require_dwork_inputs(f, g, tau, "tau")
+    if tau < 1:
+        raise ValueError("tau must be a positive integer")
+    if f[0] != 1:
+        raise ValueError("f must have constant term 1")
+    bad = integrality_check(f)
+    if bad is not None:
+        raise ValueError(f"f must have integral coefficients (index {bad})")
+    if g[0] != 0:
+        raise ValueError("g must have zero constant term")
     m = min(f.order, g.order)
     G, d = _over_lcm(g.coefficients[: m + 1])
-    q = _dwork_modulus(p, d, tau)
+    q = _dwork_modulus(p, d * tau)
     fq, Gq = [x.numerator % q for x in f.coefficients[: m + 1]], [x % q for x in G]
     values = enumerate(_dwork_difference(fq, Gq, p, range(1, m + 1)), 1)
     i = next((i for i, x in values if x % q), None)

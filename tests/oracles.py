@@ -43,7 +43,14 @@ from mirrorint.padic import (
     vp_big_B,
     vp_int,
 )
-from mirrorint.series import KIND_QLN, KIND_QN, PSeries, canonical_q, ps_pow
+from mirrorint.series import (
+    KIND_QLN,
+    KIND_QN,
+    PSeries,
+    canonical_parts,
+    canonical_q,
+    ps_pow,
+)
 from mirrorint.sieve import VALUATION_CAP, SieveRecord
 
 
@@ -269,6 +276,15 @@ def check_harmonic_congruence(
         predicted=predicted,
         prediction_matches=matches,
     )
+
+
+def canonical_series(
+    kind: str, N: int, k: int = 1, L: int | None = None, order: int = 25
+) -> tuple[PSeries, PSeries]:
+    """(g, f): the rows (G, F, d) of canonical_parts as rational series,
+    g = G / d, so that g / f is the logarithm of the canonical coordinate."""
+    G, F, d = canonical_parts(kind, N, k, L, order)
+    return PSeries([Fraction(x, d) for x in G]), PSeries(F)
 
 
 def ps_substitute_power(s: PSeries, m: int) -> PSeries:

@@ -15,9 +15,6 @@ from mirrorint.constants import omega, t_conjectured, u_conjectured, xi
 from mirrorint.harmonic import _wolstenholme_pairing
 from mirrorint.padic import primes_upto
 from mirrorint.series import (
-    build_F,
-    build_Gtilde,
-    build_GL,
     canonical_q,
     dwork_criterion,
     integrality_check,
@@ -29,6 +26,7 @@ from mirrorint.series import (
 )
 from mirrorint.sieve import TARGET_H, TARGET_H1, SieveRun
 from oracles import (
+    canonical_series,
     check_decomposition,
     check_dwork_S,
     check_theorem_congruence,
@@ -183,9 +181,8 @@ def test_criterion_07_congruence_sweeps():
     for p in (2, 3, 5):
         for N in range(1, 6):
             for k in (1, 2):
-                f = build_F(N, k, 20)
-                g = build_GL(N, N, k, 20)
-                gt = build_Gtilde(N, k, 20)
+                g, f = canonical_series("qLN", N, k, L=N, order=20)
+                gt = canonical_series("qtilde", N, k, order=20)[0]
                 dc = f * ps_substitute_power(g, p) - p * ps_substitute_power(f, p) * g
                 dt = f * ps_substitute_power(gt, p) - p * ps_substitute_power(f, p) * gt
                 for idx in range(21):

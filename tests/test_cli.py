@@ -272,6 +272,18 @@ class TestCertifyGolden:
         got, out, _ = run_cli(capsys, "certify", *argv.split())
         assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha256)
 
+    # The README's pass, degenerate map and violation with its witness.
+    @pytest.mark.parametrize("argv,code,sha256", [CERTIFY_GOLDEN[i] for i in (0, 2, 3)])
+    def test_builds_no_series(self, capsys, monkeypatch, argv, code, sha256):
+        # certify decides, and prints a witness, from the integer rows of
+        # canonical_parts alone.
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify built a PSeries")
+
+        monkeypatch.setattr(series.PSeries, "__init__", refuse)
+        got, out, _ = run_cli(capsys, "certify", *argv.split())
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha256)
+
 
 # The benchmark's constants commands, the xi(7) special case, the degenerate
 # u at N = 1, t with k = 2 and one --table command, with the exit code and

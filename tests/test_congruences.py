@@ -25,12 +25,12 @@ from mirrorint.congruences import (
 )
 from mirrorint.harmonic import _indicator, _wolstenholme_pairing
 from mirrorint.padic import INFINITE, primes_upto, vp_big_B, vp_rational
-from mirrorint.series import build_F, build_GL, build_Gtilde
 from mirrorint.sieve import canonical_json
 from oracles import (
     S_sum,
     Y_term,
     big_B,
+    canonical_series,
     check_decomposition,
     check_dwork_S,
     check_harmonic_congruence,
@@ -48,8 +48,10 @@ def series_coefficient_C(N, k, p, index, shifted=False):
     """Oracle: the coefficient of F(z) G(z^p) - p F(z^p) G(z) computed by
     plain series arithmetic (G is the L = N map, or the shifted one)."""
     order = index
-    f = build_F(N, k, order)
-    g = build_Gtilde(N, k, order) if shifted else build_GL(N, N, k, order)
+    if shifted:
+        g, f = canonical_series("qtilde", N, k, order=order)
+    else:
+        g, f = canonical_series("qLN", N, k, L=N, order=order)
     diff = f * ps_substitute_power(g, p) - p * ps_substitute_power(f, p) * g
     return diff[index]
 

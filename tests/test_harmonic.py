@@ -12,8 +12,7 @@ from mirrorint.harmonic import (
     scaled_weights,
 )
 from mirrorint.padic import INFINITE, primes_upto, vp_rational
-from mirrorint.series import build_GL
-from oracles import big_B, check_harmonic_congruence, harmonic, vp_harmonic
+from oracles import big_B, canonical_series, check_harmonic_congruence, harmonic, vp_harmonic
 
 
 def step(acc):
@@ -78,7 +77,7 @@ class TestHarmonicWeight:
         M = 8
         for N in range(1, 5):
             for k in (1, 2):
-                gl = build_GL(N, N, k, M)
+                gl = canonical_series("qLN", N, k, L=N, order=M)[0]
                 for m in range(1, M + 1):
                     assert gl[m] == weight(N, m) * big_B(N, k, m)
 

@@ -29,7 +29,7 @@ from mirrorint.harmonic import (
     scaled_weights,
 )
 from mirrorint.padic import primes_upto, vp_int, vp_rational
-from mirrorint.series import build_G, build_GL, build_Gtilde, canonical_parts
+from mirrorint.series import canonical_parts, canonical_q
 import oracles
 from oracles import (
     S_sum,
@@ -151,9 +151,9 @@ class TestScaledWeights:
         for module in (harmonic_module, congruences, series, oracles):
             monkeypatch.setattr(module, "scaled_weights", refuse)
         readers = [
-            lambda: build_GL(3, 3, 1, 6),
-            lambda: build_G(3, 1, 6),
-            lambda: build_Gtilde(3, 1, 6),
+            lambda: canonical_q("qLN", 3, 1, L=3, order=6),
+            lambda: canonical_q("qN", 3, 1, order=6),
+            lambda: canonical_q("qtilde", 3, 1, order=6),
             lambda: canonical_parts("qLN", 3, 1, L=3, order=6),
             lambda: canonical_parts("qN", 3, 1, order=6),
             lambda: canonical_parts("qtilde", 3, 1, order=6),

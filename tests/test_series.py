@@ -22,10 +22,7 @@ from mirrorint.series import (
     RootPrime,
     _dwork_difference,
     _int_str_digits,
-    build_F,
-    build_G,
-    build_GL,
-    build_Gtilde,
+    _over_lcm,
     canonical_parts,
     canonical_q,
     dwork_criterion,
@@ -40,6 +37,7 @@ from mirrorint.series import (
 )
 from oracles import (
     big_B,
+    canonical_series,
     check_theorem_congruence,
     harmonic,
     p_integral_violation,
@@ -212,7 +210,7 @@ class TestIntegerKernels:
         f = random_coeffs(rng, rng.randint(0, 12), const=rng.choice(self.CONSTS))
         r = rng.choice((1, 2, 108, 324))
         expected = ref_exp([x / r for x in ref_div(g, f)])
-        assert pairs(list(exp_quotient(PSeries(g), PSeries(f), r))) == pairs(expected)
+        assert pairs(list(exp_quotient(g, f, r))) == pairs(expected)
 
     @pytest.mark.parametrize("k", range(6))
     def test_solve_reads_w_one_term_per_step(self, k):
@@ -232,17 +230,16 @@ class TestIntegerKernels:
 
     def test_exp_quotient_preconditions(self):
         with pytest.raises(ValueError):
-            exp_quotient(PSeries([1, 1]), PSeries([1, 1]), 1)
+            exp_quotient([1, 1], [1, 1], 1)
         with pytest.raises(ValueError):
-            exp_quotient(PSeries([0, 1]), PSeries([0, 1]), 1)
+            exp_quotient([0, 1], [0, 1], 1)
         with pytest.raises(ValueError):
-            exp_quotient(PSeries([0, 1]), PSeries([1, 1]), 0)
+            exp_quotient([0, 1], [1, 1], 0)
 
     def test_canonical_map_matches_fraction_recurrences(self):
-        f, g = build_F(5, 1, 30), build_GL(5, 5, 1, 30)
-        log_q = ref_div(list(g.coefficients), list(f.coefficients))
-        g, f = canonical_parts("qLN", 5, L=5, order=30)
-        assert pairs(g / f) == pairs(log_q)
+        g, f, d = canonical_parts("qLN", 5, L=5, order=30)
+        log_q = ref_div([F(x, d) for x in g], [F(x) for x in f])
+        assert pairs(PSeries(g) / PSeries(f) / d) == pairs(log_q)
         assert pairs(canonical_q("qLN", 5, L=5, order=30)) == pairs(ref_exp(log_q))
 
 
@@ -353,28 +350,33 @@ class TestRevert:
 
 
 class TestBuilders:
+    # The rows (G, F, d) of canonical_parts, read as G / d where the series
+    # they stand for are rational.
     def test_central_binomials(self):
-        assert build_F(2, 1, 3).coefficients == (1, 2, 6, 20)
+        assert canonical_parts("qN", 2, 1, order=3)[1] == [1, 2, 6, 20]
 
     def test_g_vanishes_for_n1(self):
-        assert build_G(1, 3, 8) == PSeries([0], order=8)
+        assert canonical_parts("qN", 1, 3, order=8)[0] == [0] * 9
 
     def test_gl_first_coefficient(self):
-        assert build_GL(2, 2, 1, 1).coefficients == (0, 3)  # H_2 * 2
+        g, _, d = canonical_parts("qLN", 2, 1, L=2, order=1)
+        assert [F(x, d) for x in g] == [0, 3]  # H_2 * 2
 
     def test_coefficients_against_the_definitions(self):
         M = 9
         for N in range(1, 5):
             for k in (1, 2):
                 b = [big_B(N, k, m) for m in range(M + 1)]
-                g, gt = build_G(N, k, M), build_Gtilde(N, k, M)
+                g, f = canonical_series("qN", N, k, order=M)
+                gt = canonical_series("qtilde", N, k, order=M)[0]
+                assert f.coefficients == tuple(b)
                 assert g[0] == gt[0] == 0
                 for m in range(1, M + 1):
                     shifted = harmonic(N * m) - harmonic(m)
                     assert gt[m] == shifted * b[m]
                     assert g[m] == k * N * shifted * b[m]
                 for L in range(1, N + 2):
-                    gl = build_GL(L, N, k, M)
+                    gl = canonical_series("qLN", N, k, L=L, order=M)[0]
                     assert gl[0] == 0
                     for m in range(1, M + 1):
                         assert gl[m] == harmonic(L * m) * b[m]
@@ -382,9 +384,9 @@ class TestBuilders:
     def test_gtilde_vs_g(self):
         # G = kN * G-tilde, coefficientwise.
         for N, k in [(2, 1), (3, 2)]:
-            g = build_G(N, k, 8)
-            gt = build_Gtilde(N, k, 8)
-            assert g == gt * (k * N)
+            g, _, d = canonical_parts("qN", N, k, order=8)
+            gt, _, dt = canonical_parts("qtilde", N, k, order=8)
+            assert d == dt and g == [k * N * x for x in gt]
 
 
 class TestCanonicalMaps:
@@ -420,7 +422,7 @@ class TestCanonicalMaps:
             for N in range(1, 7):
                 for k in (1, 2):
                     for L in range(1, N + 1) if kind == "qLN" else (None,):
-                        g, f = canonical_parts(kind, N, k, L=L, order=15)
+                        g, f = canonical_series(kind, N, k, L=L, order=15)
                         log_q = g / f
                         q = canonical_q(kind, N, k, L=L, order=15)
                         assert ps_log(q) == log_q, (kind, N, k, L)
@@ -650,9 +652,8 @@ class TestDworkCriterion:
         # g normalised by xi(5) * 5! = 2: the criterion at p = 2 encodes the
         # 2-integrality of the map's square root.
         t5 = int(t_conjectured(5, 1)[0])
-        f = build_F(5, 1, 24)
-        g = build_GL(5, 5, 1, 24) / t5
-        ok, w = dwork_criterion(f, g, 1, 2)
+        g, f = canonical_series("qLN", 5, 1, L=5, order=24)
+        ok, w = dwork_criterion(f, g / t5, 1, 2)
         assert ok, w
 
     def test_preconditions(self):
@@ -725,10 +726,11 @@ class TestFirstNonintegral:
             for k in (1, 2, 3):
                 for kind in CANONICAL_KINDS:
                     for L in range(1, 9) if kind == "qLN" else (None,):
-                        g, f = canonical_parts(kind, N, k, L=L, order=30)
+                        g, f, d = canonical_parts(kind, N, k, L=L, order=30)
                         for r in self.ROOTS:
-                            want = stream_first_nonintegral(g, f, r)
-                            assert first_nonintegral(g, f, r) == want, (kind, N, k, L, r)
+                            want = stream_first_nonintegral(g, f, d * r)
+                            got = first_nonintegral(g, f, d * r)
+                            assert got == want, (kind, N, k, L, r)
                             verdicts[want is None] += 1
         assert min(verdicts.values()) >= 30
 
@@ -742,6 +744,7 @@ class TestFirstNonintegral:
         order = 12
         big = (13, 17, 19, 23, 29)
         verdicts = {True: 0, False: 0}
+        scales = random.Random(7)
         for trial in range(250):
             f = PSeries([1] + [rng.randint(-4, 4) for _ in range(order)])
             u = PSeries([1] + [rng.randint(-3, 3) for _ in range(order)])
@@ -765,11 +768,43 @@ class TestFirstNonintegral:
                 c[order] += F(1, rng.choice(big))
             elif style == 4:
                 c[order] += F(r, rng.choice((2, 3, 4, 9)))
-            g = PSeries(c)
-            want = stream_first_nonintegral(g, f, r)
-            assert first_nonintegral(g, f, r) == want, (trial, r)
+            want = stream_first_nonintegral(c, f.coefficients, r)
+            # The integer rows over the lcm of g's denominators, and over a
+            # multiple of it: any common scale serves.
+            G, d = _over_lcm(c)
+            ints = [int(x) for x in f.coefficients]
+            assert first_nonintegral(G, ints, d * r) == want, (trial, r)
+            s = scales.choice((2, 3, 9, 2**7, 3**5, 17, 6 * 17))
+            assert first_nonintegral([s * x for x in G], ints, s * d * r) == want, (trial, r, s)
             verdicts[want is None] += 1
         assert verdicts[True] >= 30 and verdicts[False] >= 30
+
+    @given(
+        st.sampled_from(("qLN", "qN", "qtilde")),
+        st.sampled_from((1, 2, None)),
+        st.integers(1, 6),
+        st.integers(1, 2),
+        st.integers(0, 30),
+        st.sampled_from(ROOTS),
+        st.one_of(
+            st.integers(1, 10**9),
+            st.builds(
+                pow,
+                st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29)),
+                st.integers(1, 12),
+            ),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_common_scale(self, kind, L, N, k, order, root, c):
+        # Scaling G and r by the same c leaves the index unmoved; L = None
+        # stands for L = N. On canonical parts the gcd pass decides every
+        # violation tried, so the small-prime moduli p^(1 + v_p(r)) are
+        # scaled by test_matches_exp_stream_on_random_series.
+        L = (L or N) if kind == "qLN" else None
+        g, f, d = canonical_parts(kind, N, k, L=L, order=order)
+        want = first_nonintegral(g, f, d * root)
+        assert first_nonintegral([c * x for x in g], f, c * d * root) == want
 
     def test_never_factors(self, monkeypatch):
         def refuse(n):
@@ -777,25 +812,23 @@ class TestFirstNonintegral:
 
         monkeypatch.setattr(series, "prime_divisors", refuse)
         monkeypatch.setattr(padic, "prime_divisors", refuse)
-        g, f = canonical_parts("qLN", 7, 1, L=7, order=60)
+        g, f, d = canonical_parts("qLN", 7, 1, L=7, order=60)
         big_prime = 10**24 + 7
-        assert first_nonintegral(g, f, 108) is None
-        assert first_nonintegral(g, f, 108 * big_prime) == 1
-        assert first_nonintegral(g * big_prime, f, 108 * big_prime) is None
+        assert first_nonintegral(g, f, d * 108) is None
+        assert first_nonintegral(g, f, d * 108 * big_prime) == 1
+        assert first_nonintegral([x * big_prime for x in g], f, d * 108 * big_prime) is None
 
     def test_degenerate_and_order_zero(self):
-        assert first_nonintegral(PSeries([0], order=9), PSeries([1, 5], order=9), 7) is None
-        assert first_nonintegral(PSeries([0]), PSeries([1]), 1) is None
+        assert first_nonintegral([0] * 10, [1, 5] + [0] * 8, 7) is None
+        assert first_nonintegral([0], [1], 1) is None
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="r must be"):
-            first_nonintegral(PSeries([0, 1]), PSeries([1, 1]), 0)
+            first_nonintegral([0, 1], [1, 1], 0)
         with pytest.raises(ValueError):
-            first_nonintegral(PSeries([0, 1]), PSeries([2, 1]), 1)
+            first_nonintegral([0, 1], [2, 1], 1)
         with pytest.raises(ValueError):
-            first_nonintegral(PSeries([0, 1]), PSeries([1, F(1, 2)]), 1)
-        with pytest.raises(ValueError):
-            first_nonintegral(PSeries([1, 1]), PSeries([1, 1]), 1)
+            first_nonintegral([1, 1], [1, 1], 1)
 
 
 class TestDworkDifference:
@@ -834,10 +867,11 @@ class TestDworkDifference:
 
         monkeypatch.setattr(series, "_dwork_difference", refuse)
         monkeypatch.setattr(congruences, "_dwork_difference", refuse)
-        g, f = canonical_parts("qLN", 7, 1, L=7, order=20)
+        g, f, d = canonical_parts("qLN", 7, 1, L=7, order=20)
+        gs, fs = canonical_series("qLN", 7, 1, L=7, order=20)
         readers = [
-            lambda: first_nonintegral(g, f, 108),
-            lambda: dwork_criterion(f, g, 1, 3),
+            lambda: first_nonintegral(g, f, d * 108),
+            lambda: dwork_criterion(fs, gs, 1, 3),
             lambda: congruences.coeff_C(4, 1, 3, 1, 2),
             lambda: check_theorem_congruence(4, 1, 3, 1, 2),
             lambda: next(congruences.coeff_C_valuations(7, 3, [5], 3)),
