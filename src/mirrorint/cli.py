@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import itertools
 import math
 import os
@@ -390,7 +389,7 @@ def _cmd_sieve(args) -> int:
         if out is not sys.stdout:
             out.close()
     if args.checkpoint:
-        cp = dataclasses.replace(run.checkpoint(), out_offset=offset)
+        cp = run.checkpoint()._replace(out_offset=offset)
         _write_atomic(args.checkpoint, cp.dump() + "\n")
     if run.stopped:
         print(f"interrupted at N={run.last_N}; checkpoint saved", file=sys.stderr)

@@ -13,11 +13,10 @@ before any row, and every other function here takes p on trust.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .constants import omega, xi
 from .harmonic import (
@@ -141,8 +140,7 @@ def _level_gap(w: dict[int, int], p: int, m: int, s: int) -> int:
     return w[hi] - w[lo]
 
 
-@dataclass(frozen=True)
-class DecompositionCheck:
+class DecompositionCheck(NamedTuple):
     """Both evaluations of the harmonic convolution sum, at depth r and r+1."""
 
     r: int
@@ -209,8 +207,7 @@ def _witnesses(N: int, primes: list[int], shifted: bool) -> Iterator[tuple[int, 
         yield a, vp_big_B(N, 1, a, p) + vp_int(w[a], p) - vp_int(S, p)
 
 
-@dataclass(frozen=True)
-class RootSharpnessProbe:
+class RootSharpnessProbe(NamedTuple):
     """Outcome of the conditional sharpness probe at a pair with
     v_p(H_N) = 3: the coefficient C(p) = B(1) H_N - p B(p) H_{Np} must miss
     p^4 N! Z_p, pinning the exponent of p in the maximal root."""
@@ -273,8 +270,7 @@ def vp3_probe(p: int, N: int) -> RootSharpnessProbe:
 Row = tuple
 
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(NamedTuple):
     """One check as a grid: `keys`, the parameter names of its rows, sorted
     and space-separated; its optional parameters with their defaults; and
     `rows`, the generator that walks the grid, outermost parameter first,

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .harmonic import _indicator, _walk
 from .padic import primes_upto, vp_int
@@ -26,8 +26,7 @@ class DegenerateCase(ValueError):
     taking a value (e.g. the shifted map at N = 1 is identically 1)."""
 
 
-@dataclass(frozen=True)
-class PrimeFactor:
+class PrimeFactor(NamedTuple):
     p: int
     exponent: int
     indicator: int
@@ -42,8 +41,7 @@ class PrimeFactor:
         }
 
 
-@dataclass(frozen=True)
-class Breakdown:
+class Breakdown(NamedTuple):
     """Per-prime factorisation of one capped valuation product.
 
     ``exponent = min(2 + indicator, v_p(w))`` for every listed prime, with

@@ -14,10 +14,9 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .harmonic import scaled_weights
 from .padic import big_B_sequence, prime_divisors, require_prime, vp_int
@@ -312,8 +311,7 @@ def canonical_q(
     return PSeries(exp_quotient(*canonical_parts(kind, N, k, L, order)))
 
 
-@dataclass(frozen=True)
-class RootPrime:
+class RootPrime(NamedTuple):
     p: int
     exponent: int
     witness: int | None
@@ -322,8 +320,7 @@ class RootPrime:
         return {"p": self.p, "e": self.exponent, "witness": self.witness}
 
 
-@dataclass(frozen=True)
-class RootCertificate:
+class RootCertificate(NamedTuple):
     """Maximal integral root search outcome, valid to the stated order.
 
     For each listed prime, s^(1/p^e) is p-integral to the order while the

@@ -25,8 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import asdict, dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .harmonic import TARGET_H, TARGET_H1, ModularHarmonicSum
 from .padic import require_prime
@@ -51,8 +50,7 @@ class CheckpointError(Exception):
     """Checkpoint document is corrupt or inconsistent with the run."""
 
 
-@dataclass(frozen=True)
-class SieveRecord:
+class SieveRecord(NamedTuple):
     p: int
     N: int
     v: int
@@ -60,7 +58,7 @@ class SieveRecord:
     target: str
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     def to_line(self) -> str:
         return canonical_json(self.to_json())
@@ -70,8 +68,7 @@ def _state_digest(core: dict) -> str:
     return hashlib.sha256(canonical_json(core).encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class SieveCheckpoint:
+class SieveCheckpoint(NamedTuple):
     """The processed prefix of a run; ``state`` holds the queue.
     ``out_offset`` is the byte length of the --out file so far
     (None for stdout); the run ignores it, and a resumed CLI run truncates
@@ -85,7 +82,7 @@ class SieveCheckpoint:
     out_offset: int | None = None
 
     def to_json(self) -> dict:
-        core = asdict(self)
+        core = self._asdict()
         return {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             **core,
@@ -113,7 +110,7 @@ class SieveCheckpoint:
             digest = doc["digest"]
         except KeyError as exc:
             raise CheckpointError(f"checkpoint is missing field {exc}") from exc
-        if _state_digest(asdict(cp)) != digest:
+        if _state_digest(cp._asdict()) != digest:
             raise CheckpointError("checkpoint digest mismatch (corrupt file)")
         if type(cp.last_N) is not int or cp.last_N < 0:
             raise CheckpointError("checkpoint last_N is not an index")

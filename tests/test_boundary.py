@@ -1,4 +1,4 @@
-"""Three boundaries of the package, and two rules for every module.
+"""Three boundaries of the package, and three rules for every module.
 
 p is checked where it enters the program, and nowhere below that. Every
 public callable that takes a prime p rejects a non-prime with ValueError. A
@@ -20,10 +20,18 @@ is read somewhere in the package or listed in mirrorint.__all__.
 
 No import without a reader. Every name a module of the package or of the
 tests imports is read in that module.
+
+No slow import at start-up. Each CLI command runs in a fresh process, so
+it pays for every import of the package: no module imports dataclasses,
+which loads inspect and, through it, ast and dis. The result records are
+NamedTuples.
 """
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import accumulate
 from pathlib import Path
@@ -35,10 +43,12 @@ from hypothesis import strategies as st
 import mirrorint
 import mirrorint.harmonic as harmonic_module
 from mirrorint import congruences, padic
-from mirrorint.congruences import SWEEPS, sweep
+from mirrorint.congruences import SWEEPS, DecompositionCheck, sweep, vp3_probe
+from mirrorint.constants import omega, xi
 from mirrorint.harmonic import harmonic_scaled
 from mirrorint.padic import big_B_sequence
-from mirrorint.series import PSeries
+from mirrorint.series import PSeries, canonical_q, max_root
+from mirrorint.sieve import SieveRun
 from oracles import big_B
 
 # Valid arguments besides p, for every name in __all__ that takes p.
@@ -434,6 +444,130 @@ def test_unused_import_scan(source, flagged):
 )
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_module_imports_dataclasses():
+    found = {
+        name
+        for name, source in package_sources().items()
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        or (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+    }
+    assert found == set()
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # In a fresh interpreter, as each command starts.
+    env = dict(os.environ)
+    src = str(Path(mirrorint.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys\nimport mirrorint.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def _sieve_run():
+    run = SieveRun(3, 10)
+    return list(run), run
+
+
+# One record of each type as the CLI builds it, with its repr and its
+# to_json() document, which must not change.
+RECORD_PINS = {
+    "PrimeFactor": (
+        lambda: omega(3).factors[0],
+        "PrimeFactor(p=2, exponent=-1, indicator=1, branch='valuation')",
+        {"p": 2, "e": -1, "indicator": 1, "branch": "valuation"},
+    ),
+    "Breakdown": (
+        lambda: xi(4),
+        "Breakdown(N=4, factors=(PrimeFactor(p=2, exponent=-2, indicator=1, "
+        "branch='valuation'), PrimeFactor(p=3, exponent=-1, indicator=0, "
+        "branch='valuation')), product=Fraction(1, 12), special_case=False)",
+        {
+            "N": 4,
+            "product": "1/12",
+            "factors": [
+                {"p": 2, "e": -2, "indicator": 1, "branch": "valuation"},
+                {"p": 3, "e": -1, "indicator": 0, "branch": "valuation"},
+            ],
+            "special_case": False,
+        },
+    ),
+    "RootPrime": (
+        lambda: max_root(canonical_q("qN", 2, order=10)).primes[0],
+        "RootPrime(p=2, exponent=1, witness=1)",
+        {"p": 2, "e": 1, "witness": 1},
+    ),
+    "RootCertificate": (
+        lambda: max_root(canonical_q("qN", 2, order=10)),
+        "RootCertificate(order=10, primes=(RootPrime(p=2, exponent=1, witness=1),), "
+        "V=2, status='certified', degenerate=False)",
+        {
+            "order": 10,
+            "primes": [{"p": 2, "e": 1, "witness": 1}],
+            "V": "2",
+            "status": "certified",
+            "degenerate": False,
+        },
+    ),
+    "DecompositionCheck": (
+        lambda: DecompositionCheck(2, F(1, 2), F(1, 2), F(1, 3)),
+        "DecompositionCheck(r=2, lhs=Fraction(1, 2), rhs=Fraction(1, 2), "
+        "rhs_next=Fraction(1, 3))",
+        None,
+    ),
+    "RootSharpnessProbe": (
+        lambda: vp3_probe(11, 848),
+        "RootSharpnessProbe(p=11, N=848, harmonic_valuation=3, achieved=87, required=88)",
+        None,
+    ),
+    "Sweep": (
+        lambda: SWEEPS["lemma12"],
+        "Sweep(keys='K N a j k p', defaults={'p': (2, 3, 5), 'Nmax': 5, 'kmax': 2, "
+        f"'jmax': 6, 'Kmax': 8}}, rows={SWEEPS['lemma12'].rows!r}, variants=(), "
+        "required=(), validate=None)",
+        None,
+    ),
+    "SieveRecord": (
+        lambda: _sieve_run()[0][1],
+        "SieveRecord(p=3, N=7, v=1, v_at_least=False, target='H')",
+        {"p": 3, "N": 7, "v": 1, "v_at_least": False, "target": "H"},
+    ),
+    "SieveCheckpoint": (
+        lambda: _sieve_run()[1].checkpoint(),
+        "SieveCheckpoint(p=3, target='H', backend='modular', last_N=10, "
+        "state={'queue': [7]}, out_offset=None)",
+        {
+            "format_version": 4,
+            "p": 3,
+            "target": "H",
+            "backend": "modular",
+            "last_N": 10,
+            "state": {"queue": [7]},
+            "out_offset": None,
+            "digest": "67cdecb2439f2fc34c8dbf995ab0a0f88175df854db7abecd5d93b7eb5a0f4cf",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_PINS)
+def test_record_keeps_its_repr_json_and_fields(name):
+    build, text, doc = RECORD_PINS[name]
+    record = build()
+    assert type(record).__name__ == name
+    assert repr(record) == text
+    if doc is not None:
+        # Key order too: `constants --table` prints a breakdown's document as a dict.
+        assert list(record.to_json().items()) == list(doc.items())
+    for field in type(record)._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 @given(st.integers(0, 120), st.integers(0, 120), st.data())

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -525,7 +524,7 @@ class TestSieveCommand:
         argv = ["sieve", "--p", "5", "--checkpoint", str(ckpt)]
         assert run_cli(capsys, *argv, "--max", "50")[0] == 0
         cp = SieveCheckpoint.load(ckpt.read_text())
-        ckpt.write_text(dataclasses.replace(cp, last_N=bad).dump() + "\n")
+        ckpt.write_text(cp._replace(last_N=bad).dump() + "\n")
         code, _, err = run_cli(capsys, *argv, "--max", "100")
         lines = err.splitlines()
         assert code == 3 and len(lines) == 1 and lines[0].startswith("error:")

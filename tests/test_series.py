@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -80,7 +79,7 @@ def listed(cert):
     exp_scan_root lists because they divide the first coefficient and
     max_root does not."""
     primes = tuple(rp for rp in cert.primes if rp.p <= cert.order or rp.exponent)
-    return dataclasses.replace(cert, primes=primes)
+    return cert._replace(primes=primes)
 
 
 def compose(outer, inner):

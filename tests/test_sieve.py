@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -302,7 +302,7 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError, match="out_offset"):
             SieveCheckpoint.from_json(doc)
         for bad in (-1, "12", True):
-            cp = dataclasses.replace(r.checkpoint(), out_offset=bad)
+            cp = r.checkpoint()._replace(out_offset=bad)
             with pytest.raises(CheckpointError, match="byte count"):
                 SieveCheckpoint.load(cp.dump())
 
@@ -313,7 +313,7 @@ class TestCheckpointing:
     def test_bad_last_N_detected(self, backend, bad):
         # The digest is right, so only the last_N check can catch it.
         _, r = run(5, 100, TARGET_H)
-        cp = dataclasses.replace(r.checkpoint(), backend=backend, last_N=bad)
+        cp = r.checkpoint()._replace(backend=backend, last_N=bad)
         with pytest.raises(CheckpointError, match="last_N"):
             SieveCheckpoint.load(cp.dump())
 
@@ -325,14 +325,14 @@ class TestCheckpointing:
     def test_bad_queue_detected(self, queue):
         _, r = run(5, 100, TARGET_H)
         assert r.checkpoint().state == {"queue": [20, 24]}
-        cp = dataclasses.replace(r.checkpoint(), state={"queue": queue})
+        cp = r.checkpoint()._replace(state={"queue": queue})
         with pytest.raises(CheckpointError, match="state is invalid"):
             SieveRun(5, 200, TARGET_H, checkpoint=SieveCheckpoint.load(cp.dump()))
 
     def test_zero_denominator_detected(self):
         # The exact backend's state, H_N as {"num", "den"}, is no queue.
         _, r = run(3, 10, TARGET_H)
-        cp = dataclasses.replace(r.checkpoint(), state={"num": "1", "den": "0"})
+        cp = r.checkpoint()._replace(state={"num": "1", "den": "0"})
         with pytest.raises(CheckpointError, match="state is invalid"):
             SieveRun(3, 20, TARGET_H, checkpoint=SieveCheckpoint.load(cp.dump()))
 
@@ -344,7 +344,7 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError, match="past"):
             SieveRun(5, 50, TARGET_H, checkpoint=cp)
         # The exact backend's checkpoints, state {"num", "den"}, are another run's.
-        exact = dataclasses.replace(cp, backend="exact", state={"num": "1", "den": "1"})
+        exact = cp._replace(backend="exact", state={"num": "1", "den": "1"})
         with pytest.raises(CheckpointError, match="different run"):
             SieveRun(5, 200, TARGET_H, checkpoint=SieveCheckpoint.load(exact.dump()))
 
@@ -432,6 +432,17 @@ class TestRecordSchema:
         for key in ("digest", "out_offset"):
             del doc[key], example[key]
         assert example == doc
+
+    def test_checkpoint_round_trip_leaves_the_record(self):
+        # to_json shares `state` with the record: dumping must not change it.
+        _, r = run(5, 100, TARGET_H)
+        cp = r.checkpoint()
+        assert cp.state == {"queue": [20, 24]}
+        state = copy.deepcopy(cp.state)
+        text = cp.dump()
+        assert cp.dump() == text and cp.state == state
+        loaded = SieveCheckpoint.load(text)
+        assert type(loaded) is SieveCheckpoint and loaded == cp
 
     def test_checkpoint_format_version(self):
         _, r = run(3, 10, TARGET_H)
