@@ -21,6 +21,7 @@ import signal
 import sys
 import threading
 from fractions import Fraction
+from typing import Callable
 
 from .congruences import SWEEPS, _sweep_rows
 from .constants import (
@@ -404,30 +405,46 @@ def _cmd_sieve(args) -> int:
 
 _SWEEP_CHUNK_ROWS = 256
 
-# The JSON words of the sweep row fields that are neither ints nor strings:
-# the holds and capped booleans and decomposition's None margin.
-_JSON_WORDS = {True: "true", False: "false", None: "null"}
-
-
-def _json_field(value):
-    # A sweep row field as the %s argument that writes it as JSON. Strings
-    # are quoted as they are: they are the "inf" margin and `which` values
-    # from Sweep.variants, which need no escapes.
-    if value.__class__ is int:
-        return value
-    return _JSON_WORDS.get(value) or f'"{value}"'
-
 
 def _row_formats(check: str, keys: list[str]) -> dict[int, str]:
-    """The %-template of `check`'s sweep rows of each length: with the row's
-    fields through _json_field, it writes the bytes canonical_json writes
-    for the row's sweep() dict. A row with fewer values than keys lacks the
-    leading ones."""
+    """The %-template of `check`'s sweep rows of each length, `which` quoted
+    in it. A row with fewer values than keys lacks the leading ones."""
     head = f'{{"check":"{check}","holds":%s,"margin":%s,"params":{{'
+    slots = {key: '"%s"' if key == "which" else "%s" for key in keys}
     return {
-        2 + n: head + ",".join(f'"{key}":%s' for key in keys[len(keys) - n:]) + "}}"
+        2 + n: head + ",".join(f'"{key}":{slots[key]}' for key in keys[len(keys) - n:]) + "}}"
         for n in range(len(keys) + 1)
     }
+
+
+def _row_writer(check: str) -> Callable[[tuple], str]:
+    """The function that writes a row tuple of `check` as its JSONL line:
+    the bytes canonical_json writes for the row's sweep() dict. Ints go
+    into the template as they are; holds, coeff-c's capped and the "inf"
+    and None margins as their JSON words. `which` is a variant name from
+    SWEEPS, which needs no escapes."""
+    keys = SWEEPS[check].keys.split()
+    formats = _row_formats(check, keys)
+    words = ("false", "true")
+    margins = {"inf": '"inf"', None: "null"}
+
+    def line(row: tuple) -> str:
+        # The values are unpacked into the argument tuple, which is then
+        # built at its exact size. tuple(map(...)) would size its result by
+        # a guess and shrink it, which leaves one more tuple of the row's
+        # length on the interpreter's free list per row, about 0.3 MB of
+        # resident memory over a sweep.
+        margin = row[1]
+        return formats[len(row)] % (words[row[0]], margins.get(margin, margin), *row[2:])
+
+    if "capped" not in keys:
+        return line
+
+    def line_with_capped(row: tuple) -> str:
+        # coeff-c's capped is the one boolean among a row's values.
+        return line((*row[:2], *(words[x] if x.__class__ is bool else x for x in row[2:])))
+
+    return line_with_capped
 
 
 def _cmd_sweep(args) -> int:
@@ -436,18 +453,14 @@ def _cmd_sweep(args) -> int:
     # precondition (vp3-probe's, say) leaves an existing file untouched.
     first = list(itertools.islice(rows, 1))
     out = _open_out(args.out)
-    formats = _row_formats(args.check, SWEEPS[args.check].keys.split())
+    write = _row_writer(args.check)
     failures = 0
     total = 0
     # Rows go out in chunks: each write can be a syscall (PYTHONUNBUFFERED).
     chunk: list[str] = []
     try:
         for row in itertools.chain(first, rows):
-            # Unpacked, not tuple(map(...)): tuple() sizes a map's result by
-            # a guess and shrinks it, which leaves one more tuple of the row's
-            # length on the interpreter's free list per row, about 0.3 MB of
-            # resident memory over a sweep.
-            chunk.append(formats[len(row)] % (*map(_json_field, row),))
+            chunk.append(write(row))
             total += 1
             if not row[0]:
                 failures += 1

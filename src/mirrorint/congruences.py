@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .constants import omega, xi
@@ -317,59 +317,88 @@ def _pNk(grid: dict) -> Iterator[tuple[int, int, range]]:
 
 def _theorem_rows(grid: dict) -> Iterator[Row]:
     # C(a+Kp) in p xi(N) N!^k Z_p (the shifted sum in p omega(N) N!^k Z_p)
-    # at every (p, N, k), then a < p and K with a + Kp <= summax, off one
-    # B row and one B w list up to summax.
+    # at every (p, N, k), then a < p and K with a + Kp <= summax: the
+    # weights up to summax of one (p, N), then one B row and B w list per k.
     which, summax = grid["which"], grid["summax"]
     top = max(summax, 0)
     for p, N, ks in _pNk(grid):
+        w, S = scaled_weights(N, range(top + 1), which == WHICH_OMEGA)
+        vS = vp_int(S, p)
         for k in ks:
-            b, bw, S = _weighted_row(N, N, k, top, which == WHICH_OMEGA)
-            required = 1 + _required_vp(which, N, k, p) + vp_int(S, p)
+            b = big_B_sequence(N, k, top)
+            bw = [x * w[m] for m, x in enumerate(b)]
+            required = 1 + _required_vp(which, N, k, p) + vS
             for a in range(p):
                 for K, value in enumerate(_dwork_difference(b, bw, p, range(a, summax + 1, p))):
-                    yield *_verdict(vp_int(value, p) - required), K, N, a, k, p, which
+                    margin = vp_int(value, p) - required
+                    if margin == INFINITE:
+                        yield True, "inf", K, N, a, k, p, which
+                    else:
+                        yield margin >= 0, margin, K, N, a, k, p, which
             del b, bw
+        del w
 
 
 def _S_rows_at(
-    grid: dict, p: int, N: int, k: int, required: Callable[[int, int], int | float]
+    grid: dict, p: int, N: int, k: int, required: list[list[int | float]]
 ) -> Iterator[Row]:
     # Rows at a < p, K <= Kmax, s <= smax and m <= K/p^s + 1 with margin
-    # v_p(S-sum) minus required(s, m), each (a, K) off one prefix list of one
-    # B row. The last m of each s starts past K, where the S-sum is empty.
+    # v_p(S-sum) minus required[s][m], each (a, K) off one prefix list of one
+    # B row. The S-sums of one (a, K, s) are the differences of the edges
+    # P[min(m q, K + 1)], q = p^s: P[::q] padded with P[K + 1]. The last m of
+    # each s starts past K, where the S-sum is empty, so `required` needs
+    # m <= Kmax // p^s only.
     Kmax = grid["Kmax"]
     b = big_B_sequence(N, k, max(p * Kmax + p - 1, 0))
     for a in range(p):
         for K in range(Kmax + 1):
             P = _S_prefix(b, p, a, K)
-            for s in range(grid["smax"] + 1):
+            for s, need in enumerate(required):
                 q = p**s
-                for m in range(K // q + 2):
-                    value = _S_read(P, q, m)
-                    margin = vp_int(value, p) - required(s, m) if value else INFINITE
-                    yield *_verdict(margin), K, N, a, k, m, p, s
+                edges = P[::q]
+                edges += [P[-1]] * (K // q + 3 - len(edges))
+                for m, value in enumerate(map(sub, edges[1:], edges)):
+                    margin = vp_int(value, p) - need[m] if value else INFINITE
+                    if margin == INFINITE:
+                        yield True, "inf", K, N, a, k, m, p, s
+                    else:
+                        yield margin >= 0, margin, K, N, a, k, m, p, s
 
 
 def _dwork_rows(grid: dict) -> Iterator[Row]:
-    # The S-sum in p^(s+1) B(m) Z_p at every (p, N, k, a, K, s, m).
+    # The S-sum in p^(s+1) B(m) Z_p at every (p, N, k, a, K, s, m). No
+    # table is built when the K or s axis is empty, as in _pNk.
+    Kmax, smax = grid["Kmax"], grid["smax"]
+    if Kmax < 0 or smax < 0:
+        return
     for p, N, ks in _pNk(grid):
         for k in ks:
-            vB = [vp_big_B(N, k, m, p) for m in range(grid["Kmax"] + 1)]
-            yield from _S_rows_at(grid, p, N, k, lambda s, m: s + 1 + vB[m])
+            vB = [vp_big_B(N, k, m, p) for m in range(Kmax + 1)]
+            required = [[s + 1 + v for v in vB[: Kmax // p**s + 1]] for s in range(smax + 1)]
+            yield from _S_rows_at(grid, p, N, k, required)
 
 
 def _yms_rows(grid: dict) -> Iterator[Row]:
     # The Y-term, the S-sum times its level gap, in p xi(N) N!^k Z_p at
     # every (p, N, k, a, K, s, m). A nonzero S-sum has m p^s <= K, so its
-    # level gap reads the weights of one (p, N) to Kmax.
+    # level gap reads the weights of one (p, N) to Kmax, valued once per
+    # (p, N, s, m) before the weights are dropped. No table is built when
+    # the K or s axis is empty, as in _pNk.
+    Kmax, smax = grid["Kmax"], grid["smax"]
+    if Kmax < 0 or smax < 0:
+        return
     for p, N, ks in _pNk(grid):
-        w, S = scaled_weights(N, range(grid["Kmax"] + 1))
-        for k in ks:
-            required = 1 + _required_vp(WHICH_XI, N, k, p) + vp_int(S, p)
-            yield from _S_rows_at(
-                grid, p, N, k, lambda s, m: required - vp_int(_level_gap(w, p, m, s), p)
-            )
+        w, S = scaled_weights(N, range(Kmax + 1))
+        gaps = [
+            [vp_int(_level_gap(w, p, m, s), p) for m in range(Kmax // p**s + 1)]
+            for s in range(smax + 1)
+        ]
+        vS = vp_int(S, p)
         del w
+        for k in ks:
+            required = 1 + _required_vp(WHICH_XI, N, k, p) + vS
+            need = [[required - v for v in row] for row in gaps]
+            yield from _S_rows_at(grid, p, N, k, need)
 
 
 def _decomposition_rows(grid: dict) -> Iterator[Row]:

@@ -85,21 +85,27 @@ def require_prime(p: int) -> None:
 
 def vp_int(n: int, p: int) -> int | float:
     """Valuation of an integer; INFINITE for n = 0. Assumes p prime, but
-    raises ValueError for p < 2, where the loop would not end."""
+    raises ValueError for p < 2, where the loop would not end. For p = 2 it
+    is the position of n's lowest set bit, read off n & -n."""
     if p < 2:
         raise ValueError(f"p must be prime, got {p}")
     if n == 0:
         return INFINITE
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     if n.bit_length() > 64:
-        # A big n sheds p^24 at a time, and only its residue mod p^24, which
-        # has the rest of the valuation, is trial-divided: a division by p
-        # costs a pass over n's digits, one of the small residue does not.
-        q = p**24
+        # A big n sheds q = p^e at a time. With e = 30 // (bits of p), q is
+        # below 2^30, one digit of CPython's ints, so n % q and n // q take
+        # the one-digit paths (e = 1, a wider q, once p itself is wider).
+        # Only the residue mod q, which has the rest of the valuation, is
+        # trial-divided.
+        e = max(1, 30 // p.bit_length())
+        q = p**e
         r = n % q
         while not r:
             n //= q
-            v += 24
+            v += e
             r = n % q
         n = r
     while n % p == 0:

@@ -8,8 +8,10 @@ returns the achieved and required valuations, because sharpness arguments
 are precisely about the margin (e.g. failure at exactly one extra power of
 p). The sieve's oracle walks every index with a running Fraction. The
 exact readers at the end (harmonic, vp_harmonic, vp_factorial, big_B) are
-the references for H_n, its valuations, v_p(n!) and B(m). p is taken on
-trust throughout, except by vp_harmonic and vp_factorial, which check it.
+the references for H_n, its valuations, v_p(n!) and B(m). Every valuation
+the oracles take themselves is brute_vp's repeated division, not
+padic.vp_int. p is taken on trust throughout, except by vp_harmonic and
+vp_factorial, which check it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from mirrorint.padic import (
     big_B_sequence,
     require_prime,
     vp_big_B,
-    vp_int,
 )
 from mirrorint.series import (
     KIND_QLN,
@@ -52,6 +53,18 @@ from mirrorint.series import (
     ps_pow,
 )
 from mirrorint.sieve import VALUATION_CAP, SieveRecord
+
+
+def brute_vp(n: int, p: int) -> int | float:
+    """v_p(n) by literal repeated division, math.inf for n = 0: the
+    oracles' own valuations, independent of padic.vp_int."""
+    if n == 0:
+        return math.inf
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 @dataclass(frozen=True)
@@ -80,7 +93,7 @@ def check_theorem_congruence(
         raise ValueError("the shifted variant requires N >= 2")
     required = 1 + _required_vp(which, N, k, p)
     c = coeff_C(N, k, p, a, K, shifted)
-    achieved = vp_int(c.numerator, p) - vp_int(c.denominator, p)
+    achieved = brute_vp(c.numerator, p) - brute_vp(c.denominator, p)
     return Membership(achieved=achieved, required=required)
 
 
@@ -98,7 +111,7 @@ def check_dwork_S(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Mem
     """Membership of the S-sum in p^(s+1) B(m) Z_p."""
     value = S_sum(N, k, p, a, K, s, m)
     required = s + 1 + vp_big_B(N, k, m, p)
-    return Membership(achieved=vp_int(value, p), required=required)
+    return Membership(achieved=brute_vp(value, p), required=required)
 
 
 def Y_term(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Fraction:
@@ -114,7 +127,7 @@ def check_Y(N: int, k: int, p: int, a: int, K: int, s: int, m: int) -> Membershi
     """Membership of the Y-term in p * xi(N) * N!^k * Z_p."""
     y = Y_term(N, k, p, a, K, s, m)
     required = 1 + _required_vp(WHICH_XI, N, k, p)
-    achieved = vp_int(y.numerator, p) - vp_int(y.denominator, p)
+    achieved = brute_vp(y.numerator, p) - brute_vp(y.denominator, p)
     return Membership(achieved=achieved, required=required)
 
 
@@ -148,7 +161,7 @@ def check_lemma12(
     else:
         K = 0  # only the variant reads K
     h, S = harmonic_scaled([N * j + N * a // p, N * j])
-    achieved = _lemma12(h, p, N, k, a, j, K) - vp_int(S, p)
+    achieved = _lemma12(h, p, N, k, a, j, K) - brute_vp(S, p)
     return Membership(achieved, 1 + _required_vp(WHICH_XI, N, k, p))
 
 
@@ -167,7 +180,7 @@ def check_lemma11(
         raise ValueError("the shifted variant requires N >= 2")
     required = _required_vp(which, N, k, p) - s
     w, S = scaled_weights(N, _levels(p, m, s), shifted)
-    return Membership(_lemma11(w, p, N, k, m, s) - vp_int(S, p), required)
+    return Membership(_lemma11(w, p, N, k, m, s) - brute_vp(S, p), required)
 
 
 def optimality_witness(N: int, p: int, shifted: bool = False) -> tuple[int, int]:
@@ -263,7 +276,7 @@ def check_harmonic_congruence(
     else:
         raise ValueError(f"unknown congruence kind {kind!r}")
 
-    achieved = vp_int(value, p) - vp_int(S, p)
+    achieved = brute_vp(value, p) - brute_vp(S, p)
     holds = achieved >= required
     matches = None if predicted is None else (holds == predicted)
     return HarmonicCongruence(
@@ -332,7 +345,7 @@ def exact_sieve(p: int, max_N: int, target: str) -> list[SieveRecord]:
             x = x - 1
         if x.denominator % p == 0 or x.numerator % p:
             continue
-        v = vp_int(x.numerator, p)
+        v = brute_vp(x.numerator, p)
         if v >= VALUATION_CAP:
             records.append(SieveRecord(p, n, VALUATION_CAP, True, target))
         else:
@@ -360,7 +373,7 @@ def vp_harmonic(N: int, p: int, shifted: bool = False) -> int:
     if shifted and N == 1:
         raise ValueError("H_1 - 1 = 0; shifted valuation requires N >= 2")
     ((_, S, x),) = _walk([N])
-    return vp_int(x - S if shifted else x, p) - vp_int(S, p)
+    return brute_vp(x - S if shifted else x, p) - brute_vp(S, p)
 
 
 def vp_factorial(n: int, p: int) -> int:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import mirrorint.harmonic as harmonic_module
 from mirrorint import congruences
-from mirrorint.cli import _json_field, _row_formats, main
+from mirrorint.cli import _row_writer, main
 from mirrorint.congruences import (
     SWEEPS,
     WHICH_OMEGA,
@@ -555,6 +555,42 @@ class TestSweepWalk:
         # j = 0 outside the grid takes the a = 1, j = 0 variant rows along.
         assert list(sweep("lemma12", jmax=-1)) == []
 
+    @pytest.mark.parametrize("check", ["dworkS", "yms"])
+    @pytest.mark.parametrize("axis", ["smax", "Kmax"])
+    def test_empty_S_axes_build_no_table(self, monkeypatch, check, axis):
+        # Like _pNk with no k: no B row, prefix list or weight is built
+        # for a grid without rows.
+        def refuse(*args):
+            raise AssertionError("a table was built for no row")
+
+        monkeypatch.setattr(congruences, "big_B_sequence", refuse)
+        monkeypatch.setattr(congruences, "scaled_weights", refuse)
+        assert list(sweep(check, **{axis: -1})) == []
+
+    @pytest.mark.parametrize(
+        "check,params",
+        [
+            ("theorem-congruence", {"which": WHICH_XI}),
+            ("theorem-congruence", {"which": WHICH_OMEGA, "summax": 40}),
+            ("yms", {"p": [3, 5, 7]}),
+        ],
+    )
+    def test_weights_once_per_p_and_N(self, monkeypatch, check, params):
+        # The weights and their valuations depend on neither k nor the
+        # rows, so each (p, N) builds them once, for all of its k.
+        calls = []
+        build = congruences.scaled_weights
+
+        def counting(N, ns, *args):
+            calls.append(N)
+            return build(N, ns, *args)
+
+        monkeypatch.setattr(congruences, "scaled_weights", counting)
+        grid = {**SWEEPS[check].defaults, **params}
+        rows = list(sweep(check, **params))
+        Ns = {row["params"]["N"] for row in rows}
+        assert grid["kmax"] == 2 and len(calls) == len(grid["p"]) * len(Ns)
+
     @pytest.mark.parametrize("p", [(3, 3), [2, 3, 2]])
     def test_repeated_prime_rejected(self, p):
         # Each of its rows would come out once per repeat.
@@ -879,13 +915,13 @@ class TestSweepLines:
         assert {"K" in row["params"] for row in rows if row["check"] == "lemma12"} == {True, False}
         assert grids.count([]) == 3
 
-    @given(st.sampled_from(("dworkS", "theorem-congruence")),
+    @given(st.sampled_from(("dworkS", "yms", "theorem-congruence")),
            st.lists(SMALL_PRIMES, min_size=1, max_size=2, unique=True), st.integers(0, 3),
            st.integers(0, 2), st.integers(-1, 6), st.integers(-1, 2),
            st.sampled_from((WHICH_XI, WHICH_OMEGA)))
     @settings(max_examples=25, deadline=None)
     def test_random_grids(self, check, p, Nmax, kmax, bound, smax, which):
-        if check == "dworkS":
+        if check != "theorem-congruence":
             params = {"p": p, "Nmax": Nmax, "kmax": kmax, "Kmax": bound, "smax": smax}
         else:
             params = {"p": p, "Nmax": Nmax, "kmax": kmax, "summax": 3 * bound, "which": which}
@@ -907,7 +943,7 @@ class TestSweepLines:
         holds = data.draw(st.booleans())
         margin = data.draw(st.integers() | st.sampled_from(("inf", None)))
         row = (holds, margin, *values)
-        line = _row_formats(check, keys)[len(row)] % tuple(map(_json_field, row))
+        line = _row_writer(check)(row)
         params = dict(zip(names, values))
         assert line == canonical_json(
             {"check": check, "params": params, "holds": holds, "margin": margin}

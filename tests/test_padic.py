@@ -16,19 +16,19 @@ from mirrorint.padic import (
     vp_int,
     vp_rational,
 )
-from oracles import big_B, vp_factorial
+from oracles import big_B, brute_vp, vp_factorial
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
+# Primes on both sides of the one-digit bound of vp_int's chunk p^e,
+# e = max(1, 30 // bit length of p): 32749 is the largest 15-bit prime (e = 2),
+# 32771 the smallest 16-bit one (e = 1), and the Mersenne primes 2^31 - 1 and
+# 2^61 - 1 have chunks that take more than one digit.
+DIGIT_EDGE_PRIMES = (32749, 32771, 2**31 - 1, 2**61 - 1)
 
-def brute_vp(n, p):
-    """Independent valuation by literal repeated division."""
-    assert n != 0
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+
+def chunk_exponent(p):
+    return max(1, 30 // p.bit_length())
 
 
 class TestPrimes:
@@ -128,16 +128,35 @@ class TestVpInt:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_repeated_division(self, p, v, u, negative):
-        # Small and big n, valuations below, at and past multiples of 24.
+        # Small and big n; valuations below, at and past multiples of each
+        # prime's chunk exponent (15 for p = 3 down to 1 for 65537).
+        n = p**v * u * (-1 if negative else 1)
+        assert vp_int(n, p) == brute_vp(n, p)
+
+    @given(
+        st.sampled_from((*SMALL_PRIMES, 101, *DIGIT_EDGE_PRIMES)),
+        st.integers(0, 6),
+        st.integers(-1, 1),
+        st.integers(1, 2**4000),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_chunk_multiples(self, p, multiple, offset, u, negative):
+        # Valuations at, just below and just past a multiple of the chunk
+        # exponent, on n up to 2^4000 times that power of p.
+        v = max(0, multiple * chunk_exponent(p) + offset)
         n = p**v * u * (-1 if negative else 1)
         assert vp_int(n, p) == brute_vp(n, p)
 
     def test_exact_powers(self):
-        for p in SMALL_PRIMES:
-            for v in (0, 1, 23, 24, 25, 47, 48, 49, 100):
+        for p in (*SMALL_PRIMES, *DIGIT_EDGE_PRIMES):
+            e = chunk_exponent(p)
+            for v in (0, 1, 23, 24, 25, 47, 48, 49, 100, e - 1, e, e + 1, 3 * e, 3 * e + 1):
                 assert vp_int(p**v, p) == v
                 assert vp_int(p**v * (p + 1) ** 40, p) == v
+                assert vp_int(-(p**v) * (p + 1) ** 400, p) == v
         assert vp_int(0, 3) == INFINITE
+        assert vp_int(0, 2) == INFINITE
 
 
 class TestVpFactorial:
