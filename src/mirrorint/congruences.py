@@ -57,12 +57,13 @@ def coeff_C(N: int, k: int, p: int, a: int, K: int, shifted: bool = False) -> Fr
     This is exactly the (a+Kp)-th coefficient of F(z) G_L(z^p) - p F(z^p)
     G_L(z) with L = N, or of the same with Gt in place of G_L when shifted.
     """
-    # S C(a+Kp) is series._dwork_difference of the B row and the B w list,
-    # read at index a + Kp: the theorem-congruence sweep reads every a and K
-    # off one pair of lists.
+    # S C(a+Kp) is the one-entry column at a + Kp of series._dwork_difference
+    # of the B row and the B w list: the theorem-congruence sweep reads
+    # every a and K off one column [0, summax].
     _validate_core(N, k, p, a, K)
-    b, bw, S = _weighted_row(N, N, k, a + K * p, shifted)
-    return Fraction(next(_dwork_difference(b, bw, p, [a + K * p])), S)
+    i = a + K * p
+    b, bw, S = _weighted_row(N, N, k, i, shifted)
+    return Fraction(_dwork_difference(b, bw, p, i, i + 1)[0], S)
 
 
 def coeff_C_valuations(
@@ -79,12 +80,13 @@ def coeff_C_valuations(
     scale W = max s, R and B(n) / p^v_p(B(n)) (from big_B_units) are known
     mod p^(W+cap), so each term of p^W C(m) is known mod p^(W+v0+cap). The
     least W, not floor(log_p(N top)), keeps the unit rows short. p^W C(m) is
-    series._dwork_difference of c = B mod p^(v_p(B)+W+cap) and c R at m.
+    entry m of the one column [min(ms), top] of series._dwork_difference of
+    c = B mod p^(v_p(B)+W+cap) and c R.
     """
     ms = list(ms)
-    if N < 1 or cap < 2 or min(ms, default=0) < 0:
+    lo, top = min(ms, default=0), max(ms, default=0)
+    if N < 1 or cap < 2 or lo < 0:
         raise ValueError("requires N >= 1, cap >= 2 and every m >= 0")
-    top = max(ms, default=0)
     classes = {m % p for m in ms}
     acc = ModularHarmonicSum(p, cap - 1)
     scale = [0] * (top + 1)
@@ -98,10 +100,11 @@ def coeff_C_valuations(
     R = [r * p ** (W - s) for r, s in zip(R, scale)]
     bv, bu = zip(*big_B_units(N, 1, top, p, W + cap))
     c = [p**v * u for v, u in zip(bv, bu)]  # B(n) mod p^(v_p(B(n))+W+cap)
-    for m, total in zip(ms, _dwork_difference(c, list(map(mul, c, R)), p, ms)):
+    column = _dwork_difference(c, list(map(mul, c, R)), p, lo, top + 1)
+    for m in ms:
         # The terms of C(m) pair B(j) with B(m - jp), j <= m // p.
         v0 = min(map(add, bv, bv[m::-p]))
-        v = vp_int(total % p ** (W + v0 + cap), p)
+        v = vp_int(column[m - lo] % p ** (W + v0 + cap), p)
         yield (v - W, False) if v < W + v0 + cap else (v0 + cap, True)
 
 
@@ -318,7 +321,9 @@ def _pNk(grid: dict) -> Iterator[tuple[int, int, range]]:
 def _theorem_rows(grid: dict) -> Iterator[Row]:
     # C(a+Kp) in p xi(N) N!^k Z_p (the shifted sum in p omega(N) N!^k Z_p)
     # at every (p, N, k), then a < p and K with a + Kp <= summax: the
-    # weights up to summax of one (p, N), then one B row and B w list per k.
+    # weights up to summax of one (p, N), then per k one B row, its B w list
+    # and their column [0, summax] of series._dwork_difference, each class a
+    # read off column[a::p].
     which, summax = grid["which"], grid["summax"]
     top = max(summax, 0)
     for p, N, ks in _pNk(grid):
@@ -328,14 +333,15 @@ def _theorem_rows(grid: dict) -> Iterator[Row]:
             b = big_B_sequence(N, k, top)
             bw = [x * w[m] for m, x in enumerate(b)]
             required = 1 + _required_vp(which, N, k, p) + vS
+            column = _dwork_difference(b, bw, p, 0, summax + 1)
             for a in range(p):
-                for K, value in enumerate(_dwork_difference(b, bw, p, range(a, summax + 1, p))):
+                for K, value in enumerate(column[a::p]):
                     margin = vp_int(value, p) - required
                     if margin == INFINITE:
                         yield True, "inf", K, N, a, k, p, which
                     else:
                         yield margin >= 0, margin, K, N, a, k, p, which
-            del b, bw
+            del b, bw, column
         del w
 
 

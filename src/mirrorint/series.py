@@ -15,7 +15,8 @@ import contextlib
 import math
 import sys
 from fractions import Fraction
-from operator import mul
+from itertools import chain, compress, repeat
+from operator import mul, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .harmonic import scaled_weights
@@ -417,14 +418,56 @@ def _dwork_modulus(p: int, r: int) -> int:
 
 
 def _dwork_difference(
-    f: Sequence[int], G: Sequence[int], p: int, indices: Iterable[int]
-) -> Iterator[int]:
-    """(f G(z^p) - p f(z^p) G)[i] for each i of indices, in order, for
-    integer lists f and G that reach every i: two dot products over stride-p
-    slices. With g = G/d and r = d tau, it is read mod q = _dwork_modulus(p, r)
-    for Dwork's criterion for exp(g / (tau f)) at p, on f and G reduced mod q."""
-    for i in indices:
-        yield sum(map(mul, G, f[i::-p])) - p * sum(map(mul, f, G[i::-p]))
+    f: Sequence[int], G: Sequence[int], p: int, lo: int, hi: int
+) -> list[int]:
+    """The column D[lo:hi] of D = f G(z^p) - p f(z^p) G, for integer lists f
+    and G of at least hi entries; [] when hi <= lo. With g = G/d and
+    r = d tau, it is read mod q = _dwork_modulus(p, r) for Dwork's criterion
+    for exp(g / (tau f)) at p, on f and G reduced mod q.
+
+    D[i] = sum_j G[j] f[i - jp] - p f[j] G[i - jp] over the stride terms
+    j <= (hi - 1) // p. A term is dead when G[j] = f[j] = 0, as many are on
+    residues mod p^e: v_p(B(m)) counts the carries of Kummer's theorem. The
+    form is chosen from the inputs alone. When some term is dead, or there
+    are fewer terms than p, the pass form skips the dead terms and sums the
+    live ones over the whole column in one C-level pass. Otherwise, on rows
+    with no zero such as B and its weighted lists, the index form reads
+    each D[i] as two dot products over stride-p slices, which costs less
+    per product than the pass form."""
+    if hi <= lo:
+        return []
+    terms = (hi - 1) // p + 1
+    live = list(compress(range(terms), map(or_, f[:terms], G[:terms])))
+    if len(live) < terms or terms < p:
+        return _dwork_passes(f, G, p, lo, hi, live)
+    return _dwork_dots(f, G, p, lo, hi)
+
+
+def _dwork_passes(
+    f: Sequence[int], G: Sequence[int], p: int, lo: int, hi: int, live: list[int]
+) -> list[int]:
+    # The pass form of _dwork_difference. Term j reaches i >= max(lo, jp):
+    # its parts G[j] f and -p f[j] G are lazy rows over the column, zero
+    # below that index, and one pass of sum over the rows adds them up.
+    rows = [repeat(0, hi - lo)]
+    for j in live:
+        start = max(lo, j * p)
+        a, b, pad = start - j * p, hi - j * p, start - lo
+        if G[j]:
+            rows.append(chain(repeat(0, pad), map(mul, f[a:b], repeat(G[j]))))
+        if f[j]:
+            rows.append(chain(repeat(0, pad), map(mul, G[a:b], repeat(-p * f[j]))))
+    return list(map(sum, zip(*rows)))
+
+
+def _dwork_dots(
+    f: Sequence[int], G: Sequence[int], p: int, lo: int, hi: int
+) -> list[int]:
+    # The index form of _dwork_difference.
+    return [
+        sum(map(mul, G, f[i::-p])) - p * sum(map(mul, f, G[i::-p]))
+        for i in range(lo, hi)
+    ]
 
 
 def first_nonintegral(G: Sequence[int], F: Sequence[int], r: int) -> int | None:
@@ -440,8 +483,10 @@ def first_nonintegral(G: Sequence[int], F: Sequence[int], r: int) -> int | None:
       first i whose G[i] / r keeps a denominator factor once the primes
       <= i are stripped from it by gcds with their product. Neither r nor a
       denominator is ever factored, which is how primes above M are handled.
-    - Each p below the best index so far reads _dwork_difference on
-      residues mod p^(1 + v_p(r)), from index p up to that index.
+    - Each p below the best index so far reads the column [p, best) of
+      _dwork_difference on residues mod q = p^(1 + v_p(r)), and its first
+      entry not divisible by q becomes the best index. Many residues are
+      zero, so the column is mostly built in the pass form.
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
@@ -471,8 +516,8 @@ def first_nonintegral(G: Sequence[int], F: Sequence[int], r: int) -> int | None:
     G = [x % Q for x in G[:best]]
     for p, q in moduli.items():
         fq, Gq = [x % q for x in fi[:best]], [x % q for x in G[:best]]
-        values = zip(range(p, best), _dwork_difference(fq, Gq, p, range(p, best)))
-        best = next((i for i, x in values if x % q), best)
+        column = _dwork_difference(fq, Gq, p, p, best)
+        best = next((i for i, x in enumerate(column, p) if x % q), best)
     return best if best <= m else None
 
 
@@ -485,7 +530,7 @@ def dwork_criterion(
     With f in 1 + z Z[[z]] and g in z Q[[z]] this holds exactly when
     exp(g / (tau f)) has p-integral coefficients, order by order: the first
     violating index is that of exp's first non-p-integral coefficient. It
-    is read off _dwork_difference on residues.
+    is read off the column [1, M] of _dwork_difference on residues.
     """
     require_prime(p)
     if tau < 1:
@@ -501,6 +546,6 @@ def dwork_criterion(
     G, d = _over_lcm(g.coefficients[: m + 1])
     q = _dwork_modulus(p, d * tau)
     fq, Gq = [x.numerator % q for x in f.coefficients[: m + 1]], [x % q for x in G]
-    values = enumerate(_dwork_difference(fq, Gq, p, range(1, m + 1)), 1)
-    i = next((i for i, x in values if x % q), None)
+    column = _dwork_difference(fq, Gq, p, 1, m + 1)
+    i = next((i for i, x in enumerate(column, 1) if x % q), None)
     return i is None, i

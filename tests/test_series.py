@@ -779,6 +779,49 @@ class TestFirstNonintegral:
         assert verdicts[True] >= 30 and verdicts[False] >= 30
 
     @given(
+        st.integers(8, 30),
+        st.lists(
+            st.tuples(st.integers(2, 9), st.sampled_from((-2, -1, 1, 2))),
+            min_size=1,
+            max_size=3,
+        ),
+        st.sampled_from(ROOTS),
+        st.sampled_from((2, 3, 9, 2**7, 3**5, 17, 6 * 17)),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_exp_stream_on_sparse_rows(self, order, factors, r, s, data):
+        # The prime passes' own violations, on rows with many zeros mod p^e,
+        # so that the passes run _dwork_difference's pass form. With
+        # u = prod (1 - z^a)^(-c), log u = sum c z^(am) / m is sparse and
+        # exp(log u) = u is integral, so g = r f log u passes. Adding x / p^b
+        # to log u at an index i >= p, p not dividing x, spoils exactly index
+        # i, at p alone: every denominator prime at an index is at most that
+        # index, so the gcd pass strips them all and decides nothing.
+        f = [1] + data.draw(
+            st.lists(
+                st.one_of(st.just(0), st.integers(-9, 9)),
+                min_size=order,
+                max_size=order,
+            ),
+            label="f",
+        )
+        h = [F(0)] * (order + 1)
+        for a, c in factors:
+            for m in range(1, order // a + 1):
+                h[a * m] += F(c, m)
+        if data.draw(st.booleans(), label="spoiled"):
+            p = data.draw(st.sampled_from((2, 3, 5, 7)), label="p")
+            i = data.draw(st.integers(p, order), label="i")
+            x = data.draw(st.integers(1, 6).filter(lambda x: x % p), label="x")
+            h[i] += F(x, p ** data.draw(st.integers(1, 2), label="b"))
+        c = (PSeries(f) * PSeries(h) * r).coefficients
+        want = stream_first_nonintegral(c, f, r)
+        G, d = _over_lcm(c)
+        assert first_nonintegral(G, f, d * r) == want
+        assert first_nonintegral([s * x for x in G], f, s * d * r) == want
+
+    @given(
         st.sampled_from(("qLN", "qN", "qtilde")),
         st.sampled_from((1, 2, None)),
         st.integers(1, 6),
@@ -830,34 +873,62 @@ class TestFirstNonintegral:
             first_nonintegral([1, 1], [1, 1], 1)
 
 
+# Integer rows, dense or with forced zeros: a row with a zero stride term
+# sends _dwork_difference to its pass form, a row without one (and with at
+# least p stride terms) to its index form.
+dense_rows = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=30)
+zeroed_rows = st.lists(
+    st.one_of(st.just(0), st.integers(-10**6, 10**6)), min_size=1, max_size=30
+)
+
+
 class TestDworkDifference:
     @given(
-        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=30),
-        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=30),
+        st.one_of(dense_rows, zeroed_rows),
+        st.one_of(dense_rows, zeroed_rows),
         st.sampled_from((2, 3, 5, 7, 11)),
         st.integers(1, 6),
-        st.sampled_from(("ascending", "sparse-descending", "repeated", "generator")),
         st.data(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_series_oracle(self, f, g, p, e, style, data):
-        # The oracle is exact to the common order M of f and g.
+    def test_matches_series_oracle(self, f, g, p, e, data):
+        # The oracle is exact to the common order M of f and g. The column
+        # [lo, hi) may be empty (hi <= lo), start past 0, stop at hi = 1, or
+        # end below p.
         fs, gs = PSeries(f), PSeries(g)
         exact = fs * ps_substitute_power(gs, p) - p * ps_substitute_power(fs, p) * gs
         M = exact.order
-        if style == "sparse-descending":
-            indices = sorted(data.draw(st.sets(st.integers(0, M))), reverse=True)
-        elif style == "repeated":
-            indices = data.draw(st.lists(st.integers(0, M), max_size=3 * M + 3))
-        else:
-            indices = list(range(M + 1))
-        fed = (i for i in indices) if style == "generator" else indices
-        assert list(_dwork_difference(f, g, p, fed)) == [exact[i] for i in indices]
+        lo = data.draw(st.integers(0, M + 1), label="lo")
+        hi = data.draw(st.integers(0, M + 1), label="hi")
+        want = [exact[i] for i in range(lo, hi)]
+        assert _dwork_difference(f, g, p, lo, hi) == want
         # Fed residues mod q, the kernel is right mod q.
         q = p**e
         fq, gq = [x % q for x in f], [x % q for x in g]
-        got = _dwork_difference(fq, gq, p, indices)
-        assert [x % q for x in got] == [exact[i] % q for i in indices]
+        got = _dwork_difference(fq, gq, p, lo, hi)
+        assert [x % q for x in got] == [x % q for x in want]
+
+    def test_each_form_runs_where_the_rule_sends_it(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the other form ran")
+
+        # Certify's rows mod p^e have many zeros: the README's pass runs the
+        # pass form alone, at all 41 primes below its order.
+        g, f, d = canonical_parts("qLN", 7, 1, L=7, order=180)
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "_dwork_dots", refuse)
+            assert first_nonintegral(g, f, d * 108) is None
+        # Rows of B(m) > 0, exact or as p^v times a unit, have no dead
+        # stride term: with at least p terms they run the index form alone.
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "_dwork_passes", refuse)
+            assert len(list(congruences.sweep("coeff-c", mmax=50))) == 50
+            assert list(congruences.sweep("theorem-congruence", p=(2, 3, 5)))
+        # At p = 7 the default summax 25 leaves 4 < 7 stride terms, so the
+        # rest of the default grid takes the pass form.
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "_dwork_dots", refuse)
+            assert list(congruences.sweep("theorem-congruence", p=(7,)))
 
     def test_every_reader_takes_the_one_kernel(self, monkeypatch):
         # A second copy of the difference would leave one of these running.
